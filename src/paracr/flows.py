@@ -431,6 +431,7 @@ def verify_flow(
             checks.append(FlowCheck("group_law", ok, True, float(worst), "exact"))
         else:
             worst_f = 0.0
+            checked = 0
             for p in in_domain:
                 fp = tuple(float(v) for v in p)
                 mid = fm.apply_float(fp)
@@ -441,15 +442,13 @@ def verify_flow(
                 worst_f = max(
                     worst_f, max(abs(u - v) for u, v in zip(two_step, one_step))
                 )
-            checks.append(
-                FlowCheck(
-                    "group_law",
-                    worst_f <= surface_tol,
-                    False,
-                    worst_f,
-                    f"tolerance {surface_tol:g}",
-                )
-            )
+                checked += 1
+            if checked:
+                ok, detail = worst_f <= surface_tol, f"tolerance {surface_tol:g}"
+                checks.append(FlowCheck("group_law", ok, False, worst_f, detail))
+            else:
+                detail = "no sample lies in the partner and combined flow domains"
+                checks.append(FlowCheck("group_law", False, False, None, detail))
 
     passed = all(c.passed for c in checks)
     return FlowVerification(fm.name, (str(fm.param),), passed, tuple(checks), tuple(witnesses))

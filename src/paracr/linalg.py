@@ -18,10 +18,11 @@ Matrix = Sequence[Sequence[Fraction]]
 
 
 def _row_to_int(row: Sequence[Fraction]) -> List[int]:
+    # int and Fraction entries alike: scale numerators to the common denominator
     denom = 1
     for v in row:
-        denom = lcm(denom, Fraction(v).denominator)
-    return [int(Fraction(v) * denom) for v in row]
+        denom = lcm(denom, v.denominator)
+    return [v.numerator * (denom // v.denominator) for v in row]
 
 
 def normalize_primitive(vec: Sequence[Fraction]) -> Vector:
@@ -47,8 +48,9 @@ def normalize_primitive(vec: Sequence[Fraction]) -> Vector:
 def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
     """Kernel basis of the matrix, primitive-integer normalized.
 
-    Basis vectors are indexed by the free columns in ascending order, so the
-    result is deterministic.
+    Entries are ints or Fractions; each row is scaled to integers by the lcm
+    of its denominators before elimination.  Basis vectors are indexed by
+    the free columns in ascending order, so the result is deterministic.
     """
     m = [_row_to_int(row) for row in rows if any(v != 0 for v in row)]
     nrows = len(m)

@@ -4,7 +4,9 @@ For a fixed weight m the unknown field has one coefficient per admissible
 monomial: alpha and beta monomials a^i b^j satisfy ki + j = m + k and
 ki + j = m + 1, xi and eta monomials x^i y^j satisfy i + kj = m + 1 and
 i + kj = m + k.  The tangency residual is linear in these unknowns, so the
-solution space per weight is the kernel of an exact rational matrix.
+solution space per weight is the kernel of an exact rational matrix.  Its
+columns are assembled slot by slot from powers (a+P)^j cached on the surface
+(see ``tangency_system``), with integral coefficients kept as plain ints.
 
 ``brute_force_check`` rebuilds the same linear system by evaluating the
 residual at random rational points (interpolation style) and runs an
@@ -22,7 +24,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import Exponents, Poly, order_key
-from .surface import ModelSurface, ParaVectorField, tangency_residual
+from .surface import (
+    Coefficient,
+    ModelSurface,
+    ParaVectorField,
+    Terms,
+    exact_terms,
+    multiply_terms,
+)
 
 COMPONENTS = ("alpha", "beta", "xi", "eta")
 
@@ -108,6 +117,36 @@ class KernelBasis:
         return len(self.basis)
 
 
+def tangency_system(
+    s: ModelSurface, ansatz: WeightAnsatz
+) -> Tuple[List[Exponents], List[List[Coefficient]]]:
+    """The per-weight linear system as (monomials, rows).
+
+    Column i holds the residual of ``ansatz.unit_field(i)``, one row per
+    residual monomial in ``order_key`` order.  Each column is built straight
+    from its slot, since ``tangency_residual`` expands to
+    eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
+    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b.
+    Integral entries are plain ints.
+    """
+    p_x = exact_terms(s.p_x)
+    p_b = exact_terms(s.p_b)
+    columns: List[Terms] = []
+    for comp, (ex, ey, ea, eb) in ansatz.unknowns:
+        if comp == "alpha":
+            columns.append({(0, 0, ea, eb): -1})
+        elif comp == "beta":
+            columns.append(multiply_terms({(0, 0, ea, eb): -1}, p_b))
+        elif comp == "eta":
+            columns.append(multiply_terms({(ex, 0, 0, 0): 1}, s.y_power(ey)))
+        else:
+            power_p_x = multiply_terms(s.y_power(ey), p_x)
+            columns.append(multiply_terms({(ex, 0, 0, 0): -1}, power_p_x))
+    monomials = sorted({exp for col in columns for exp in col}, key=order_key)
+    rows = [[col.get(exp, 0) for col in columns] for exp in monomials]
+    return monomials, rows
+
+
 @lru_cache(maxsize=None)
 def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     """Exact kernel of the per-weight tangency system.
@@ -120,9 +159,7 @@ def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     t = len(ansatz)
     if t == 0:
         return KernelBasis(m, (), (0, 0))
-    residuals = [tangency_residual(ansatz.unit_field(i), s) for i in range(t)]
-    monomials = sorted({exp for r in residuals for exp, _ in r.items()}, key=order_key)
-    rows = [[r.coefficient(exp) for r in residuals] for exp in monomials]
+    monomials, rows = tangency_system(s, ansatz)
     kernel = linalg.nullspace_bareiss(rows, t)
     basis = tuple(ansatz.field_from_vector(vec) for vec in kernel)
     return KernelBasis(m, basis, (len(monomials), t))
@@ -150,16 +187,27 @@ def _surface_values(s: ModelSurface, x: Fraction, b: Fraction):
     return p, p_x, p_b
 
 
-def _residual_value(
-    field: ParaVectorField, s: ModelSurface, x: Fraction, a: Fraction, b: Fraction
-) -> Fraction:
+def _slot_values(
+    unknowns: Sequence[Tuple[str, Exponents]],
+    s: ModelSurface,
+    x: Fraction,
+    a: Fraction,
+    b: Fraction,
+) -> List[Fraction]:
+    # residual eta - alpha - beta P_b - xi P_x of each unit field at one point
     p, p_x, p_b = _surface_values(s, x, b)
     y = a + p
-    eta = field.eta.eval_exact((x, y, 0, 0))
-    xi = field.xi.eval_exact((x, y, 0, 0))
-    alpha = field.alpha.eval_exact((0, 0, a, b))
-    beta = field.beta.eval_exact((0, 0, a, b))
-    return eta - alpha - beta * p_b - xi * p_x
+    values = []
+    for comp, (ex, ey, ea, eb) in unknowns:
+        if comp == "eta":
+            values.append(x**ex * y**ey)
+        elif comp == "xi":
+            values.append(-(x**ex * y**ey) * p_x)
+        elif comp == "alpha":
+            values.append(-(a**ea * b**eb))
+        else:
+            values.append(-(a**ea * b**eb) * p_b)
+    return values
 
 
 def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
@@ -180,11 +228,10 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
         return KernelBasis(m, (), (0, 0))
     rng = random.Random((_ORACLE_SEED, s.k, tuple(s.gamma), m).__repr__())
     npoints = 2 * t + 16
-    unit_fields = [ansatz.unit_field(i) for i in range(t)]
     rows = []
     for _ in range(npoints):
         x, a, b = (_random_fraction(rng) for _ in range(3))
-        rows.append([_residual_value(f, s, x, a, b) for f in unit_fields])
+        rows.append(_slot_values(ansatz.unknowns, s, x, a, b))
     kernel = linalg.nullspace_gauss_jordan(rows, t)
     if len(kernel) != symbolic.dimension:
         raise OracleMismatchError(

@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .poly import (
     A,
     B,
+    ZERO_EXP,
+    Exponents,
     Grading,
     Poly,
     UnsupportedDegreeError,
@@ -23,6 +25,25 @@ from .poly import (
     Y,
     as_fraction,
 )
+
+# an exact coefficient: a plain int wherever it is integral
+Coefficient = Union[int, Fraction]
+Terms = Dict[Exponents, Coefficient]
+
+
+def exact_terms(p: Poly) -> Terms:
+    """The terms of ``p`` with each integral coefficient as a plain ``int``."""
+    return {exp: c.numerator if c.denominator == 1 else c for exp, c in p.items()}
+
+
+def multiply_terms(p: Terms, q: Terms) -> Terms:
+    """Product of two term maps, zero coefficients dropped."""
+    out: Terms = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {exp: c for exp, c in out.items() if c}
 
 
 class InvalidSurfaceError(ValueError):
@@ -79,6 +100,22 @@ class ModelSurface:
     def defining_poly(self) -> Poly:
         """y - a - P(x, b); the surface is its zero set."""
         return Y - A - self.p
+
+    @cached_property
+    def _y_powers(self) -> List[Terms]:
+        # (a + P)^0, (a + P)^1, ...; extended on demand by y_power
+        return [{ZERO_EXP: 1}, exact_terms(A + self.p)]
+
+    def y_power(self, j: int) -> Terms:
+        """(a + P)^j, the value of y^j on the surface, as exact terms.
+
+        Memoized on the surface, so every weight shares one expansion per
+        power.  The returned map must not be mutated.
+        """
+        powers = self._y_powers
+        while len(powers) <= j:
+            powers.append(multiply_terms(powers[-1], powers[1]))
+        return powers[j]
 
     def grading(self) -> Grading:
         return Grading(self.k)

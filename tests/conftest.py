@@ -38,6 +38,14 @@ def suite_surfaces():
     return surfaces
 
 
+def rational_gamma_surfaces():
+    """A binomial with rational delta, nu and a generic surface, both with non-integral gamma."""
+    return [
+        ModelSurface(4, binomial_gamma(4, Fraction(1, 2), Fraction(2, 3))),
+        ModelSurface(5, (Fraction(1, 2), Fraction(0), Fraction(-2, 3), Fraction(0))),
+    ]
+
+
 @pytest.fixture(scope="session")
 def suite():
     return suite_surfaces()

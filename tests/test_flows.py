@@ -116,6 +116,18 @@ class TestVerifyFlow:
             surface_check = [c for c in ver.checks if c.check == "surface_preservation"][0]
             assert surface_check.exact and surface_check.max_residual == 0.0
 
+    def test_float_group_law_fails_when_no_point_is_checked(self):
+        # (x, a, b) = (0, 1, 0) lies in the domain of EXP_VK at t = 1/10, but
+        # neither its image under that flow is in the partner's domain at
+        # t = 1 nor the point itself in the combined flow's domain at 11/10
+        point = MONO.point_from_xab(0, 1, 0)
+        ver = verify_flow(flow(EXP_VK, MONO, Fraction(1, 10)), [point], group_partner=1)
+        (group_law,) = [c for c in ver.checks if c.check == "group_law"]
+        assert not group_law.passed
+        assert group_law.max_residual is None
+        assert "no sample" in group_law.detail
+        assert not ver.passed
+
     def test_witnesses_nonzero_factors(self):
         samples = sample_on_surface(MONO, 6)
         ver = verify_flow(flow(EXP_V0, MONO, 2), samples)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from paracr.poly import Poly
+from paracr.poly import Poly, order_key
 from paracr.surface import ModelSurface, tangency_residual, weight_of
 from paracr.solver import (
     brute_force_check,
@@ -13,9 +13,10 @@ from paracr.solver import (
     solve_algebra,
     solve_weight,
     special_conformal_field,
+    tangency_system,
     vertical_translation,
 )
-from conftest import binomial_gamma, monomial_gamma
+from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
 
 
 def P(text):
@@ -95,6 +96,41 @@ class TestSolveWeight:
             for m in range(-s.k, s.k + 1):
                 for f in solve_weight(s, m).basis:
                     assert weight_of(f, g) == m
+
+
+def definitional_system(s, ansatz):
+    """The per-weight system built from ``tangency_residual`` of each unit field."""
+    residuals = [tangency_residual(ansatz.unit_field(i), s) for i in range(len(ansatz))]
+    monomials = sorted({e for r in residuals for e, _ in r.items()}, key=order_key)
+    return monomials, [[r.coefficient(e) for r in residuals] for e in monomials]
+
+
+class TestTangencySystem:
+    @pytest.mark.parametrize(
+        "s",
+        suite_surfaces() + rational_gamma_surfaces(),
+        ids=lambda s: f"k{s.k}-" + ",".join(str(g) for g in s.gamma),
+    )
+    def test_matches_unit_field_residuals(self, s):
+        integral = all(g.denominator == 1 for g in s.gamma)
+        for m in range(-s.k, 3 * s.k + 1):
+            ansatz = build_ansatz(s, m)
+            if not len(ansatz):
+                continue
+            monomials, rows = tangency_system(s, ansatz)
+            expected_monomials, expected_rows = definitional_system(s, ansatz)
+            assert monomials == expected_monomials
+            assert solve_weight(s, m).system_shape == (len(rows), len(ansatz))
+            for row, expected_row in zip(rows, expected_rows):
+                assert len(row) == len(ansatz)
+                assert [Fraction(v) for v in row] == expected_row
+                if integral:
+                    assert all(type(v) is int for v in row)
+
+    @pytest.mark.parametrize("s", rational_gamma_surfaces(), ids=lambda s: f"k{s.k}")
+    def test_oracle_agrees_on_rational_gamma(self, s):
+        for m in range(-s.k, 3 * s.k + 1):
+            brute_force_check(s, m)
 
 
 class TestBruteForce:
