@@ -33,6 +33,7 @@ EXIT_OK = 0
 EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
+MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs for minutes
 
 
 class UsageError(Exception):
@@ -72,13 +73,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
-    p.add_argument("--weight-cap", type=int, default=None)
+    p.add_argument("--weight-cap", type=int, default=None, help="in [k, 12k]; default 3k")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve-weight", help="kernel basis at one weight")
     add_surface_flags(p)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=int, required=True, help="weight, in [-k, 12k]")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("finite-type", help="type detection for y = a + phi")
@@ -123,8 +124,9 @@ def _surface(args) -> ModelSurface:
 
 def _cmd_analyze(args) -> int:
     surface = _surface(args)
-    if args.weight_cap is not None and args.weight_cap < surface.k:
-        raise UsageError(f"--weight-cap must be at least k={surface.k}")
+    k, cap = surface.k, args.weight_cap
+    if cap is not None and not k <= cap <= MAX_WEIGHT_PER_K * k:
+        raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
     rep = report_mod.analyze(
         surface.k,
         surface.gamma,
@@ -142,6 +144,9 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_solve_weight(args) -> int:
     surface = _surface(args)
+    k = surface.k
+    if not -k <= args.weight <= MAX_WEIGHT_PER_K * k:
+        raise UsageError(f"--weight must lie in [{-k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
     kb = solve_weight(surface, args.weight)
     payload = {
         "k": surface.k,

@@ -465,11 +465,12 @@ def rk4_oracle(
         raise ValueError("steps must be at least 1")
     h = t / steps
     p = [float(c) for c in p0]
+    velocity = v.float_velocity()
     for _ in range(steps):
-        k1 = v.velocity_float(p)
-        k2 = v.velocity_float([p[i] + 0.5 * h * k1[i] for i in range(4)])
-        k3 = v.velocity_float([p[i] + 0.5 * h * k2[i] for i in range(4)])
-        k4 = v.velocity_float([p[i] + h * k3[i] for i in range(4)])
+        k1 = velocity(p)
+        k2 = velocity([p[i] + 0.5 * h * k1[i] for i in range(4)])
+        k3 = velocity([p[i] + 0.5 * h * k2[i] for i in range(4)])
+        k4 = velocity([p[i] + h * k3[i] for i in range(4)])
         p = [
             p[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
             for i in range(4)
@@ -491,15 +492,16 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
 
     Points whose integral curve does not exist through the whole parameter
     interval are skipped; there the closed form is an analytic continuation
-    rather than the ODE solution.
+    rather than the ODE solution.  Skipping every point raises FlowDomainError.
     """
+    exists = fm.ode_domain_check or fm.domain_check
+    points = [tuple(float(v) for v in p) for p in samples]
+    points = [fp for fp in points if fm.domain_check(fp) is None and exists(fp) is None]
+    if not points:
+        raise FlowDomainError(f"{fm.name}: no sample lies in the flow's existence domain")
     worst = 0.0
     time = flow_time(fm)
-    exists = fm.ode_domain_check or fm.domain_check
-    for p in samples:
-        fp = tuple(float(v) for v in p)
-        if fm.domain_check(fp) is not None or exists(fp) is not None:
-            continue
+    for fp in points:
         closed = fm.apply_float(fp)
         integrated = rk4_oracle(fm.generator, fp, time, steps)
         worst = max(worst, max(abs(u - v) for u, v in zip(closed, integrated)))

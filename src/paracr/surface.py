@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Dict, List, Optional, Tuple, Union
+from functools import cached_property
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import (
     A,
@@ -194,20 +194,33 @@ class ParaVectorField:
             self.apply(other.eta) - other.apply(self.eta),
         )
 
-    def velocity_float(self, point) -> Tuple[float, float, float, float]:
-        """(dx, dy, da, db) at a numeric point, ordered like (x, y, a, b).
+    def float_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
+        """The field compiled once to float (x, y, a, b) -> (dx, dy, da, db).
 
-        Uses a compiled term list; this sits in the inner loop of the
-        integration oracle.
+        Terms c * x**ex * y**ey * a**ea * b**eb are summed in ``items()``
+        order; factors of exponent 0 are left out, which is exact.
         """
-        x, y, a, b = (float(v) for v in point)
-        out = []
-        for comp in (self.xi, self.eta, self.alpha, self.beta):
-            total = 0.0
-            for c, (ex, ey, ea, eb) in _compiled_terms(comp):
-                total += c * x**ex * y**ey * a**ea * b**eb
-            out.append(total)
-        return tuple(out)  # type: ignore[return-value]
+        compiled = [
+            [(float(c), [(i, e) for i, e in enumerate(exp) if e]) for exp, c in comp.items()]
+            for comp in (self.xi, self.eta, self.alpha, self.beta)
+        ]
+
+        def velocity(point):
+            out = []
+            for terms in compiled:
+                total = 0.0
+                for c, factors in terms:
+                    for i, e in factors:
+                        c *= point[i] ** e
+                    total += c
+                out.append(total)
+            return tuple(out)
+
+        return velocity
+
+    def velocity_float(self, point) -> Tuple[float, float, float, float]:
+        """(dx, dy, da, db) at a numeric point, ordered like (x, y, a, b)."""
+        return self.float_velocity()(tuple(float(v) for v in point))
 
     def __add__(self, other: "ParaVectorField") -> "ParaVectorField":
         return ParaVectorField(
@@ -242,11 +255,6 @@ class ParaVectorField:
             if not comp.is_zero:
                 parts.append(f"({comp}) {symbol}")
         return " + ".join(parts) if parts else "0"
-
-
-@lru_cache(maxsize=4096)
-def _compiled_terms(p: Poly):
-    return tuple((float(c), exp) for exp, c in p.items())
 
 
 def weight_of(v: ParaVectorField, g: Grading) -> Optional[int]:

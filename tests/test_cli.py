@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -110,6 +111,43 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert "weight-cap" in err
+
+    @pytest.mark.parametrize("cap", ["37", "1000"])
+    def test_large_weight_cap_rejected_fast(self, capsys, cap):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "analyze", "--k", "3", "--gamma", "3,3", "--weight-cap", cap
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "--weight-cap" in err and "[3, 36]" in err
+
+    @pytest.mark.parametrize("cap", ["3", "9", "32", "36"])
+    def test_weight_cap_bounds_allowed(self, capsys, cap):
+        # 9 = 3k is the default cap; 32 is the benchmark's weight_ladder cap at k = 3
+        code, out, _ = run(
+            capsys, "analyze", "--k", "3", "--gamma", "3,3", "--weight-cap", cap, "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["algebra"]["dimension"] == 3
+
+    @pytest.mark.parametrize("weight", ["-4", "37", "200"])
+    def test_weight_out_of_range_rejected_fast(self, capsys, weight):
+        start = time.perf_counter()
+        code, _, err = run(
+            capsys, "solve-weight", "--k", "3", "--gamma", "3,3", "--weight", weight
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "--weight" in err and "[-3, 36]" in err
+
+    @pytest.mark.parametrize("weight", ["-3", "36"])
+    def test_weight_bounds_allowed(self, capsys, weight):
+        code, out, _ = run(
+            capsys, "solve-weight", "--k", "3", "--gamma", "3,3", "--weight", weight
+        )
+        assert code == EXIT_OK
+        assert f"weight {weight}:" in out
 
 
 class TestSubcommands:

@@ -233,6 +233,17 @@ class TestRk4:
         with pytest.raises(ValueError):
             rk4_oracle(vertical_translation(), (0, 0, 0, 0), 1.0, 0)
 
+    def test_mismatch_raises_when_no_sample_is_checked(self):
+        # at t = 1/2 every point with a = 4 has 1 - t a < 0: no integral curve
+        fm = flow(EXP_VK, MONO, Fraction(1, 2))
+        samples = [MONO.point_from_xab(Fraction(x), Fraction(4), Fraction(b))
+                   for x, b in [(0, 0), (1, -1), (-2, 3)]]
+        assert all(fm.ode_domain_check(tuple(float(v) for v in p)) for p in samples)
+        with pytest.raises(FlowDomainError, match="EXP_VK"):
+            rk4_mismatch(fm, samples, steps=10)
+        with pytest.raises(FlowDomainError, match="EXP_VK"):
+            rk4_mismatch(fm, [], steps=10)
+
 
 class TestVm1Transcription:
     def test_not_identity_at_zero(self):

@@ -1,22 +1,43 @@
-"""Golden `paracr analyze --format json` reports, compared byte for byte.
+"""Golden `paracr analyze --format json` reports and RK4 endpoints, compared exactly.
 
-Each file under ``tests/golden/`` is the report of one surface at the default
-weight cap and flow seed.  A refactor must leave every one of them unchanged.
-Regenerate them only for an intended change of the report:
+Each report file under ``tests/golden/`` is the report of one surface at the
+default weight cap and flow seed.  ``rk4_endpoints.json`` holds, as
+``float.hex``, the RK4 oracle's endpoints for every closed form of acceptance
+criterion 7's three representatives at the first three admitted sample points,
+plus ``repr`` of each flow's ``rk4_mismatch``.  A refactor must leave every
+one of them unchanged.  Regenerate them only for an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from paracr.flows import (
+    EXP_V0,
+    EXP_V0PRIME,
+    EXP_VK,
+    EXP_VM1,
+    EXP_VMK,
+    flow,
+    flow_time,
+    rk4_mismatch,
+    rk4_oracle,
+    sample_on_surface,
+)
 from paracr.poly import format_fraction
 from paracr.report import analyze, report_to_dict
-from conftest import rational_gamma_surfaces, suite_surfaces
+from paracr.surface import ModelSurface
+from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+RK4_GOLDEN = GOLDEN_DIR / "rk4_endpoints.json"
+RK4_STEPS = 1000
+RK4_POINTS = 3
 
 
 def golden_surfaces():
@@ -44,7 +65,51 @@ def test_report_matches_golden(s):
     assert report_json(s) == expected
 
 
+def rk4_flows():
+    """Criterion 7's representatives with every closed form each one admits."""
+    exp_t = Fraction(math.exp(0.1)).limit_denominator(10**12)
+    tenth = Fraction(1, 10)
+    cases = [
+        (ModelSurface(4, monomial_gamma(4, 2)), [(EXP_V0PRIME, exp_t), (EXP_VK, tenth)]),
+        (ModelSurface(3, binomial_gamma(3)), [(EXP_VM1, tenth)]),
+        (ModelSurface(4, (1, 0, 1)), []),
+    ]
+    for s, extra in cases:
+        for name, param in [(EXP_VMK, tenth), (EXP_V0, exp_t)] + extra:
+            yield s, flow(name, s, param)
+
+
+def rk4_record(s, fm):
+    samples = sample_on_surface(s, 20)
+    exists = fm.ode_domain_check or fm.domain_check
+    admitted = [
+        fp
+        for fp in (tuple(float(v) for v in p) for p in samples)
+        if fm.domain_check(fp) is None and exists(fp) is None
+    ]
+    endpoints = [
+        [c.hex() for c in rk4_oracle(fm.generator, fp, flow_time(fm), RK4_STEPS)]
+        for fp in admitted[:RK4_POINTS]
+    ]
+    return {
+        "endpoints": endpoints,
+        "mismatch": repr(rk4_mismatch(fm, samples, steps=RK4_STEPS)),
+    }
+
+
+def rk4_golden():
+    return {golden_name(s)[: -len(".json")] + "/" + fm.name: rk4_record(s, fm) for s, fm in rk4_flows()}
+
+
+def test_rk4_endpoints_match_golden():
+    expected = json.loads(RK4_GOLDEN.read_text(encoding="utf-8"))
+    assert len(expected) == 9
+    assert all(len(rec["endpoints"]) == RK4_POINTS for rec in expected.values())
+    assert rk4_golden() == expected
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for s in golden_surfaces():
         (GOLDEN_DIR / golden_name(s)).write_text(report_json(s), encoding="utf-8")
+    RK4_GOLDEN.write_text(json.dumps(rk4_golden(), sort_keys=True, indent=2) + "\n", encoding="utf-8")

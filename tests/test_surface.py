@@ -14,7 +14,13 @@ from paracr.surface import (
     tangency_residual,
     weight_of,
 )
-from paracr.solver import grading_field, relative_dilation_field, special_conformal_field, vertical_translation
+from paracr.solver import (
+    grading_field,
+    oblique_translation_field,
+    relative_dilation_field,
+    special_conformal_field,
+    vertical_translation,
+)
 from conftest import para_field_st, random_para_field
 
 
@@ -69,6 +75,57 @@ class TestParaVectorField:
             s = ModelSurface(3, gamma)
             v = grading_field(3)
             assert v.apply(s.defining_poly) == 3 * s.defining_poly
+
+
+def _reference_velocity(v, point):
+    # the term-by-term power product, summed in Poly.items() order
+    x, y, a, b = point
+    out = []
+    for comp in (v.xi, v.eta, v.alpha, v.beta):
+        total = 0.0
+        for (ex, ey, ea, eb), c in comp.items():
+            total += float(c) * x**ex * y**ey * a**ea * b**eb
+        out.append(total)
+    return tuple(out)
+
+
+class TestFloatVelocity:
+    FIELDS = [
+        ParaVectorField.zero(),
+        vertical_translation(),
+        grading_field(4),
+        oblique_translation_field(4, Fraction(1, 2), Fraction(2, 3)),
+        grading_field(5) + special_conformal_field(5, 2) + Fraction(-3, 7) * vertical_translation(),
+    ]
+    POINTS = [
+        (0.0, 0.0, 0.0, 0.0),
+        (1.0, -2.0, 0.5, 3.0),
+        (-0.7, 1.3, -2.25, -1.1),
+        (1e10, -3e-5, 7.0, 1e-3),
+    ]
+
+    def test_matches_reference_exactly(self):
+        for v in self.FIELDS:
+            velocity = v.float_velocity()
+            for pt in self.POINTS:
+                assert velocity(pt) == _reference_velocity(v, pt)
+                assert v.velocity_float(pt) == velocity(pt)
+
+    def test_matches_eval_float(self):
+        for v in self.FIELDS:
+            velocity = v.float_velocity()
+            for pt in self.POINTS:
+                expected = [c.eval_float(pt) for c in (v.xi, v.eta, v.alpha, v.beta)]
+                for got, want in zip(velocity(pt), expected):
+                    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+    def test_zero_field(self):
+        assert ParaVectorField.zero().float_velocity()((1.0, 2.0, 3.0, 4.0)) == (0.0,) * 4
+
+    def test_velocity_float_takes_rationals(self):
+        v = oblique_translation_field(4, Fraction(1, 2), Fraction(2, 3))
+        pt = (Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(5, 4))
+        assert v.velocity_float(pt) == v.float_velocity()(tuple(float(c) for c in pt))
 
 
 class TestBracket:
