@@ -34,6 +34,9 @@ EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
 MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs for minutes
+MAX_K = 40  # generic analyze takes about 1.6 s at k = 40 and 12 s at k = 60
+# flags whose values may start with "-", as in --gamma -1,1 or --phi "-x^3"
+_DASH_VALUE_FLAGS = ("--gamma", "--phi", "--psi")
 
 
 class UsageError(Exception):
@@ -67,9 +70,9 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_surface_flags(p):
-        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--k", type=int, required=True, help=f"degree, in [3, {MAX_K}]")
         p.add_argument("--gamma", type=str, required=True,
-                       help="comma-separated rationals, e.g. 0,1,0 or 3/2,1")
+                       help="comma-separated rationals, e.g. 0,1,0 or -3/2,1")
 
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
@@ -115,6 +118,8 @@ def _emit(payload: dict, text: str, fmt: str) -> None:
 
 
 def _surface(args) -> ModelSurface:
+    if args.k > MAX_K:
+        raise UsageError(f"--k must lie in [3, {MAX_K}], got {args.k}")
     gamma = _parse_gamma(args.gamma)
     try:
         return ModelSurface(args.k, tuple(gamma))
@@ -275,10 +280,23 @@ _COMMANDS = {
 }
 
 
+def _attach_dash_values(argv: List[str]) -> List[str]:
+    # argparse reads "--gamma -1,1" as a flag with no value; pass it as "--gamma=-1,1"
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1] in _DASH_VALUE_FLAGS and arg[:1] == "-" and arg[:2] != "--":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_dash_values(argv))
         return _COMMANDS[args.command](args)
     except (
         UsageError,

@@ -145,7 +145,7 @@ def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[List[
     chain = [current]
     while True:
         brackets = _subspace_brackets(sc, current)
-        nxt = linalg.row_space_basis(brackets, n) if brackets else []
+        nxt = linalg.rref(brackets, n)[0] if brackets else []
         dims.append(len(nxt))
         chain.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(current):
@@ -240,7 +240,7 @@ def _ad_eigenvalue_data(
         return None
     h = None
     for e in _basis_vectors(n):
-        if not linalg.in_span(derived_basis, e):
+        if linalg.solve_in_span(derived_basis, e) is None:
             h = e
             break
     if h is None:

@@ -3,8 +3,12 @@
 Two independent kernel routines are provided on purpose.  The main path
 scales rows to integers and runs fraction-free (Bareiss) elimination with
 partial pivoting on pivot magnitude, which avoids rational blow-up during
-elimination.  The second path is a plain Gauss-Jordan reduction over
-Fraction, kept separate so cross-checks do not share an elimination route.
+elimination.  The second path is a Gauss-Jordan reduction to reduced row
+echelon form, run over integers: each row is cleared of denominators and
+reduced by its content, and rows are combined two at a time with gcd-reduced
+multipliers.  It stays independent of the first so that cross-checks do not
+share an elimination route: it shares no helper with it, never divides by
+the previous pivot, and reduces above as well as below every pivot.
 """
 
 from __future__ import annotations
@@ -92,34 +96,61 @@ def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
 
 
 def rref(rows: Matrix, ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
-    """Reduced row echelon form over Fraction; returns (rows, pivot columns)."""
-    m = [[Fraction(v) for v in row] for row in rows]
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Entries are ints or Fractions.  Each row is scaled to a primitive integer
+    row first.  Every pivot clears its column in all other rows by
+    ``row = (p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``, after which
+    the row is divided by its content.  Only the final rows become Fractions,
+    divided by their pivots.  The reduced form is unique, so the result does
+    not depend on the choice of pivot row, which is the smallest in
+    magnitude.
+    """
+    m: List[List[int]] = []
+    for row in rows:
+        scale = lcm(*(v.denominator for v in row))
+        ints = [v.numerator * (scale // v.denominator) for v in row]
+        content = gcd(*ints)
+        m.append([v // content for v in ints] if content > 1 else ints)
+    nrows = len(m)
     pivot_cols: List[int] = []
     r = 0
     for c in range(ncols):
         pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
+        for i in range(r, nrows):
+            v = m[i][c]
+            if v and (pivot is None or abs(v) < abs(m[pivot][c])):
                 pivot = i
-                break
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        prow = m[r]
+        p = prow[c]
+        # entries left of c vanish in every row from r down
+        support = [j for j in range(c, ncols) if prow[j]]
+        for i in range(nrows):
+            row = m[i]
+            f = row[c]
+            if not f or i == r:
+                continue
+            g = gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                row = [a * v for v in row]
+            for j in support:
+                row[j] -= b * prow[j]
+            content = gcd(*row)
+            m[i] = [v // content for v in row] if content > 1 else row
         pivot_cols.append(c)
         r += 1
-        if r == len(m):
+        if r == nrows:
             break
-    return m[:r], pivot_cols
+    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivot_cols)]
+    return reduced, pivot_cols
 
 
 def nullspace_gauss_jordan(rows: Matrix, ncols: int) -> List[Vector]:
-    """Kernel basis via plain Gauss-Jordan; same normalization as Bareiss."""
+    """Kernel basis via Gauss-Jordan (``rref``); same normalization as Bareiss."""
     reduced, pivot_cols = rref(rows, ncols)
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: List[Vector] = []
@@ -156,15 +187,6 @@ def solve_in_span(
     for row, col in zip(reduced, pivot_cols):
         coeffs[col] = row[k]
     return coeffs
-
-
-def in_span(basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]) -> bool:
-    return solve_in_span(basis, target) is not None
-
-
-def row_space_basis(rows: Matrix, ncols: int) -> List[Vector]:
-    reduced, _ = rref(rows, ncols)
-    return [tuple(row) for row in reduced]
 
 
 def same_span(u: Sequence[Sequence[Fraction]], v: Sequence[Sequence[Fraction]], ncols: int) -> bool:

@@ -46,6 +46,27 @@ def rational_gamma_surfaces():
     ]
 
 
+# the benchmark's k ladder, with the generic draws written out literally
+K_LADDER_GENERICS = [
+    (6, (-3, -1, 1, 2, 3)),
+    (12, (2, 2, -2, 2, -2, -1, 2, 1, 2, 1, 3)),
+    (20, (2, -1, 3, 2, 2, -2, 3, 2, 2, 2, 1, -1, 1, -1, -3, -1, -1, -1, 1)),
+]
+K_LADDER_BINOMIALS = [6, 7]
+K_LADDER_MONOMIALS = [6, 12, 16]
+
+
+def k_ladder_surfaces():
+    """Generic k = 6, 12, 20; binomial gamma_i = C(k, i) at k = 6, 7; monomial
+    iota = k/2 at k = 6, 12, 16."""
+    surfaces = [
+        ModelSurface(k, tuple(Fraction(g) for g in gamma)) for k, gamma in K_LADDER_GENERICS
+    ]
+    surfaces += [ModelSurface(k, binomial_gamma(k)) for k in K_LADDER_BINOMIALS]
+    surfaces += [ModelSurface(k, monomial_gamma(k, k // 2)) for k in K_LADDER_MONOMIALS]
+    return surfaces
+
+
 @pytest.fixture(scope="session")
 def suite():
     return suite_surfaces()

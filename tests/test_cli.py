@@ -150,6 +150,55 @@ class TestUsageErrors:
         assert f"weight {weight}:" in out
 
 
+    @pytest.mark.parametrize("k", ["41", "1000"])
+    def test_large_degree_rejected_fast(self, capsys, k):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "analyze", "--k", k, "--gamma", "1," * 38 + "1")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "--k" in err and "[3, 40]" in err
+
+    def test_degree_bound_allowed(self, capsys):
+        gamma = ",".join(["0"] * 19 + ["1"] + ["0"] * 19)
+        code, _, _ = run(capsys, "singular-locus", "--k", "40", "--gamma", gamma)
+        assert code == EXIT_OK
+
+
+class TestDashValues:
+    """Values that start with "-" parse as values, as in the "--flag=value" form."""
+
+    @pytest.mark.parametrize(
+        "command, k, gamma, extra",
+        [
+            ("analyze", "3", "-1,1", ()),
+            ("analyze", "4", "-3/2,-1/2,2", ()),
+            ("solve-weight", "4", "-3/2,-1/2,2", ("--weight", "0")),
+        ],
+    )
+    def test_negative_gamma(self, capsys, command, k, gamma, extra):
+        head = (command, "--k", k)
+        tail = extra + ("--format", "json")
+        code, out, err = run(capsys, *head, "--gamma", gamma, *tail)
+        assert code == EXIT_OK, err
+        assert json.loads(out)
+        assert run(capsys, *head, f"--gamma={gamma}", *tail) == (EXIT_OK, out, "")
+
+    def test_negative_phi_and_psi(self, capsys):
+        for argv in (
+            ("finite-type", "--phi", "-x^3+b*x^2"),
+            ("embed", "--psi", "-x^2*b", "--order", "3"),
+        ):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK, err
+            joined = (argv[0], f"{argv[1]}={argv[2]}") + argv[3:] + ("--format", "json")
+            assert run(capsys, *joined) == (EXIT_OK, out, "")
+
+    def test_missing_value_still_rejected(self, capsys):
+        code, _, err = run(capsys, "analyze", "--k", "3", "--gamma", "--format", "json")
+        assert code == EXIT_USAGE
+        assert "--gamma" in err
+
+
 class TestSubcommands:
     def test_solve_weight(self, capsys):
         code, out, _ = run(

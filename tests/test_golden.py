@@ -1,10 +1,12 @@
 """Golden `paracr analyze --format json` reports and RK4 endpoints, compared exactly.
 
 Each report file under ``tests/golden/`` is the report of one surface at the
-default weight cap and flow seed.  ``rk4_endpoints.json`` holds, as
-``float.hex``, the RK4 oracle's endpoints for every closed form of acceptance
-criterion 7's three representatives at the first three admitted sample points,
-plus ``repr`` of each flow's ``rk4_mismatch``.  A refactor must leave every
+default weight cap and flow seed: the acceptance suite, two surfaces with
+non-integral gamma and the benchmark's k ladder (k up to 20).
+``rk4_endpoints.json`` holds, as ``float.hex``, the RK4 oracle's endpoints for
+every closed form of acceptance criterion 7's three representatives at the
+first three admitted sample points, plus ``repr`` of each flow's
+``rk4_mismatch``.  A refactor must leave every
 one of them unchanged.  Regenerate them only for an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -32,7 +34,13 @@ from paracr.flows import (
 from paracr.poly import format_fraction
 from paracr.report import analyze, report_to_dict
 from paracr.surface import ModelSurface
-from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
+from conftest import (
+    binomial_gamma,
+    k_ladder_surfaces,
+    monomial_gamma,
+    rational_gamma_surfaces,
+    suite_surfaces,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RK4_GOLDEN = GOLDEN_DIR / "rk4_endpoints.json"
@@ -40,13 +48,16 @@ RK4_STEPS = 1000
 RK4_POINTS = 3
 
 
-def golden_surfaces():
-    return suite_surfaces() + rational_gamma_surfaces()
-
-
 def golden_name(s):
     coeffs = (format_fraction(g).replace("/", "o").replace("-", "m") for g in s.gamma)
     return f"k{s.k}_" + "_".join(coeffs) + ".json"
+
+
+def golden_surfaces():
+    surfaces = suite_surfaces() + rational_gamma_surfaces()
+    names = {golden_name(s) for s in surfaces}
+    # the ladder's monomial k = 6 is also a suite surface
+    return surfaces + [s for s in k_ladder_surfaces() if golden_name(s) not in names]
 
 
 def report_json(s):
@@ -56,7 +67,14 @@ def report_json(s):
 
 def test_golden_names_are_distinct():
     names = [golden_name(s) for s in golden_surfaces()]
-    assert len(set(names)) == len(names) == 19
+    assert len(set(names)) == len(names) == 26
+
+
+def test_k_ladder_is_covered():
+    names = {golden_name(s) for s in golden_surfaces()}
+    ladder = [golden_name(s) for s in k_ladder_surfaces()]
+    assert len(set(ladder)) == 8
+    assert set(ladder) <= names
 
 
 @pytest.mark.parametrize("s", golden_surfaces(), ids=golden_name)

@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction
 
-from paracr import linalg
+import pytest
+
+from paracr import linalg, solver
+from paracr.surface import ModelSurface
+from conftest import binomial_gamma, monomial_gamma
 
 
 def frac_matrix(rows):
@@ -46,6 +50,109 @@ class TestNullspace:
             assert sorted(b1) == sorted(b2)
             for vec in b1:
                 assert all(v == 0 for v in apply_matrix(rows, vec))
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan over Fraction, entry by entry: the definition ``rref`` must match."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivot_cols = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, len(m)):
+            if m[i][c] != 0:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = m[r][c]
+        m[r] = [v / inv for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [vi - f * vr for vi, vr in zip(m[i], m[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivot_cols
+
+
+def random_rows(rng, nrows, ncols, span=5, den=3):
+    return [
+        [Fraction(rng.randint(-span, span), rng.randint(1, den)) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+
+
+class TestRref:
+    def assert_matches_reference(self, rows, ncols):
+        reduced, pivot_cols = linalg.rref(rows, ncols)
+        assert (reduced, pivot_cols) == reference_rref(rows, ncols)
+        assert all(type(v) is Fraction for row in reduced for v in row)
+
+    @pytest.mark.parametrize("shape", ["tall", "wide", "square"])
+    def test_random_matrices(self, shape):
+        rng = random.Random(f"rref-{shape}")
+        for _ in range(40):
+            t = rng.randint(1, 8)
+            shapes = {"tall": (2 * t + 16, t), "wide": (t, 2 * t + 3), "square": (t, t)}
+            nrows, ncols = shapes[shape]
+            self.assert_matches_reference(random_rows(rng, nrows, ncols), ncols)
+
+    def test_rank_deficient(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            ncols, rank = rng.randint(2, 7), rng.randint(1, 3)
+            gens = random_rows(rng, rank, ncols)
+            rows = []
+            for _ in range(rng.randint(rank, 9)):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in gens]
+                rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+            self.assert_matches_reference(rows, ncols)
+
+    def test_zero_rows_and_empty(self):
+        self.assert_matches_reference([], 3)
+        self.assert_matches_reference([[0, 0, 0], [0, 0, 0]], 3)
+        self.assert_matches_reference([[0, 0, 0], [0, 2, 4], [0, 0, 0], [1, 1, 1]], 3)
+        assert linalg.rref([], 3) == ([], [])
+
+    def test_mixed_entries_and_large_numerators(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            ncols = rng.randint(2, 6)
+            rows = [
+                [
+                    rng.randint(-(10**30), 10**30)
+                    if rng.random() < 0.5
+                    else Fraction(rng.randint(-(10**25), 10**25), rng.randint(1, 10**12))
+                    for _ in range(ncols)
+                ]
+                for _ in range(rng.randint(1, 8))
+            ]
+            self.assert_matches_reference(rows, ncols)
+
+    @pytest.mark.parametrize(
+        "s",
+        [ModelSurface(4, monomial_gamma(4, 2)), ModelSurface(5, binomial_gamma(5, 2, 3))],
+        ids=["monomial-k4", "binomial-k5"],
+    )
+    def test_oracle_systems(self, s, monkeypatch):
+        calls = []
+        rref = linalg.rref
+
+        def recording_rref(rows, ncols):
+            calls.append(([list(row) for row in rows], ncols))
+            return rref(rows, ncols)
+
+        monkeypatch.setattr(linalg, "rref", recording_rref)
+        for m in range(-s.k, 3 * s.k + 1):
+            solver.brute_force_check(s, m)
+        monkeypatch.undo()
+        assert len(calls) >= 4 * s.k + 1
+        for rows, ncols in calls:
+            self.assert_matches_reference(rows, ncols)
 
 
 class TestSolveInSpan:

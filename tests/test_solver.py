@@ -3,9 +3,12 @@ from fractions import Fraction
 
 import pytest
 
+from paracr import solver
 from paracr.poly import Poly, order_key
 from paracr.surface import ModelSurface, tangency_residual, weight_of
 from paracr.solver import (
+    KernelBasis,
+    OracleMismatchError,
     brute_force_check,
     build_ansatz,
     grading_field,
@@ -156,6 +159,41 @@ class TestBruteForce:
                 continue
             s = ModelSurface(5, gamma)
             assert brute_force_check(s, 2).dimension == 0
+
+
+class TestOracleMismatch:
+    """The oracle raises when ``solve_weight`` returns a wrong kernel."""
+
+    S = ModelSurface(4, (0, 1, 0))
+    M = 0  # kernel dimension 2
+
+    def use_basis(self, monkeypatch, make_basis):
+        kb = solve_weight(self.S, self.M)
+        assert kb.dimension == 2
+        wrong = KernelBasis(kb.weight, make_basis(kb.basis), kb.system_shape)
+        monkeypatch.setattr(solver, "solve_weight", lambda s, m: wrong)
+
+    def test_dropped_vector(self, monkeypatch):
+        self.use_basis(monkeypatch, lambda basis: basis[:1])
+        with pytest.raises(OracleMismatchError, match="dimension"):
+            brute_force_check(self.S, self.M)
+
+    def test_perturbed_vector(self, monkeypatch):
+        ansatz = build_ansatz(self.S, self.M)
+
+        def perturb(basis):
+            vec = list(ansatz.vector_from_field(basis[0]))
+            vec[0] += 1
+            return (ansatz.field_from_vector(vec),) + basis[1:]
+
+        self.use_basis(monkeypatch, perturb)
+        with pytest.raises(OracleMismatchError, match="fails a sampled equation"):
+            brute_force_check(self.S, self.M)
+
+    def test_duplicated_vector(self, monkeypatch):
+        self.use_basis(monkeypatch, lambda basis: (basis[0], basis[0]))
+        with pytest.raises(OracleMismatchError, match="spans differ"):
+            brute_force_check(self.S, self.M)
 
 
 class TestSolveAlgebra:
