@@ -1,6 +1,6 @@
 """Exact symmetry analysis of model hypersurfaces y = a + P(x, b)."""
 
-from .poly import Grading, Poly, PolyParseError, UnsupportedDegreeError, weighted_components
+from .poly import Grading, Poly, PolyParseError, UnsupportedDegreeError
 from .surface import (
     DirectionPair,
     InvalidSurfaceError,
@@ -8,7 +8,6 @@ from .surface import (
     ModelSurface,
     ParaVectorField,
     direction_pair,
-    substitute_y,
     tangency_residual,
     weight_of,
 )

@@ -13,10 +13,11 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from . import flows as flows_mod
 from . import report as report_mod
+from .report import describe_locus, describe_type
 from .embedding import EmbeddingError, solve_embedding
 from .normalform import (
     DefiningFunction,
@@ -110,11 +111,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict, text: str, fmt: str) -> None:
+def _emit(payload: dict, render: Callable[[dict], str], fmt: str) -> None:
     if fmt == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
-        print(text, end="")
+        print(render(payload), end="")
 
 
 def _surface(args) -> ModelSurface:
@@ -139,12 +140,20 @@ def _cmd_analyze(args) -> int:
         seed=_seed(),
         tolerance=args.tolerance,
     )
-    _emit(report_mod.report_to_dict(rep), report_mod.render_text(rep), args.format)
+    _emit(report_mod.report_to_dict(rep), report_mod.render_report, args.format)
     if rep.has_closure_violation:
         return EXIT_CLOSURE
     if not rep.flows_passed:
         return EXIT_FLOW
     return EXIT_OK
+
+
+def _weight_text(d: dict) -> str:
+    rows, cols = d["system_shape"]
+    lines = [f"weight {d['weight']}: dimension {d['dimension']} (system {rows} x {cols})"]
+    for g in d["generators"]:
+        lines.append(f"  alpha={g['alpha']} | beta={g['beta']} | xi={g['xi']} | eta={g['eta']}")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_solve_weight(args) -> int:
@@ -169,50 +178,31 @@ def _cmd_solve_weight(args) -> int:
             for f in kb.basis
         ],
     }
-    lines = [
-        f"weight {kb.weight}: dimension {kb.dimension} "
-        f"(system {kb.system_shape[0]} x {kb.system_shape[1]})"
-    ]
-    for f in kb.basis:
-        lines.append(
-            f"  alpha={f.alpha} | beta={f.beta} | xi={f.xi} | eta={f.eta}"
-        )
-    _emit(payload, "\n".join(lines) + "\n", args.format)
+    _emit(payload, _weight_text, args.format)
     return EXIT_OK
 
 
+def _type_text(d: dict) -> str:
+    suffix = f" normalized={d['normalized']}" if "normalized" in d else ""
+    return describe_type(d) + suffix + "\n"
+
+
 def _cmd_finite_type(args) -> int:
-    phi = Poly.parse(args.phi)
-    result = finite_type(DefiningFunction(phi))
-    payload = {"kind": result.kind}
-    if result.is_finite:
-        payload["k"] = result.k
-        payload["gamma"] = [format_fraction(g) for g in result.gamma]
-        payload["normalized"] = result.normalized.to_text()
-        text = (
-            f"FINITE k={result.k} "
-            f"gamma=({', '.join(format_fraction(g) for g in result.gamma)}) "
-            f"normalized={result.normalized}\n"
-        )
-    else:
-        text = "INFINITE\n"
-    _emit(payload, text, args.format)
+    result = finite_type(DefiningFunction(Poly.parse(args.phi)))
+    _emit(report_mod.type_dict(result), _type_text, args.format)
     return EXIT_OK
 
 
 def _cmd_singular_locus(args) -> int:
-    surface = _surface(args)
-    locus = singular_locus(surface)
-    payload = {"kind": locus.kind}
-    text = locus.kind
-    if locus.line is not None:
-        payload["line"] = locus.line.to_text()
-        text += f" ({locus.line})"
-    if locus.line_count is not None:
-        payload["line_count"] = locus.line_count
-        text += f" ({locus.line_count} real lines)"
-    _emit(payload, text + "\n", args.format)
+    locus = singular_locus(_surface(args))
+    _emit(report_mod.locus_dict(locus), lambda d: describe_locus(d) + "\n", args.format)
     return EXIT_OK
+
+
+def _embed_text(d: dict) -> str:
+    lines = [f"psi = {d['psi']}, order {d['order']}"]
+    lines += [f"  c_{n} = {c}" for n, c in enumerate(d["coefficients"])]
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_embed(args) -> int:
@@ -225,47 +215,39 @@ def _cmd_embed(args) -> int:
         "order": series.order,
         "coefficients": [c.to_text() for c in series.coeffs],
     }
-    lines = [f"psi = {psi}, order {series.order}"]
-    for n, c in enumerate(series.coeffs):
-        lines.append(f"  c_{n} = {c}")
-    _emit(payload, "\n".join(lines) + "\n", args.format)
+    _emit(payload, _embed_text, args.format)
     return EXIT_OK
+
+
+def _flows_text(d: dict) -> str:
+    lines = []
+    for v in d["flows"]:
+        lines.append(f"{v['flow']}: {'pass' if v['passed'] else 'FAIL'}")
+        for c in v["checks"]:
+            status = "pass" if c["passed"] else "FAIL"
+            residual = "none" if c["max_residual"] is None else f"{c['max_residual']:.3e}"
+            lines.append(f"  {c['check']}: {status} (max residual {residual})")
+    return "\n".join(lines) + "\n"
 
 
 def _cmd_flows(args) -> int:
     surface = _surface(args)
-    detection = detect_case(surface)
-    samples = flows_mod.sample_on_surface(surface, report_mod.DEFAULT_FLOW_SAMPLES, seed=_seed())
-    verifications = []
-    for name in flows_mod.admissible_flow_names(detection):
-        param, partner = report_mod._FLOW_PARAMS[name]
-        fm = flows_mod.flow(name, surface, param)
-        verifications.append(
-            flows_mod.verify_flow(fm, samples, group_partner=partner, surface_tol=args.tolerance)
-        )
-    payload = {"flows": [report_mod._verification_dict(v) for v in verifications]}
-    lines = []
-    for v in verifications:
-        lines.append(f"{v.flow_name}: {'pass' if v.passed else 'FAIL'}")
-        for c in v.checks:
-            residual = "none" if c.max_residual is None else f"{c.max_residual:.3e}"
-            lines.append(f"  {c.check}: {'pass' if c.passed else 'FAIL'} (max residual {residual})")
-    _emit(payload, "\n".join(lines) + "\n", args.format)
+    verifications = report_mod.verify_flows(surface, detect_case(surface), _seed(), args.tolerance)
+    payload = {"flows": [report_mod.verification_dict(v) for v in verifications]}
+    _emit(payload, _flows_text, args.format)
     return EXIT_OK if all(v.passed for v in verifications) else EXIT_FLOW
 
 
-def _cmd_discrete(args) -> int:
-    surface = _surface(args)
-    group = flows_mod.discrete_group(surface)
-    payload = {
-        "kind": group.kind,
-        "generators": [list(g.signs()) for g in group.generators],
-    }
-    lines = [group.kind]
-    for g in group.generators:
-        sx, sy, sa, sb = g.signs()
+def _discrete_text(d: dict) -> str:
+    lines = [d["kind"]]
+    for sx, sy, sa, sb in d["generators"]:
         lines.append(f"  (x, y, a, b) -> ({sx:+d} x, {sy:+d} y, {sa:+d} a, {sb:+d} b)")
-    _emit(payload, "\n".join(lines) + "\n", args.format)
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_discrete(args) -> int:
+    group = flows_mod.discrete_group(_surface(args))
+    _emit(report_mod.discrete_dict(group), _discrete_text, args.format)
     return EXIT_OK
 
 

@@ -59,16 +59,6 @@ class StructureConstants:
                         out[l] += uv * row[l]
         return tuple(out)
 
-    def ad_matrix(self, v: Sequence[Fraction]) -> List[List[Fraction]]:
-        """Matrix of ad(v) in the basis; column j is [v, e_j]."""
-        n = self.dimension
-        cols = []
-        for j in range(n):
-            ej = [Fraction(0)] * n
-            ej[j] = Fraction(1)
-            cols.append(self.bracket_vec(v, ej))
-        return [[cols[j][l] for j in range(n)] for l in range(n)]
-
     def validate(self) -> None:
         n = self.dimension
         for i in range(n):
@@ -78,11 +68,7 @@ class StructureConstants:
                         raise InvalidStructureError(
                             f"antisymmetry fails at ({i},{j},{l})"
                         )
-        basis = []
-        for i in range(n):
-            e = [Fraction(0)] * n
-            e[i] = Fraction(1)
-            basis.append(tuple(e))
+        basis = _basis_vectors(n)
         for i in range(n):
             for j in range(i + 1, n):
                 for l in range(n):
@@ -157,7 +143,6 @@ def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[List[
 def _center_dim(sc: StructureConstants) -> int:
     n = sc.dimension
     rows = []
-    basis = _basis_vectors(n)
     for j in range(n):
         for l in range(n):
             rows.append(tuple(sc.table[i][j][l] for i in range(n)))
@@ -166,7 +151,7 @@ def _center_dim(sc: StructureConstants) -> int:
     return len(linalg.nullspace_gauss_jordan(rows, n))
 
 
-def _killing_matrix(sc: StructureConstants) -> List[List[Fraction]]:
+def killing_form(sc: StructureConstants) -> List[List[Fraction]]:
     n = sc.dimension
     killing = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -178,10 +163,6 @@ def _killing_matrix(sc: StructureConstants) -> List[List[Fraction]]:
             killing[i][j] = total
             killing[j][i] = total
     return killing
-
-
-def killing_form(sc: StructureConstants) -> List[List[Fraction]]:
-    return _killing_matrix(sc)
 
 
 def restrict_to_subalgebra(
@@ -264,7 +245,7 @@ def _ad_eigenvalue_data(
 def profile(sc: StructureConstants) -> AlgebraProfile:
     dims, chain = _derived_series(sc)
     is_solvable = dims[-1] == 0
-    killing = _killing_matrix(sc)
+    killing = killing_form(sc)
     signature = linalg.symmetric_signature(killing)
     pos, neg, _ = signature
     derived_basis = chain[1]
@@ -272,7 +253,7 @@ def profile(sc: StructureConstants) -> AlgebraProfile:
     if 0 < len(derived_basis) < sc.dimension:
         derived_sc = restrict_to_subalgebra(sc, derived_basis)
         derived_killing_signature = linalg.symmetric_signature(
-            _killing_matrix(derived_sc)
+            killing_form(derived_sc)
         )
     ad_data = None
     derived_abelian = len(dims) > 2 and dims[2] == 0

@@ -389,10 +389,6 @@ class Grading:
         return None
 
 
-def weighted_components(p: Poly, g: Grading) -> Dict[int, Poly]:
-    return g.components(p)
-
-
 # -- parser ----------------------------------------------------------------
 
 _TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<var>[xyab])|(?P<op>[+\-*/^])|(?P<bad>\S)")

@@ -31,8 +31,8 @@ from .normalform import (
     normalize_binomial,
     singular_locus,
 )
-from .poly import Poly, as_fraction, format_fraction
-from .solver import SymmetryAlgebra, solve_algebra
+from .poly import as_fraction, format_fraction
+from .solver import solve_algebra
 from .surface import ModelSurface
 
 DEFAULT_FLOW_SAMPLES = 20
@@ -131,16 +131,7 @@ def analyze(
     if detection.kind == BINOMIAL:
         warnings.append(flows_mod.vm1_transcription_mismatch(surface))
 
-    samples = flows_mod.sample_on_surface(surface, flow_samples, seed=seed)
-    verifications = []
-    for name in flows_mod.admissible_flow_names(detection):
-        param, partner = _FLOW_PARAMS[name]
-        fm = flows_mod.flow(name, surface, param)
-        verifications.append(
-            flows_mod.verify_flow(
-                fm, samples, group_partner=partner, surface_tol=tolerance
-            )
-        )
+    verifications = verify_flows(surface, detection, seed, tolerance, flow_samples)
     discrete = flows_mod.discrete_group(surface)
     summary = AlgebraSummary(
         dimension=algebra.dimension,
@@ -161,9 +152,31 @@ def analyze(
         normalization=normalization,
         algebra=summary,
         discrete=discrete,
-        flow_verifications=tuple(verifications),
+        flow_verifications=verifications,
         warnings=tuple(warnings),
     )
+
+
+def verify_flows(
+    surface: ModelSurface,
+    detection: CaseDetection,
+    seed: int,
+    tolerance: float,
+    flow_samples: int = DEFAULT_FLOW_SAMPLES,
+) -> Tuple[flows_mod.FlowVerification, ...]:
+    """Verify each named flow the case admits, at its fixed parameter and
+    group-law partner, on ``flow_samples`` points drawn with ``seed``."""
+    samples = flows_mod.sample_on_surface(surface, flow_samples, seed=seed)
+    verifications = []
+    for name in flows_mod.admissible_flow_names(detection):
+        param, partner = _FLOW_PARAMS[name]
+        fm = flows_mod.flow(name, surface, param)
+        verifications.append(
+            flows_mod.verify_flow(
+                fm, samples, group_partner=partner, surface_tol=tolerance
+            )
+        )
+    return tuple(verifications)
 
 
 def _field_text(f) -> str:
@@ -190,7 +203,7 @@ def _case_dict(c: CaseDetection) -> Dict:
     return out
 
 
-def _type_dict(t: TypeResult) -> Dict:
+def type_dict(t: TypeResult) -> Dict:
     out: Dict = {"kind": t.kind}
     if t.is_finite:
         out["k"] = t.k
@@ -199,7 +212,7 @@ def _type_dict(t: TypeResult) -> Dict:
     return out
 
 
-def _locus_dict(l: SingularLocus) -> Dict:
+def locus_dict(l: SingularLocus) -> Dict:
     out: Dict = {"kind": l.kind}
     if l.kind == LINE:
         out["line"] = l.line.to_text()
@@ -231,7 +244,7 @@ def _profile_dict(p: Optional[liealg.AlgebraProfile]) -> Optional[Dict]:
     }
 
 
-def _verification_dict(v: flows_mod.FlowVerification) -> Dict:
+def verification_dict(v: flows_mod.FlowVerification) -> Dict:
     return {
         "flow": v.flow_name,
         "params": list(v.params),
@@ -247,6 +260,10 @@ def _verification_dict(v: flows_mod.FlowVerification) -> Dict:
             for c in v.checks
         ],
     }
+
+
+def discrete_dict(g: flows_mod.DiscreteGroup) -> Dict:
+    return {"kind": g.kind, "generators": [list(e.signs()) for e in g.generators]}
 
 
 def _normalization_dict(n: Optional[BinomialNormalization]) -> Optional[Dict]:
@@ -274,8 +291,8 @@ def report_to_dict(r: AnalysisReport) -> Dict:
         "k": r.k,
         "gamma": _fractions(r.gamma),
         "case": _case_dict(r.case),
-        "finite_type": _type_dict(r.finite_type),
-        "singular_locus": _locus_dict(r.locus),
+        "finite_type": type_dict(r.finite_type),
+        "singular_locus": locus_dict(r.locus),
         "normalization": _normalization_dict(r.normalization),
         "algebra": {
             "dimension": r.algebra.dimension,
@@ -288,22 +305,23 @@ def report_to_dict(r: AnalysisReport) -> Dict:
             "profile": _profile_dict(r.algebra.profile),
             "classification": r.algebra.classification,
         },
-        "discrete_group": {
-            "kind": r.discrete.kind,
-            "generators": [list(g.signs()) for g in r.discrete.generators],
-        },
-        "flow_verification": [_verification_dict(v) for v in r.flow_verifications],
+        "discrete_group": discrete_dict(r.discrete),
+        "flow_verification": [verification_dict(v) for v in r.flow_verifications],
         "warnings": list(r.warnings),
     }
 
 
 def render_text(r: AnalysisReport) -> str:
-    d = report_to_dict(r)
+    return render_report(report_to_dict(r))
+
+
+def render_report(d: Dict) -> str:
+    """The text report of a dict from ``report_to_dict``."""
     lines = [
         f"surface: k={d['k']} gamma=({', '.join(d['gamma'])})",
         f"case: {_describe_case(d['case'])}",
-        f"finite type: {_describe_type(d['finite_type'])}",
-        f"singular locus: {_describe_locus(d['singular_locus'])}",
+        f"finite type: {describe_type(d['finite_type'])}",
+        f"singular locus: {describe_locus(d['singular_locus'])}",
         f"algebra dimension: {d['algebra']['dimension']}",
         f"algebra weights: {d['algebra']['weights']}",
         f"classification: {d['algebra']['classification']}",
@@ -355,13 +373,13 @@ def _describe_case(c: Dict) -> str:
     return GENERIC
 
 
-def _describe_type(t: Dict) -> str:
+def describe_type(t: Dict) -> str:
     if t["kind"] == "FINITE":
         return f"FINITE k={t['k']} gamma=({', '.join(t['gamma'])})"
     return t["kind"]
 
 
-def _describe_locus(l: Dict) -> str:
+def describe_locus(l: Dict) -> str:
     if l["kind"] == LINE:
         return f"LINE ({l['line']})"
     if l["kind"] == "PENCIL":

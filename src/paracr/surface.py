@@ -15,13 +15,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .poly import (
     A,
-    B,
     ZERO_EXP,
     Exponents,
     Grading,
     Poly,
     UnsupportedDegreeError,
-    X,
     Y,
     as_fraction,
 )
@@ -132,10 +130,6 @@ class ModelSurface:
         x, a, b = as_fraction(x), as_fraction(a), as_fraction(b)
         y = a + self.p.eval_exact((x, 0, 0, b))
         return (x, y, a, b)
-
-
-def substitute_y(p: Poly, s: ModelSurface) -> Poly:
-    return s.substitute_y(p)
 
 
 @dataclass(frozen=True)

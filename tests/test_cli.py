@@ -1,11 +1,13 @@
 import json
 import time
+from fractions import Fraction
 
 import jsonschema
 import pytest
 
 from paracr.cli import EXIT_CLOSURE, EXIT_FLOW, EXIT_OK, EXIT_USAGE, main
 from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
+from paracr.surface import ModelSurface
 
 
 def run(capsys, *argv):
@@ -248,6 +250,41 @@ class TestSubcommands:
         monkeypatch.setenv("PARACR_SEED", "not-an-int")
         code, _, err = run(capsys, "flows", "--k", "4", "--gamma", "0,1,0")
         assert code == EXIT_USAGE
+
+
+class TestSharedSerializers:
+    """Each subcommand's JSON is the matching object of the analyze report."""
+
+    SURFACES = [("4", "0,1,0"), ("3", "3,3"), ("4", "1,0,1")]
+
+    @pytest.mark.parametrize("k,gamma", SURFACES)
+    def test_subcommands_match_analyze(self, capsys, monkeypatch, k, gamma):
+        monkeypatch.setenv("PARACR_SEED", "4242")
+
+        def payload(*argv):
+            code, out, err = run(capsys, *argv, "--format", "json")
+            assert code == EXIT_OK, err
+            return json.loads(out)
+
+        report = payload("analyze", "--k", k, "--gamma", gamma)
+        surface = ("--k", k, "--gamma", gamma)
+        assert payload("singular-locus", *surface) == report["singular_locus"]
+        assert payload("discrete", *surface) == report["discrete_group"]
+        assert payload("flows", *surface) == {"flows": report["flow_verification"]}
+        phi = ModelSurface(int(k), tuple(Fraction(g) for g in gamma.split(","))).p.to_text()
+        assert payload("finite-type", "--phi", phi) == report["finite_type"]
+
+
+class TestFiniteTypeBound:
+    @pytest.mark.parametrize(
+        "phi", ["x^5 b^5 + a^5 b + b^2 + a^2", "x^9 b^9 + a^5 b + b^2 + a^2"]
+    )
+    def test_elimination_bound_exits_64_quickly(self, capsys, phi):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "finite-type", "--phi", phi)
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "MAX_ELIMINATION_TERMS" in err
 
 
 class TestExitCodeMapping:

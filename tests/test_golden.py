@@ -1,4 +1,5 @@
-"""Golden `paracr analyze --format json` reports and RK4 endpoints, compared exactly.
+"""Golden `paracr analyze --format json` reports, CLI outputs and RK4 endpoints,
+compared exactly.
 
 Each report file under ``tests/golden/`` is the report of one surface at the
 default weight cap and flow seed: the acceptance suite, two surfaces with
@@ -6,19 +7,26 @@ non-integral gamma and the benchmark's k ladder (k up to 20).
 ``rk4_endpoints.json`` holds, as ``float.hex``, the RK4 oracle's endpoints for
 every closed form of acceptance criterion 7's three representatives at the
 first three admitted sample points, plus ``repr`` of each flow's
-``rk4_mismatch``.  A refactor must leave every
-one of them unchanged.  Regenerate them only for an intended change:
+``rk4_mismatch``.  ``cli_outputs.json`` holds the stdout and the exit code
+of ``paracr.cli.main`` for each argv in ``CLI_CASES``: every subcommand in
+both formats, every case kind, locus kind and discrete group, and usage
+errors.  A refactor must leave every one of them unchanged.  Regenerate them
+only for an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import contextlib
+import io
 import json
 import math
+import os
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from paracr.cli import main as cli_main
 from paracr.flows import (
     EXP_V0,
     EXP_V0PRIME,
@@ -44,6 +52,7 @@ from conftest import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 RK4_GOLDEN = GOLDEN_DIR / "rk4_endpoints.json"
+CLI_GOLDEN = GOLDEN_DIR / "cli_outputs.json"
 RK4_STEPS = 1000
 RK4_POINTS = 3
 
@@ -126,8 +135,94 @@ def test_rk4_endpoints_match_golden():
     assert rk4_golden() == expected
 
 
+# (k, gamma): monomial PENCIL Z2xZ2, binomial LINE Z2, generic POINT Z2xZ2,
+# generic PENCIL Z2, boundary monomial LINE b, generic PENCIL of one line,
+# rational binomial
+CLI_SURFACES = [
+    ("4", "0,1,0"),
+    ("3", "3,3"),
+    ("4", "1,0,1"),
+    ("5", "1,1,0,0"),
+    ("3", "0,1"),
+    ("5", "1/4,-1/6,1/6,-1/4"),
+    ("4", "4/3,4/3,16/27"),
+]
+# binomial k = 10 fails a float flow check: exit 3
+FAILING_FLOWS = ("10", "10,45,120,210,252,210,120,45,10")
+FORMATS = (("--format", "text"), ("--format", "json"))
+
+
+def _cli_cases():
+    cases = []
+    for command in ("analyze", "singular-locus", "flows", "discrete"):
+        surfaces = CLI_SURFACES + [FAILING_FLOWS] * (command in ("analyze", "flows"))
+        for k, gamma in surfaces:
+            cases += [[command, "--k", k, "--gamma", gamma, *f] for f in FORMATS]
+    for k, gamma, weight in (("4", "0,1,0", "0"), ("3", "3,3", "-1"), ("4", "1,0,1", "4")):
+        argv = ["solve-weight", "--k", k, "--gamma", gamma, "--weight", weight]
+        cases += [argv + list(f) for f in FORMATS]
+    for phi in (
+        "x^2 b^2",
+        "x^3 b + x b^3 + b^2 + a^2",
+        "x b + b^2 + a b",
+        "x^2 + x^3 b - a^2 b",
+        "a^2 + b^3",
+        "a x^2 + a^2 b",
+        "x^4 + a^2",
+    ):
+        cases += [["finite-type", "--phi", phi, *f] for f in FORMATS]
+    for psi, order in (("x^2", "4"), ("a", "3"), ("-x^2*b", "3")):
+        cases += [["embed", "--psi", psi, "--order", order, *f] for f in FORMATS]
+    cases += [
+        ["analyze", "--k", "4", "--gamma", "0,1,0", "--weight-cap", "8"],
+        ["flows", "--k", "4", "--gamma", "1,0,1", "--tolerance", "1e-6", "--format", "json"],
+        ["analyze", "--k", "2", "--gamma", "1"],
+        ["analyze", "--k", "3", "--gamma", "3,3", "--weight-cap", "37"],
+        ["solve-weight", "--k", "3", "--gamma", "3,3", "--weight", "200"],
+        ["singular-locus", "--k", "3", "--gamma", "0,0"],
+        ["finite-type", "--phi", "y + b x"],
+        ["embed", "--psi", "x^2", "--order", "0"],
+    ]
+    return cases
+
+
+CLI_CASES = _cli_cases()
+
+
+def run_cli(argv):
+    """(exit code, stdout) of `paracr <argv>` with PARACR_SEED unset."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli_main(list(argv))
+    return code, out.getvalue()
+
+
+def cli_record(argv):
+    code, stdout = run_cli(argv)
+    return {"argv": list(argv), "exit_code": code, "stdout": stdout}
+
+
+@pytest.fixture(scope="module")
+def cli_golden():
+    records = json.loads(CLI_GOLDEN.read_text(encoding="utf-8"))
+    return {tuple(rec["argv"]): rec for rec in records}
+
+
+def test_cli_golden_covers_the_cases(cli_golden):
+    assert list(cli_golden) == [tuple(argv) for argv in CLI_CASES]
+
+
+@pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)
+def test_cli_output_matches_golden(argv, cli_golden, monkeypatch):
+    monkeypatch.delenv("PARACR_SEED", raising=False)
+    assert cli_record(argv) == cli_golden[tuple(argv)]
+
+
 if __name__ == "__main__":
+    os.environ.pop("PARACR_SEED", None)
     GOLDEN_DIR.mkdir(exist_ok=True)
     for s in golden_surfaces():
         (GOLDEN_DIR / golden_name(s)).write_text(report_json(s), encoding="utf-8")
     RK4_GOLDEN.write_text(json.dumps(rk4_golden(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    records = [cli_record(argv) for argv in CLI_CASES]
+    CLI_GOLDEN.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -97,6 +98,17 @@ class TestFiniteType:
             assert again.is_finite
             assert (again.k, again.gamma) == (first.k, first.gamma)
             assert again.normalized == first.normalized
+
+    @pytest.mark.parametrize(
+        "text", ["x^5 b^5 + a^5 b + b^2 + a^2", "x^9 b^9 + a^5 b + b^2 + a^2"]
+    )
+    def test_elimination_stops_at_term_bound(self, text):
+        # both reach 680 terms at step 3; unbounded, the first took 12.7 s and
+        # the second did not finish in 40 s
+        t0 = time.perf_counter()
+        with pytest.raises(NormalFormError, match="MAX_ELIMINATION_TERMS"):
+            finite_type(DefiningFunction(P(text)))
+        assert time.perf_counter() - t0 < 2.0
 
 
 class TestDetectCase:
