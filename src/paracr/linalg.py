@@ -3,22 +3,31 @@
 Two independent kernel routines are provided on purpose.  The main path
 scales rows to integers and runs fraction-free (Bareiss) elimination with
 partial pivoting on pivot magnitude, which avoids rational blow-up during
-elimination.  The second path is a Gauss-Jordan reduction to reduced row
-echelon form, run over integers: each row is cleared of denominators and
-reduced by its content, and rows are combined two at a time with gcd-reduced
-multipliers.  It stays independent of the first so that cross-checks do not
-share an elimination route: it shares no helper with it, never divides by
-the previous pivot, and reduces above as well as below every pivot.
+elimination.  ``nullspace_modular`` puts a certified row selection in front
+of it: the rows are reduced modulo one fixed prime, and only the rows that
+raise the rank mod p go to Bareiss.  Rank mod p never exceeds the rank over
+Q, so full rank mod p proves the kernel is {0} with no exact elimination.
+Otherwise every row of the full system is checked against the subsystem's
+kernel over the integers, and rows that fail join the subsystem until none
+fails; the result then equals ``nullspace_bareiss`` on all rows.  The second
+path is a Gauss-Jordan reduction to reduced row echelon form, run over
+integers: each row is cleared of denominators and reduced by its content,
+and rows are combined two at a time with gcd-reduced multipliers.  It stays
+independent of the first so that cross-checks do not share an elimination
+route: it shares no helper with it, never divides by the previous pivot, and
+reduces above as well as below every pivot.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
+
+_PRIME = 2**61 - 1
 
 
 def _row_to_int(row: Sequence[Fraction]) -> List[int]:
@@ -93,6 +102,54 @@ def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
             vec[col] = -s / Fraction(m[row][col])
         basis.append(normalize_primitive(vec))
     return basis
+
+
+def nullspace_modular(rows: Matrix, ncols: int) -> List[Vector]:
+    """The basis ``nullspace_bareiss(rows, ncols)`` returns, via rank mod p.
+
+    Rows are reduced modulo ``_PRIME`` one at a time against an echelon keyed
+    by pivot column; a row that adds rank mod p is kept.  Kept rows are
+    independent mod p, hence over Q, so rank ``ncols`` mod p returns ``[]``.
+    Otherwise Bareiss runs on the kept rows, and every row is checked against
+    each basis vector over the integers.  Rows with a nonzero product join
+    the kept rows, which raises their rank, and Bareiss runs again.  Once no
+    row fails, the subsystem has the kernel of the full system, and Bareiss's
+    basis depends on the kernel alone: its free columns lie outside the
+    lex-first column basis, and each vector is the primitive kernel vector
+    on the pivots and one free column.
+    """
+    m = [_row_to_int(row) for row in rows if any(v != 0 for v in row)]
+    p = _PRIME
+    echelon: Dict[int, List[int]] = {}  # pivot column -> row mod p with pivot 1
+    kept: List[int] = []
+    for i, row in enumerate(m):
+        red = [v % p for v in row]
+        for c in range(ncols):
+            v = red[c]
+            if not v:
+                continue
+            pivot_row = echelon.get(c)
+            if pivot_row is None:
+                inv = pow(v, -1, p)
+                echelon[c] = [w * inv % p for w in red]
+                kept.append(i)
+                break
+            for j in range(c + 1, ncols):
+                if pivot_row[j]:
+                    red[j] = (red[j] - v * pivot_row[j]) % p
+        if len(kept) == ncols:
+            return []
+    while True:
+        basis = nullspace_bareiss([m[i] for i in kept], ncols)
+        vectors = [[(j, v.numerator) for j, v in enumerate(vec) if v] for vec in basis]
+        failing = [
+            i
+            for i, row in enumerate(m)
+            if any(sum(row[j] * v for j, v in vec) for vec in vectors)
+        ]
+        if not failing:
+            return basis
+        kept = sorted(kept + failing)
 
 
 def rref(rows: Matrix, ncols: int) -> Tuple[List[List[Fraction]], List[int]]:

@@ -151,16 +151,21 @@ def tangency_system(
 def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     """Exact kernel of the per-weight tangency system.
 
-    Basis fields are primitive-integer normalized with the first nonzero
-    coefficient (in ansatz order) positive.  Results are cached; all
-    returned values are immutable.
+    The kernel comes from ``linalg.nullspace_modular``: the rows are reduced
+    modulo a fixed prime, and full column rank there proves the kernel is
+    {0}, as it is at most weights above k.  Otherwise Bareiss runs on the rows
+    that raise the rank mod p, every row is checked against that kernel over
+    the integers, and failing rows are added until none fails, so the basis
+    is the one full Bareiss gives.  Basis fields are primitive-integer
+    normalized with the first nonzero coefficient (in ansatz order)
+    positive.  Results are cached; all returned values are immutable.
     """
     ansatz = build_ansatz(s, m)
     t = len(ansatz)
     if t == 0:
         return KernelBasis(m, (), (0, 0))
     monomials, rows = tangency_system(s, ansatz)
-    kernel = linalg.nullspace_bareiss(rows, t)
+    kernel = linalg.nullspace_modular(rows, t)
     basis = tuple(ansatz.field_from_vector(vec) for vec in kernel)
     return KernelBasis(m, basis, (len(monomials), t))
 

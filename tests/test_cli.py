@@ -165,6 +165,19 @@ class TestUsageErrors:
         code, _, _ = run(capsys, "singular-locus", "--k", "40", "--gamma", gamma)
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("order", ["0", "65", "1000"])
+    def test_order_out_of_range_rejected_fast(self, capsys, order):
+        start = time.perf_counter()
+        code, _, err = run(capsys, "embed", "--psi", "a^2+b^3+x*a*b", "--order", order)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert "--order" in err and "[1, 64]" in err
+
+    def test_order_bound_allowed(self, capsys):
+        code, out, _ = run(capsys, "embed", "--psi", "a^2+b^3+x*a*b", "--order", "64")
+        assert code == EXIT_OK
+        assert "c_64 = " in out
+
 
 class TestDashValues:
     """Values that start with "-" parse as values, as in the "--flag=value" form."""

@@ -5,7 +5,7 @@ import pytest
 
 from paracr import linalg, solver
 from paracr.surface import ModelSurface
-from conftest import binomial_gamma, monomial_gamma
+from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
 
 
 def frac_matrix(rows):
@@ -50,6 +50,88 @@ class TestNullspace:
             assert sorted(b1) == sorted(b2)
             for vec in b1:
                 assert all(v == 0 for v in apply_matrix(rows, vec))
+
+
+def weight_systems():
+    """(label, rows, ncols) of every tangency system for weights in [-k, 3k]."""
+    systems = []
+    for s in suite_surfaces() + rational_gamma_surfaces():
+        for m in range(-s.k, 3 * s.k + 1):
+            ansatz = solver.build_ansatz(s, m)
+            if len(ansatz):
+                _, rows = solver.tangency_system(s, ansatz)
+                systems.append((f"k={s.k} gamma={s.gamma} m={m}", rows, len(ansatz)))
+    return systems
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Counts the ``nullspace_bareiss`` calls ``nullspace_modular`` makes."""
+    calls = []
+    bareiss = linalg.nullspace_bareiss
+
+    def counting_bareiss(rows, ncols):
+        calls.append(len(rows))
+        return bareiss(rows, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace_bareiss", counting_bareiss)
+    return calls
+
+
+class TestNullspaceModular:
+    @pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2], ids=["2^61-1", "p=3", "p=2"])
+    def test_equals_bareiss_on_weight_systems(self, prime, monkeypatch, bareiss_calls):
+        monkeypatch.setattr(linalg, "_PRIME", prime)
+        repaired = 0
+        for label, rows, ncols in weight_systems():
+            expected = linalg.nullspace_bareiss(rows, ncols)
+            bareiss_calls.clear()
+            assert linalg.nullspace_modular(rows, ncols) == expected, label
+            repaired += len(bareiss_calls) > 1
+        if prime < 5:
+            # a small prime loses rank on some systems, so the repair loop must run
+            assert repaired > 0
+
+    def test_rank_lost_mod_p_is_repaired(self, monkeypatch, bareiss_calls):
+        monkeypatch.setattr(linalg, "_PRIME", 3)
+        assert linalg.nullspace_modular([[3, 0], [0, 1]], 2) == []
+        # the first pass keeps only [0, 1]; the repair adds [3, 0]
+        assert bareiss_calls == [1, 2]
+
+    def test_full_rank_mod_p_skips_bareiss(self, bareiss_calls):
+        assert linalg.nullspace_modular([[1, 2], [0, 0], [3, 4]], 2) == []
+        assert bareiss_calls == []
+
+    def test_zero_and_empty_rows(self):
+        for rows in ([], [[0, 0, 0]], [[0, 0, 0], [Fraction(0), 0, 0]]):
+            basis = linalg.nullspace_modular(rows, 3)
+            assert basis == linalg.nullspace_bareiss(rows, 3)
+            assert len(basis) == 3
+        assert linalg.nullspace_modular([], 0) == []
+
+    def test_fraction_entries(self):
+        rng = random.Random(23)
+        for _ in range(150):
+            ncols, rank = rng.randint(1, 6), rng.randint(0, 4)
+            gens = random_rows(rng, rank, ncols)
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in gens]
+                rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+            assert linalg.nullspace_modular(rows, ncols) == linalg.nullspace_bareiss(rows, ncols)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_duplicate_rows_and_multiples_of_p(self, prime, monkeypatch):
+        monkeypatch.setattr(linalg, "_PRIME", prime)
+        rng = random.Random(prime)
+        for _ in range(100):
+            ncols = rng.randint(1, 6)
+            base = [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+            rows = base + [list(rng.choice(base)) for _ in range(2)]
+            rows += [[prime * rng.randint(-3, 3) * v for v in row] for row in base]
+            rows += [[prime * rng.randint(-3, 3) for _ in range(ncols)]]
+            rng.shuffle(rows)
+            assert linalg.nullspace_modular(rows, ncols) == linalg.nullspace_bareiss(rows, ncols)
 
 
 def reference_rref(rows, ncols):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,19 @@ class TestSolveWeight:
             for m in range(-s.k, s.k + 1):
                 for f in solve_weight(s, m).basis:
                     assert weight_of(f, g) == m
+
+    @pytest.mark.parametrize(
+        "weight, shape, budget_s", [(50, (408, 72), 0.5), (100, (1327, 138), 2.0)]
+    )
+    def test_high_weight_runtime_budget(self, weight, shape, budget_s):
+        # a fresh surface and the uncached function: assembly and kernel both run cold
+        s = ModelSurface(3, (3, 3))
+        start = time.perf_counter()
+        kb = solve_weight.__wrapped__(s, weight)
+        elapsed = time.perf_counter() - start
+        assert kb.dimension == 0
+        assert kb.system_shape == shape
+        assert elapsed < budget_s, f"weight {weight} took {elapsed:.2f}s, budget {budget_s}s"
 
 
 def definitional_system(s, ansatz):
