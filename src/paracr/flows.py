@@ -15,6 +15,7 @@ floating point against explicit tolerances and the RK4 oracle.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +70,7 @@ class FlowMap:
 
     name: str
     surface: ModelSurface
+    detection: CaseDetection  # of ``surface``; reused by ``with_param``
     param: object
     law: str
     generator: ParaVectorField
@@ -98,12 +100,13 @@ class FlowMap:
         return self.float_map(pt)
 
     def with_param(self, param) -> "FlowMap":
-        return flow(self.name, self.surface, param)
+        return _flow(self.name, self.surface, self.detection, param)
 
 
 def _poly_flow(
     name: str,
     surface: ModelSurface,
+    detection: CaseDetection,
     param,
     law: str,
     generator: ParaVectorField,
@@ -123,6 +126,7 @@ def _poly_flow(
     return FlowMap(
         name=name,
         surface=surface,
+        detection=detection,
         param=param,
         law=law,
         generator=generator,
@@ -147,18 +151,21 @@ def flow(name: str, surface: ModelSurface, param) -> FlowMap:
     The name must be admissible for the surface's detected case, and the
     parameter must satisfy the flow's domain constraint.
     """
-    detection = detect_case(surface)
+    return _flow(name, surface, detect_case(surface), param)
+
+
+def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> FlowMap:
     k = surface.k
     if name == EXP_VMK:
         t = as_fraction(param)
         comps = (X, Y + Poly.constant(t), A + Poly.constant(t), B)
-        return _poly_flow(name, surface, t, ADDITIVE, vertical_translation(), comps)
+        return _poly_flow(name, surface, detection, t, ADDITIVE, vertical_translation(), comps)
     if name == EXP_V0:
         lam = as_fraction(param)
         if lam <= 0:
             raise FlowDomainError("EXP_V0 requires lambda > 0")
         comps = (lam * X, lam**k * Y, lam**k * A, lam * B)
-        return _poly_flow(name, surface, lam, MULTIPLICATIVE, grading_field(k), comps)
+        return _poly_flow(name, surface, detection, lam, MULTIPLICATIVE, grading_field(k), comps)
     if name == EXP_V0PRIME:
         if detection.kind != MONOMIAL:
             raise InadmissibleFlowError("EXP_V0PRIME requires a monomial surface")
@@ -168,7 +175,7 @@ def flow(name: str, surface: ModelSurface, param) -> FlowMap:
         iota = detection.iota
         comps = (lam**iota * X, Y, A, Fraction(1) / lam ** (k - iota) * B)
         return _poly_flow(
-            name, surface, lam, MULTIPLICATIVE, relative_dilation_field(k, iota), comps
+            name, surface, detection, lam, MULTIPLICATIVE, relative_dilation_field(k, iota), comps
         )
     if name == EXP_VM1:
         if detection.kind != BINOMIAL:
@@ -183,7 +190,7 @@ def flow(name: str, surface: ModelSurface, param) -> FlowMap:
             B + Poly.constant(t / nu),
         )
         generator = Fraction(1, 1) / nu * oblique_translation_field(k, delta, nu)
-        return _poly_flow(name, surface, t, ADDITIVE, generator, comps)
+        return _poly_flow(name, surface, detection, t, ADDITIVE, generator, comps)
     if name == EXP_VK:
         if detection.kind != MONOMIAL:
             raise InadmissibleFlowError("EXP_VK requires a monomial surface")
@@ -242,6 +249,7 @@ def flow(name: str, surface: ModelSurface, param) -> FlowMap:
         return FlowMap(
             name=name,
             surface=surface,
+            detection=detection,
             param=as_fraction(param),
             law=ADDITIVE,
             generator=special_conformal_field(k, iota),
@@ -460,28 +468,41 @@ def verify_flow(
 def rk4_oracle(
     v: ParaVectorField, p0: Sequence[float], t: float, steps: int = 1000
 ) -> FloatPoint:
-    """Classical 4th-order integration of dp/dt = V(p) from p0 over time t."""
+    """Classical 4th-order integration of dp/dt = V(p) from p0 over time t.
+
+    The generator is compiled once per field (``float_velocity``) and the
+    stages run on scalar locals.  The float operations are part of the
+    contract, so the endpoints are reproducible bit for bit: a stage point
+    is ``p + 0.5 * h * k`` (``p + h * k3`` for the last stage) and a step is
+    ``p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``, per coordinate.
+    """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = t / steps
-    p = [float(c) for c in p0]
+    half = 0.5 * h
+    sixth = h / 6.0
+    x, y, a, b = (float(c) for c in p0)
     velocity = v.float_velocity()
     for _ in range(steps):
-        k1 = velocity(p)
-        k2 = velocity([p[i] + 0.5 * h * k1[i] for i in range(4)])
-        k3 = velocity([p[i] + 0.5 * h * k2[i] for i in range(4)])
-        k4 = velocity([p[i] + h * k3[i] for i in range(4)])
-        p = [
-            p[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
-            for i in range(4)
-        ]
-    return tuple(p)  # type: ignore[return-value]
+        k1x, k1y, k1a, k1b = velocity((x, y, a, b))
+        k2x, k2y, k2a, k2b = velocity(
+            (x + half * k1x, y + half * k1y, a + half * k1a, b + half * k1b)
+        )
+        k3x, k3y, k3a, k3b = velocity(
+            (x + half * k2x, y + half * k2y, a + half * k2a, b + half * k2b)
+        )
+        k4x, k4y, k4a, k4b = velocity(
+            (x + h * k3x, y + h * k3y, a + h * k3a, b + h * k3b)
+        )
+        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
+        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
+    return (x, y, a, b)
 
 
 def flow_time(fm: FlowMap) -> float:
     """Integration time matching the flow parameter (log for dilations)."""
-    import math
-
     if fm.law == ADDITIVE:
         return float(as_fraction(fm.param)) if fm.is_polynomial else float(fm.param)
     return math.log(float(as_fraction(fm.param)))
@@ -493,6 +514,9 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     Points whose integral curve does not exist through the whole parameter
     interval are skipped; there the closed form is an analytic continuation
     rather than the ODE solution.  Skipping every point raises FlowDomainError.
+    A coordinate difference that is not finite (an overflow on either side,
+    or on both, which makes ``inf - inf`` NaN) counts as ``math.inf``, so it
+    fails every limit.
     """
     exists = fm.ode_domain_check or fm.domain_check
     points = [tuple(float(v) for v in p) for p in samples]
@@ -504,7 +528,9 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     for fp in points:
         closed = fm.apply_float(fp)
         integrated = rk4_oracle(fm.generator, fp, time, steps)
-        worst = max(worst, max(abs(u - v) for u, v in zip(closed, integrated)))
+        for u, v in zip(closed, integrated):
+            diff = abs(u - v)
+            worst = max(worst, diff) if math.isfinite(diff) else math.inf
     return worst
 
 

@@ -189,28 +189,34 @@ class ParaVectorField:
         )
 
     def float_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
-        """The field compiled once to float (x, y, a, b) -> (dx, dy, da, db).
+        """The field as a float function (x, y, a, b) -> (dx, dy, da, db).
 
-        Terms c * x**ex * y**ey * a**ea * b**eb are summed in ``items()``
-        order; factors of exponent 0 are left out, which is exact.
+        The field is compiled once, on first use, to one straight-line
+        Python function, which every later call returns again.  Its float
+        operations are part of the contract, since the RK4 endpoints depend
+        on them bit for bit: each component is ``0.0 + t1 + t2 + ...`` in
+        ``items()`` order, and each term is ``((c * x ** ex) * y ** ey) ...``
+        with ``c = float(coefficient)`` and the factors of exponent 0 left
+        out, which is exact.  A coefficient too large for a float raises
+        ``OverflowError``.  No user text reaches ``exec``: the source is
+        built from ``repr`` of floats, the fixed names x, y, a, b and
+        integer exponents alone.
         """
-        compiled = [
-            [(float(c), [(i, e) for i, e in enumerate(exp) if e]) for exp, c in comp.items()]
-            for comp in (self.xi, self.eta, self.alpha, self.beta)
-        ]
+        return self._compiled_velocity
 
-        def velocity(point):
-            out = []
-            for terms in compiled:
-                total = 0.0
-                for c, factors in terms:
-                    for i, e in factors:
-                        c *= point[i] ** e
-                    total += c
-                out.append(total)
-            return tuple(out)
-
-        return velocity
+    @cached_property
+    def _compiled_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
+        sums = []
+        for comp in (self.xi, self.eta, self.alpha, self.beta):
+            terms = ["0.0"]
+            for exp, c in comp.items():
+                factors = "".join(f" * {v} ** {e:d}" for v, e in zip("xyab", exp) if e)
+                terms.append(f"({float(c)!r}){factors}")
+            sums.append(" + ".join(terms))
+        source = f"def velocity(point):\n    x, y, a, b = point\n    return ({', '.join(sums)})\n"
+        namespace: Dict[str, object] = {"__builtins__": {}}
+        exec(compile(source, "<ParaVectorField.float_velocity>", "exec"), namespace)
+        return namespace["velocity"]  # type: ignore[return-value]
 
     def velocity_float(self, point) -> Tuple[float, float, float, float]:
         """(dx, dy, da, db) at a numeric point, ordered like (x, y, a, b)."""

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from paracr.flows import (
     EXP_VMK,
     FlowDomainError,
     InadmissibleFlowError,
+    admissible_flow_names,
     discrete_group,
     flow,
     flow_time,
@@ -23,10 +25,19 @@ from paracr.flows import (
     vm1_transcription_candidate,
     vm1_transcription_mismatch,
 )
+from paracr import flows as flows_mod
+from paracr import surface as surface_mod
+from paracr.normalform import detect_case
 from paracr.poly import Poly
 from paracr.solver import vertical_translation, grading_field
 from paracr.surface import ModelSurface
-from conftest import binomial_gamma, monomial_gamma
+from conftest import (
+    binomial_gamma,
+    k_ladder_surfaces,
+    monomial_gamma,
+    rational_gamma_surfaces,
+    suite_surfaces,
+)
 
 
 def P(text):
@@ -36,6 +47,11 @@ def P(text):
 MONO = ModelSurface(4, (0, 1, 0))
 BINO = ModelSurface(3, (3, 3))
 GEN = ModelSurface(4, (1, 0, 1))
+
+# criterion 7's parameter per flow: time 1/10, or a factor of about e^(1/10)
+EXP_TENTH = Fraction(math.exp(0.1)).limit_denominator(10**12)
+RK4_PARAMS = {EXP_VMK: Fraction(1, 10), EXP_V0: EXP_TENTH, EXP_V0PRIME: EXP_TENTH,
+              EXP_VK: Fraction(1, 10), EXP_VM1: Fraction(1, 10)}
 
 
 class TestFlowConstruction:
@@ -243,6 +259,159 @@ class TestRk4:
             rk4_mismatch(fm, samples, steps=10)
         with pytest.raises(FlowDomainError, match="EXP_VK"):
             rk4_mismatch(fm, [], steps=10)
+
+    def test_mismatch_counts_overflow_as_failure(self):
+        # both sides overflow in x, so the difference is inf - inf = NaN;
+        # a NaN that max() drops would read as a perfect match
+        s = ModelSurface(4, monomial_gamma(4, 2))
+        fm = flow(EXP_VK, s, Fraction(1, 10))
+        p = s.point_from_xab(17 * 10**307, 5, 0)
+        fp = tuple(float(v) for v in p)
+        assert fm.apply_float(fp)[0] == math.inf
+        assert rk4_oracle(fm.generator, fp, flow_time(fm), 1000)[0] == math.inf
+        assert rk4_mismatch(fm, [p], steps=1000) == math.inf
+        assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
+
+    def test_criterion_07_runtime_budget(self):
+        # criterion 7's three representatives, flows and points
+        representatives = [
+            ModelSurface(4, monomial_gamma(4, 2)),
+            ModelSurface(3, binomial_gamma(3)),
+            ModelSurface(4, (1, 0, 1)),
+        ]
+        cases = [
+            (flow(name, s, RK4_PARAMS[name]), sample_on_surface(s, 20))
+            for s in representatives
+            for name in admissible_flow_names(detect_case(s))
+        ]
+        assert len(cases) == 9
+        start = time.perf_counter()
+        worst = [rk4_mismatch(fm, samples, steps=1000) for fm, samples in cases]
+        elapsed = time.perf_counter() - start
+        assert max(worst) < 1e-6
+        assert elapsed < 1.2, f"rk4_mismatch over criterion 7 took {elapsed:.2f} s"
+
+
+# The list-based RK4 and per-term velocity loop that the straight-line kernel
+# replaced, kept verbatim as the reference it must match bit for bit.
+
+
+def reference_float_velocity(v):
+    compiled = [
+        [(float(c), [(i, e) for i, e in enumerate(exp) if e]) for exp, c in comp.items()]
+        for comp in (v.xi, v.eta, v.alpha, v.beta)
+    ]
+
+    def velocity(point):
+        out = []
+        for terms in compiled:
+            total = 0.0
+            for c, factors in terms:
+                for i, e in factors:
+                    c *= point[i] ** e
+                total += c
+            out.append(total)
+        return tuple(out)
+
+    return velocity
+
+
+def reference_rk4(v, p0, t, steps=1000):
+    if steps < 1:
+        raise ValueError("steps must be at least 1")
+    h = t / steps
+    p = [float(c) for c in p0]
+    velocity = reference_float_velocity(v)
+    for _ in range(steps):
+        k1 = velocity(p)
+        k2 = velocity([p[i] + 0.5 * h * k1[i] for i in range(4)])
+        k3 = velocity([p[i] + 0.5 * h * k2[i] for i in range(4)])
+        k4 = velocity([p[i] + h * k3[i] for i in range(4)])
+        p = [
+            p[i] + h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+            for i in range(4)
+        ]
+    return tuple(p)
+
+
+def _hex_or_error(integrate, *args):
+    # float.hex of each coordinate, or the exception type raised
+    try:
+        return [c.hex() for c in integrate(*args)]
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestRk4Kernel:
+    # large enough that the velocity overflows (OverflowError from **)
+    # or the stages reach inf and NaN
+    FAR_POINTS = [(1e300, 1e300, 3.0, 1e300), (1e160, -1e160, 1e160, -2.0)]
+
+    def test_matches_reference_bit_for_bit(self):
+        cases = raised = 0
+        for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
+            points = [tuple(float(v) for v in p) for p in sample_on_surface(s, 3, seed=11)]
+            for name in admissible_flow_names(detect_case(s)):
+                fm = flow(name, s, RK4_PARAMS[name])
+                for fp in points + self.FAR_POINTS:
+                    for t in (flow_time(fm), -0.3):
+                        want = _hex_or_error(reference_rk4, fm.generator, fp, t, 20)
+                        got = _hex_or_error(rk4_oracle, fm.generator, fp, t, 20)
+                        assert got == want, (s.k, s.gamma, name, fp, t)
+                        cases += 1
+                        raised += isinstance(want, type)
+        assert cases == 850
+        assert raised > 0
+
+    def test_velocity_matches_reference_bit_for_bit(self):
+        for s in suite_surfaces() + rational_gamma_surfaces():
+            points = [tuple(float(v) for v in p) for p in sample_on_surface(s, 3, seed=12)]
+            for name in admissible_flow_names(detect_case(s)):
+                v = flow(name, s, RK4_PARAMS[name]).generator
+                for fp in points + self.FAR_POINTS:
+                    assert (_hex_or_error(v.float_velocity(), fp)
+                            == _hex_or_error(reference_float_velocity(v), fp))
+
+
+    def test_rk4_mismatch_compiles_the_generator_once(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
+        fm = flow(EXP_VK, MONO, Fraction(1, 10))
+        rk4_mismatch(fm, sample_on_surface(MONO, 6), steps=10)
+        fm.generator.velocity_float((1, 2, 3, 4))
+        assert len(compiled) == 1
+
+
+class TestFlowDetection:
+    def test_with_param_reuses_the_detection(self, monkeypatch):
+        calls = []
+
+        def counting_detect_case(s):
+            calls.append(s)
+            return detect_case(s)
+
+        monkeypatch.setattr(flows_mod, "detect_case", counting_detect_case)
+        for s, name, param, partner in [
+            (MONO, EXP_VK, Fraction(1, 10), Fraction(1, 7)),
+            (MONO, EXP_V0PRIME, Fraction(3), Fraction(2)),
+            (BINO, EXP_VM1, Fraction(1, 10), Fraction(1, 7)),
+            (GEN, EXP_V0, Fraction(5, 2), Fraction(3, 4)),
+        ]:
+            calls.clear()
+            fm = flow(name, s, param)
+            assert calls == [s]
+            assert fm.detection == detect_case(s)
+            ver = verify_flow(fm, sample_on_surface(s, 4), group_partner=partner)
+            assert ver.passed and any(c.check == "group_law" for c in ver.checks)
+            other = fm.with_param(partner)
+            assert calls == [s]
+            assert other.components == flow(name, s, partner).components
+            assert other.param == partner and other.detection is fm.detection
 
 
 class TestVm1Transcription:

@@ -1,9 +1,11 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
+from paracr import surface as surface_mod
 from paracr.poly import Grading, Poly, UnsupportedDegreeError
 from paracr.surface import (
     InvalidSurfaceError,
@@ -121,6 +123,49 @@ class TestFloatVelocity:
 
     def test_zero_field(self):
         assert ParaVectorField.zero().float_velocity()((1.0, 2.0, 3.0, 4.0)) == (0.0,) * 4
+
+    def test_tiny_coefficients_round_trip(self):
+        # 1/10^320 is subnormal; -1/10^400 underflows to -0.0
+        tiny = Fraction(1, 10**320)
+        assert 0.0 < float(tiny) < sys.float_info.min
+        v = ParaVectorField(
+            Poly({(0, 0, 0, 0): Fraction(-1, 10**400)}),
+            Poly.zero(),
+            Poly({(0, 0, 0, 0): tiny, (1, 0, 0, 0): tiny}),
+            Poly({(0, 2, 0, 0): -tiny}),
+        )
+        velocity = v.float_velocity()
+        assert velocity((0.0, 0.0, 0.0, 0.0))[0] == float(tiny)
+        for pt in self.POINTS:
+            got = [c.hex() for c in velocity(pt)]
+            assert got == [c.hex() for c in _reference_velocity(v, pt)]
+
+    def test_coefficient_too_large_for_a_float_raises(self):
+        v = ParaVectorField(
+            Poly.zero(), Poly.zero(), Poly({(1, 0, 0, 0): Fraction(10**400, 3)}), Poly.zero()
+        )
+        with pytest.raises(OverflowError):
+            v.float_velocity()
+        with pytest.raises(OverflowError):
+            v.velocity_float((1, 0, 0, 0))
+
+    def test_compiled_once_per_field(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
+        v = grading_field(5) + special_conformal_field(5, 2)
+        velocity = v.float_velocity()
+        assert v.float_velocity() is velocity
+        v.velocity_float((1, 2, 3, 4))
+        assert len(compiled) == 1
+        # an equal field built apart compiles its own function
+        w = grading_field(5) + special_conformal_field(5, 2)
+        assert w == v and w.float_velocity() is not velocity
+        assert len(compiled) == 2
 
     def test_velocity_float_takes_rationals(self):
         v = oblique_translation_field(4, Fraction(1, 2), Fraction(2, 3))
