@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -57,6 +58,18 @@ def _parse_gamma(text: str) -> List[Fraction]:
         raise UsageError(f"invalid gamma list {text!r}: {exc}")
 
 
+def _tolerance(text: str) -> float:
+    # NaN or a negative tolerance fails a correct flow, and inf passes any
+    # residual, so neither checks anything
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def _seed() -> int:
     raw = os.environ.get("PARACR_SEED")
     if raw is None:
@@ -76,10 +89,15 @@ def build_parser() -> _Parser:
         p.add_argument("--gamma", type=str, required=True,
                        help="comma-separated rationals, e.g. 0,1,0 or -3/2,1")
 
+    def add_tolerance_flag(p):
+        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
+                       help="limit of EXP_VK's float surface and group-law checks, "
+                            "finite and >= 0; default 1e-9")
+
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None, help="in [k, 12k]; default 3k")
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve-weight", help="kernel basis at one weight")
@@ -102,7 +120,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("flows", help="verify the admissible named flows")
     add_surface_flags(p)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("discrete", help="discrete automorphism group")

@@ -336,8 +336,12 @@ def verify_flow(
 ) -> FlowVerification:
     """Check surface preservation, para-CR proportionality and the group law.
 
-    Polynomial flows with rational parameters are checked exactly; the
-    radical EXP_VK is checked in floating point at the given tolerances.
+    Polynomial flows with rational parameters are checked exactly, over
+    integers at a common denominator (``Poly.eval_exact``): the image of each
+    admitted point is computed once, tested on the defining polynomial, and
+    mapped on by the group-law partner, so a check with a partner costs three
+    ``apply_exact`` calls per point.  The radical EXP_VK is checked in
+    floating point at the given tolerances.
     """
     s = fm.surface
     checks: List[FlowCheck] = []
@@ -356,10 +360,11 @@ def verify_flow(
 
     # (1) surface preservation
     if fm.is_polynomial:
+        images = [fm.apply_exact(p) for p in in_domain]
         worst = Fraction(0)
         ok = True
-        for p in in_domain:
-            residual = s.defining_poly.eval_exact(fm.apply_exact(p))
+        for image in images:
+            residual = s.defining_poly.eval_exact(image)
             if residual != 0:
                 ok = False
                 worst = max(worst, abs(residual))
@@ -430,8 +435,8 @@ def verify_flow(
         if fm.is_polynomial:
             ok = True
             worst = Fraction(0)
-            for p in in_domain:
-                two_step = partner.apply_exact(fm.apply_exact(p))
+            for p, image in zip(in_domain, images):
+                two_step = partner.apply_exact(image)
                 one_step = combined.apply_exact(p)
                 diff = max(abs(u - v) for u, v in zip(two_step, one_step))
                 worst = max(worst, diff)

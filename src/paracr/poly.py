@@ -19,6 +19,7 @@ total degree, ties broken lexicographically on (e_a, e_y, e_b, e_x).
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +38,9 @@ def _var_index(name: str) -> int:
 Exponents = Tuple[int, int, int, int]
 
 ZERO_EXP: Exponents = (0, 0, 0, 0)
+
+# eval_exact's power table for a variable that does not occur; never mutated
+_ONLY_POWER_ZERO = {0: 1}
 
 # print order of factors inside a term: a, y, b, x
 _PRINT_SLOTS = (("a", 2), ("y", 1), ("b", 3), ("x", 0))
@@ -267,18 +271,45 @@ class Poly:
     # -- evaluation --------------------------------------------------------
 
     def eval_exact(self, point) -> Fraction:
-        """Exact evaluation at (x, y, a, b) given as rationals."""
-        if not self._terms:
+        """Exact evaluation at (x, y, a, b) given as rationals.
+
+        Runs over integers at one common denominator.  With each coordinate
+        v_i = p_i/q_i, D_i the largest exponent of v_i and L the lcm of the
+        coefficient denominators, the term c v^e becomes the integer
+        c L prod p_i^e_i q_i^(D_i - e_i), and the value is the sum of these
+        over L prod q_i^D_i: one ``Fraction`` per call, in lowest terms.
+        Powers are taken only at the exponents that occur, so a sparse
+        x^100000 costs two powers, not a table of 100000.
+        """
+        terms = self._terms
+        if not terms:
             return Fraction(0)
-        pt = tuple(as_fraction(v) for v in point)
-        return _horner(list(self._terms.items()), pt, 0, as_fraction)
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        denominator = lcm
+        factors = []
+        for i, v in enumerate(point):
+            if not isinstance(v, (int, Fraction)):
+                v = as_fraction(v)
+            occurring = {exp[i] for exp in terms}
+            top = max(occurring)
+            if top == 0:  # the variable does not occur
+                factors.append(_ONLY_POWER_ZERO)
+                continue
+            num, den = v.numerator, v.denominator
+            factors.append({e: num**e * den ** (top - e) for e in occurring})
+            denominator *= den**top
+        fx, fy, fa, fb = factors
+        total = 0
+        for (ex, ey, ea, eb), c in terms.items():
+            total += c.numerator * (lcm // c.denominator) * fx[ex] * fy[ey] * fa[ea] * fb[eb]
+        return Fraction(total, denominator)
 
     def eval_float(self, point) -> float:
-        """Floating evaluation at (x, y, a, b)."""
+        """Floating evaluation at (x, y, a, b), by sparse Horner (``_horner``)."""
         if not self._terms:
             return 0.0
         pt = tuple(float(v) for v in point)
-        return _horner(list(self._terms.items()), pt, 0, float)
+        return _horner(list(self._terms.items()), pt, 0)
 
     # -- text --------------------------------------------------------------
 
@@ -334,12 +365,13 @@ def _coerce(value) -> Optional[Poly]:
     return None
 
 
-def _horner(items, point, vi, numeric):
-    # sparse Horner: expand one variable at a time
+def _horner(items, point, vi):
+    # sparse Horner in floats, one variable at a time; the report witnesses
+    # pin this operation order, so eval_float is reproducible bit for bit
     if vi == 4:
-        total = numeric(0)
+        total = 0.0
         for _, c in items:
-            total += numeric(c)
+            total += float(c)
         return total
     buckets: Dict[int, list] = {}
     for exp, c in items:
@@ -348,7 +380,7 @@ def _horner(items, point, vi, numeric):
     acc = None
     prev = 0
     for e in sorted(buckets, reverse=True):
-        sub = _horner(buckets[e], point, vi + 1, numeric)
+        sub = _horner(buckets[e], point, vi + 1)
         if acc is None:
             acc = sub
         else:

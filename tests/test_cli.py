@@ -178,6 +178,28 @@ class TestUsageErrors:
         assert code == EXIT_OK
         assert "c_64 = " in out
 
+    @pytest.mark.parametrize("command", ["analyze", "flows"])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "1e400", "abc"])
+    def test_tolerance_out_of_range_rejected(self, capsys, command, value):
+        # nan and -1 used to fail a correct EXP_VK (exit 3), inf passed any residual
+        code, out, err = run(
+            capsys, command, "--k", "4", "--gamma", "0,1,0", f"--tolerance={value}"
+        )
+        assert code == EXIT_USAGE and out == ""
+        assert "--tolerance" in err and "finite number >= 0" in err
+
+    def test_negative_tolerance_as_separate_value_rejected(self, capsys):
+        code, _, err = run(capsys, "flows", "--k", "4", "--gamma", "0,1,0", "--tolerance", "-1")
+        assert code == EXIT_USAGE
+        assert "--tolerance" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "flows"])
+    @pytest.mark.parametrize("value", ["0", "1e-9", "1e300"])
+    def test_tolerance_bounds_allowed(self, capsys, command, value):
+        # binomial k=3 has only exact flows, so tolerance 0 passes too
+        code, _, _ = run(capsys, command, "--k", "3", "--gamma", "3,3", "--tolerance", value)
+        assert code == EXIT_OK
+
 
 class TestDashValues:
     """Values that start with "-" parse as values, as in the "--flag=value" form."""

@@ -151,6 +151,36 @@ class TestVerifyFlow:
         for w in ver.witnesses:
             assert w.lam != 0 and w.mu != 0
 
+    @pytest.mark.parametrize(
+        "s, name, param, partner",
+        [
+            (GEN, EXP_VMK, Fraction(3, 2), Fraction(-1, 3)),
+            (GEN, EXP_V0, Fraction(5, 2), Fraction(3, 4)),
+            (MONO, EXP_V0PRIME, Fraction(3), Fraction(2)),
+            (BINO, EXP_VM1, Fraction(1, 10), Fraction(1, 7)),
+        ],
+    )
+    def test_each_image_is_computed_once(self, monkeypatch, s, name, param, partner):
+        calls = []
+        apply_exact = flows_mod.FlowMap.apply_exact
+
+        def counting_apply_exact(fm, point):
+            calls.append(fm.param)
+            return apply_exact(fm, point)
+
+        monkeypatch.setattr(flows_mod.FlowMap, "apply_exact", counting_apply_exact)
+        n = 7
+        samples = sample_on_surface(s, n)
+        fm = flow(name, s, param)
+        assert verify_flow(fm, samples).passed
+        assert calls == [param] * n
+        calls.clear()
+        ver = verify_flow(fm, samples, group_partner=partner)
+        assert ver.passed and any(c.check == "group_law" for c in ver.checks)
+        # the image once, then the partner on it and the combined map on the point
+        assert len(calls) == 3 * n
+        assert calls.count(param) == n and calls.count(partner) == n
+
 
 class TestGeneratorConsistency:
     def test_exact_derivative_at_zero_additive(self):

@@ -1,11 +1,32 @@
 import random
+import time
 from fractions import Fraction
+from typing import Dict
 
 import pytest
 from hypothesis import given
 
-from paracr.poly import A, B, Grading, Poly, PolyParseError, UnsupportedDegreeError, X, Y
-from conftest import poly_st, random_poly
+from paracr import report
+from paracr.flows import DEFAULT_SEED, admissible_flow_names, flow, sample_on_surface
+from paracr.normalform import detect_case
+from paracr.poly import (
+    A,
+    B,
+    Grading,
+    Poly,
+    PolyParseError,
+    UnsupportedDegreeError,
+    X,
+    Y,
+    as_fraction,
+)
+from conftest import (
+    k_ladder_surfaces,
+    poly_st,
+    random_poly,
+    rational_gamma_surfaces,
+    suite_surfaces,
+)
 
 
 def P(text):
@@ -80,6 +101,130 @@ class TestEval:
             exact = float(p.eval_exact(point))
             approx = p.eval_float(point)
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+def reference_eval_exact(p, point):
+    """``Poly.eval_exact`` as it was before it ran over integers: sparse
+    Horner over ``Fraction``, kept verbatim as the reference."""
+    if not p:
+        return Fraction(0)
+    pt = tuple(as_fraction(v) for v in point)
+    return _reference_horner(list(p.items()), pt, 0, as_fraction)
+
+
+def _reference_horner(items, point, vi, numeric):
+    # sparse Horner: expand one variable at a time
+    if vi == 4:
+        total = numeric(0)
+        for _, c in items:
+            total += numeric(c)
+        return total
+    buckets: Dict[int, list] = {}
+    for exp, c in items:
+        buckets.setdefault(exp[vi], []).append((exp, c))
+    v = point[vi]
+    acc = None
+    prev = 0
+    for e in sorted(buckets, reverse=True):
+        sub = _reference_horner(buckets[e], point, vi + 1, numeric)
+        if acc is None:
+            acc = sub
+        else:
+            acc = acc * v ** (prev - e) + sub
+        prev = e
+    return acc * v**prev
+
+
+def _big_fraction(rng):
+    # 30-digit numerator and denominator, either sign
+    num = rng.randint(10**29, 10**30 - 1) * rng.choice((-1, 1))
+    return Fraction(num, rng.randint(10**29, 10**30 - 1))
+
+
+def _coordinate(rng):
+    kind = rng.randrange(6)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return Fraction(-rng.randint(1, 9), rng.randint(1, 7))
+    if kind == 2:
+        return rng.randint(-5, 5)
+    if kind == 3:
+        return f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}"
+    if kind == 4:
+        return _big_fraction(rng)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
+class TestEvalExact:
+    def _check(self, p, point):
+        got = p.eval_exact(point)
+        assert type(got) is Fraction
+        assert got == reference_eval_exact(p, point), (p, point)
+
+    def test_random_polys_match_reference(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            p = random_poly(rng, max_terms=6, max_exp=5)
+            if rng.random() < 0.3:
+                p = p + Poly({(rng.randint(0, 3), 0, rng.randint(0, 3), 1): _big_fraction(rng)})
+            self._check(p, tuple(_coordinate(rng) for _ in range(4)))
+
+    def test_zero_and_constants(self):
+        for point in [(0, 0, 0, 0), (Fraction(-2, 3), "5/7", 4, 0)]:
+            assert Poly.zero().eval_exact(point) == 0
+            for c in [Fraction(1), Fraction(-7, 3), Fraction(10**30 + 1, 10**30 - 1)]:
+                self._check(Poly.constant(c), point)
+                assert Poly.constant(c).eval_exact(point) == c
+
+    def test_zero_coordinates(self):
+        p = P("x^3 - 2/3 a^2 b + 5 y + 7/2")
+        self._check(p, (0, 0, 0, 0))
+        self._check(p, (0, Fraction(1, 3), 0, -2))
+
+    def test_flow_components_and_surfaces_match_reference(self):
+        evaluated = 0
+        for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
+            samples = sample_on_surface(s, report.DEFAULT_FLOW_SAMPLES, seed=DEFAULT_SEED)
+            for point in samples:
+                self._check(s.defining_poly, point)
+            for name in admissible_flow_names(detect_case(s)):
+                fm = flow(name, s, report._FLOW_PARAMS[name][0])
+                if not fm.is_polynomial:
+                    continue
+                partner = fm.with_param(report._FLOW_PARAMS[name][1])
+                for point in samples:
+                    image = tuple(reference_eval_exact(c, point) for c in fm.components)
+                    for c in fm.components:
+                        self._check(c, point)
+                    for c in partner.components + (s.defining_poly,):
+                        self._check(c, image)
+                    evaluated += 1
+        assert evaluated == 20 * 74  # the 74 polynomial flows of the 27 surfaces
+
+    def test_builds_one_fraction(self, monkeypatch):
+        built = []
+        fraction_new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return fraction_new(cls, *args, **kwargs)
+
+        p = P("3/4 x^5 b - 2/9 a^2 y + 7/5 x b^3 - 1")
+        point = (Fraction(-3, 7), Fraction(5, 11), 2, Fraction(10**30 + 7, 3**60))
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        value = p.eval_exact(point)
+        monkeypatch.undo()
+        assert len(built) == 1
+        assert value == reference_eval_exact(p, point)
+
+    def test_sparse_high_power_is_fast(self):
+        # x^100000 + 1: a dense power table up to the degree does not fit the budget
+        p = P("x^100000 + 1")
+        start = time.perf_counter()
+        value = p.eval_exact((Fraction(1, 3), 0, 0, 0))
+        assert time.perf_counter() - start < 0.25
+        assert value == Fraction(3**100000 + 1, 3**100000)
 
 
 class TestGrading:
