@@ -327,6 +327,47 @@ def _direction_y(s: ModelSurface, pt) -> Tuple[float, float]:
     return (-s.p_b.eval_float(pt), 1.0)
 
 
+def _overflow_detail(detail: str, overflowed: int, total: int) -> str:
+    if not overflowed:
+        return detail
+    note = f"float overflow at {overflowed} of {total} samples"
+    return f"{detail}; {note}" if detail else note
+
+
+def _finite(compute: Callable[[], Sequence[float]]) -> Optional[Tuple[float, ...]]:
+    # the floats compute() returns, or None when a float step overflows:
+    # an OverflowError, or an inf or nan value
+    try:
+        values = tuple(compute())
+    except OverflowError:
+        return None
+    return values if all(math.isfinite(v) for v in values) else None
+
+
+def _proportionality(fm: FlowMap, fp: FloatPoint) -> Tuple[float, float, float, float]:
+    # pushforwards of X and Y at fp against the direction fields at the image
+    s = fm.surface
+    xy_block, ab_block = fm.float_jacobian(fp)
+    image = fm.apply_float(fp)
+    vx = _direction_x(s, fp)
+    push_x = (
+        xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
+        xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
+    )
+    target_x = _direction_x(s, image)
+    lam = push_x[0] / target_x[0]
+    res_x = abs(push_x[1] - lam * target_x[1])
+    vy = _direction_y(s, fp)
+    push_y = (
+        ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
+        ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
+    )
+    target_y = _direction_y(s, image)
+    mu = push_y[1] / target_y[1]
+    res_y = abs(push_y[0] - mu * target_y[0])
+    return lam, mu, res_x, res_y
+
+
 def verify_flow(
     fm: FlowMap,
     samples: Sequence[ExactPoint],
@@ -342,16 +383,27 @@ def verify_flow(
     mapped on by the group-law partner, so a check with a partner costs three
     ``apply_exact`` calls per point.  The radical EXP_VK is checked in
     floating point at the given tolerances.
+
+    A float step that overflows at a sample (a coordinate too large for a
+    float, or an inf or nan value) fails its check, whose detail names the
+    float overflow; a sample that does not convert to floats at all fails a
+    ``float_range`` check.  Neither is skipped silently.
     """
     s = fm.surface
     checks: List[FlowCheck] = []
     witnesses: List[ProportionalityWitness] = []
 
-    in_domain = []
+    in_domain = []  # (exact point, float point)
+    unconverted = 0
     for p in samples:
-        fp = tuple(float(v) for v in p)
-        if fm.domain_check(fp) is None:
-            in_domain.append(p)
+        fp = _finite(lambda: tuple(float(v) for v in p))
+        if fp is None:
+            unconverted += 1
+        elif fm.domain_check(fp) is None:
+            in_domain.append((p, fp))
+    if unconverted:
+        detail = _overflow_detail("", unconverted, len(samples))
+        checks.append(FlowCheck("float_range", False, False, None, detail))
     if not in_domain:
         checks.append(
             FlowCheck("surface_preservation", False, False, None, "no admissible samples")
@@ -360,7 +412,7 @@ def verify_flow(
 
     # (1) surface preservation
     if fm.is_polynomial:
-        images = [fm.apply_exact(p) for p in in_domain]
+        images = [fm.apply_exact(p) for p, _ in in_domain]
         worst = Fraction(0)
         ok = True
         for image in images:
@@ -373,55 +425,46 @@ def verify_flow(
         )
     else:
         worst_f = 0.0
-        for p in in_domain:
-            image = fm.apply_float(tuple(float(v) for v in p))
-            worst_f = max(worst_f, abs(s.defining_poly.eval_float(image)))
+        overflowed = 0
+        for _, fp in in_domain:
+            residual = _finite(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),))
+            if residual is None:
+                overflowed += 1
+            else:
+                worst_f = max(worst_f, abs(residual[0]))
         checks.append(
             FlowCheck(
                 "surface_preservation",
-                worst_f <= surface_tol,
+                worst_f <= surface_tol and not overflowed,
                 False,
                 worst_f,
-                f"tolerance {surface_tol:g}",
+                _overflow_detail(f"tolerance {surface_tol:g}", overflowed, len(in_domain)),
             )
         )
 
     # (2) para-CR property: pushforward proportional to the direction fields
     worst_prop = 0.0
     prop_ok = True
-    for p in in_domain:
-        fp = tuple(float(v) for v in p)
-        xy_block, ab_block = fm.float_jacobian(fp)
-        image = fm.apply_float(fp)
-        vx = _direction_x(s, fp)
-        push_x = (
-            xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
-            xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
-        )
-        target_x = _direction_x(s, image)
-        lam = push_x[0] / target_x[0]
-        res_x = abs(push_x[1] - lam * target_x[1])
-        vy = _direction_y(s, fp)
-        push_y = (
-            ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
-            ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
-        )
-        target_y = _direction_y(s, image)
-        mu = push_y[1] / target_y[1]
-        res_y = abs(push_y[0] - mu * target_y[0])
-        scale = 1.0 + abs(lam) + abs(mu)
-        worst_prop = max(worst_prop, res_x / scale, res_y / scale)
-        if lam == 0.0 or mu == 0.0:
+    overflowed = 0
+    for _, fp in in_domain:
+        values = _finite(lambda: _proportionality(fm, fp))
+        if values is None:
+            overflowed += 1
+            continue
+        w = ProportionalityWitness(fp, *values)
+        scale = 1.0 + abs(w.lam) + abs(w.mu)
+        worst_prop = max(worst_prop, w.x_residual / scale, w.y_residual / scale)
+        if w.lam == 0.0 or w.mu == 0.0:
             prop_ok = False
-        witnesses.append(ProportionalityWitness(fp, lam, mu, res_x, res_y))
-    prop_ok = prop_ok and worst_prop <= proportion_tol
+        witnesses.append(w)
+    prop_ok = prop_ok and worst_prop <= proportion_tol and not overflowed
     checks.append(
         FlowCheck(
             "para_cr_proportionality",
             prop_ok,
             False,
             worst_prop,
-            f"tolerance {proportion_tol:g}",
+            _overflow_detail(f"tolerance {proportion_tol:g}", overflowed, len(in_domain)),
         )
     )
 
@@ -435,7 +478,7 @@ def verify_flow(
         if fm.is_polynomial:
             ok = True
             worst = Fraction(0)
-            for p, image in zip(in_domain, images):
+            for (p, _), image in zip(in_domain, images):
                 two_step = partner.apply_exact(image)
                 one_step = combined.apply_exact(p)
                 diff = max(abs(u - v) for u, v in zip(two_step, one_step))
@@ -445,19 +488,28 @@ def verify_flow(
         else:
             worst_f = 0.0
             checked = 0
-            for p in in_domain:
-                fp = tuple(float(v) for v in p)
-                mid = fm.apply_float(fp)
+            overflowed = 0
+            for _, fp in in_domain:
+                mid = _finite(lambda: fm.apply_float(fp))
+                if mid is None:
+                    overflowed += 1
+                    continue
                 if partner.domain_check(mid) is not None or combined.domain_check(fp) is not None:
                     continue
-                two_step = partner.apply_float(mid)
-                one_step = combined.apply_float(fp)
-                worst_f = max(
-                    worst_f, max(abs(u - v) for u, v in zip(two_step, one_step))
+                diffs = _finite(
+                    lambda: [
+                        abs(u - v)
+                        for u, v in zip(partner.apply_float(mid), combined.apply_float(fp))
+                    ]
                 )
+                if diffs is None:
+                    overflowed += 1
+                    continue
+                worst_f = max(worst_f, max(diffs))
                 checked += 1
-            if checked:
-                ok, detail = worst_f <= surface_tol, f"tolerance {surface_tol:g}"
+            if checked or overflowed:
+                ok = worst_f <= surface_tol and not overflowed
+                detail = _overflow_detail(f"tolerance {surface_tol:g}", overflowed, len(in_domain))
                 checks.append(FlowCheck("group_law", ok, False, worst_f, detail))
             else:
                 detail = "no sample lies in the partner and combined flow domains"

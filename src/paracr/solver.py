@@ -9,9 +9,10 @@ columns are assembled slot by slot from powers (a+P)^j cached on the surface
 (see ``tangency_system``), with integral coefficients kept as plain ints.
 
 ``brute_force_check`` rebuilds the same linear system by evaluating the
-residual at random rational points (interpolation style) and runs an
-unrelated elimination routine; disagreement with ``solve_weight`` is a hard
-failure.
+residual at random rational points (interpolation style), each sampled row
+built over the integers at one common denominator of its point, and reduces
+it with an unrelated routine, the integer Gauss-Jordan; disagreement with
+``solve_weight`` is a hard failure.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -176,42 +178,81 @@ def _random_fraction(rng: random.Random) -> Fraction:
     return Fraction(num, den)
 
 
-def _surface_values(s: ModelSurface, x: Fraction, b: Fraction):
-    # P, P_x, P_b straight from the coefficient sequence, no Poly machinery
-    p = Fraction(0)
-    p_x = Fraction(0)
-    p_b = Fraction(0)
+def _surface_values(s: ModelSurface, x: Fraction, b: Fraction) -> Tuple[int, int, int, int]:
+    """Integer numerators of P, P_x and P_b at (x, b) over one denominator D.
+
+    With x = xn/xd, b = bn/bd, L the lcm of the gamma denominators and
+    G_i = gamma_i L, the denominator is D = L xd^k bd^k and
+    P D = sum G_i bn^i bd^(k-i) xn^(k-i) xd^i,
+    P_x D = sum G_i (k-i) bn^i bd^(k-i) xn^(k-i-1) xd^(i+1),
+    P_b D = sum G_i i bn^(i-1) bd^(k-i+1) xn^(k-i) xd^i.
+    Returns (P D, P_x D, P_b D, D), read off the coefficient sequence with
+    no Poly machinery.
+    """
     k = s.k
+    scale = lcm(*(g.denominator for g in s.gamma))
+    xn, xd = x.numerator, x.denominator
+    bn, bd = b.numerator, b.denominator
+    p = p_x = p_b = 0
     for i, g in enumerate(s.gamma, start=1):
-        if g == 0:
+        c = g.numerator * (scale // g.denominator)
+        if not c:
             continue
-        p += g * b**i * x ** (k - i)
-        if k - i >= 1:
-            p_x += g * (k - i) * b**i * x ** (k - i - 1)
-        p_b += g * i * b ** (i - 1) * x ** (k - i)
-    return p, p_x, p_b
+        xb = xn ** (k - i - 1) * xd**i * bn ** (i - 1) * bd ** (k - i)
+        p += c * xb * xn * bn
+        p_x += c * (k - i) * xb * xd * bn
+        p_b += c * i * xb * xn * bd
+    return p, p_x, p_b, scale * xd**k * bd**k
+
+
+def _power_table(n: int, d: int, top: int) -> List[int]:
+    # n^e d^(top-e) for e = 0..top: the powers of n/d over the one denominator d^top
+    num = [1]
+    den = [1]
+    for _ in range(top):
+        num.append(num[-1] * n)
+        den.append(den[-1] * d)
+    return [num[e] * den[top - e] for e in range(top + 1)]
 
 
 def _slot_values(
     unknowns: Sequence[Tuple[str, Exponents]],
+    maxima: Exponents,
     s: ModelSurface,
     x: Fraction,
     a: Fraction,
     b: Fraction,
-) -> List[Fraction]:
-    # residual eta - alpha - beta P_b - xi P_x of each unit field at one point
-    p, p_x, p_b = _surface_values(s, x, b)
-    y = a + p
+) -> List[int]:
+    """The residual eta - alpha - beta P_b - xi P_x of each unit field at one
+    point, times one positive integer common denominator of that point.
+
+    ``maxima`` holds the largest exponents (Ex, Ey, Ea, Eb) of x, y, a, b in
+    ``unknowns``.  The row is scaled by D xd^Ex yd^Ey ad^Ea bd^Eb, with D
+    from ``_surface_values`` and y = (an D + P D ad) / (ad D), so each entry
+    is a product of two power tables and one of four per-row multipliers.
+    A nonzero scale leaves the row's kernel unchanged.
+    """
+    ex_max, ey_max, ea_max, eb_max = maxima
+    p, p_x, p_b, d = _surface_values(s, x, b)
+    an, ad = a.numerator, a.denominator
+    tx = _power_table(x.numerator, x.denominator, ex_max)
+    ty = _power_table(an * d + p * ad, ad * d, ey_max)
+    ta = _power_table(an, ad, ea_max)
+    tb = _power_table(b.numerator, b.denominator, eb_max)
+    dxy = tx[0] * ty[0]  # xd^Ex yd^Ey
+    dab = ta[0] * tb[0]  # ad^Ea bd^Eb
+    eta, xi = dab * d, -p_x * dab
+    alpha, beta = -dxy * d, -p_b * dxy
     values = []
     for comp, (ex, ey, ea, eb) in unknowns:
         if comp == "eta":
-            values.append(x**ex * y**ey)
+            values.append(tx[ex] * ty[ey] * eta)
         elif comp == "xi":
-            values.append(-(x**ex * y**ey) * p_x)
+            values.append(tx[ex] * ty[ey] * xi)
         elif comp == "alpha":
-            values.append(-(a**ea * b**eb))
+            values.append(ta[ea] * tb[eb] * alpha)
         else:
-            values.append(-(a**ea * b**eb) * p_b)
+            values.append(ta[ea] * tb[eb] * beta)
     return values
 
 
@@ -219,8 +260,11 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
     """Interpolation-built kernel, compared against ``solve_weight``.
 
     The linear system is assembled from residual values at random rational
-    points instead of symbolic coefficient extraction, and reduced with the
-    Gauss-Jordan routine.  Dimension or span disagreement raises.
+    points instead of symbolic coefficient extraction: each sampled row is
+    built over the integers at one common denominator of its point
+    (``_slot_values``) and the rows are reduced with the integer Gauss-Jordan
+    routine.  The oracle uses none of the symbolic path's helpers.
+    Dimension or span disagreement raises.
     """
     symbolic = solve_weight(s, m)
     ansatz = build_ansatz(s, m)
@@ -233,10 +277,11 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
         return KernelBasis(m, (), (0, 0))
     rng = random.Random((_ORACLE_SEED, s.k, tuple(s.gamma), m).__repr__())
     npoints = 2 * t + 16
+    maxima = tuple(max(exp[v] for _, exp in ansatz.unknowns) for v in range(4))
     rows = []
     for _ in range(npoints):
         x, a, b = (_random_fraction(rng) for _ in range(3))
-        rows.append(_slot_values(ansatz.unknowns, s, x, a, b))
+        rows.append(_slot_values(ansatz.unknowns, maxima, s, x, a, b))
     kernel = linalg.nullspace_gauss_jordan(rows, t)
     if len(kernel) != symbolic.dimension:
         raise OracleMismatchError(
@@ -245,8 +290,10 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
         )
     symbolic_vectors = [ansatz.vector_from_field(f) for f in symbolic.basis]
     for vec in symbolic_vectors:
+        # primitive integer entries, kept sparse: (column, value) for each nonzero
+        support = [(j, int(c)) for j, c in enumerate(linalg.normalize_primitive(vec)) if c]
         for row in rows:
-            if sum(rv * cv for rv, cv in zip(row, vec)) != 0:
+            if sum(row[j] * c for j, c in support) != 0:
                 raise OracleMismatchError(
                     f"weight {m}: symbolic kernel vector fails a sampled equation"
                 )

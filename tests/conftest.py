@@ -3,10 +3,16 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from paracr.poly import Poly
 from paracr.surface import ModelSurface, ParaVectorField
+
+
+# CI runs `pytest --hypothesis-profile=ci`: fixed examples and no per-example
+# deadline, so a slow runner neither draws new inputs nor times out
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def binomial_gamma(k, delta=1, nu=1):

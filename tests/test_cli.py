@@ -353,3 +353,32 @@ class TestExitCodeMapping:
             "1e-30",
         )
         assert code == EXIT_FLOW
+
+
+class TestFloatOverflow:
+    """Gammas whose samples overflow a float end in a failed check, not a traceback."""
+
+    @pytest.mark.parametrize("command", ["analyze", "flows"])
+    @pytest.mark.parametrize("gamma", ["1e400,1", "1e300,1"])
+    def test_exit_flow_failure(self, capsys, command, gamma):
+        code, out, err = run(capsys, command, "--k", "3", "--gamma", gamma, "--format", "json")
+        assert (code, err) == (EXIT_FLOW, "")
+        payload = json.loads(out)
+        if command == "analyze":
+            jsonschema.validate(payload, ANALYSIS_REPORT_SCHEMA)
+            verifications = payload["flow_verification"]
+        else:
+            verifications = payload["flows"]
+        failed = [v for v in verifications if not v["passed"]]
+        assert failed
+        for v in failed:
+            assert any("float overflow at" in c["detail"] for c in v["checks"] if not c["passed"])
+
+    @pytest.mark.parametrize("big", [10**400, 10**300], ids=["1e400", "1e300"])
+    def test_report_analyze(self, big):
+        rep = analyze(3, (Fraction(big), 1), flow_samples=6)
+        assert not rep.flows_passed
+        failed = [v for v in rep.flow_verifications if not v.passed]
+        assert failed
+        for v in failed:
+            assert any("float overflow at" in c.detail for c in v.checks if not c.passed)

@@ -182,6 +182,67 @@ class TestVerifyFlow:
         assert calls.count(param) == n and calls.count(partner) == n
 
 
+
+class TestFloatOverflow:
+    """A float step that overflows fails its check by name, never silently."""
+
+    HUGE = BINO.point_from_xab(1, 10**400, 1)  # a does not fit a float
+
+    def check(self, ver, name):
+        (c,) = [c for c in ver.checks if c.check == name]
+        return c
+
+    def test_unconvertible_sample_fails_float_range(self):
+        ver = verify_flow(flow(EXP_VMK, BINO, 1), [self.HUGE], group_partner=2)
+        assert not ver.passed
+        float_range = self.check(ver, "float_range")
+        assert not float_range.passed and float_range.max_residual is None
+        assert float_range.detail == "float overflow at 1 of 1 samples"
+        # the point is dropped, and a check with no point left still fails
+        assert self.check(ver, "surface_preservation").detail == "no admissible samples"
+
+    def test_other_samples_are_still_checked(self):
+        samples = sample_on_surface(BINO, 4) + [self.HUGE]
+        ver = verify_flow(flow(EXP_VM1, BINO, Fraction(1, 10)), samples, Fraction(1, 7))
+        assert not ver.passed
+        assert self.check(ver, "float_range").detail == "float overflow at 1 of 5 samples"
+        others = [c for c in ver.checks if c.check != "float_range"]
+        assert [c.check for c in others] == [
+            "surface_preservation",
+            "para_cr_proportionality",
+            "group_law",
+        ]
+        assert all(c.passed for c in others)
+        assert len(ver.witnesses) == 4
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            # x^3 overflows a float power: OverflowError
+            GEN.point_from_xab(10**155, 0, Fraction(1, 10**400)),
+            # 3 x^2 overflows to inf and P_b to nan, which a max() would drop
+            GEN.point_from_xab(13 * 10**153, 0, Fraction(1, 10**300)),
+        ],
+        ids=["overflow-error", "inf-and-nan"],
+    )
+    @pytest.mark.parametrize("name, param", [(EXP_VMK, 1), (EXP_V0, 2)])
+    def test_overflow_in_a_check_fails_it(self, point, name, param):
+        ver = verify_flow(flow(name, GEN, param), [point])
+        assert not ver.passed
+        prop = self.check(ver, "para_cr_proportionality")
+        assert not prop.passed
+        assert prop.detail == "tolerance 1e-09; float overflow at 1 of 1 samples"
+        assert ver.witnesses == ()
+
+    def test_radical_flow_surface_check_overflow(self):
+        point = MONO.point_from_xab(10**160, Fraction(1, 10**300), Fraction(1, 10**320))
+        ver = verify_flow(flow(EXP_VK, MONO, Fraction(1, 10)), [point], Fraction(1, 7))
+        surface_check = self.check(ver, "surface_preservation")
+        assert not surface_check.passed and not surface_check.exact
+        assert surface_check.detail == "tolerance 1e-09; float overflow at 1 of 1 samples"
+        assert not ver.passed
+
+
 class TestGeneratorConsistency:
     def test_exact_derivative_at_zero_additive(self):
         # polynomial-in-t flows: exact divided-difference derivative at t=0

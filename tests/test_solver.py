@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from paracr import solver
+from paracr import linalg, solver, surface
 from paracr.poly import Poly, order_key
 from paracr.surface import ModelSurface, tangency_residual, weight_of
 from paracr.solver import (
@@ -20,7 +20,13 @@ from paracr.solver import (
     tangency_system,
     vertical_translation,
 )
-from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
+from conftest import (
+    binomial_gamma,
+    k_ladder_surfaces,
+    monomial_gamma,
+    rational_gamma_surfaces,
+    suite_surfaces,
+)
 
 
 def P(text):
@@ -208,6 +214,194 @@ class TestOracleMismatch:
         self.use_basis(monkeypatch, lambda basis: (basis[0], basis[0]))
         with pytest.raises(OracleMismatchError, match="spans differ"):
             brute_force_check(self.S, self.M)
+
+
+def reference_surface_values(s, x, b):
+    # the Fraction evaluation the integer rows replaced, kept verbatim
+    p = Fraction(0)
+    p_x = Fraction(0)
+    p_b = Fraction(0)
+    k = s.k
+    for i, g in enumerate(s.gamma, start=1):
+        if g == 0:
+            continue
+        p += g * b**i * x ** (k - i)
+        if k - i >= 1:
+            p_x += g * (k - i) * b**i * x ** (k - i - 1)
+        p_b += g * i * b ** (i - 1) * x ** (k - i)
+    return p, p_x, p_b
+
+
+def reference_slot_values(unknowns, s, x, a, b):
+    # residual eta - alpha - beta P_b - xi P_x of each unit field at one point
+    p, p_x, p_b = reference_surface_values(s, x, b)
+    y = a + p
+    values = []
+    for comp, (ex, ey, ea, eb) in unknowns:
+        if comp == "eta":
+            values.append(x**ex * y**ey)
+        elif comp == "xi":
+            values.append(-(x**ex * y**ey) * p_x)
+        elif comp == "alpha":
+            values.append(-(a**ea * b**eb))
+        else:
+            values.append(-(a**ea * b**eb) * p_b)
+    return values
+
+
+def exponent_maxima(unknowns):
+    return tuple(max(exp[v] for _, exp in unknowns) for v in range(4))
+
+
+def oracle_points(s, m, count):
+    """The first ``count`` points ``brute_force_check`` draws at weight m."""
+    rng = random.Random((solver._ORACLE_SEED, s.k, tuple(s.gamma), m).__repr__())
+    return [tuple(solver._random_fraction(rng) for _ in range(3)) for _ in range(count)]
+
+
+def surface_id(s):
+    return f"k{s.k}-" + ",".join(str(g) for g in s.gamma)
+
+
+# the k ladder up to k = 12 keeps the test near 2 s; k = 16 and 20 would add 1.5 s
+ORACLE_ROW_SURFACES = (
+    suite_surfaces()
+    + rational_gamma_surfaces()
+    + [s for s in k_ladder_surfaces() if s.k <= 12]
+)
+
+HAND_PICKED_POINTS = [
+    (Fraction(0), Fraction(3, 4), Fraction(-2, 5)),  # x = 0
+    (Fraction(-7, 3), Fraction(0), Fraction(5, 2)),  # a = 0
+    (Fraction(9, 4), Fraction(-1, 3), Fraction(0)),  # b = 0
+    (Fraction(0), Fraction(0), Fraction(0)),
+    (Fraction(-9, 5), Fraction(-7, 4), Fraction(-2, 3)),  # negative numerators
+    (Fraction(-1), Fraction(-8, 3), Fraction(-5)),
+]
+
+
+class TestOracleRows:
+    """Integer oracle rows are positive multiples of the Fraction rows."""
+
+    def assert_positive_multiple(self, row, reference):
+        assert len(row) == len(reference)
+        assert all(type(v) is int for v in row)
+        nonzero = [j for j, r in enumerate(reference) if r != 0]
+        if not nonzero:
+            assert not any(row)
+            return
+        c = Fraction(row[nonzero[0]]) / reference[nonzero[0]]
+        assert c > 0
+        assert [Fraction(v) for v in row] == [c * r for r in reference]
+
+    @pytest.mark.parametrize("s", ORACLE_ROW_SURFACES, ids=surface_id)
+    def test_seeded_points(self, s):
+        for m in range(-s.k, 3 * s.k + 1):
+            unknowns = build_ansatz(s, m).unknowns
+            if not unknowns:
+                continue
+            maxima = exponent_maxima(unknowns)
+            for x, a, b in oracle_points(s, m, 5) + HAND_PICKED_POINTS:
+                self.assert_positive_multiple(
+                    solver._slot_values(unknowns, maxima, s, x, a, b),
+                    reference_slot_values(unknowns, s, x, a, b),
+                )
+
+    @pytest.mark.parametrize(
+        "s",
+        [ModelSurface(4, binomial_gamma(4, 2, 3)), ModelSurface(6, (0, 1, 0, 1, 0))]
+        + rational_gamma_surfaces(),
+        ids=surface_id,
+    )
+    def test_same_kernel_basis_as_reference_rows(self, s, monkeypatch):
+        weights = range(-s.k, 3 * s.k + 1)
+        integer = [brute_force_check(s, m) for m in weights]
+        monkeypatch.setattr(
+            solver,
+            "_slot_values",
+            lambda unknowns, maxima, s, x, a, b: reference_slot_values(unknowns, s, x, a, b),
+        )
+        assert [brute_force_check(s, m) for m in weights] == integer
+
+
+class TestOracleIndependence:
+    """The oracle shares no code with the symbolic path it checks."""
+
+    SYMBOLIC_HELPERS = [
+        (solver, "tangency_system"),
+        (ModelSurface, "y_power"),
+        (surface, "exact_terms"),
+        (solver, "exact_terms"),
+        (surface, "multiply_terms"),
+        (solver, "multiply_terms"),
+        (Poly, "eval_exact"),
+        (linalg, "nullspace_modular"),
+        (linalg, "nullspace_bareiss"),
+    ]
+
+    def spy(self, monkeypatch):
+        calls = {}
+        for owner, name in self.SYMBOLIC_HELPERS:
+            key = f"{owner.__name__}.{name}"
+            calls[key] = 0
+            original = getattr(owner, name)
+
+            def counted(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "s", [ModelSurface(5, binomial_gamma(5, 2, 3))] + rational_gamma_surfaces()[:1],
+        ids=surface_id,
+    )
+    def test_oracle_calls_no_symbolic_helper(self, s, monkeypatch):
+        weights = range(-s.k, 3 * s.k + 1)
+        for m in weights:
+            solve_weight(s, m)
+        calls = self.spy(monkeypatch)
+        for m in weights:
+            brute_force_check(s, m)
+        assert calls == dict.fromkeys(calls, 0)
+
+    def test_spies_see_the_symbolic_path(self, monkeypatch):
+        # control: the same spies do count the uncached symbolic solve
+        s = ModelSurface(4, binomial_gamma(4, 2, 3))
+        calls = self.spy(monkeypatch)
+        solve_weight.__wrapped__(s, 0)
+        for key in (
+            "paracr.solver.tangency_system",
+            "ModelSurface.y_power",
+            "paracr.solver.exact_terms",
+            "paracr.solver.multiply_terms",
+            "paracr.linalg.nullspace_modular",
+        ):
+            assert calls[key] > 0, key
+
+
+class TestOracleBudget:
+    # With integer rows the 84 weights take 0.38-0.63 s (0.92-1.03 s with the
+    # Fraction rows) on a 2-vCPU Xeon under Python 3.11; the budget is 3x 0.63 s.
+    BUDGET_S = 1.9
+
+    def test_oracle_workload_weights(self):
+        surfaces = [
+            ModelSurface(5, monomial_gamma(5, 2)),
+            ModelSurface(5, binomial_gamma(5, 2, 3)),
+            ModelSurface(6, (0, 1, 0, 1, 0)),
+            ModelSurface(4, monomial_gamma(4, 3)),
+        ]
+        pairs = [(s, m) for s in surfaces for m in range(-s.k, 3 * s.k + 1)]
+        assert len(pairs) == 84
+        for s, m in pairs:
+            solve_weight(s, m)
+        start = time.perf_counter()
+        for s, m in pairs:
+            brute_force_check(s, m)
+        elapsed = time.perf_counter() - start
+        assert elapsed < self.BUDGET_S, f"oracle took {elapsed:.2f}s, budget {self.BUDGET_S}s"
 
 
 class TestSolveAlgebra:
