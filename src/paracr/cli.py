@@ -18,7 +18,7 @@ from typing import Callable, List, Optional
 
 from . import flows as flows_mod
 from . import report as report_mod
-from .report import describe_locus, describe_type
+from .report import describe_locus, describe_type, fail_detail
 from .embedding import EmbeddingError, solve_embedding
 from .normalform import (
     DefiningFunction,
@@ -91,7 +91,8 @@ def build_parser() -> _Parser:
 
     def add_tolerance_flag(p):
         p.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                       help="limit of EXP_VK's float surface and group-law checks, "
+                       help="absolute limit of every float check of a flow (para-CR "
+                            "proportionality; EXP_VK's surface and group law), "
                             "finite and >= 0; default 1e-9")
 
     p = sub.add_parser("analyze", help="full pipeline report")
@@ -245,7 +246,7 @@ def _flows_text(d: dict) -> str:
         for c in v["checks"]:
             status = "pass" if c["passed"] else "FAIL"
             residual = "none" if c["max_residual"] is None else f"{c['max_residual']:.3e}"
-            lines.append(f"  {c['check']}: {status} (max residual {residual})")
+            lines.append(f"  {c['check']}: {status} (max residual {residual}){fail_detail(c)}")
     return "\n".join(lines) + "\n"
 
 

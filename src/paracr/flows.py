@@ -9,8 +9,10 @@ a + b^k - 2(b+t)^k, b + t) is not even the identity at t = 0 and fails the
 integration oracle, so it is kept only as an audited negative (see
 ``vm1_transcription_mismatch``).
 
-Polynomial flows are checked exactly; the root-taking EXP_VK is checked in
-floating point against explicit tolerances and the RK4 oracle.
+Polynomial flows preserve the surface and obey the group law exactly; the
+para-CR proportionality of every flow, and every check of the root-taking
+EXP_VK, run in floating point against one tolerance, and EXP_VK also against
+the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -372,8 +374,7 @@ def verify_flow(
     fm: FlowMap,
     samples: Sequence[ExactPoint],
     group_partner=None,
-    surface_tol: float = 1e-9,
-    proportion_tol: float = 1e-9,
+    tolerance: float = 1e-9,
 ) -> FlowVerification:
     """Check surface preservation, para-CR proportionality and the group law.
 
@@ -381,8 +382,9 @@ def verify_flow(
     integers at a common denominator (``Poly.eval_exact``): the image of each
     admitted point is computed once, tested on the defining polynomial, and
     mapped on by the group-law partner, so a check with a partner costs three
-    ``apply_exact`` calls per point.  The radical EXP_VK is checked in
-    floating point at the given tolerances.
+    ``apply_exact`` calls per point.  The para-CR proportionality of every
+    flow, and the surface and group-law checks of the radical EXP_VK, run in
+    floating point against the one absolute ``tolerance``.
 
     A float step that overflows at a sample (a coordinate too large for a
     float, or an inf or nan value) fails its check, whose detail names the
@@ -435,10 +437,10 @@ def verify_flow(
         checks.append(
             FlowCheck(
                 "surface_preservation",
-                worst_f <= surface_tol and not overflowed,
+                worst_f <= tolerance and not overflowed,
                 False,
                 worst_f,
-                _overflow_detail(f"tolerance {surface_tol:g}", overflowed, len(in_domain)),
+                _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
             )
         )
 
@@ -457,14 +459,14 @@ def verify_flow(
         if w.lam == 0.0 or w.mu == 0.0:
             prop_ok = False
         witnesses.append(w)
-    prop_ok = prop_ok and worst_prop <= proportion_tol and not overflowed
+    prop_ok = prop_ok and worst_prop <= tolerance and not overflowed
     checks.append(
         FlowCheck(
             "para_cr_proportionality",
             prop_ok,
             False,
             worst_prop,
-            _overflow_detail(f"tolerance {proportion_tol:g}", overflowed, len(in_domain)),
+            _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
         )
     )
 
@@ -508,8 +510,8 @@ def verify_flow(
                 worst_f = max(worst_f, max(diffs))
                 checked += 1
             if checked or overflowed:
-                ok = worst_f <= surface_tol and not overflowed
-                detail = _overflow_detail(f"tolerance {surface_tol:g}", overflowed, len(in_domain))
+                ok = worst_f <= tolerance and not overflowed
+                detail = _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain))
                 checks.append(FlowCheck("group_law", ok, False, worst_f, detail))
             else:
                 detail = "no sample lies in the partner and combined flow domains"

@@ -219,21 +219,10 @@ def _ad_eigenvalue_data(
     d = len(derived_basis)
     if d != n - 1 or d == 0 or d > 2:
         return None
-    h = None
-    for e in _basis_vectors(n):
-        if linalg.solve_in_span(derived_basis, e) is None:
-            h = e
-            break
-    if h is None:
-        return None
-    ad = [[Fraction(0)] * d for _ in range(d)]
-    for j in range(d):
-        w = sc.bracket_vec(h, derived_basis[j])
-        coeffs = linalg.solve_in_span(derived_basis, w)
-        if coeffs is None:
-            return None
-        for i in range(d):
-            ad[i][j] = coeffs[i]
+    h = next(e for e in _basis_vectors(n) if linalg.solve_in_span(derived_basis, e) is None)
+    # [h, e_j] = sum_i table[d][j][i] e_i in the basis derived_basis + [h]
+    table = restrict_to_subalgebra(sc, list(derived_basis) + [h]).table
+    ad = [[table[d][j][i] for j in range(d)] for i in range(d)]
     eigenvalues = _matrix_eigenvalues(ad)
     if eigenvalues is None or any(v == 0 for v in eigenvalues):
         return None

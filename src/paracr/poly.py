@@ -145,14 +145,6 @@ class Poly:
             return 0
         return max(exp[i] for exp in self._terms)
 
-    def variables(self) -> frozenset:
-        present = set()
-        for exp in self._terms:
-            for name, i in _VAR_INDEX.items():
-                if exp[i] > 0:
-                    present.add(name)
-        return frozenset(present)
-
     def uses_only(self, allowed: Iterable[str]) -> bool:
         allowed_idx = {_VAR_INDEX[v] for v in allowed}
         banned = [i for i in range(4) if i not in allowed_idx]

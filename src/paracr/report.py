@@ -172,9 +172,7 @@ def verify_flows(
         param, partner = _FLOW_PARAMS[name]
         fm = flows_mod.flow(name, surface, param)
         verifications.append(
-            flows_mod.verify_flow(
-                fm, samples, group_partner=partner, surface_tol=tolerance
-            )
+            flows_mod.verify_flow(fm, samples, group_partner=partner, tolerance=tolerance)
         )
     return tuple(verifications)
 
@@ -358,11 +356,17 @@ def render_report(d: Dict) -> str:
             residual = "none" if c["max_residual"] is None else f"{c['max_residual']:.3e}"
             lines.append(
                 f"  {c['check']}: {'pass' if c['passed'] else 'FAIL'} "
-                f"({mode}, max residual {residual})"
+                f"({mode}, max residual {residual}){fail_detail(c)}"
             )
     for w in d["warnings"]:
         lines.append(f"warning: {w}")
     return "\n".join(lines) + "\n"
+
+
+def fail_detail(c: Dict) -> str:
+    """The suffix of a check's text line: ": <detail>" when it failed with a
+    detail, else empty, so pass lines read as before."""
+    return f": {c['detail']}" if not c["passed"] and c["detail"] else ""
 
 
 def _describe_case(c: Dict) -> str:

@@ -341,35 +341,29 @@ class SymmetryAlgebra:
         return tuple(f for _, f in self.generators)
 
 
-def _field_keys(fields: Sequence[ParaVectorField]) -> List[Tuple[int, Exponents]]:
-    keys = set()
-    for f in fields:
-        for ci, comp in enumerate(f.components()):
-            for exp, _ in comp.items():
-                keys.add((ci, exp))
-    return sorted(keys, key=lambda key: (key[0], order_key(key[1])))
-
-
-def _vectorize(f: ParaVectorField, keys: Sequence[Tuple[int, Exponents]]) -> Tuple[Fraction, ...]:
-    comps = f.components()
-    return tuple(comps[ci].coefficient(exp) for ci, exp in keys)
-
-
 def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> SymmetryAlgebra:
     """Kernel bases for every weight in [-k, weight_cap] plus brackets.
 
-    Structure constants are found by expressing each pairwise bracket in the
-    generator basis with an exact linear solve.  A bracket outside the span
-    is recorded as a closure violation, not dropped.
+    The algebra is graded, [g_u, g_w] in g_(u+w), so brackets are solved per
+    weight: a nonzero bracket of generators of weights u and w is written in
+    the ansatz coordinates of weight u + w, solved exactly against that
+    weight's kernel basis alone, and its coefficients fill that weight's
+    block of the table row.  A bracket whose weight lies outside
+    [-k, weight_cap], that has a term outside the ansatz, or that lies outside
+    the span is recorded as a closure violation, not dropped.
     """
     if weight_cap is None:
         weight_cap = 3 * s.k
     if weight_cap < s.k:
         raise ValueError(f"weight_cap must be at least k={s.k}, got {weight_cap}")
     generators: List[Tuple[int, ParaVectorField]] = []
+    # weight -> (ansatz, index of its first generator, basis in ansatz coordinates)
+    blocks: Dict[int, Tuple[WeightAnsatz, int, List[Tuple[Fraction, ...]]]] = {}
     for m in range(-s.k, weight_cap + 1):
-        for f in solve_weight(s, m).basis:
-            generators.append((m, f))
+        ansatz = build_ansatz(s, m)
+        basis = solve_weight(s, m).basis
+        blocks[m] = (ansatz, len(generators), [ansatz.vector_from_field(f) for f in basis])
+        generators.extend((m, f) for f in basis)
     fields = [f for _, f in generators]
     n = len(fields)
     zero_row = tuple(Fraction(0) for _ in range(n))
@@ -380,16 +374,20 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
             br = fields[i].bracket(fields[j])
             if br.is_zero:
                 continue
-            keys = _field_keys(fields + [br])
-            basis_vectors = [_vectorize(f, keys) for f in fields]
-            coeffs = linalg.solve_in_span(basis_vectors, _vectorize(br, keys))
+            w = generators[i][0] + generators[j][0]
+            coeffs = None
+            if w in blocks:
+                ansatz, start, basis_vectors = blocks[w]
+                vec = ansatz.vector_from_field(br)
+                if ansatz.field_from_vector(vec) == br:
+                    coeffs = linalg.solve_in_span(basis_vectors, vec)
             if coeffs is None:
-                violations.append(
-                    ClosureViolation(i, j, generators[i][0] + generators[j][0])
-                )
+                violations.append(ClosureViolation(i, j, w))
                 continue
-            table[i][j] = tuple(coeffs)
-            table[j][i] = tuple(-c for c in coeffs)
+            row = list(zero_row)
+            row[start : start + len(coeffs)] = coeffs
+            table[i][j] = tuple(row)
+            table[j][i] = tuple(-c for c in row)
     return SymmetryAlgebra(
         surface=s,
         weight_cap=weight_cap,

@@ -158,9 +158,6 @@ class ParaVectorField:
         z = Poly.zero()
         return ParaVectorField(z, z, z, z)
 
-    def components(self) -> Tuple[Poly, Poly, Poly, Poly]:
-        return (self.alpha, self.beta, self.xi, self.eta)
-
     @property
     def is_zero(self) -> bool:
         return (

@@ -195,7 +195,7 @@ def test_criterion_07_flows():
                         flow(EXP_VK, s, t),
                         samples,
                         group_partner=Fraction(1, 7),
-                        surface_tol=1e-9,
+                        tolerance=1e-9,
                     )
                     assert ver.passed, (s.gamma, t, ver)
             if det.kind == BINOMIAL:

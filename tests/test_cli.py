@@ -196,9 +196,19 @@ class TestUsageErrors:
     @pytest.mark.parametrize("command", ["analyze", "flows"])
     @pytest.mark.parametrize("value", ["0", "1e-9", "1e300"])
     def test_tolerance_bounds_allowed(self, capsys, command, value):
-        # binomial k=3 has only exact flows, so tolerance 0 passes too
-        code, _, _ = run(capsys, command, "--k", "3", "--gamma", "3,3", "--tolerance", value)
+        # the generic k=4 flows have float residual exactly 0, so tolerance 0 passes too
+        code, _, _ = run(capsys, command, "--k", "4", "--gamma", "1,0,1", "--tolerance", value)
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("command", ["analyze", "flows"])
+    def test_zero_tolerance_reaches_proportionality(self, capsys, command):
+        # EXP_Vm1's float proportionality residual on binomial k=3 is about 2e-15
+        code, out, _ = run(capsys, command, "--k", "3", "--gamma", "3,3", "--tolerance", "0")
+        assert code == EXIT_FLOW
+        fail_lines = [line for line in out.splitlines() if line.startswith("  ") and ": FAIL" in line]
+        assert len(fail_lines) == 1
+        assert "para_cr_proportionality: FAIL" in fail_lines[0]
+        assert fail_lines[0].endswith(": tolerance 0")
 
 
 class TestDashValues:
@@ -373,6 +383,15 @@ class TestFloatOverflow:
         assert failed
         for v in failed:
             assert any("float overflow at" in c["detail"] for c in v["checks"] if not c["passed"])
+
+    @pytest.mark.parametrize("command", ["analyze", "flows"])
+    def test_text_names_the_overflow(self, capsys, command):
+        code, out, err = run(capsys, command, "--k", "3", "--gamma", "1e400,1")
+        assert (code, err) == (EXIT_FLOW, "")
+        fail_lines = [line for line in out.splitlines() if line.startswith("  ") and ": FAIL" in line]
+        assert fail_lines
+        for line in fail_lines:
+            assert "float overflow at" in line, line
 
     @pytest.mark.parametrize("big", [10**400, 10**300], ids=["1e400", "1e300"])
     def test_report_analyze(self, big):

@@ -183,6 +183,24 @@ class TestVerifyFlow:
 
 
 
+class TestFlowTolerance:
+    """One ``tolerance`` limits every float check, proportionality included."""
+
+    def test_binomial_k10_vm1_proportionality(self):
+        s = ModelSurface(10, binomial_gamma(10))
+        samples = sample_on_surface(s, 20)
+        fm = flow(EXP_VM1, s, Fraction(1, 10))
+        tight = verify_flow(fm, samples, group_partner=Fraction(1, 7), tolerance=1e-9)
+        loose = verify_flow(fm, samples, group_partner=Fraction(1, 7), tolerance=1e-7)
+        prop = [c for c in tight.checks if c.check == "para_cr_proportionality"][0]
+        assert not tight.passed and not prop.passed
+        assert 1e-9 < prop.max_residual < 1e-7
+        assert prop.detail == "tolerance 1e-09"
+        assert loose.passed
+        prop = [c for c in loose.checks if c.check == "para_cr_proportionality"][0]
+        assert prop.detail == "tolerance 1e-07"
+
+
 class TestFloatOverflow:
     """A float step that overflows fails its check by name, never silently."""
 

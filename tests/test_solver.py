@@ -437,6 +437,131 @@ class TestSolveAlgebra:
                         assert alg.weights[l] == target
 
 
+def _field_keys(fields):
+    keys = set()
+    for f in fields:
+        for ci, comp in enumerate((f.alpha, f.beta, f.xi, f.eta)):
+            for exp, _ in comp.items():
+                keys.add((ci, exp))
+    return sorted(keys, key=lambda key: (key[0], order_key(key[1])))
+
+
+def _vectorize(f, keys):
+    comps = (f.alpha, f.beta, f.xi, f.eta)
+    return tuple(comps[ci].coefficient(exp) for ci, exp in keys)
+
+
+def reference_bracket_table(s, weight_cap):
+    """Structure constants and closure violations from the global-span loop:
+    each bracket is expressed against every generator at once, in keys
+    collected from all fields and the bracket."""
+    generators = []
+    for m in range(-s.k, weight_cap + 1):
+        for f in solver.solve_weight(s, m).basis:
+            generators.append((m, f))
+    fields = [f for _, f in generators]
+    n = len(fields)
+    zero_row = tuple(Fraction(0) for _ in range(n))
+    table = [[zero_row] * n for _ in range(n)]
+    violations = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            br = fields[i].bracket(fields[j])
+            if br.is_zero:
+                continue
+            keys = _field_keys(fields + [br])
+            basis_vectors = [_vectorize(f, keys) for f in fields]
+            coeffs = linalg.solve_in_span(basis_vectors, _vectorize(br, keys))
+            if coeffs is None:
+                violations.append(
+                    solver.ClosureViolation(i, j, generators[i][0] + generators[j][0])
+                )
+                continue
+            table[i][j] = tuple(coeffs)
+            table[j][i] = tuple(-c for c in coeffs)
+    return tuple(tuple(row) for row in table), tuple(violations)
+
+
+# the benchmark's weight ladder: binomial, boundary monomial and generic at cap 32
+WEIGHT_LADDER_SURFACES = [
+    ModelSurface(3, (3, 3)),
+    ModelSurface(3, (1, 0)),
+    ModelSurface(4, (1, 0, 1)),
+]
+
+
+GRADED_CASES = [
+    (s, cap)
+    for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces()
+    for cap in (s.k, 2 * s.k, 3 * s.k)
+] + [(s, 32) for s in WEIGHT_LADDER_SURFACES]
+
+
+class TestGradedBrackets:
+    """Brackets solved per weight give the global-span loop's table and violations."""
+
+    def assert_matches_reference(self, s, cap):
+        alg = solve_algebra(s, cap)
+        table, violations = reference_bracket_table(s, cap)
+        assert alg.structure_constants == table
+        assert alg.closure_violations == violations
+        return alg
+
+    @pytest.mark.parametrize(
+        "s, cap", GRADED_CASES, ids=[f"{surface_id(s)}-cap{cap}" for s, cap in GRADED_CASES]
+    )
+    def test_same_table_as_global_span(self, s, cap):
+        alg = self.assert_matches_reference(s, cap)
+        assert alg.closure_violations == ()
+
+    def test_weight_basis_misses_bracket(self, monkeypatch):
+        # dropping a weight-0 generator of the monomial k=4 algebra leaves
+        # [translation, special conformal] outside the weight-0 span
+        real = solver.solve_weight
+
+        def patched(s, m):
+            kb = real(s, m)
+            return KernelBasis(m, kb.basis[:1], kb.system_shape) if m == 0 else kb
+
+        monkeypatch.setattr(solver, "solve_weight", patched)
+        s = ModelSurface(4, (0, 1, 0))
+        alg = self.assert_matches_reference(s, 4)
+        assert alg.closure_violations
+        assert all(-4 <= v.weight_sum <= 4 for v in alg.closure_violations)
+
+    def test_bracket_weight_above_cap(self, monkeypatch):
+        # an extra field at the cap brackets with the weight-k generator to weight 2k
+        real = solver.solve_weight
+        s = ModelSurface(4, (0, 1, 0))
+        extra = build_ansatz(s, 4).unit_field(0)
+
+        def patched(s, m):
+            kb = real(s, m)
+            return KernelBasis(m, kb.basis + (extra,), kb.system_shape) if m == 4 else kb
+
+        monkeypatch.setattr(solver, "solve_weight", patched)
+        alg = self.assert_matches_reference(s, 4)
+        assert any(v.weight_sum > 4 for v in alg.closure_violations)
+
+    def test_term_outside_ansatz_is_a_violation(self, monkeypatch):
+        # a weight-0 "generator" with a stray a^2 d_a: its bracket with the
+        # translation d_a + d_y has the term 2a d_a outside the weight -4 ansatz,
+        # while the rest, the bracket with the grading field, lies in the span
+        real = solver.solve_weight
+        s = ModelSurface(4, (0, 1, 0))
+        stray = grading_field(4)
+        stray = surface.ParaVectorField(stray.alpha + P("a^2"), stray.beta, stray.xi, stray.eta)
+
+        def patched(s, m):
+            kb = real(s, m)
+            return KernelBasis(m, (stray,), kb.system_shape) if m == 0 else kb
+
+        monkeypatch.setattr(solver, "solve_weight", patched)
+        alg = solve_algebra(s, 4)
+        i, j = alg.weights.index(-4), alg.weights.index(0)
+        assert solver.ClosureViolation(i, j, -4) in alg.closure_violations
+
+
 class TestInvariances:
     def test_rescaling_invariance(self):
         rng = random.Random(31)
