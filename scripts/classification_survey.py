@@ -28,7 +28,7 @@ def survey(k: int, max_coeff: int):
         s = ModelSurface(k, gamma)
         det = detect_case(s)
         locus = singular_locus(s)
-        alg = solve_algebra(s, weight_cap=2 * k)
+        alg = solve_algebra(s)
         label = classify(profile(structure_constants(alg))).label
         rows.append((gamma, det.kind, locus.kind, alg.dimension, label))
     return rows

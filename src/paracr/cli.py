@@ -36,8 +36,11 @@ EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
 MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs for minutes
-MAX_K = 40  # generic analyze takes about 1.6 s at k = 40 and 12 s at k = 60
+MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200
+# --phi and --psi exponents: finite-type expands (a - g)^N, 0.45 s at a^200 and 8.5 s
+# at a^1000; x^N b takes 0.6 s at N = 10^5 and 42.5 s at 10^7
+MAX_EXPONENT = 200
 # flags whose values may start with "-", as in --gamma -1,1 or --phi "-x^3"
 _DASH_VALUE_FLAGS = ("--gamma", "--phi", "--psi")
 
@@ -97,7 +100,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
-    p.add_argument("--weight-cap", type=int, default=None, help="in [k, 12k]; default 3k")
+    p.add_argument("--weight-cap", type=int, default=None,
+                   help="in [k, 12k]; default: scan until the algebra is proved complete")
     add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -107,7 +111,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("finite-type", help="type detection for y = a + phi")
-    p.add_argument("--phi", type=str, required=True)
+    p.add_argument("--phi", type=str, required=True,
+                   help=f"polynomial in x, a, b; exponents at most {MAX_EXPONENT}")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("singular-locus", help="zero locus trichotomy of P_xb")
@@ -115,7 +120,8 @@ def build_parser() -> _Parser:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("embed", help="series solution of the transport problem")
-    p.add_argument("--psi", type=str, required=True)
+    p.add_argument("--psi", type=str, required=True,
+                   help=f"polynomial in x, a, b; exponents at most {MAX_EXPONENT}")
     p.add_argument("--order", type=int, default=8, help=f"series order, in [1, {MAX_ORDER}]")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -136,6 +142,14 @@ def _emit(payload: dict, render: Callable[[dict], str], fmt: str) -> None:
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         print(render(payload), end="")
+
+
+def _poly_flag(flag: str, text: str) -> Poly:
+    p = Poly.parse(text)
+    top = max((max(exp) for exp, _ in p.items()), default=0)
+    if top > MAX_EXPONENT:
+        raise UsageError(f"{flag} exponents must be at most {MAX_EXPONENT}, got {top}")
+    return p
 
 
 def _surface(args) -> ModelSurface:
@@ -208,7 +222,7 @@ def _type_text(d: dict) -> str:
 
 
 def _cmd_finite_type(args) -> int:
-    result = finite_type(DefiningFunction(Poly.parse(args.phi)))
+    result = finite_type(DefiningFunction(_poly_flag("--phi", args.phi)))
     _emit(report_mod.type_dict(result), _type_text, args.format)
     return EXIT_OK
 
@@ -226,7 +240,7 @@ def _embed_text(d: dict) -> str:
 
 
 def _cmd_embed(args) -> int:
-    psi = Poly.parse(args.psi)
+    psi = _poly_flag("--psi", args.psi)
     if not 1 <= args.order <= MAX_ORDER:
         raise UsageError(f"--order must lie in [1, {MAX_ORDER}], got {args.order}")
     series = solve_embedding(psi, args.order)

@@ -255,7 +255,7 @@ def singular_locus(s: ModelSurface) -> SingularLocus:
     for exp, c in pxb.items():
         coeffs[exp[0] - ex] = c
     r = [coeffs.get(i, Fraction(0)) for i in range(max(coeffs) + 1)]
-    interior_roots = sturm.count_real_roots(r) if sturm.degree(r) > 0 else 0
+    interior_roots = sturm.count_real_roots(r)
     lines = (1 if ex > 0 else 0) + (1 if eb > 0 else 0) + interior_roots
     if lines == 0:
         return SingularLocus(POINT)
@@ -265,13 +265,12 @@ def singular_locus(s: ModelSurface) -> SingularLocus:
         if eb == total:
             return SingularLocus(LINE, line=B)
         if ex == 0 and eb == 0:
-            sf = sturm.square_free_part(r)
-            if sturm.degree(sf) == 1:
-                root = -sf[0] / sf[1]
-                line = X - root * B
-                lead = pxb.coefficient((total, 0, 0, 0))
-                if lead != 0 and pxb == lead * line**total:
-                    return SingularLocus(LINE, line=normal_line(line))
+            # R = lead (t - root)^total would have t^(total-1) coefficient
+            # -total root lead; the identity below decides
+            lead = r[total]
+            line = X + r[total - 1] / (total * lead) * B
+            if pxb == lead * line**total:
+                return SingularLocus(LINE, line=normal_line(line))
         return SingularLocus(PENCIL, line_count=1)
     return SingularLocus(PENCIL, line_count=lines)
 

@@ -245,19 +245,15 @@ class Poly:
     def substitute(self, var: str, replacement: "Poly") -> "Poly":
         """Replace every occurrence of ``var`` by ``replacement``, expanded."""
         i = _var_index(var)
-        powers: Dict[int, Poly] = {0: Poly.constant(1)}
-
-        def power(e: int) -> Poly:
-            if e not in powers:
-                powers[e] = power(e - 1) * replacement
-            return powers[e]
-
+        powers = [Poly.constant(1)]
         result = Poly.zero()
         for exp, c in self._terms.items():
             rest = list(exp)
             e = rest[i]
             rest[i] = 0
-            result = result + Poly.monomial(tuple(rest), c) * power(e)
+            while len(powers) <= e:
+                powers.append(powers[-1] * replacement)
+            result = result + Poly.monomial(tuple(rest), c) * powers[e]
         return result
 
     # -- evaluation --------------------------------------------------------
@@ -427,6 +423,15 @@ def _tokenize(text: str):
     return tokens
 
 
+def _int_token(value: str, pos: int) -> int:
+    try:
+        return int(value)
+    except ValueError:  # over the interpreter's digit limit for int(str), 4300 by default
+        raise PolyParseError(
+            f"integer literal of {len(value)} digits is over the interpreter's digit limit", pos
+        ) from None
+
+
 def _parse_poly(text: str) -> Poly:
     tokens = _tokenize(text)
     n = len(tokens)
@@ -449,12 +454,12 @@ def _parse_poly(text: str) -> Poly:
         have_body = False
         kind, value, pos = tokens[i]
         if kind == "int":
-            num = int(value)
+            num = _int_token(value, pos)
             i += 1
             if i < n and tokens[i][0] == "op" and tokens[i][1] == "/":
                 if i + 1 >= n or tokens[i + 1][0] != "int":
                     raise PolyParseError("expected integer denominator after '/'", tokens[i][2])
-                den = int(tokens[i + 1][1])
+                den = _int_token(*tokens[i + 1][1:])
                 if den == 0:
                     raise PolyParseError("zero denominator", tokens[i + 1][2])
                 coeff = Fraction(num, den)
@@ -478,7 +483,7 @@ def _parse_poly(text: str) -> Poly:
             if i < n and tokens[i][0] == "op" and tokens[i][1] == "^":
                 if i + 1 >= n or tokens[i + 1][0] != "int":
                     raise PolyParseError("expected integer exponent after '^'", tokens[i][2])
-                power = int(tokens[i + 1][1])
+                power = _int_token(*tokens[i + 1][1:])
                 i += 2
             exp[vi] += power
             have_body = True

@@ -321,7 +321,11 @@ class ClosureViolation:
 
 @dataclass(frozen=True)
 class SymmetryAlgebra:
-    """Concatenated kernel bases with exact structure constants."""
+    """Concatenated kernel bases with exact structure constants.
+
+    ``weight_cap`` is the last weight solved: the given cap, or the weight
+    where the default scan stopped.
+    """
 
     surface: ModelSurface
     weight_cap: int
@@ -337,12 +341,33 @@ class SymmetryAlgebra:
     def weights(self) -> Tuple[int, ...]:
         return tuple(w for w, _ in self.generators)
 
+    @property
+    def complete(self) -> bool:
+        """Whether the scan reached c + k, c = max(k - 2, highest weight found),
+        so that by ``solve_algebra``'s lemma no generator lies above it."""
+        k = self.surface.k
+        return self.weight_cap >= max(k - 2, max(self.weights)) + k
+
     def fields(self) -> Tuple[ParaVectorField, ...]:
         return tuple(f for _, f in self.generators)
 
 
 def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> SymmetryAlgebra:
-    """Kernel bases for every weight in [-k, weight_cap] plus brackets.
+    """Kernel bases for every weight from -k up, plus brackets.
+
+    With a ``weight_cap`` the weights [-k, weight_cap] are solved.  Without
+    one the scan stops at c + k, where c = max(k - 2, highest weight seen so
+    far with a nonzero kernel), which finds the whole algebra by this lemma:
+
+    Let c >= k - 2.  If g_w = 0 for every w in (c, c + k], then g_w = 0 for
+    every w > c.  For X in g_w with w > c + k, [X, V] with V = d_y + d_a
+    lies in g_(w-k) = 0 by induction, so X = c1 x^(w+1) d_x + e x^(w+k) d_y
+    + e' b^(w+k) d_a + d b^(w+1) d_b.  Tangency asks that
+    e x^(w+k) - e' b^(w+k) = c1 x^(w+1) P_x + d b^(w+1) P_b; the left side
+    is pure and the right side mixed, and for w >= k - 1 the two mixed sums
+    share no monomial, so P != 0 forces c1 = d = e = e' = 0.  The model is
+    weighted homogeneous, so this covers formal symmetries too.
+    ``SymmetryAlgebra.complete`` tells whether a given cap reached c + k.
 
     The algebra is graded, [g_u, g_w] in g_(u+w), so brackets are solved per
     weight: a nonzero bracket of generators of weights u and w is written in
@@ -352,18 +377,23 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     [-k, weight_cap], that has a term outside the ansatz, or that lies outside
     the span is recorded as a closure violation, not dropped.
     """
-    if weight_cap is None:
-        weight_cap = 3 * s.k
-    if weight_cap < s.k:
-        raise ValueError(f"weight_cap must be at least k={s.k}, got {weight_cap}")
+    k = s.k
+    if weight_cap is not None and weight_cap < k:
+        raise ValueError(f"weight_cap must be at least k={k}, got {weight_cap}")
+    stop = 2 * k - 2 if weight_cap is None else weight_cap
     generators: List[Tuple[int, ParaVectorField]] = []
     # weight -> (ansatz, index of its first generator, basis in ansatz coordinates)
     blocks: Dict[int, Tuple[WeightAnsatz, int, List[Tuple[Fraction, ...]]]] = {}
-    for m in range(-s.k, weight_cap + 1):
+    m = -k
+    while m <= stop:
         ansatz = build_ansatz(s, m)
         basis = solve_weight(s, m).basis
         blocks[m] = (ansatz, len(generators), [ansatz.vector_from_field(f) for f in basis])
         generators.extend((m, f) for f in basis)
+        if basis and weight_cap is None:
+            stop = max(stop, m + k)
+        m += 1
+    weight_cap = stop
     fields = [f for _, f in generators]
     n = len(fields)
     zero_row = tuple(Fraction(0) for _ in range(n))

@@ -1,13 +1,14 @@
 """Exact real root counting for univariate rational polynomials.
 
 Polynomials are coefficient lists in ascending degree order.  Root counts
-use Sturm sequences on the square-free part, so the answers are exact
+use a Sturm chain built over the integers, so the answers are exact
 integers that cannot flip under rounding.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import List, Sequence
 
 Coeffs = List[Fraction]
@@ -25,93 +26,57 @@ def degree(p: Sequence[Fraction]) -> int:
     return len(t) - 1 if t else -1
 
 
-def evaluate(p: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(trim(p)):
-        acc = acc * x + c
-    return acc
+def _primitive(p: List[int]) -> List[int]:
+    # divide by the positive content, so every sign is kept
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
 
 
-def derivative(p: Sequence[Fraction]) -> Coeffs:
-    t = trim(p)
-    return [c * i for i, c in enumerate(t)][1:]
+def _negated_remainder(num: List[int], den: List[int]) -> List[int]:
+    """-(num mod den) times a positive integer, primitive.
 
-
-def divmod_poly(num: Sequence[Fraction], den: Sequence[Fraction]):
-    num = trim(num)
-    den = trim(den)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    Each pseudo-division step scales by |lc(den)| instead of lc(den), so
+    the result is a positive multiple of the Sturm chain's next member.
+    """
     rem = list(num)
+    scale = abs(den[-1])
+    sign = 1 if den[-1] > 0 else -1
     dn = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dn and rem:
+    while len(rem) - 1 >= dn:
         shift = len(rem) - 1 - dn
-        factor = rem[-1] / lead
-        quot[shift] = factor
+        factor = sign * rem[-1]
+        rem = [c * scale for c in rem]
         for i, c in enumerate(den):
             rem[shift + i] -= factor * c
-        rem = trim(rem)
-        if not rem:
-            break
-    return trim(quot), trim(rem)
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _primitive([-c for c in rem])
 
 
-def poly_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> Coeffs:
-    a, b = trim(p), trim(q)
-    while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def square_free_part(p: Sequence[Fraction]) -> Coeffs:
-    t = trim(p)
-    if degree(t) <= 0:
-        return t
-    g = poly_gcd(t, derivative(t))
-    if degree(g) <= 0:
-        return t
-    quot, rem = divmod_poly(t, g)
-    assert not rem
-    return quot
-
-
-def sturm_sequence(p: Sequence[Fraction]) -> List[Coeffs]:
-    p0 = square_free_part(p)
-    if degree(p0) <= 0:
-        return [p0] if p0 else []
-    chain = [p0, derivative(p0)]
-    while degree(chain[-1]) > 0:
-        _, rem = divmod_poly(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-    return chain
-
-
-def _sign_variations(values: Sequence[Fraction]) -> int:
+def _sign_variations(values: Sequence[int]) -> int:
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
 
 def count_real_roots(p: Sequence[Fraction]) -> int:
-    """Number of distinct real roots of p over the whole line."""
-    chain = sturm_sequence(p)
-    if not chain or degree(chain[0]) <= 0:
+    """Number of distinct real roots of p over the whole line.
+
+    The chain starts from the primitive integer forms of p and p'.  No
+    square-free step is needed: every member is a multiple of gcd(p, p'),
+    which scales all signs at +-infinity alike, so Sturm's theorem on the
+    plain chain counts distinct roots.
+    """
+    t = trim(p)
+    if len(t) <= 1:
         return 0
-    at_pos = []
-    at_neg = []
-    for q in chain:
-        t = trim(q)
-        if not t:
-            continue
-        lead = t[-1]
-        d = len(t) - 1
-        at_pos.append(lead)
-        at_neg.append(lead if d % 2 == 0 else -lead)
+    scale = lcm(*(c.denominator for c in t))
+    p0 = _primitive([int(c * scale) for c in t])
+    chain = [p0, _primitive([i * c for i, c in enumerate(p0)][1:])]
+    while len(chain[-1]) > 1:
+        rem = _negated_remainder(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append(rem)
+    at_pos = [q[-1] for q in chain]
+    at_neg = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
     return _sign_variations(at_neg) - _sign_variations(at_pos)

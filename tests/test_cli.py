@@ -126,7 +126,7 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("cap", ["3", "9", "32", "36"])
     def test_weight_cap_bounds_allowed(self, capsys, cap):
-        # 9 = 3k is the default cap; 32 is the benchmark's weight_ladder cap at k = 3
+        # 9 = 3k; 32 is the benchmark's weight_ladder cap at k = 3
         code, out, _ = run(
             capsys, "analyze", "--k", "3", "--gamma", "3,3", "--weight-cap", cap, "--format", "json"
         )
@@ -177,6 +177,40 @@ class TestUsageErrors:
         code, out, _ = run(capsys, "embed", "--psi", "a^2+b^3+x*a*b", "--order", "64")
         assert code == EXIT_OK
         assert "c_64 = " in out
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("finite-type", "--phi", "x^201*b"),
+            ("finite-type", "--phi", "x^99999999999*b"),
+            ("finite-type", "--phi", "x*b^2 + b + a^100*a^101"),
+            ("embed", "--psi", "a^10000000"),
+        ],
+    )
+    def test_exponent_over_bound_rejected_fast(self, capsys, command, flag, text):
+        start = time.perf_counter()
+        code, _, err = run(capsys, command, flag, text)
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_USAGE
+        assert f"{flag} exponents must be at most 200" in err
+
+    def test_exponent_bound_allowed(self, capsys):
+        code, out, _ = run(capsys, "finite-type", "--phi", "x^200*b", "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["k"] == 201
+
+    @pytest.mark.parametrize(
+        "command, flag, text",
+        [
+            ("finite-type", "--phi", "9" * 5000 + " x b"),
+            ("embed", "--psi", "a^" + "9" * 5000),
+        ],
+        ids=["phi-coefficient", "psi-exponent"],
+    )
+    def test_integer_literal_over_digit_limit_rejected(self, capsys, command, flag, text):
+        code, _, err = run(capsys, command, flag, text)
+        assert code == EXIT_USAGE
+        assert "integer literal of 5000 digits" in err
 
     @pytest.mark.parametrize("command", ["analyze", "flows"])
     @pytest.mark.parametrize("value", ["nan", "-1", "inf", "-inf", "1e400", "abc"])

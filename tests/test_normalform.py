@@ -218,6 +218,42 @@ class TestSingularLocus:
         locus = singular_locus(ModelSurface(5, (0, 1, 0, Fraction(3, 5))))
         assert locus.kind == PENCIL and locus.line_count == 1
 
+    @staticmethod
+    def surface_with_pxb(k, pxb_coeffs):
+        # pxb_coeffs[j] is the coefficient of x^(k-2-j) b^j in P_xb; the
+        # b^(i-1) x^(k-1-i) coefficient of P_xb is gamma_i i (k - i)
+        return ModelSurface(
+            k, tuple(Fraction(pxb_coeffs[i - 1], i * (k - i)) for i in range(1, k))
+        )
+
+    def test_interior_simple_root_with_complex_pair_is_pencil(self):
+        # P_xb = (x - b)(x^2 + b^2): one real line, neither x nor b
+        s = self.surface_with_pxb(5, [1, -1, 1, -1])
+        assert s.p_xb == P("x^3 - x^2 b + x b^2 - b^3")
+        locus = singular_locus(s)
+        assert locus.kind == PENCIL and locus.line_count == 1
+
+    def test_interior_double_root_with_complex_pair_is_pencil(self):
+        # P_xb = (x - b)^2 (x^2 + b^2)
+        s = self.surface_with_pxb(6, [1, -2, 2, -2, 1])
+        locus = singular_locus(s)
+        assert locus.kind == PENCIL and locus.line_count == 1
+
+    def test_interior_full_power_is_line(self):
+        # P_xb = 3 (2x - 3b)^3: the line 2x - 3b carries multiplicity k - 2 = 3
+        s = self.surface_with_pxb(5, [24, -108, 162, -81])
+        locus = singular_locus(s)
+        assert locus.kind == LINE and locus.line == P("2 x - 3 b")
+
+    def test_generic_k30_runtime_budget(self):
+        # the integer Sturm chain; the Fraction chain took 0.12 s here
+        s = ModelSurface(30, tuple(Fraction(g) for g in GENERIC_K30))
+        start = time.perf_counter()
+        locus = singular_locus(s)
+        elapsed = time.perf_counter() - start
+        assert locus.kind == PENCIL
+        assert elapsed < 0.02, f"singular_locus took {elapsed:.3f}s"
+
     def test_swap_invariance(self):
         rng = random.Random(52)
         for _ in range(25):
@@ -228,6 +264,133 @@ class TestSingularLocus:
             s1 = ModelSurface(k, tuple(gamma))
             s2 = ModelSurface(k, tuple(reversed(gamma)))
             assert singular_locus(s1).kind == singular_locus(s2).kind
+
+
+GENERIC_K30 = (2, -1, 3, -1, 3, 3, 3, 2, -3, 1, -2, 3, -3, -2, -3, -1, 1, -2, 1, 2, -3, 2, -2,
+               -3, 3, -2, 1, -1, -2)
+
+
+# -- reference: the Fraction Sturm chain on the square-free part --------------
+
+
+def ref_trim(p):
+    out = [Fraction(c) for c in p]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_derivative(p):
+    return [c * i for i, c in enumerate(ref_trim(p))][1:]
+
+
+def ref_divmod(num, den):
+    num, den = ref_trim(num), ref_trim(den)
+    quot = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    rem = list(num)
+    dn = len(den) - 1
+    while rem and len(rem) - 1 >= dn:
+        shift = len(rem) - 1 - dn
+        factor = rem[-1] / den[-1]
+        quot[shift] = factor
+        for i, c in enumerate(den):
+            rem[shift + i] -= factor * c
+        rem = ref_trim(rem)
+    return ref_trim(quot), rem
+
+
+def ref_square_free_part(p):
+    a, b = ref_trim(p), ref_derivative(p)
+    while b:
+        a, b = b, ref_divmod(a, b)[1]
+    quot, rem = ref_divmod(p, a)
+    assert not rem
+    return quot
+
+
+def ref_count_real_roots(p):
+    chain = [ref_square_free_part(p)]
+    chain.append(ref_derivative(chain[0]))
+    while len(chain[-1]) > 1:
+        rem = ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    at_pos = [q[-1] > 0 for q in chain if q]
+    at_neg = [(q[-1] > 0) == (len(q) % 2 == 1) for q in chain if q]
+    return sum(u != v for u, v in zip(at_neg, at_neg[1:])) - sum(
+        u != v for u, v in zip(at_pos, at_pos[1:])
+    )
+
+
+def poly_mul(c1, c2):
+    out = [0] * (len(c1) + len(c2) - 1)
+    for i, a in enumerate(c1):
+        for j, b in enumerate(c2):
+            out[i + j] += a * b
+    return out
+
+
+class TestIntegerSturmChain:
+    def seeded_polynomials(self):
+        # degrees 10 to 44: linear factors t - r, r in [-3, 3], so roots
+        # repeat, and irreducible quadratics; every fourth starts from a cube
+        rng = random.Random(64)
+        polys = []
+        for index in range(40):
+            target = 10 + (34 * index) // 39
+            coeffs = [1]
+            if index % 4 == 0:
+                root = rng.randint(-2, 2)
+                for _ in range(3):
+                    coeffs = poly_mul(coeffs, [-root, 1])
+            while len(coeffs) - 1 < target:
+                if target - len(coeffs) >= 1 and rng.random() < 0.5:
+                    p = rng.randint(-2, 2)
+                    factor = [rng.randint(p * p // 4 + 1, p * p // 4 + 2), p, 1]
+                else:
+                    factor = [rng.randint(-3, 3), 1]
+                coeffs = poly_mul(coeffs, factor)
+            scale = Fraction(rng.choice([-7, -1, 1, 2]), rng.choice([1, 3, 10]))
+            polys.append([scale * c for c in coeffs])
+        return polys
+
+    def test_counts_match_fraction_reference(self):
+        polys = self.seeded_polynomials()
+        assert sorted({sturm.degree(p) for p in polys}) == list(range(10, 45))
+        for p in polys:
+            assert sturm.count_real_roots(p) == ref_count_real_roots(p)
+
+    def test_sparse_counts_match_fraction_reference(self):
+        # zero coefficients make the chain skip degrees, so a division takes
+        # an odd number of steps and a negative lc(den) would flip the sign
+        rng = random.Random(65)
+        for _ in range(400):
+            p = [Fraction(rng.choice([0, 0, 0, -2, -1, 1, 2, 3])) for _ in range(rng.randint(3, 8))]
+            p.append(Fraction(rng.choice([-2, -1, 1, 3])))
+            assert sturm.count_real_roots(p) == ref_count_real_roots(p), p
+
+    @pytest.mark.parametrize(
+        "coeffs, roots", [([0, 3, 0, 1], 1), ([1, 3, 0, -1], 3), ([0, -1, 0, -1], 1)]
+    )
+    def test_degree_gap_with_negative_leading_coefficient(self, coeffs, roots):
+        assert sturm.count_real_roots([Fraction(c) for c in coeffs]) == roots
+
+    def test_repeated_factors_counted_once(self):
+        # (t - 1)^3 (t + 2)^2 (t^2 + 1): two distinct real roots
+        p = poly_mul(poly_mul([-1, 1], [-1, 1]), [-1, 1])
+        p = poly_mul(poly_mul(p, [2, 1]), poly_mul([2, 1], [1, 0, 1]))
+        assert sturm.count_real_roots([Fraction(c) for c in p]) == 2
+
+    def test_negative_leading_coefficients_keep_signs(self):
+        # -(t - 1)(t - 2)(t - 3)(t^2 + 1): every sign of the chain matters
+        p = poly_mul(poly_mul([-1, 1], [-2, 1]), poly_mul([-3, 1], [1, 0, 1]))
+        assert sturm.count_real_roots([Fraction(-c) for c in p]) == 3
+
+    def test_constants_have_no_roots(self):
+        assert sturm.count_real_roots([]) == 0
+        assert sturm.count_real_roots([Fraction(5)]) == 0
+        assert sturm.count_real_roots([Fraction(-2), Fraction(0)]) == 0
 
 
 class TestSturmOracle:

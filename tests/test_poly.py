@@ -82,6 +82,11 @@ class TestSubstitute:
         repl = A + P("b^2 x^2")
         assert X.substitute("y", repl) == X
 
+    def test_substitute_high_power(self):
+        # powers of the replacement are built in a loop, not by recursion
+        result = P("a^1500").substitute("a", P("b"))
+        assert result == P("b^1500")
+
 
 class TestEval:
     def test_eval_exact(self):
@@ -287,6 +292,16 @@ class TestTextRoundTrip:
     def test_parse_error_empty(self):
         with pytest.raises(PolyParseError):
             P("")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [("9" * 5000 + " x", 0), ("x^" + "9" * 5000, 2), ("x + 1/" + "3" * 5000, 6)],
+        ids=["coefficient", "exponent", "denominator"],
+    )
+    def test_parse_error_integer_over_digit_limit(self, text, position):
+        with pytest.raises(PolyParseError) as err:
+            P(text)
+        assert err.value.position == position
 
     @given(poly_st())
     def test_round_trip(self, p):

@@ -437,6 +437,112 @@ class TestSolveAlgebra:
                         assert alg.weights[l] == target
 
 
+SCAN_SURFACES = suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces()
+
+
+def solved_weights(monkeypatch, plant=None):
+    """Patch ``solve_weight`` to record each weight it is called for; ``plant``
+    maps a weight to an extra field added to that weight's basis."""
+    real = solver.solve_weight
+    calls = []
+
+    def spy(s, m):
+        calls.append(m)
+        kb = real(s, m)
+        if plant and m in plant:
+            return KernelBasis(m, kb.basis + (plant[m],), kb.system_shape)
+        return kb
+
+    monkeypatch.setattr(solver, "solve_weight", spy)
+    return calls
+
+
+class TestWeightScan:
+    """The default scan stops at c + k, c = max(k - 2, highest weight found)."""
+
+    @staticmethod
+    def commuting_tangent_fields(s, w):
+        """Kernel of the weight-w tangency system stacked on [V, X] = 0."""
+        ansatz = build_ansatz(s, w)
+        below = build_ansatz(s, w - s.k)
+        _, rows = tangency_system(s, ansatz)
+        columns = []
+        for i in range(len(ansatz)):
+            br = vertical_translation().bracket(ansatz.unit_field(i))
+            vec = below.vector_from_field(br)
+            assert below.field_from_vector(vec) == br
+            columns.append(vec)
+        return linalg.nullspace_gauss_jordan(rows + [list(r) for r in zip(*columns)], len(ansatz))
+
+    @pytest.mark.parametrize("s", suite_surfaces(), ids=surface_id)
+    def test_lemma_at_ansatz_level(self, s):
+        for w in range(s.k - 1, 3 * s.k + 1):
+            assert self.commuting_tangent_fields(s, w) == [], (s.k, w)
+
+    def test_commuting_field_below_k_minus_1_is_found(self):
+        # control: the binomial weight -1 generator commutes with V
+        assert len(self.commuting_tangent_fields(ModelSurface(4, binomial_gamma(4)), -1)) == 1
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "s", [ModelSurface(4, (0, 1, 0)), ModelSurface(4, binomial_gamma(4))], ids=surface_id
+    )
+    def test_planted_kernel_extends_scan(self, monkeypatch, s, j):
+        c = max(s.k - 2, max(solve_algebra(s).weights))
+        planted = c + j
+        calls = solved_weights(monkeypatch, {planted: build_ansatz(s, planted).unit_field(0)})
+        alg = solve_algebra(s)
+        assert planted in alg.weights
+        assert alg.weight_cap == planted + s.k
+        assert calls == list(range(-s.k, planted + s.k + 1))
+        assert alg.complete
+
+    @pytest.mark.parametrize("s", SCAN_SURFACES, ids=surface_id)
+    def test_same_algebra_as_cap_3k(self, s):
+        alg = solve_algebra(s)
+        capped = solve_algebra(s, 3 * s.k)
+        assert alg.weights == capped.weights
+        assert alg.structure_constants == capped.structure_constants
+        assert alg.closure_violations == capped.closure_violations
+        assert alg.complete and capped.complete
+        assert alg.weight_cap == max(s.k - 2, max(alg.weights)) + s.k
+
+    def test_complete_needs_c_plus_k(self):
+        # the special conformal generator lives at weight k = 4
+        s = ModelSurface(4, (0, 1, 0))
+        assert solve_algebra(s).weight_cap == 8
+        assert not solve_algebra(s, 4).complete
+        assert not solve_algebra(s, 7).complete
+        assert solve_algebra(s, 8).complete
+
+    @pytest.mark.parametrize("cap", [4, 9, 14])
+    def test_explicit_cap_solves_exactly_its_weights(self, monkeypatch, cap):
+        calls = solved_weights(monkeypatch)
+        alg = solve_algebra(ModelSurface(4, (1, 0, 1)), cap)
+        assert calls == list(range(-4, cap + 1))
+        assert alg.weight_cap == cap
+
+    @pytest.mark.parametrize(
+        "gamma, stop",
+        [(binomial_gamma(30), 58), (monomial_gamma(30, 15), 60)],
+        ids=["binomial-k30", "monomial-k30-iota15"],
+    )
+    def test_weights_solved_at_k30(self, monkeypatch, gamma, stop):
+        calls = solved_weights(monkeypatch)
+        alg = solve_algebra(ModelSurface(30, gamma))
+        assert calls == list(range(-30, stop + 1))
+        assert alg.weight_cap == stop and alg.complete
+
+    def test_binomial_k30_runtime_budget(self):
+        # cold: the weight cache is cleared; cap 3k took 0.27 s here
+        solver.solve_weight.cache_clear()
+        s = ModelSurface(30, binomial_gamma(30))
+        start = time.perf_counter()
+        solve_algebra(s)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 0.3, f"solve_algebra took {elapsed:.3f}s"
+
+
 def _field_keys(fields):
     keys = set()
     for f in fields:
