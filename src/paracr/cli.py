@@ -27,7 +27,13 @@ from .normalform import (
     finite_type,
     singular_locus,
 )
-from .poly import Poly, PolyParseError, UnsupportedDegreeError, format_fraction
+from .poly import (
+    OutputDigitsError,
+    Poly,
+    PolyParseError,
+    UnsupportedDegreeError,
+    format_fraction,
+)
 from .solver import solve_weight
 from .surface import InvalidSurfaceError, ModelSurface
 
@@ -321,6 +327,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         InvalidSurfaceError,
         NormalFormError,
         EmbeddingError,
+        OutputDigitsError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

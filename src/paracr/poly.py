@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple
@@ -62,8 +63,20 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
+class OutputDigitsError(ValueError):
+    """Raised when a number to print has an integer over the interpreter's
+    digit limit for ``str(int)`` (4,300 digits by default)."""
+
+
 def format_fraction(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    try:
+        return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
+    except ValueError:  # str(int) refuses integers over the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise OutputDigitsError(
+            f"a number to print has an integer of more than {limit:,} digits, "
+            f"over the {limit:,}-digit output bound"
+        ) from None
 
 
 class PolyParseError(ValueError):
@@ -79,9 +92,16 @@ class UnsupportedDegreeError(ValueError):
 
 
 class Poly:
-    """Immutable sparse polynomial over Q in x, y, a, b."""
+    """Immutable sparse polynomial over Q in x, y, a, b.
 
-    __slots__ = ("_terms",)
+    Besides its terms a polynomial holds its evaluation plan, built from the
+    terms alone the first time it is evaluated and kept from then on: the
+    integer form of the terms that ``eval_exact`` sums and the Horner tree
+    that ``eval_float`` walks.  The plan never changes a value, and equality
+    and hashing ignore it.
+    """
+
+    __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Optional[Mapping[Exponents, object]] = None):
         clean: Dict[Exponents, Fraction] = {}
@@ -91,6 +111,7 @@ class Poly:
                 if q != 0:
                     clean[tuple(exp)] = q  # type: ignore[index]
         object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_plan", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -267,37 +288,62 @@ class Poly:
         c L prod p_i^e_i q_i^(D_i - e_i), and the value is the sum of these
         over L prod q_i^D_i: one ``Fraction`` per call, in lowest terms.
         Powers are taken only at the exponents that occur, so a sparse
-        x^100000 costs two powers, not a table of 100000.
+        x^100000 costs two powers, not a table of 100000.  The plan holds
+        L, each c L as an integer and the occurring exponents and D_i of
+        each variable, so a call only takes the powers of the point and
+        sums.  A float coordinate is a ``TypeError``, used slot or not.
         """
-        terms = self._terms
-        if not terms:
+        if not self._terms:
             return Fraction(0)
-        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        lcm, int_terms, occurring, _ = self._plan or self._build_plan()
         denominator = lcm
         factors = []
         for i, v in enumerate(point):
             if not isinstance(v, (int, Fraction)):
                 v = as_fraction(v)
-            occurring = {exp[i] for exp in terms}
-            top = max(occurring)
+            exps, top = occurring[i]
             if top == 0:  # the variable does not occur
                 factors.append(_ONLY_POWER_ZERO)
                 continue
             num, den = v.numerator, v.denominator
-            factors.append({e: num**e * den ** (top - e) for e in occurring})
+            factors.append({e: num**e * den ** (top - e) for e in exps})
             denominator *= den**top
         fx, fy, fa, fb = factors
         total = 0
-        for (ex, ey, ea, eb), c in terms.items():
-            total += c.numerator * (lcm // c.denominator) * fx[ex] * fy[ey] * fa[ea] * fb[eb]
+        for c, ex, ey, ea, eb in int_terms:
+            total += c * fx[ex] * fy[ey] * fa[ea] * fb[eb]
         return Fraction(total, denominator)
 
     def eval_float(self, point) -> float:
-        """Floating evaluation at (x, y, a, b), by sparse Horner (``_horner``)."""
+        """Floating evaluation at (x, y, a, b), by sparse Horner.
+
+        The plan's tree buckets the terms by the exponent of x, then of y,
+        a and b.  A node holds its exponents in descending order as gaps,
+        and a leaf the one coefficient with those exponents, as a float.
+        The walk computes ``0.0 + c`` at a leaf, ``acc * v ** gap + sub``
+        down a node and ``acc * v ** last`` at its end; the report
+        witnesses pin this operation order, so values are reproducible bit
+        for bit.  A coefficient too large for a float raises
+        ``OverflowError`` at every call.
+        """
         if not self._terms:
             return 0.0
-        pt = tuple(float(v) for v in point)
-        return _horner(list(self._terms.items()), pt, 0)
+        tree = (self._plan or self._build_plan())[3]
+        return _walk(tree, tuple(map(float, point)), 0)
+
+    def _build_plan(self):
+        terms = self._terms
+        lcm = math.lcm(*(c.denominator for c in terms.values()))
+        int_terms = tuple(
+            (c.numerator * (lcm // c.denominator), *exp) for exp, c in terms.items()
+        )
+        occurring = []
+        for i in range(4):
+            exps = sorted({exp[i] for exp in terms})
+            occurring.append((tuple(exps), exps[-1]))
+        plan = (lcm, int_terms, tuple(occurring), _horner_tree(list(terms.items()), 0))
+        object.__setattr__(self, "_plan", plan)
+        return plan
 
     # -- text --------------------------------------------------------------
 
@@ -353,28 +399,38 @@ def _coerce(value) -> Optional[Poly]:
     return None
 
 
-def _horner(items, point, vi):
-    # sparse Horner in floats, one variable at a time; the report witnesses
-    # pin this operation order, so eval_float is reproducible bit for bit
+def _horner_tree(items, vi):
+    # sparse Horner's bucket tree: one level per variable, exponents in
+    # descending order as (first child, ((gap, child), ...), last exponent);
+    # a leaf is one coefficient, since no two terms share all four exponents
     if vi == 4:
-        total = 0.0
-        for _, c in items:
-            total += float(c)
-        return total
+        ((_, c),) = items
+        try:
+            return float(c)
+        except OverflowError:
+            # kept exact: adding it to 0.0 converts it again and raises, so
+            # every evaluation raises, as float(c) itself would
+            return c
     buckets: Dict[int, list] = {}
     for exp, c in items:
         buckets.setdefault(exp[vi], []).append((exp, c))
+    order = sorted(buckets, reverse=True)
+    first = _horner_tree(buckets[order[0]], vi + 1)
+    rest = tuple(
+        (prev - e, _horner_tree(buckets[e], vi + 1)) for prev, e in zip(order, order[1:])
+    )
+    return (first, rest, order[-1])
+
+
+def _walk(node, point, vi):
+    if vi == 4:
+        return 0.0 + node  # as a sum from 0.0: a coefficient that underflows to -0.0 gives 0.0
+    first, rest, last = node
     v = point[vi]
-    acc = None
-    prev = 0
-    for e in sorted(buckets, reverse=True):
-        sub = _horner(buckets[e], point, vi + 1)
-        if acc is None:
-            acc = sub
-        else:
-            acc = acc * v ** (prev - e) + sub
-        prev = e
-    return acc * v**prev
+    acc = _walk(first, point, vi + 1)
+    for gap, child in rest:
+        acc = acc * v**gap + _walk(child, point, vi + 1)
+    return acc * v**last
 
 
 # -- weighted grading ------------------------------------------------------

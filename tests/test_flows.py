@@ -28,7 +28,7 @@ from paracr.flows import (
 from paracr import flows as flows_mod
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
-from paracr.poly import Poly
+from paracr.poly import A, B, Poly, X, Y
 from paracr.solver import vertical_translation, grading_field
 from paracr.surface import ModelSurface
 from conftest import (
@@ -38,6 +38,7 @@ from conftest import (
     rational_gamma_surfaces,
     suite_surfaces,
 )
+from test_poly import reference_eval_exact
 
 
 def P(text):
@@ -180,6 +181,30 @@ class TestVerifyFlow:
         # the image once, then the partner on it and the combined map on the point
         assert len(calls) == 3 * n
         assert calls.count(param) == n and calls.count(partner) == n
+
+    def test_failing_exact_group_law_reports_its_residual(self):
+        # EXP_Vmk with x -> x + t x^2 in place of x: with_param rebuilds the
+        # true translation, so the partner does not compose with this map and
+        # the residual t x^2 differs from sample to sample
+        t, partner = Fraction(3, 2), Fraction(-1, 3)
+        comps = (X + t * X**2, Y + Poly.constant(t), A + Poly.constant(t), B)
+        fm = flows_mod._poly_flow(
+            EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
+        )
+        samples = sample_on_surface(GEN, 9)
+        ver = verify_flow(fm, samples, group_partner=partner)
+        (group_law,) = [c for c in ver.checks if c.check == "group_law"]
+        assert not group_law.passed and group_law.exact and not ver.passed
+
+        true_partner, combined = flow(EXP_VMK, GEN, partner), flow(EXP_VMK, GEN, t + partner)
+        worst = Fraction(0)
+        for p in samples:
+            image = tuple(reference_eval_exact(c, p) for c in comps)
+            two_step = tuple(reference_eval_exact(c, image) for c in true_partner.components)
+            one_step = tuple(reference_eval_exact(c, p) for c in combined.components)
+            worst = max([worst] + [abs(u - v) for u, v in zip(two_step, one_step)])
+        assert worst > 0 and len({p[0] ** 2 for p in samples}) > 1
+        assert group_law.max_residual == float(worst)
 
 
 

@@ -140,6 +140,67 @@ def _reference_horner(items, point, vi, numeric):
     return acc * v**prev
 
 
+def reference_eval_float(p, point):
+    """``Poly.eval_float`` as it was before the evaluation plan: the sparse
+    Horner below, rebuilt at every call, kept verbatim as the reference."""
+    if not p:
+        return 0.0
+    pt = tuple(float(v) for v in point)
+    return _horner(list(p.items()), pt, 0)
+
+
+def _horner(items, point, vi):
+    # sparse Horner in floats, one variable at a time; the report witnesses
+    # pin this operation order, so eval_float is reproducible bit for bit
+    if vi == 4:
+        total = 0.0
+        for _, c in items:
+            total += float(c)
+        return total
+    buckets: Dict[int, list] = {}
+    for exp, c in items:
+        buckets.setdefault(exp[vi], []).append((exp, c))
+    v = point[vi]
+    acc = None
+    prev = 0
+    for e in sorted(buckets, reverse=True):
+        sub = _horner(buckets[e], point, vi + 1)
+        if acc is None:
+            acc = sub
+        else:
+            acc = acc * v ** (prev - e) + sub
+        prev = e
+    return acc * v**prev
+
+
+def _report_evaluations():
+    """(polynomial, exact point) pairs that flow verification evaluates on
+    the suite, rational-gamma and k-ladder surfaces at the report samples:
+    flow components, their Jacobian entries, p_x, p_b and the defining
+    polynomial, at the samples and at the images.  Also returns how many
+    (polynomial flow, sample) pairs were visited."""
+    pairs = []
+    visited = 0
+    for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
+        samples = sample_on_surface(s, report.DEFAULT_FLOW_SAMPLES, seed=DEFAULT_SEED)
+        for point in samples:
+            pairs += [(s.defining_poly, point), (s.p_x, point), (s.p_b, point)]
+        for name in admissible_flow_names(detect_case(s)):
+            fm = flow(name, s, report._FLOW_PARAMS[name][0])
+            if not fm.is_polynomial:
+                continue
+            partner = fm.with_param(report._FLOW_PARAMS[name][1])
+            comps = fm.components
+            jacobian = [comps[i].diff(v) for i in (0, 1) for v in "xy"]
+            jacobian += [comps[i].diff(v) for i in (2, 3) for v in "ab"]
+            for point in samples:
+                image = tuple(reference_eval_exact(c, point) for c in comps)
+                pairs += [(c, point) for c in comps + tuple(jacobian)]
+                pairs += [(c, image) for c in partner.components + (s.defining_poly, s.p_x, s.p_b)]
+                visited += 1
+    return pairs, visited
+
+
 def _big_fraction(rng):
     # 30-digit numerator and denominator, either sign
     num = rng.randint(10**29, 10**30 - 1) * rng.choice((-1, 1))
@@ -188,24 +249,10 @@ class TestEvalExact:
         self._check(p, (0, Fraction(1, 3), 0, -2))
 
     def test_flow_components_and_surfaces_match_reference(self):
-        evaluated = 0
-        for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
-            samples = sample_on_surface(s, report.DEFAULT_FLOW_SAMPLES, seed=DEFAULT_SEED)
-            for point in samples:
-                self._check(s.defining_poly, point)
-            for name in admissible_flow_names(detect_case(s)):
-                fm = flow(name, s, report._FLOW_PARAMS[name][0])
-                if not fm.is_polynomial:
-                    continue
-                partner = fm.with_param(report._FLOW_PARAMS[name][1])
-                for point in samples:
-                    image = tuple(reference_eval_exact(c, point) for c in fm.components)
-                    for c in fm.components:
-                        self._check(c, point)
-                    for c in partner.components + (s.defining_poly,):
-                        self._check(c, image)
-                    evaluated += 1
-        assert evaluated == 20 * 74  # the 74 polynomial flows of the 27 surfaces
+        pairs, visited = _report_evaluations()
+        for p, point in pairs:
+            self._check(p, point)
+        assert visited == 20 * 74  # the 74 polynomial flows of the 27 surfaces
 
     def test_builds_one_fraction(self, monkeypatch):
         built = []
@@ -230,6 +277,94 @@ class TestEvalExact:
         value = p.eval_exact((Fraction(1, 3), 0, 0, 0))
         assert time.perf_counter() - start < 0.25
         assert value == Fraction(3**100000 + 1, 3**100000)
+
+    def test_float_coordinate_is_a_type_error(self):
+        p = P("x^2 - 3/2 b")
+        for point in [(1, 0, 0, 2.0), (1, 0.5, 0, 2), (1.0, 0, 0, 2)]:  # y is unused
+            for _ in range(2):  # before and after the plan is built
+                with pytest.raises(TypeError):
+                    p.eval_exact(point)
+            assert p.eval_exact((1, 0, 0, 2)) == -2
+
+
+def _float_point(point):
+    return tuple(float(as_fraction(v)) for v in point)
+
+
+class TestEvalFloat:
+    def _check(self, p, point):
+        got = p.eval_float(point)
+        assert type(got) is float
+        assert got.hex() == reference_eval_float(p, point).hex(), (p, point)
+
+    def test_random_polys_match_reference(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            p = random_poly(rng, max_terms=6, max_exp=5)
+            if rng.random() < 0.3:
+                p = p + Poly({(rng.randint(0, 3), 0, rng.randint(0, 3), 1): _big_fraction(rng)})
+            point = _float_point(tuple(_coordinate(rng) for _ in range(4)))
+            self._check(p, point)
+            self._check(p, point)  # the second call walks the stored plan
+
+    def test_flow_components_and_surfaces_match_reference(self):
+        pairs, visited = _report_evaluations()
+        assert visited == 20 * 74
+        for p, point in pairs:
+            self._check(p, _float_point(point))
+            self._check(p, point)
+
+    def test_coefficient_that_underflows_to_negative_zero(self):
+        # the reference adds each leaf to 0.0, which turns -0.0 into 0.0
+        p = Poly({(1, 0, 0, 0): Fraction(-1, 10**400), (0, 0, 0, 1): 1})
+        for point in [(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (2.0, 1.0, 1.0, -0.0)]:
+            self._check(p, point)
+
+    def test_coefficient_too_large_overflows_at_every_call(self):
+        p = Poly({(1, 0, 0, 0): Fraction(10**400, 3), (0, 0, 0, 1): 1})
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                p.eval_float((1.0, 0.0, 0.0, 2.0))
+        assert p.eval_exact((1, 0, 0, 2)) == Fraction(10**400, 3) + 2
+        with pytest.raises(OverflowError):
+            p.eval_float((1.0, 0.0, 0.0, 2.0))
+
+
+class TestEvaluationPlan:
+    def test_built_once_per_polynomial(self, monkeypatch):
+        built = []
+        build_plan = Poly._build_plan
+
+        def counting_build_plan(p):
+            built.append(p)
+            return build_plan(p)
+
+        monkeypatch.setattr(Poly, "_build_plan", counting_build_plan)
+        p, q = P("3/4 x^5 b - 2/9 a^2 y + 1"), P("x - b")
+        for i in range(5):
+            point = (Fraction(i, 3), 2, Fraction(-1, 7), i)
+            p.eval_exact(point)
+            p.eval_float(point)
+            q.eval_float(point)
+            q.eval_exact(point)
+        assert built == [p, q]
+        assert built[0] is p and built[1] is q
+
+    def test_equality_and_hash_ignore_the_plan(self):
+        p, q = P("x^2 b - 5/3 a y + 2"), P("x^2 b - 5/3 a y + 2")
+        before = hash(p)
+        p.eval_exact((1, 2, 3, 4))
+        p.eval_float((1.0, 2.0, 3.0, 4.0))
+        assert p == q and q == p
+        assert hash(p) == before == hash(q)
+        assert p != P("x^2 b - 5/3 a y + 3")
+        assert {p: 1}[q] == 1
+
+    def test_stays_immutable(self):
+        p = P("x + b")
+        p.eval_float((1.0, 0.0, 0.0, 1.0))
+        with pytest.raises(AttributeError):
+            p._plan = None
 
 
 class TestGrading:
