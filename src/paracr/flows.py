@@ -529,8 +529,10 @@ def rk4_oracle(
 ) -> FloatPoint:
     """Classical 4th-order integration of dp/dt = V(p) from p0 over time t.
 
-    The generator is compiled once per field (``float_velocity``) and the
-    stages run on scalar locals.  The float operations are part of the
+    The whole loop is compiled once per field (``rk4_integrator``), from
+    the source that also defines ``float_velocity``, so each stage runs the
+    field's components inline on scalar locals, with a factor of exponent
+    1 written as the bare variable.  The float operations are part of the
     contract, so the endpoints are reproducible bit for bit: a stage point
     is ``p + 0.5 * h * k`` (``p + h * k3`` for the last stage) and a step is
     ``p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``, per coordinate.
@@ -538,26 +540,8 @@ def rk4_oracle(
     if steps < 1:
         raise ValueError("steps must be at least 1")
     h = t / steps
-    half = 0.5 * h
-    sixth = h / 6.0
     x, y, a, b = (float(c) for c in p0)
-    velocity = v.float_velocity()
-    for _ in range(steps):
-        k1x, k1y, k1a, k1b = velocity((x, y, a, b))
-        k2x, k2y, k2a, k2b = velocity(
-            (x + half * k1x, y + half * k1y, a + half * k1a, b + half * k1b)
-        )
-        k3x, k3y, k3a, k3b = velocity(
-            (x + half * k2x, y + half * k2y, a + half * k2a, b + half * k2b)
-        )
-        k4x, k4y, k4a, k4b = velocity(
-            (x + h * k3x, y + h * k3y, a + h * k3a, b + h * k3b)
-        )
-        x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        a = a + sixth * (k1a + 2.0 * k2a + 2.0 * k3a + k4a)
-        b = b + sixth * (k1b + 2.0 * k2b + 2.0 * k3b + k4b)
-    return (x, y, a, b)
+    return v.rk4_integrator()(x, y, a, b, h, 0.5 * h, h / 6.0, steps)
 
 
 def flow_time(fm: FlowMap) -> float:
@@ -573,23 +557,31 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     Points whose integral curve does not exist through the whole parameter
     interval are skipped; there the closed form is an analytic continuation
     rather than the ODE solution.  Skipping every point raises FlowDomainError.
-    A coordinate difference that is not finite (an overflow on either side,
-    or on both, which makes ``inf - inf`` NaN) counts as ``math.inf``, so it
-    fails every limit.
+    A point that overflows (a coordinate too large for a float, or an
+    ``OverflowError``, inf or NaN in the closed form or in the integration)
+    counts as ``math.inf``, and so does a coordinate difference that
+    overflows, so such a point fails every limit.
     """
     exists = fm.ode_domain_check or fm.domain_check
-    points = [tuple(float(v) for v in p) for p in samples]
-    points = [fp for fp in points if fm.domain_check(fp) is None and exists(fp) is None]
+    points = []
+    for p in samples:
+        fp = _finite(lambda: tuple(float(v) for v in p))
+        if fp is None:
+            return math.inf
+        if fm.domain_check(fp) is None and exists(fp) is None:
+            points.append(fp)
     if not points:
         raise FlowDomainError(f"{fm.name}: no sample lies in the flow's existence domain")
     worst = 0.0
     time = flow_time(fm)
     for fp in points:
-        closed = fm.apply_float(fp)
-        integrated = rk4_oracle(fm.generator, fp, time, steps)
-        for u, v in zip(closed, integrated):
-            diff = abs(u - v)
-            worst = max(worst, diff) if math.isfinite(diff) else math.inf
+        closed = _finite(lambda: fm.apply_float(fp))
+        if closed is None:
+            return math.inf
+        integrated = _finite(lambda: rk4_oracle(fm.generator, fp, time, steps))
+        if integrated is None:
+            return math.inf
+        worst = max(worst, *(abs(u - v) for u, v in zip(closed, integrated)))
     return worst
 
 

@@ -189,31 +189,69 @@ class ParaVectorField:
         """The field as a float function (x, y, a, b) -> (dx, dy, da, db).
 
         The field is compiled once, on first use, to one straight-line
-        Python function, which every later call returns again.  Its float
-        operations are part of the contract, since the RK4 endpoints depend
-        on them bit for bit: each component is ``0.0 + t1 + t2 + ...`` in
-        ``items()`` order, and each term is ``((c * x ** ex) * y ** ey) ...``
-        with ``c = float(coefficient)`` and the factors of exponent 0 left
-        out, which is exact.  A coefficient too large for a float raises
-        ``OverflowError``.  No user text reaches ``exec``: the source is
-        built from ``repr`` of floats, the fixed names x, y, a, b and
-        integer exponents alone.
+        Python function, which every later call returns again.  The same
+        source also defines the field's RK4 integrator (``rk4_integrator``),
+        and one ``compile`` call builds both.  Its float operations are part
+        of the contract, since the RK4 endpoints depend on them bit for bit:
+        each component is ``0.0 + t1 + t2 + ...`` in ``items()`` order, and
+        each term is ``((c * x ** ex) * y ** ey) ...`` with
+        ``c = float(coefficient)``, the factors of exponent 0 left out and
+        a factor of exponent 1 written as the bare variable, both of which
+        are exact (``v ** 1 == v`` for every float, and it never overflows).
+        Every other power stays ``v ** e``, which raises ``OverflowError``
+        where ``v * v`` would give inf.  A coefficient too large for a float
+        raises ``OverflowError``.  No user text reaches ``exec``: the source
+        is built from ``repr`` of floats, fixed variable names and integer
+        exponents alone, and its namespace holds ``range`` and nothing else.
         """
-        return self._compiled_velocity
+        return self._compiled[0]
+
+    def rk4_integrator(self) -> Callable[..., Tuple[float, float, float, float]]:
+        """The field's compiled RK4 loop, ``integrate(x, y, a, b, h, half, sixth, steps)``.
+
+        It runs ``steps`` classical RK4 steps of size ``h`` from the float
+        point (x, y, a, b), with ``half = 0.5 * h`` and ``sixth = h / 6.0``,
+        and returns the endpoint.  Each of the four stages evaluates the
+        field's components inline, with the float operations of
+        ``float_velocity``; see ``flows.rk4_oracle`` for the stage and step
+        order.  Compiled with ``float_velocity``, from one source.
+        """
+        return self._compiled[1]
 
     @cached_property
-    def _compiled_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
+    def _compiled(self) -> Tuple[Callable[..., Tuple[float, ...]], Callable[..., Tuple[float, ...]]]:
         sums = []
+        read = set()  # the variables some term reads
         for comp in (self.xi, self.eta, self.alpha, self.beta):
             terms = ["0.0"]
             for exp, c in comp.items():
-                factors = "".join(f" * {v} ** {e:d}" for v, e in zip("xyab", exp) if e)
+                factors = "".join(
+                    f" * {v}_" if e == 1 else f" * {v}_ ** {e:d}" for v, e in zip("xyab", exp) if e
+                )
                 terms.append(f"({float(c)!r}){factors}")
+                read.update(v for v, e in zip("xyab", exp) if e)
             sums.append(" + ".join(terms))
-        source = f"def velocity(point):\n    x, y, a, b = point\n    return ({', '.join(sums)})\n"
-        namespace: Dict[str, object] = {"__builtins__": {}}
-        exec(compile(source, "<ParaVectorField.float_velocity>", "exec"), namespace)
-        return namespace["velocity"]  # type: ignore[return-value]
+        lines = [
+            "def velocity(point):",
+            "    x_, y_, a_, b_ = point",
+            f"    return ({', '.join(sums)})",
+            "def integrate(x, y, a, b, h, half, sixth, steps):",
+            "    for _ in range(steps):",
+        ]
+        # k1 at the point, k2 and k3 at half steps along k1 and k2, k4 at a
+        # full step along k3; a stage coordinate no term reads is not formed,
+        # which changes no value, since float + and * never raise
+        stage_points = ("{v}", "{v} + half * k1{v}", "{v} + half * k2{v}", "{v} + h * k3{v}")
+        for stage, stage_point in enumerate(stage_points, start=1):
+            lines.extend(f"        {v}_ = " + stage_point.format(v=v) for v in "xyab" if v in read)
+            lines.extend(f"        k{stage}{v} = {expr}" for v, expr in zip("xyab", sums))
+        lines.extend(
+            f"        {v} = {v} + sixth * (k1{v} + 2.0 * k2{v} + 2.0 * k3{v} + k4{v})" for v in "xyab"
+        )
+        lines.append("    return (x, y, a, b)")
+        namespace: Dict[str, object] = {"__builtins__": {}, "range": range}
+        exec(compile("\n".join(lines) + "\n", "<ParaVectorField>", "exec"), namespace)
+        return namespace["velocity"], namespace["integrate"]  # type: ignore[return-value]
 
     def velocity_float(self, point) -> Tuple[float, float, float, float]:
         """(dx, dy, da, db) at a numeric point, ordered like (x, y, a, b)."""

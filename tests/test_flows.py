@@ -30,7 +30,7 @@ from paracr import surface as surface_mod
 from paracr.normalform import detect_case
 from paracr.poly import A, B, Poly, X, Y
 from paracr.solver import vertical_translation, grading_field
-from paracr.surface import ModelSurface
+from paracr.surface import ModelSurface, ParaVectorField
 from conftest import (
     binomial_gamma,
     k_ladder_surfaces,
@@ -406,6 +406,33 @@ class TestRk4:
         assert rk4_mismatch(fm, [p], steps=1000) == math.inf
         assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
 
+    def test_mismatch_counts_an_integration_overflow_as_failure(self):
+        # the point passes both domain checks and the closed form is finite,
+        # but y ** 2 in the generator raises OverflowError
+        s = ModelSurface(4, monomial_gamma(4, 2))
+        fm = flow(EXP_VK, s, Fraction(1, 10))
+        p = s.point_from_xab(1, -10**155, 1)
+        fp = tuple(float(v) for v in p)
+        assert fm.domain_check(fp) is None and fm.ode_domain_check(fp) is None
+        assert all(math.isfinite(c) for c in fm.apply_float(fp))
+        with pytest.raises(OverflowError):
+            rk4_oracle(fm.generator, fp, flow_time(fm), 1000)
+        assert rk4_mismatch(fm, [p], steps=1000) == math.inf
+        assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
+
+    def test_mismatch_counts_a_point_too_large_for_floats_as_failure(self):
+        # y = 2 + 10^320 does not convert to a float
+        s = ModelSurface(4, monomial_gamma(4, 2))
+        p = s.point_from_xab(10**160, 2, 1)
+        with pytest.raises(OverflowError):
+            float(p[1])
+        names = admissible_flow_names(detect_case(s))
+        assert len(names) == 4
+        for name in names:
+            fm = flow(name, s, RK4_PARAMS[name])
+            assert rk4_mismatch(fm, [p], steps=10) == math.inf
+            assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
+
     def test_criterion_07_runtime_budget(self):
         # criterion 7's three representatives, flows and points
         representatives = [
@@ -505,6 +532,60 @@ class TestRk4Kernel:
                 for fp in points + self.FAR_POINTS:
                     assert (_hex_or_error(v.float_velocity(), fp)
                             == _hex_or_error(reference_float_velocity(v), fp))
+
+    # exponent-1 factors in each of x, y, a and b, which the compiled source
+    # writes as the bare variable, and one zero component per field
+    EDGE_FIELDS = [
+        ParaVectorField(P("a - 3*a*b^2"), P("0"), P("x + 2*x^2*y"), P("y - x*y^3")),
+        ParaVectorField(P("a^2*b + 1"), P("b - a*b"), P("0"), P("x*y + 1/3*y^2")),
+        ParaVectorField(P("0"), P("b^3 + a"), P("7 - x*y"), P("5*x^2 + y")),
+    ]
+    SUBNORMAL = 5e-324
+    EDGE_VALUES = [-0.0, 0.0, SUBNORMAL, -3 * SUBNORMAL, math.inf, -math.inf, math.nan, 1e200]
+
+    def test_edge_floats_match_reference_bit_for_bit(self):
+        rng = random.Random(13)
+        points = [(v,) * 4 for v in self.EDGE_VALUES] + [
+            tuple(rng.choice(self.EDGE_VALUES + [1.5, -0.25]) for _ in range(4))
+            for _ in range(40)
+        ]
+        outcomes = set()
+        for v in self.EDGE_FIELDS:
+            for fp in points:
+                want = _hex_or_error(reference_float_velocity(v), fp)
+                assert _hex_or_error(v.float_velocity(), fp) == want, (str(v), fp)
+                outcomes.add(want if isinstance(want, type) else "values")
+                for t in (0.1, -0.3):
+                    want = _hex_or_error(reference_rk4, v, fp, t, 20)
+                    got = _hex_or_error(rk4_oracle, v, fp, t, 20)
+                    assert got == want, (str(v), fp, t)
+                    outcomes.add(want if isinstance(want, type) else "values")
+        # both the overflow and the value paths were compared
+        assert outcomes == {OverflowError, "values"}
+
+    def test_compiled_code_reads_no_outside_names(self):
+        tiny, vanishing, huge = Fraction(1, 10**320), Fraction(-1, 10**400), Fraction(10**308)
+        fields = [
+            ParaVectorField(P("a") * tiny, P("b^2") * vanishing, P("x*y") * huge, Poly({(0, 0, 0, 0): huge})),
+            ParaVectorField(Poly({(0, 0, 0, 0): tiny}), Poly({(0, 0, 0, 0): vanishing}),
+                            P("1 + x") * huge, P("y^3") * tiny),
+        ] + [
+            flow(name, s, RK4_PARAMS[name]).generator
+            for s in suite_surfaces()
+            for name in admissible_flow_names(detect_case(s))
+        ]
+        folded = 0
+        for v in fields:
+            for code in (v.float_velocity().__code__, v.rk4_integrator().__code__):
+                assert set(code.co_names) <= {"range"}, (str(v), code.co_names)
+                for const in code.co_consts:
+                    if isinstance(const, tuple):
+                        assert all(type(c) is float for c in const), (str(v), const)
+                        folded += 1
+                    else:
+                        assert const is None or type(const) in (float, int), (str(v), const)
+        # a constant field's velocity folds into one tuple of floats
+        assert folded > 0
 
 
     def test_rk4_mismatch_compiles_the_generator_once(self, monkeypatch):
