@@ -42,6 +42,12 @@ EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
 MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs for minutes
+# --weight and --weight-cap times the most decimal digits of a gamma numerator or
+# denominator: the powers of y = a + P carry coefficients that grow with both.
+# At weight 12k and this bound, solve-weight takes 0.9 s at k = 8, 2.4 s at k = 16,
+# 4.1 s at k = 24 (2.1 s with one-digit gammas) and 12 s at k = 40 (6 s); at k = 8,
+# weight 96 with 2,000-digit gammas (192,000) took 59 s
+MAX_WEIGHT_DIGITS = 12_000
 MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200
 # --phi and --psi exponents: finite-type expands (a - g)^N, 0.45 s at a^200 and 8.5 s
@@ -107,13 +113,17 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None,
-                   help="in [k, 12k]; default: scan until the algebra is proved complete")
+                   help="in [k, 12k], and times the most digits of a gamma numerator or "
+                        f"denominator at most {MAX_WEIGHT_DIGITS:,}; default: scan until the "
+                        "algebra is proved complete")
     add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve-weight", help="kernel basis at one weight")
     add_surface_flags(p)
-    p.add_argument("--weight", type=int, required=True, help="weight, in [-k, 12k]")
+    p.add_argument("--weight", type=int, required=True,
+                   help="weight, in [-k, 12k], and times the most digits of a gamma "
+                        f"numerator or denominator at most {MAX_WEIGHT_DIGITS:,}")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("finite-type", help="type detection for y = a + phi")
@@ -158,6 +168,22 @@ def _poly_flag(flag: str, text: str) -> Poly:
     return p
 
 
+def _digits(n: int) -> int:
+    # decimal digits of |n|, without str(), which refuses integers over 4,300 digits
+    n = abs(n)
+    d = int(n.bit_length() * math.log10(2))
+    return d + (n >= 10**d)
+
+
+def _check_weight_digits(flag: str, weight: int, surface: ModelSurface) -> None:
+    digits = max(_digits(v) for g in surface.gamma for v in (g.numerator, g.denominator))
+    if weight * digits > MAX_WEIGHT_DIGITS:
+        raise UsageError(
+            f"{flag} {weight} times {digits}, the most digits of a gamma numerator or "
+            f"denominator, is over the bound {MAX_WEIGHT_DIGITS:,}"
+        )
+
+
 def _surface(args) -> ModelSurface:
     if args.k > MAX_K:
         raise UsageError(f"--k must lie in [3, {MAX_K}], got {args.k}")
@@ -171,8 +197,10 @@ def _surface(args) -> ModelSurface:
 def _cmd_analyze(args) -> int:
     surface = _surface(args)
     k, cap = surface.k, args.weight_cap
-    if cap is not None and not k <= cap <= MAX_WEIGHT_PER_K * k:
-        raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+    if cap is not None:
+        if not k <= cap <= MAX_WEIGHT_PER_K * k:
+            raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+        _check_weight_digits("--weight-cap", cap, surface)
     rep = report_mod.analyze(
         surface.k,
         surface.gamma,
@@ -201,6 +229,7 @@ def _cmd_solve_weight(args) -> int:
     k = surface.k
     if not -k <= args.weight <= MAX_WEIGHT_PER_K * k:
         raise UsageError(f"--weight must lie in [{-k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+    _check_weight_digits("--weight", args.weight, surface)
     kb = solve_weight(surface, args.weight)
     payload = {
         "k": surface.k,

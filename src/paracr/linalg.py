@@ -11,18 +11,22 @@ Otherwise every row of the full system is checked against the subsystem's
 kernel over the integers, and rows that fail join the subsystem until none
 fails; the result then equals ``nullspace_bareiss`` on all rows.  The second
 path is a Gauss-Jordan reduction to reduced row echelon form, run over
-integers: each row is cleared of denominators and reduced by its content,
-and rows are combined two at a time with gcd-reduced multipliers.  It stays
-independent of the first so that cross-checks do not share an elimination
-route: it shares no helper with it, never divides by the previous pivot, and
-reduces above as well as below every pivot.
+integers one row at a time: each row is cleared of denominators, divided by
+its content and reduced against the pivot rows found so far with gcd-reduced
+multipliers.  A row that reduces to zero is dropped, and the reduction stops
+as soon as every column has a pivot, since the reduced form is then the
+identity; otherwise one back-substitution pass clears above the pivots.  It
+stays independent of the first so that cross-checks do not share an
+elimination route: it shares no helper with it, uses no modular arithmetic
+and never divides by the previous pivot.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 Vector = Tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
@@ -152,57 +156,64 @@ def nullspace_modular(rows: Matrix, ncols: int) -> List[Vector]:
         kept = sorted(kept + failing)
 
 
-def rref(rows: Matrix, ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
+def _clear_column(row: List[int], c: int, prow: List[int]) -> List[int]:
+    # row = (p/g) row - (f/g) prow with g = gcd(p, f), then divided by its content
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    if a == 1:
+        row = [v - b * w for v, w in zip(row, prow)]
+    else:
+        row = [a * v - b * w for v, w in zip(row, prow)]
+    content = gcd(*row)
+    return [v // content for v in row] if content > 1 else row
+
+
+def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
     """Reduced row echelon form; returns (rows, pivot columns).
 
-    Entries are ints or Fractions.  Each row is scaled to a primitive integer
-    row first.  Every pivot clears its column in all other rows by
+    Entries are ints or Fractions, and ``rows`` is read one row at a time.
+    Each row is scaled to a primitive integer row, then reduced against the
+    pivot rows found so far, in ascending pivot column, by
     ``row = (p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``, after which
-    the row is divided by its content.  Only the final rows become Fractions,
-    divided by their pivots.  The reduced form is unique, so the result does
-    not depend on the choice of pivot row, which is the smallest in
-    magnitude.
+    it is divided by its content.  A row that reduces to zero is dropped; any
+    other row becomes the pivot row of its leading column.  Once there are
+    ``ncols`` pivots the matrix has full column rank, so its reduced form is
+    the identity: that is returned at once and no further row is read.
+    Otherwise one back-substitution pass, from the last pivot to the first,
+    clears each pivot column in the pivot rows above it, and only the final
+    rows become Fractions, divided by their pivots.  The reduced form is
+    unique, so the result does not depend on the order of the rows.
     """
-    m: List[List[int]] = []
+    pivot_cols: List[int] = []  # ascending
+    pivot_rows: List[List[int]] = []
     for row in rows:
         scale = lcm(*(v.denominator for v in row))
         ints = [v.numerator * (scale // v.denominator) for v in row]
         content = gcd(*ints)
-        m.append([v // content for v in ints] if content > 1 else ints)
-    nrows = len(m)
-    pivot_cols: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            v = m[i][c]
-            if v and (pivot is None or abs(v) < abs(m[pivot][c])):
-                pivot = i
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        prow = m[r]
-        p = prow[c]
-        # entries left of c vanish in every row from r down
-        support = [j for j in range(c, ncols) if prow[j]]
-        for i in range(nrows):
-            row = m[i]
-            f = row[c]
-            if not f or i == r:
-                continue
-            g = gcd(p, f)
-            a, b = p // g, f // g
-            if a != 1:
-                row = [a * v for v in row]
-            for j in support:
-                row[j] -= b * prow[j]
-            content = gcd(*row)
-            m[i] = [v // content for v in row] if content > 1 else row
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(m, pivot_cols)]
+        if content > 1:
+            ints = [v // content for v in ints]
+        for c, prow in zip(pivot_cols, pivot_rows):
+            if ints[c]:
+                ints = _clear_column(ints, c, prow)
+        for lead, v in enumerate(ints):
+            if v:
+                break
+        else:
+            continue  # reduced to zero
+        i = bisect_left(pivot_cols, lead)
+        pivot_cols.insert(i, lead)
+        pivot_rows.insert(i, ints)
+        if len(pivot_cols) == ncols:
+            zero, one = Fraction(0), Fraction(1)
+            identity = [[one if j == c else zero for j in range(ncols)] for c in pivot_cols]
+            return identity, pivot_cols
+    for i in range(len(pivot_cols) - 1, 0, -1):
+        c, prow = pivot_cols[i], pivot_rows[i]
+        for h in range(i):
+            if pivot_rows[h][c]:
+                pivot_rows[h] = _clear_column(pivot_rows[h], c, prow)
+    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(pivot_rows, pivot_cols)]
     return reduced, pivot_cols
 
 
@@ -246,12 +257,9 @@ def solve_in_span(
     return coeffs
 
 
-def same_span(u: Sequence[Sequence[Fraction]], v: Sequence[Sequence[Fraction]], ncols: int) -> bool:
-    ru = rank(u, ncols)
-    rv = rank(v, ncols)
-    if ru != rv:
-        return False
-    return rank(list(u) + list(v), ncols) == ru
+def same_span(u: Matrix, v: Matrix, ncols: int) -> bool:
+    """Whether the rows of u and of v span the same space: their reduced forms agree."""
+    return rref(u, ncols) == rref(v, ncols)
 
 
 def symmetric_signature(matrix: Matrix) -> Tuple[int, int, int]:

@@ -11,8 +11,12 @@ columns are assembled slot by slot from powers (a+P)^j cached on the surface
 ``brute_force_check`` rebuilds the same linear system by evaluating the
 residual at random rational points (interpolation style), each sampled row
 built over the integers at one common denominator of its point, and reduces
-it with an unrelated routine, the integer Gauss-Jordan; disagreement with
-``solve_weight`` is a hard failure.
+it with an unrelated routine, the integer Gauss-Jordan ``linalg.rref``, which
+shares no code with the Bareiss path: it reduces the rows one at a time
+against the pivots found so far, stops reading rows once every column has a
+pivot (the kernel is then {0}) and otherwise ends with one back-substitution
+pass.  Every sampled row is still checked against every symbolic kernel
+vector; disagreement with ``solve_weight`` is a hard failure.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paracr.cli import EXIT_CLOSURE, EXIT_FLOW, EXIT_OK, EXIT_USAGE, main
+from paracr.cli import EXIT_CLOSURE, EXIT_FLOW, EXIT_OK, EXIT_USAGE, MAX_WEIGHT_DIGITS, main
 from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
 from paracr.surface import ModelSurface
 from conftest import poly_st
@@ -155,6 +155,33 @@ class TestUsageErrors:
         )
         assert code == EXIT_OK
         assert f"weight {weight}:" in out
+
+    @pytest.mark.parametrize(
+        "command, flag", [("solve-weight", "--weight"), ("analyze", "--weight-cap")]
+    )
+    def test_weight_times_gamma_digits_over_bound_rejected_fast(self, capsys, command, flag):
+        # 96 x 2,000 digits: solve-weight ran for about a minute before the bound
+        nines = "9" * 2000
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, command, "--k", "8", "--gamma", f"{nines},1,{nines},2,{nines},3,1/{nines}",
+            flag, "96",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{flag} 96 times 2000" in err and f"bound {MAX_WEIGHT_DIGITS:,}" in err
+
+    @pytest.mark.parametrize("gamma", ["3,{}", "1/{},3", "-{}/7,1"])
+    def test_weight_times_gamma_digits_at_bound_allowed(self, capsys, gamma):
+        weight = 12
+        digits = "9" * (MAX_WEIGHT_DIGITS // weight)
+        argv = ["solve-weight", "--k", "3", "--gamma", gamma.format(digits)]
+        code, out, _ = run(capsys, *argv, "--weight", str(weight), "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["weight"] == weight
+        code, _, err = run(capsys, *argv, "--weight", str(weight + 1))
+        assert code == EXIT_USAGE
+        assert f"--weight {weight + 1} times {len(digits)}" in err
 
 
     @pytest.mark.parametrize("k", ["41", "1000"])
@@ -494,10 +521,10 @@ def _cli_argv(draw):
         if gamma and draw(st.integers(0, 3)) == 0:
             gamma[draw(st.integers(0, size - 1))] = draw(_BAD_GAMMA_ENTRIES)
         argv = [command, "--k", str(k), "--gamma", ",".join(gamma)]
-        # weights stay at most 3k: with 2,000-digit gammas the system at
-        # weight 12k runs for about a minute at k = 8, which no bound catches yet
+        # weights reach the 12k bound, where MAX_WEIGHT_DIGITS rejects large
+        # gammas; weight caps stay at most 3k, since analyze solves every weight
         if command == "solve-weight":
-            argv += ["--weight", str(draw(st.integers(-k, 3 * k)))]
+            argv += ["--weight", str(draw(st.integers(-k, 12 * k)))]
         if command == "analyze" and draw(st.booleans()):
             argv += ["--weight-cap", str(draw(st.integers(k, 3 * k)))]
         if command in ("analyze", "flows"):

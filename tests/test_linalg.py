@@ -215,6 +215,78 @@ class TestRref:
             ]
             self.assert_matches_reference(rows, ncols)
 
+    def test_tall_full_rank(self):
+        rng = random.Random("rref-tall-full-rank")
+        for _ in range(40):
+            t = rng.randint(1, 8)
+            rows = random_rows(rng, 2 * t + 16, t, span=9, den=5)
+            assert linalg.rref(rows, t)[1] == list(range(t))
+            self.assert_matches_reference(rows, t)
+
+    @pytest.mark.parametrize("full", [False, True], ids=["deficient", "full"])
+    def test_last_rank_raising_row_comes_last(self, full):
+        # every row but the last lies in the span of the first rank - 1 generators
+        rng = random.Random(f"rref-last-{full}")
+        for _ in range(40):
+            ncols = rng.randint(2, 7)
+            rank = ncols if full else rng.randint(1, ncols - 1)
+            gens = random_rows(rng, rank, ncols)
+            if len(reference_rref(gens, ncols)[1]) < rank:
+                continue
+            rows = []
+            for _ in range(rng.randint(rank - 1, 12)):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in gens[:-1]]
+                rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+            rows[: rank - 1] = gens[:-1]
+            assert len(reference_rref(rows, ncols)[1]) == rank - 1
+            rows.append(gens[-1])
+            assert len(linalg.rref(rows, ncols)[1]) == rank
+            self.assert_matches_reference(rows, ncols)
+
+    def test_row_order_does_not_change_the_result(self):
+        rng = random.Random("rref-shuffle")
+        for _ in range(40):
+            ncols, rank = rng.randint(1, 7), rng.randint(0, 4)
+            gens = random_rows(rng, rank, ncols)
+            rows = [[sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)]
+                    for coeffs in ([rng.randint(-3, 3) for _ in gens] for _ in range(9))]
+            rows += random_rows(rng, rng.randint(0, 2), ncols)
+            expected = linalg.rref(rows, ncols)
+            for _ in range(5):
+                rng.shuffle(rows)
+                assert linalg.rref(rows, ncols) == expected
+
+    def test_stops_reading_at_full_column_rank(self):
+        def counted(rows, seen):
+            for row in rows:
+                seen.append(row)
+                yield row
+
+        rng = random.Random("rref-early-stop")
+        for _ in range(40):
+            ncols = rng.randint(1, 6)
+            gens = random_rows(rng, ncols, ncols)
+            if len(reference_rref(gens, ncols)[1]) < ncols:
+                continue
+            # zero rows, and the second multiple of a generator, raise no rank
+            rows = []
+            for g in gens:
+                rows += [[0] * ncols, g, [3 * v for v in g]]
+                rng.shuffle(rows)
+            ranks = [len(reference_rref(rows[:i], ncols)[1]) for i in range(len(rows) + 1)]
+            last = ranks.index(ncols) - 1  # the row that completes the rank
+            tail = random_rows(rng, 5, ncols)
+            seen = []
+            assert linalg.rref(counted(rows[: last + 1] + tail, seen), ncols) == (
+                reference_rref(rows, ncols)
+            )
+            assert len(seen) == last + 1
+            # short of full rank, every row is read
+            seen = []
+            deficient = [row for row in rows if row not in (gens[-1], [3 * v for v in gens[-1]])]
+            linalg.rref(counted(deficient, seen), ncols)
+            assert len(seen) == len(deficient)
+
     @pytest.mark.parametrize(
         "s",
         [ModelSurface(4, monomial_gamma(4, 2)), ModelSurface(5, binomial_gamma(5, 2, 3))],
@@ -250,6 +322,41 @@ class TestSolveInSpan:
     def test_empty_basis(self):
         assert linalg.solve_in_span([], (0, 0)) == []
         assert linalg.solve_in_span([], (1, 0)) is None
+
+
+class TestSameSpan:
+    def test_equal_spans_of_different_sizes(self):
+        g, h = [1, 2, 0, Fraction(1, 3)], [0, 1, -1, 4]
+        u = [g, h]
+        v = [[a + b for a, b in zip(g, h)], [2 * a - b for a, b in zip(g, h)], [3 * a for a in g]]
+        assert linalg.same_span(u, v, 4)
+        assert linalg.same_span(v, u, 4)
+
+    def test_duplicate_and_zero_rows(self):
+        g, h = [Fraction(1, 2), 0, 3], [0, 5, Fraction(-1, 7)]
+        assert linalg.same_span([g, g, [0, 0, 0], h], [h, g], 3)
+        assert linalg.same_span([[0, 0, 0]], [], 3)
+        assert not linalg.same_span([[0, 0, 0], g], [], 3)
+
+    def test_unequal_spans_of_equal_rank(self):
+        assert not linalg.same_span([[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 0, 1]], 3)
+        assert not linalg.same_span([[1, 1, 0]], [[1, 0, 1]], 3)
+
+    def test_matches_rank_definition(self):
+        def rank(rows, ncols):
+            return len(reference_rref(rows, ncols)[1])
+
+        rng = random.Random("same-span")
+        outcomes = set()
+        for _ in range(60):
+            ncols = rng.randint(1, 5)
+            pool = random_rows(rng, 3, ncols, span=2, den=2)
+            u = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            v = [rng.choice(pool) for _ in range(rng.randint(0, 3))]
+            expected = rank(u, ncols) == rank(v, ncols) == rank(u + v, ncols)
+            assert linalg.same_span(u, v, ncols) == expected
+            outcomes.add(expected)
+        assert outcomes == {False, True}
 
 
 class TestSignature:
