@@ -57,7 +57,6 @@ from .embedding import (
     EmbeddingSeries,
     InducedDirection,
     ParaCRFunctionPair,
-    ParaCRStructureData,
     induced_Y,
     paracr_residuals,
     solve_embedding,

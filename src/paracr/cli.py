@@ -113,9 +113,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None,
-                   help="in [k, 12k], and times the most digits of a gamma numerator or "
-                        f"denominator at most {MAX_WEIGHT_DIGITS:,}; default: scan until the "
-                        "algebra is proved complete")
+                   help="in [k, 12k]; max(cap, 2k) times the most digits of a gamma numerator "
+                        f"or denominator must be at most {MAX_WEIGHT_DIGITS:,}, also with no "
+                        "cap; default: scan until the algebra is proved complete")
     add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -131,7 +131,9 @@ def build_parser() -> _Parser:
                    help=f"polynomial in x, a, b; exponents at most {MAX_EXPONENT}")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("singular-locus", help="zero locus trichotomy of P_xb")
+    p = sub.add_parser("singular-locus", help="zero locus trichotomy of P_xb",
+                       description="2k times the most digits of a gamma numerator or "
+                                   f"denominator must be at most {MAX_WEIGHT_DIGITS:,}")
     add_surface_flags(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -194,13 +196,20 @@ def _surface(args) -> ModelSurface:
         raise UsageError(str(exc))
 
 
+def _check_gamma_digits(surface: ModelSurface, cap: Optional[int] = None) -> None:
+    # the singular locus's integer Sturm chain and the uncapped scan, which
+    # reaches 2k - 2 or more, count as weight max(cap, 2k): with 2,000-digit
+    # gammas, singular_locus alone took 18.6 s at k = 20
+    weight = max(cap or 0, 2 * surface.k)
+    _check_weight_digits("--weight-cap" if weight == cap else "weight 2k =", weight, surface)
+
+
 def _cmd_analyze(args) -> int:
     surface = _surface(args)
     k, cap = surface.k, args.weight_cap
-    if cap is not None:
-        if not k <= cap <= MAX_WEIGHT_PER_K * k:
-            raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
-        _check_weight_digits("--weight-cap", cap, surface)
+    if cap is not None and not k <= cap <= MAX_WEIGHT_PER_K * k:
+        raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+    _check_gamma_digits(surface, cap)
     rep = report_mod.analyze(
         surface.k,
         surface.gamma,
@@ -263,7 +272,9 @@ def _cmd_finite_type(args) -> int:
 
 
 def _cmd_singular_locus(args) -> int:
-    locus = singular_locus(_surface(args))
+    surface = _surface(args)
+    _check_gamma_digits(surface)
+    locus = singular_locus(surface)
     _emit(report_mod.locus_dict(locus), lambda d: describe_locus(d) + "\n", args.format)
     return EXIT_OK
 

@@ -27,20 +27,6 @@ def truncate_b(p: Poly, max_b_degree: int) -> Poly:
 
 
 @dataclass(frozen=True)
-class ParaCRStructureData:
-    """Canonical frame data X = d_x, Y = d_b + psi(x, a, b) d_a."""
-
-    psi: Poly
-
-    def __post_init__(self):
-        if not self.psi.uses_only(("x", "a", "b")):
-            raise EmbeddingError("psi must be a polynomial in (x, a, b)")
-
-    def solve(self, order: int = 8) -> "EmbeddingSeries":
-        return solve_embedding(self.psi, order)
-
-
-@dataclass(frozen=True)
 class EmbeddingSeries:
     """phi~ = sum_n c_n(a, x) b^n with c_0 = a, solved through order N."""
 

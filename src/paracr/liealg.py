@@ -1,15 +1,17 @@
 """Abstract Lie-algebra analysis of a computed symmetry algebra.
 
 Everything here runs over exact rationals: derived series by rank
-computations, the center as the kernel of the adjoint map, the Killing
-form with its signature by congruence diagonalization, and a structural
-classification with an honest OTHER bucket.
+computations, the center dimension from the rank of the adjoint map, the
+Killing form with its signature by Descartes' rule of signs on its exact
+characteristic polynomial, and a structural classification with an honest
+OTHER bucket.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
@@ -61,24 +63,25 @@ class StructureConstants:
 
     def validate(self) -> None:
         n = self.dimension
+        table = self.table
         for i in range(n):
             for j in range(n):
                 for l in range(n):
-                    if self.table[i][j][l] != -self.table[j][i][l]:
+                    if table[i][j][l] != -table[j][i][l]:
                         raise InvalidStructureError(
                             f"antisymmetry fails at ({i},{j},{l})"
                         )
+        # given antisymmetry the Jacobi sum is alternating in (i, j, l), zero on a
+        # repeated index and odd under a swap, so the triples i < j < l decide it
         basis = _basis_vectors(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                for l in range(n):
-                    lhs = self.bracket_vec(self.bracket_vec(basis[i], basis[j]), basis[l])
-                    mid = self.bracket_vec(self.bracket_vec(basis[j], basis[l]), basis[i])
-                    rhs = self.bracket_vec(self.bracket_vec(basis[l], basis[i]), basis[j])
-                    if any(p + q + r != 0 for p, q, r in zip(lhs, mid, rhs)):
-                        raise InvalidStructureError(
-                            f"Jacobi identity fails on basis triple ({i},{j},{l})"
-                        )
+        for i, j, l in combinations(range(n), 3):
+            lhs = self.bracket_vec(table[i][j], basis[l])
+            mid = self.bracket_vec(table[j][l], basis[i])
+            rhs = self.bracket_vec(table[l][i], basis[j])
+            if any(p + q + r != 0 for p, q, r in zip(lhs, mid, rhs)):
+                raise InvalidStructureError(
+                    f"Jacobi identity fails on basis triple ({i},{j},{l})"
+                )
 
 
 def structure_constants(algebra: SymmetryAlgebra) -> StructureConstants:
@@ -131,7 +134,7 @@ def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[List[
     chain = [current]
     while True:
         brackets = _subspace_brackets(sc, current)
-        nxt = linalg.rref(brackets, n)[0] if brackets else []
+        nxt = linalg.rref(brackets, n)[0]
         dims.append(len(nxt))
         chain.append(nxt)
         if len(nxt) == 0 or len(nxt) == len(current):
@@ -141,14 +144,10 @@ def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[List[
 
 
 def _center_dim(sc: StructureConstants) -> int:
+    # the center is the kernel of z -> ([z, e_j])_j, one row per (j, l)
     n = sc.dimension
-    rows = []
-    for j in range(n):
-        for l in range(n):
-            rows.append(tuple(sc.table[i][j][l] for i in range(n)))
-    if not rows:
-        return n
-    return len(linalg.nullspace_gauss_jordan(rows, n))
+    rows = [tuple(sc.table[i][j][l] for i in range(n)) for j in range(n) for l in range(n)]
+    return n - linalg.rank(rows, n)
 
 
 def killing_form(sc: StructureConstants) -> List[List[Fraction]]:

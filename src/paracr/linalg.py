@@ -18,7 +18,8 @@ as soon as every column has a pivot, since the reduced form is then the
 identity; otherwise one back-substitution pass clears above the pivots.  It
 stays independent of the first so that cross-checks do not share an
 elimination route: it shares no helper with it, uses no modular arithmetic
-and never divides by the previous pivot.
+and never divides by the previous pivot.  Signatures of symmetric matrices
+come from Descartes' rule of signs on the exact characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+from .sturm import sign_variations
 
 Vector = Tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
@@ -265,44 +268,24 @@ def same_span(u: Matrix, v: Matrix, ncols: int) -> bool:
 def symmetric_signature(matrix: Matrix) -> Tuple[int, int, int]:
     """Signature (pos, neg, zero) of a symmetric matrix over Q.
 
-    Computed by congruence diagonalization; no floating point involved.
+    A symmetric matrix has only real eigenvalues, so Descartes' rule of signs
+    on its characteristic polynomial p counts the positive ones exactly, and
+    on p(-t) the negative ones.  p is computed by Faddeev-LeVerrier on the
+    matrix scaled to integers, a positive scaling that keeps the signature:
+    with M_0 = 0, M_i = A M_(i-1) + c_(n-i+1) I and c_(n-i) = -tr(A M_i) / i,
+    where c_n = 1 and every c is an integer, so each division is exact.
     """
     n = len(matrix)
-    m = [[Fraction(v) for v in row] for row in matrix]
-    for i in range(n):
-        if m[i][i] == 0:
-            swap = None
-            for j in range(i + 1, n):
-                if m[j][j] != 0:
-                    swap = j
-                    break
-            if swap is not None:
-                m[i], m[swap] = m[swap], m[i]
-                for row in m:
-                    row[i], row[swap] = row[swap], row[i]
-            else:
-                off = None
-                for j in range(i + 1, n):
-                    if m[i][j] != 0:
-                        off = j
-                        break
-                if off is None:
-                    continue  # row and column vanish: zero diagonal entry
-                for col in range(n):
-                    m[i][col] += m[off][col]
-                for row in m:
-                    row[i] += row[off]
-        pivot = m[i][i]
-        if pivot == 0:
-            continue
-        for j in range(i + 1, n):
-            if m[j][i] != 0:
-                f = m[j][i] / pivot
-                for col in range(n):
-                    m[j][col] -= f * m[i][col]
-                for row in m:
-                    row[j] = row[j] - f * row[i]
-    pos = sum(1 for i in range(n) if m[i][i] > 0)
-    neg = sum(1 for i in range(n) if m[i][i] < 0)
-    zero = n - pos - neg
-    return (pos, neg, zero)
+    scale = lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    a = [[int(Fraction(v) * scale) for v in row] for row in matrix]
+    coeffs = [1]  # c_n, c_(n-1), ..., c_0
+    m = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        m = [[sum(a[r][t] * m[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+        for r in range(n):
+            m[r][r] += coeffs[-1]
+        trace = sum(a[r][t] * m[t][r] for r in range(n) for t in range(n))
+        coeffs.append(-trace // i)
+    pos = sign_variations(coeffs)
+    neg = sign_variations([c if (n - d) % 2 == 0 else -c for d, c in enumerate(coeffs)])
+    return (pos, neg, n - pos - neg)

@@ -33,6 +33,12 @@ PENCIL = "PENCIL"
 # fast: for x^5 b^5 + a^5 b + b^2 + a^2, p has 61 terms at step 2 (0.2 s) and
 # 680 at step 3, whose substitution alone takes 12.5 s.
 MAX_ELIMINATION_TERMS = 200
+# Terms one step may multiply out before like terms merge (``_step_terms``).
+# The second step of x^99 b^99 + a^99 b + b^2 + a^2 starts from 104 terms,
+# multiplies out 171,711 and took 8 s; a step of 26,537 took 0.8 s.  On 300
+# seeded inputs a^2 + b^2 (or b^3) plus up to 4 terms of exponent <= 9, no
+# step of an input decided within MAX_ELIMINATION_TERMS exceeded 6,620.
+MAX_STEP_TERMS = 20_000
 
 
 class NormalFormError(ValueError):
@@ -91,6 +97,24 @@ def _b_order(p: Poly) -> int:
     return min(exp[3] for exp, _ in p.items())
 
 
+def _step_terms(p: Poly, g: Poly) -> int:
+    """Terms that substituting a -> a - g into p multiplies out, or more.
+
+    The terms of g^j have the distinct sums of j b-exponents of g, so
+    (a - g)^e has sum_(j <= e) of their counts; each term a^e of p takes
+    those of (a - g)^e.  The count stops as soon as one power alone is over
+    ``MAX_STEP_TERMS``, so no set of sums it builds is larger than that.
+    """
+    b_exps = {exp[3] for exp, _ in g.items()}
+    sums, sizes = {0}, [1]  # sizes[e]: terms of (a - g)^e
+    for _ in range(p.max_exponent("a")):
+        sums = {s + t for s in sums for t in b_exps}
+        sizes.append(sizes[-1] + len(sums))
+        if sizes[-1] > MAX_STEP_TERMS:
+            return sizes[-1]
+    return sum(sizes[exp[2]] for exp, _ in p.items())
+
+
 def finite_type(phi: DefiningFunction) -> TypeResult:
     """Type detection by iterated elimination of pure x and pure b terms.
 
@@ -100,7 +124,8 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
     mixed a-free part of lowest degree can no longer be touched.  If no
     x-containing monomial exists, or everything left is divisible by a, the
     contact order is unbounded.  A step that would start from more than
-    ``MAX_ELIMINATION_TERMS`` terms raises ``NormalFormError``.
+    ``MAX_ELIMINATION_TERMS`` terms, or multiply out more than
+    ``MAX_STEP_TERMS``, raises ``NormalFormError`` before it expands.
     """
     p = phi.phi - _pure_x_part(phi.phi)
     if p.max_exponent("x") == 0:
@@ -117,6 +142,12 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
             raise NormalFormError(
                 f"pure-b elimination reached {len(p)} terms, over the bound of "
                 f"{MAX_ELIMINATION_TERMS} (MAX_ELIMINATION_TERMS); the type is undecided"
+            )
+        step_terms = _step_terms(p, g)
+        if step_terms > MAX_STEP_TERMS:
+            raise NormalFormError(
+                f"a pure-b elimination step would multiply out {step_terms:,} terms or more, "
+                f"over the bound of {MAX_STEP_TERMS:,} (MAX_STEP_TERMS); the type is undecided"
             )
         p = p.substitute("a", A - g) - g
     else:
@@ -173,9 +204,6 @@ class CoordinateChange:
     y_map: Poly
     a_map: Poly
     b_map: Poly
-
-    def as_tuple(self) -> Tuple[Poly, Poly, Poly, Poly]:
-        return (self.x_map, self.y_map, self.a_map, self.b_map)
 
 
 @dataclass(frozen=True)

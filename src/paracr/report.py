@@ -43,6 +43,8 @@ _FLOW_PARAMS = {
     flows_mod.EXP_VK: (Fraction(1, 10), Fraction(1, 7)),
     flows_mod.EXP_VM1: (Fraction(1, 10), Fraction(1, 7)),
 }
+# algebra dimension of the three-case pattern, by detected case
+_EXPECTED_DIMENSION = {MONOMIAL: 4, BINOMIAL: 3, GENERIC: 2}
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,6 @@ class AnalysisReport:
         return all(v.passed for v in self.flow_verifications)
 
 
-def _expected_dimension(detection: CaseDetection, k: int) -> int:
-    if detection.kind == MONOMIAL:
-        return 4
-    if detection.kind == BINOMIAL:
-        return 3
-    return 2
-
-
 def analyze(
     k: int,
     gamma: Sequence,
@@ -111,7 +105,7 @@ def analyze(
         sc = liealg.structure_constants(algebra)
         summary_profile = liealg.profile(sc)
         classification = liealg.classify(summary_profile)
-    expected = _expected_dimension(detection, k)
+    expected = _EXPECTED_DIMENSION[detection.kind]
     if algebra.dimension != expected:
         extra = sorted(
             w

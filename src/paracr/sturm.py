@@ -53,7 +53,8 @@ def _negated_remainder(num: List[int], den: List[int]) -> List[int]:
     return _primitive([-c for c in rem])
 
 
-def _sign_variations(values: Sequence[int]) -> int:
+def sign_variations(values: Sequence[int]) -> int:
+    """Sign changes along the sequence, zeros skipped (Descartes' rule of signs)."""
     signs = [1 if v > 0 else -1 for v in values if v != 0]
     return sum(1 for s1, s2 in zip(signs, signs[1:]) if s1 != s2)
 
@@ -79,4 +80,4 @@ def count_real_roots(p: Sequence[Fraction]) -> int:
         chain.append(rem)
     at_pos = [q[-1] for q in chain]
     at_neg = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
-    return _sign_variations(at_neg) - _sign_variations(at_pos)
+    return sign_variations(at_neg) - sign_variations(at_pos)

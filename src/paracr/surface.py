@@ -167,23 +167,18 @@ class ParaVectorField:
             and self.eta.is_zero
         )
 
+    @property
+    def ambient(self) -> AmbientField:
+        return (self.xi, self.eta, self.alpha, self.beta)
+
     def apply(self, f: Poly) -> Poly:
         """Derivation action alpha f_a + beta f_b + xi f_x + eta f_y."""
-        return (
-            self.alpha * f.diff("a")
-            + self.beta * f.diff("b")
-            + self.xi * f.diff("x")
-            + self.eta * f.diff("y")
-        )
+        return ambient_apply(self.ambient, f)
 
     def bracket(self, other: "ParaVectorField") -> "ParaVectorField":
         """[V, W], componentwise V(W) - W(V); para-holomorphic by closure."""
-        return ParaVectorField(
-            self.apply(other.alpha) - other.apply(self.alpha),
-            self.apply(other.beta) - other.apply(self.beta),
-            self.apply(other.xi) - other.apply(self.xi),
-            self.apply(other.eta) - other.apply(self.eta),
-        )
+        xi, eta, alpha, beta = ambient_bracket(self.ambient, other.ambient)
+        return ParaVectorField(alpha, beta, xi, eta)
 
     def float_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
         """The field as a float function (x, y, a, b) -> (dx, dy, da, db).
@@ -321,7 +316,7 @@ def tangency_residual(v: ParaVectorField, s: ModelSurface) -> Poly:
     return s.substitute_y(v.apply(s.defining_poly))
 
 
-# -- ambient (non-para) fields, used for the induced direction pair ---------
+# -- ambient fields: the one derivation, for para fields and the direction pair
 
 AmbientField = Tuple[Poly, Poly, Poly, Poly]  # coefficients of d_x, d_y, d_a, d_b
 
@@ -329,9 +324,13 @@ _AMBIENT_VARS = ("x", "y", "a", "b")
 
 
 def ambient_apply(v: AmbientField, f: Poly) -> Poly:
+    """sum_i v_i df/dx_i; a zero coefficient or a zero derivative adds nothing."""
     out = Poly.zero()
     for coeff, var in zip(v, _AMBIENT_VARS):
-        out = out + coeff * f.diff(var)
+        if coeff:
+            derivative = f.diff(var)
+            if derivative:
+                out = out + coeff * derivative
     return out
 
 

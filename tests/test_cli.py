@@ -398,6 +398,54 @@ class TestFiniteTypeBound:
         assert "MAX_ELIMINATION_TERMS" in err
 
 
+class TestFiniteTypeStepBound:
+    def test_oversized_step_exits_64_quickly(self, capsys):
+        # one step multiplies out 171,711 terms from 104; it ran 8 s unbounded
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "finite-type", "--phi", "x^99b^99+a^99b+b^2+a^2")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "MAX_STEP_TERMS" in err and "20,000" in err
+
+
+def _alternating_gamma(k, digits):
+    # gammas alternating a number of `digits` nines and small ints, the last 1/D
+    big = "9" * digits
+    return ",".join([big if i % 2 == 0 else str(i) for i in range(k - 2)] + ["1/" + big])
+
+
+class TestScanDigitBound:
+    """analyze and singular-locus count as weight max(cap, 2k) against MAX_WEIGHT_DIGITS."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", "--k", "40", "--gamma", _alternating_gamma(40, 2000)),
+            ("analyze", "--k", "40", "--weight-cap", "40", "--gamma", _alternating_gamma(40, 300)),
+            ("singular-locus", "--k", "20", "--gamma", _alternating_gamma(20, 2000)),
+            ("singular-locus", "--k", "40", "--gamma", _alternating_gamma(40, 300)),
+        ],
+        ids=["analyze-k40-2000", "analyze-k40-300-cap", "locus-k20-2000", "locus-k40-300"],
+    )
+    def test_large_gammas_exit_64_quickly(self, capsys, argv):
+        # unbounded, singular_locus took 18.6 s at k = 20 and 9.6 s at k = 40
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"weight 2k = {2 * int(argv[2])} times" in err
+        assert f"bound {MAX_WEIGHT_DIGITS:,}" in err
+
+    def test_worst_accepted_case(self, capsys):
+        # 2k = 80 times 150 digits is exactly MAX_WEIGHT_DIGITS
+        gamma = _alternating_gamma(40, 150)
+        code, out, _ = run(capsys, "analyze", "--k", "40", "--gamma", gamma, "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["k"] == 40
+        code, out, _ = run(capsys, "singular-locus", "--k", "40", "--gamma", gamma)
+        assert code == EXIT_OK
+
+
 class TestExitCodeMapping:
     def test_closure_violation_exit(self, capsys, monkeypatch):
         import dataclasses
@@ -476,8 +524,9 @@ class TestOutputDigitBound:
         "argv",
         [
             ("finite-type", "--phi", f"x*b^2 + {'7' * 3000}*b + a^2"),
-            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 2000, "--format", "json"),
-            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 2000),
+            # 2,000 digits, the most that weight 2k = 6 allows under MAX_WEIGHT_DIGITS
+            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 1999, "--format", "json"),
+            ("analyze", "--k", "3", "--gamma", "3,3" + "0" * 1999),
         ],
         ids=["finite-type", "analyze-json", "analyze-text"],
     )

@@ -629,6 +629,84 @@ class TestFlowDetection:
             assert other.param == partner and other.detection is fm.detection
 
 
+def _reference_admissibility(name, detection, param):
+    # the checks that _flow made branch by branch, and admissible_flow_names,
+    # before both read one flow table; kept as the reference
+    from paracr.normalform import BINOMIAL, MONOMIAL
+    from paracr.poly import as_fraction
+
+    if name == EXP_VMK:
+        return "ok"
+    if name == EXP_V0:
+        lam = as_fraction(param)
+        if lam <= 0:
+            raise FlowDomainError("EXP_V0 requires lambda > 0")
+        return "ok"
+    if name == EXP_V0PRIME:
+        if detection.kind != MONOMIAL:
+            raise InadmissibleFlowError("EXP_V0PRIME requires a monomial surface")
+        lam = as_fraction(param)
+        if lam <= 0:
+            raise FlowDomainError("EXP_V0PRIME requires lambda > 0")
+        return "ok"
+    if name == EXP_VM1:
+        if detection.kind != BINOMIAL:
+            raise InadmissibleFlowError("EXP_Vm1 requires a binomial surface")
+        return "ok"
+    if name == EXP_VK:
+        if detection.kind != MONOMIAL:
+            raise InadmissibleFlowError("EXP_VK requires a monomial surface")
+        return "ok"
+    raise InadmissibleFlowError(f"unknown flow name {name!r}")
+
+
+def _reference_admissible_flow_names(detection):
+    from paracr.normalform import BINOMIAL, MONOMIAL
+
+    names = [EXP_VMK, EXP_V0]
+    if detection.kind == MONOMIAL:
+        names += [EXP_V0PRIME, EXP_VK]
+    if detection.kind == BINOMIAL:
+        names.append(EXP_VM1)
+    return tuple(names)
+
+
+def _outcome(build, *args):
+    try:
+        build(*args)
+    except (InadmissibleFlowError, FlowDomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok"
+
+
+class TestFlowTable:
+    SURFACES = [MONO, BINO, GEN]
+    SURFACES += [ModelSurface(4, monomial_gamma(4, 1)), ModelSurface(5, binomial_gamma(5, 2, 3))]
+    NAMES = [EXP_VMK, EXP_V0, EXP_V0PRIME, EXP_VK, EXP_VM1, "EXP_V1", "exp_v0", ""]
+    PARAMS = [Fraction(1, 10), Fraction(2), Fraction(0), Fraction(-1, 3), -2]
+
+    def test_admissibility_and_messages_match_reference(self):
+        outcomes = set()
+        for s in self.SURFACES:
+            detection = detect_case(s)
+            for name in self.NAMES:
+                for param in self.PARAMS:
+                    expected = _outcome(_reference_admissibility, name, detection, param)
+                    assert _outcome(flow, name, s, param) == expected, (name, s, param)
+                    outcomes.add(expected if expected == "ok" else expected[0])
+        assert outcomes == {"ok", "InadmissibleFlowError", "FlowDomainError"}
+
+    def test_names_and_order_match_reference(self):
+        assert flows_mod.ALL_FLOW_NAMES == (EXP_VMK, EXP_V0, EXP_V0PRIME, EXP_VK, EXP_VM1)
+        for s in self.SURFACES:
+            detection = detect_case(s)
+            names = admissible_flow_names(detection)
+            assert names == _reference_admissible_flow_names(detection)
+            assert [n for n in flows_mod.ALL_FLOW_NAMES if n in names] == list(names)
+            for name in names:
+                assert flow(name, s, Fraction(1, 10)).name == name
+
+
 class TestVm1Transcription:
     def test_not_identity_at_zero(self):
         comps = vm1_transcription_candidate(BINO, Fraction(0))

@@ -18,7 +18,13 @@ from paracr.liealg import (
 )
 from paracr.solver import solve_algebra
 from paracr.surface import ModelSurface
-from conftest import binomial_gamma, monomial_gamma
+from conftest import (
+    binomial_gamma,
+    k_ladder_surfaces,
+    monomial_gamma,
+    rational_gamma_surfaces,
+    suite_surfaces,
+)
 
 
 def algebra_for(k, gamma):
@@ -189,3 +195,81 @@ class TestClosurePropagation:
         )
         with pytest.raises(liealg.ClosureViolationError):
             structure_constants(broken)
+
+
+def _reference_validate(sc):
+    # the validate loop before it read brackets off the table and checked
+    # each set of three distinct indices once; kept as the reference
+    n = sc.dimension
+    for i in range(n):
+        for j in range(n):
+            for l in range(n):
+                if sc.table[i][j][l] != -sc.table[j][i][l]:
+                    raise liealg.InvalidStructureError(
+                        f"antisymmetry fails at ({i},{j},{l})"
+                    )
+    basis = [basis_vec(n, i) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            for l in range(n):
+                lhs = sc.bracket_vec(sc.bracket_vec(basis[i], basis[j]), basis[l])
+                mid = sc.bracket_vec(sc.bracket_vec(basis[j], basis[l]), basis[i])
+                rhs = sc.bracket_vec(sc.bracket_vec(basis[l], basis[i]), basis[j])
+                if any(p + q + r != 0 for p, q, r in zip(lhs, mid, rhs)):
+                    raise liealg.InvalidStructureError(
+                        f"Jacobi identity fails on basis triple ({i},{j},{l})"
+                    )
+
+
+def _verdict(check, sc):
+    try:
+        check(sc)
+    except liealg.InvalidStructureError as exc:
+        return str(exc)
+    return None
+
+
+def _with_entry(table, i, j, l, value, antisymmetric=True):
+    rows = [[list(c) for c in row] for row in table]
+    rows[i][j][l] = value
+    if antisymmetric:
+        rows[j][i][l] = -value
+    return StructureConstants(tuple(tuple(tuple(c) for c in row) for row in rows))
+
+
+class TestValidateAgainstReference:
+    def tables(self):
+        surfaces = suite_surfaces() + k_ladder_surfaces() + rational_gamma_surfaces()
+        return [solve_algebra(s).structure_constants for s in surfaces]
+
+    def test_same_verdicts_on_computed_and_perturbed_tables(self):
+        rng = random.Random(2229)
+        verdicts = set()
+        for table in self.tables():
+            sc = StructureConstants(table)
+            assert _verdict(StructureConstants.validate, sc) is None
+            assert _verdict(_reference_validate, sc) is None
+            n = sc.dimension
+            for _ in range(6):
+                i, j, l = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                value = table[i][j][l] + rng.choice([-1, 1, Fraction(1, 2)])
+                for antisymmetric in (True, False):
+                    bad = _with_entry(table, i, j, l, value, antisymmetric)
+                    expected = _verdict(_reference_validate, bad)
+                    assert _verdict(StructureConstants.validate, bad) == expected
+                    verdicts.add(None if expected is None else expected.split(" ")[0])
+        assert {"antisymmetry", "Jacobi"} <= verdicts
+
+    def test_jacobi_broken_on_one_distinct_triple(self):
+        # e0 central, [e1, e2] = e3, [e2, e3] = e1, [e3, e1] = e1: antisymmetric,
+        # and J(1, 2, 3) = [e3, e3] + [e1, e1] + [e1, e2] = e3, while every
+        # triple holding the central e0 sums to zero
+        zero = (Fraction(0),) * 4
+        table = [[zero] * 4 for _ in range(4)]
+        for (i, j), l in {(1, 2): 3, (2, 3): 1, (3, 1): 1}.items():
+            table[i][j] = basis_vec(4, l)
+            table[j][i] = tuple(-v for v in basis_vec(4, l))
+        sc = StructureConstants(tuple(tuple(row) for row in table))
+        message = "Jacobi identity fails on basis triple (1,2,3)"
+        assert _verdict(StructureConstants.validate, sc) == message
+        assert _verdict(_reference_validate, sc) == message

@@ -395,3 +395,117 @@ class TestSignature:
                 for i in range(n)
             ]
             assert linalg.symmetric_signature(tm) == sig
+
+    def test_matches_congruence_reference(self):
+        # seeded symmetric matrices with n <= 7: full random ones, low-rank
+        # B B^T - C C^T (singular), H D H with a rational reflection H and a
+        # diagonal D of repeated entries (repeated eigenvalues), and rational entries
+        rng = random.Random(1409)
+
+        def rand_matrix(rows, cols, span=3):
+            return [[Fraction(rng.randint(-span, span)) for _ in range(cols)] for _ in range(rows)]
+
+        def gram(b, c):
+            n = len(b)
+            return [
+                [
+                    sum(b[i][t] * b[j][t] for t in range(len(b[0])))
+                    - sum(c[i][t] * c[j][t] for t in range(len(c[0])))
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+
+        kinds = set()
+        for trial in range(400):
+            n = rng.randint(1, 7)
+            kind = trial % 4
+            if kind == 0:
+                m = rand_matrix(n, n)
+                m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            elif kind == 1:
+                m = gram(rand_matrix(n, rng.randint(1, 2)), rand_matrix(n, rng.randint(0, 2)))
+            elif kind == 2:
+                u = [Fraction(rng.randint(-2, 2)) for _ in range(n - 1)] + [Fraction(1)]
+                norm = sum(c * c for c in u)
+                h = [[int(i == j) - 2 * u[i] * u[j] / norm for j in range(n)] for i in range(n)]
+                d = [rng.choice([-2, 0, 0, 3, 3]) for _ in range(n)]
+                m = [
+                    [sum(h[i][t] * d[t] * h[t][j] for t in range(n)) for j in range(n)]
+                    for i in range(n)
+                ]
+            else:
+                m = [[Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n)]
+                     for _ in range(n)]
+                m = [[m[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+            sig = _congruence_signature(m)
+            kinds.add((kind, sig[2] > 0))
+            assert linalg.symmetric_signature(m) == sig, m
+        assert {(1, True), (2, True), (0, False)} <= kinds
+
+    def test_killing_forms_match_congruence_reference(self):
+        from paracr.liealg import killing_form, restrict_to_subalgebra, structure_constants
+        from conftest import k_ladder_surfaces
+
+        forms = []
+        for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
+            sc = structure_constants(solver.solve_algebra(s))
+            forms.append(killing_form(sc))
+            derived = linalg.rref(
+                [sc.bracket_vec(u, v) for u in _unit_vectors(sc.dimension)
+                 for v in _unit_vectors(sc.dimension)],
+                sc.dimension,
+            )[0]
+            if 0 < len(derived) < sc.dimension:
+                forms.append(killing_form(restrict_to_subalgebra(sc, derived)))
+        for form in forms:
+            assert linalg.symmetric_signature(form) == _congruence_signature(form)
+
+
+def _unit_vectors(n):
+    return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+
+
+def _congruence_signature(matrix):
+    # the congruence diagonalization that symmetric_signature used before it
+    # counted sign variations of the characteristic polynomial; kept as the
+    # reference for that change
+    n = len(matrix)
+    m = [[Fraction(v) for v in row] for row in matrix]
+    for i in range(n):
+        if m[i][i] == 0:
+            swap = None
+            for j in range(i + 1, n):
+                if m[j][j] != 0:
+                    swap = j
+                    break
+            if swap is not None:
+                m[i], m[swap] = m[swap], m[i]
+                for row in m:
+                    row[i], row[swap] = row[swap], row[i]
+            else:
+                off = None
+                for j in range(i + 1, n):
+                    if m[i][j] != 0:
+                        off = j
+                        break
+                if off is None:
+                    continue  # row and column vanish: zero diagonal entry
+                for col in range(n):
+                    m[i][col] += m[off][col]
+                for row in m:
+                    row[i] += row[off]
+        pivot = m[i][i]
+        if pivot == 0:
+            continue
+        for j in range(i + 1, n):
+            if m[j][i] != 0:
+                f = m[j][i] / pivot
+                for col in range(n):
+                    m[j][col] -= f * m[i][col]
+                for row in m:
+                    row[j] = row[j] - f * row[i]
+    pos = sum(1 for i in range(n) if m[i][i] > 0)
+    neg = sum(1 for i in range(n) if m[i][i] < 0)
+    zero = n - pos - neg
+    return (pos, neg, zero)

@@ -6,7 +6,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
-from paracr import sturm
+from paracr import normalform, sturm
 from paracr.normalform import (
     BINOMIAL,
     GENERIC,
@@ -109,6 +109,35 @@ class TestFiniteType:
         with pytest.raises(NormalFormError, match="MAX_ELIMINATION_TERMS"):
             finite_type(DefiningFunction(P(text)))
         assert time.perf_counter() - t0 < 2.0
+
+
+    def test_oversized_step_refused_before_expanding(self):
+        # p has 104 terms, under MAX_ELIMINATION_TERMS, but the step multiplies
+        # out 171,711 terms; unbounded it took 8 s
+        t0 = time.perf_counter()
+        with pytest.raises(NormalFormError, match="MAX_STEP_TERMS"):
+            finite_type(DefiningFunction(P("x^99 b^99 + a^99 b + b^2 + a^2")))
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_step_terms_bound_the_expansion(self):
+        # the count is the number of terms before like terms merge, so the
+        # substituted polynomial never has more
+        rng = random.Random(7)
+        for _ in range(200):
+            terms = {
+                (rng.randint(0, 3), 0, rng.randint(0, 5), rng.randint(0, 5)): rng.randint(-3, 3)
+                for _ in range(rng.randint(1, 5))
+            }
+            p = Poly(terms)
+            g = Poly({(0, 0, 0, rng.randint(1, 6)): rng.randint(1, 3) for _ in range(3)})
+            expanded = p.substitute("a", Poly.variable("a") - g)
+            assert len(expanded) <= normalform._step_terms(p, g)
+
+    def test_step_terms_exact_without_merging(self):
+        # (a - b)^e has e + 1 terms, (a - b - b^3)^2 has 1 + 2 + 3 = 6 before merging
+        a, b = Poly.variable("a"), Poly.variable("b")
+        assert normalform._step_terms(a**4, b) == 5
+        assert normalform._step_terms(a**2 + a, b + b**3) == 6 + 3
 
 
 class TestDetectCase:

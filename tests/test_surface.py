@@ -23,7 +23,7 @@ from paracr.solver import (
     special_conformal_field,
     vertical_translation,
 )
-from conftest import para_field_st, random_para_field
+from conftest import para_field_st, poly_st, random_para_field
 
 
 def P(text):
@@ -206,6 +206,45 @@ class TestBracket:
             + w.bracket(u).bracket(v)
         )
         assert total.is_zero
+
+    @given(para_field_st(), para_field_st(), poly_st())
+    def test_matches_reference_derivation(self, v, w, f):
+        assert v.apply(f) == _reference_apply(v, f)
+        assert v.bracket(w) == _reference_bracket(v, w)
+
+    def test_generators_match_reference_derivation(self):
+        fields = [
+            vertical_translation(),
+            grading_field(5),
+            relative_dilation_field(5, 2),
+            special_conformal_field(5, 2),
+            oblique_translation_field(5, Fraction(2), Fraction(-1, 3)),
+        ]
+        s = ModelSurface(5, (1, 0, -2, Fraction(1, 3)))
+        for v in fields:
+            assert v.apply(s.defining_poly) == _reference_apply(v, s.defining_poly)
+            for w in fields:
+                assert v.bracket(w) == _reference_bracket(v, w)
+
+
+def _reference_apply(v, f):
+    # ParaVectorField.apply and bracket before both went through
+    # ambient_apply and ambient_bracket; kept as the reference
+    return (
+        v.alpha * f.diff("a")
+        + v.beta * f.diff("b")
+        + v.xi * f.diff("x")
+        + v.eta * f.diff("y")
+    )
+
+
+def _reference_bracket(v, w):
+    return ParaVectorField(
+        _reference_apply(v, w.alpha) - _reference_apply(w, v.alpha),
+        _reference_apply(v, w.beta) - _reference_apply(w, v.beta),
+        _reference_apply(v, w.xi) - _reference_apply(w, v.xi),
+        _reference_apply(v, w.eta) - _reference_apply(w, v.eta),
+    )
 
 
 class TestWeightOf:
