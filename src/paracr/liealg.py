@@ -4,7 +4,8 @@ Everything here runs over exact rationals: derived series by rank
 computations, the center dimension from the rank of the adjoint map, the
 Killing form with its signature by Descartes' rule of signs on its exact
 characteristic polynomial, and a structural classification with an honest
-OTHER bucket.
+OTHER bucket.  The derived algebra's invariants are read off that Killing
+form and off its RREF pivots, without re-expressing any subalgebra.
 """
 
 from __future__ import annotations
@@ -127,20 +128,16 @@ def _subspace_brackets(sc: StructureConstants, basis: Sequence[Vector]) -> List[
     return vecs
 
 
-def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[List[Vector]]]:
+def _derived_series(sc: StructureConstants) -> Tuple[Tuple[int, ...], List[Vector], List[int]]:
+    """Derived-series dimensions, with the RREF basis of [g, g] and its pivot columns."""
     n = sc.dimension
-    current = _basis_vectors(n)
-    dims = [n]
-    chain = [current]
-    while True:
-        brackets = _subspace_brackets(sc, current)
-        nxt = linalg.rref(brackets, n)[0]
-        dims.append(len(nxt))
-        chain.append(nxt)
-        if len(nxt) == 0 or len(nxt) == len(current):
-            break
-        current = nxt
-    return tuple(dims), chain
+    derived, pivots = linalg.rref(_subspace_brackets(sc, _basis_vectors(n)), n)
+    dims = [n, len(derived)]
+    current = derived
+    while 0 < len(current) < dims[-2]:
+        current = linalg.rref(_subspace_brackets(sc, current), n)[0]
+        dims.append(len(current))
+    return tuple(dims), derived, pivots
 
 
 def _center_dim(sc: StructureConstants) -> int:
@@ -162,22 +159,6 @@ def killing_form(sc: StructureConstants) -> List[List[Fraction]]:
             killing[i][j] = total
             killing[j][i] = total
     return killing
-
-
-def restrict_to_subalgebra(
-    sc: StructureConstants, basis: Sequence[Vector]
-) -> StructureConstants:
-    """Constants of a subalgebra in the given basis of it."""
-    d = len(basis)
-    table = [[None] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            w = sc.bracket_vec(basis[i], basis[j])
-            coeffs = linalg.solve_in_span(basis, w)
-            if coeffs is None:
-                raise InvalidStructureError("span is not closed under the bracket")
-            table[i][j] = tuple(coeffs)
-    return StructureConstants(tuple(tuple(row) for row in table))
 
 
 def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
@@ -206,22 +187,23 @@ def _matrix_eigenvalues(m: List[List[Fraction]]) -> Optional[List[Fraction]]:
 
 
 def _ad_eigenvalue_data(
-    sc: StructureConstants, derived_basis: Sequence[Vector]
+    sc: StructureConstants, derived_basis: Sequence[Vector], pivots: Sequence[int]
 ) -> Optional[Tuple[Fraction, ...]]:
-    """Normalized eigenvalues of ad(h) on an abelian codimension-1 ideal.
+    """Normalized eigenvalues of ad(h) on an abelian codimension-1 ideal D.
 
-    h is any complement vector; shifting h by ideal elements or rescaling it
-    changes the eigenvalues by a common factor only, so the data is returned
-    scaled to make the smallest-magnitude eigenvalue equal to 1.
+    A vector of D has coordinate v[pivots[i]] along the RREF row
+    derived_basis[i], so the unit vector of a non-pivot column lies outside D
+    and serves as h.  Shifting h by ideal elements or rescaling it changes the
+    eigenvalues by a common factor only, so the data is returned scaled to
+    make the smallest-magnitude eigenvalue equal to 1.
     """
     n = sc.dimension
     d = len(derived_basis)
     if d != n - 1 or d == 0 or d > 2:
         return None
-    h = next(e for e in _basis_vectors(n) if linalg.solve_in_span(derived_basis, e) is None)
-    # [h, e_j] = sum_i table[d][j][i] e_i in the basis derived_basis + [h]
-    table = restrict_to_subalgebra(sc, list(derived_basis) + [h]).table
-    ad = [[table[d][j][i] for j in range(d)] for i in range(d)]
+    h = _basis_vectors(n)[next(c for c in range(n) if c not in pivots)]
+    images = [sc.bracket_vec(h, b) for b in derived_basis]
+    ad = [[images[j][pivots[i]] for j in range(d)] for i in range(d)]
     eigenvalues = _matrix_eigenvalues(ad)
     if eigenvalues is None or any(v == 0 for v in eigenvalues):
         return None
@@ -231,24 +213,30 @@ def _ad_eigenvalue_data(
 
 
 def profile(sc: StructureConstants) -> AlgebraProfile:
-    dims, chain = _derived_series(sc)
+    """Invariants of the algebra, with one Killing form K and no re-expressed subalgebra.
+
+    D = [g, g] is spanned by brackets, so [g, D] lies in D: D is an ideal, and
+    its Killing form is K restricted to D (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 5.1), B K B^T for D's basis rows B.
+    """
+    n = sc.dimension
+    dims, derived, pivots = _derived_series(sc)
     is_solvable = dims[-1] == 0
     killing = killing_form(sc)
     signature = linalg.symmetric_signature(killing)
     pos, neg, _ = signature
-    derived_basis = chain[1]
     derived_killing_signature = None
-    if 0 < len(derived_basis) < sc.dimension:
-        derived_sc = restrict_to_subalgebra(sc, derived_basis)
+    if 0 < len(derived) < n:
+        # the rows K b for D's basis rows b, then B K B^T; zero products are skipped
+        kb = [[sum(x * y for x, y in zip(row, b) if x and y) for row in killing] for b in derived]
         derived_killing_signature = linalg.symmetric_signature(
-            killing_form(derived_sc)
+            [[sum(x * y for x, y in zip(u, v) if x and y) for v in kb] for u in derived]
         )
     ad_data = None
-    derived_abelian = len(dims) > 2 and dims[2] == 0
-    if is_solvable and derived_abelian:
-        ad_data = _ad_eigenvalue_data(sc, derived_basis)
+    if len(dims) > 2 and dims[2] == 0:  # D is abelian, so g is solvable
+        ad_data = _ad_eigenvalue_data(sc, derived, pivots)
     return AlgebraProfile(
-        dimension=sc.dimension,
+        dimension=n,
         derived_series_dims=dims,
         center_dim=_center_dim(sc),
         killing_rank=pos + neg,
@@ -293,12 +281,3 @@ def classify(p: AlgebraProfile) -> Classification:
     ):
         return Classification(AFFINE_LINE_2D, p)
     return Classification(OTHER, p)
-
-
-def change_basis(sc: StructureConstants, t: Sequence[Sequence[Fraction]]) -> StructureConstants:
-    """Constants in the basis f_i = sum_j t[j][i] e_j (t invertible)."""
-    n = sc.dimension
-    new_basis = [tuple(Fraction(t[j][i]) for j in range(n)) for i in range(n)]
-    if linalg.rank(new_basis, n) != n:
-        raise ValueError("base change matrix is singular")
-    return restrict_to_subalgebra(sc, new_basis)

@@ -3,14 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from paracr import liealg
+from paracr import linalg, liealg
 from paracr.liealg import (
     AFFINE_LINE_2D,
     OTHER,
     SL2_PLUS_CENTER,
     SOLVABLE_3D_WEIGHTS_K_1,
     StructureConstants,
-    change_basis,
     classify,
     killing_form,
     profile,
@@ -35,6 +34,85 @@ def basis_vec(n, i):
     v = [Fraction(0)] * n
     v[i] = Fraction(1)
     return tuple(v)
+
+
+# restrict_to_subalgebra and change_basis as liealg had them before profile
+# read the derived invariants off the Killing form and D's pivots; kept as the
+# reference for that change
+
+
+def restrict_to_subalgebra(sc, basis):
+    """Constants of a subalgebra in the given basis of it."""
+    d = len(basis)
+    table = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            w = sc.bracket_vec(basis[i], basis[j])
+            coeffs = linalg.solve_in_span(basis, w)
+            if coeffs is None:
+                raise liealg.InvalidStructureError("span is not closed under the bracket")
+            table[i][j] = tuple(coeffs)
+    return StructureConstants(tuple(tuple(row) for row in table))
+
+
+def change_basis(sc, t):
+    """Constants in the basis f_i = sum_j t[j][i] e_j (t invertible)."""
+    n = sc.dimension
+    new_basis = [tuple(Fraction(t[j][i]) for j in range(n)) for i in range(n)]
+    if linalg.rank(new_basis, n) != n:
+        raise ValueError("base change matrix is singular")
+    return restrict_to_subalgebra(sc, new_basis)
+
+
+def derived_basis(sc):
+    n = sc.dimension
+    units = [basis_vec(n, i) for i in range(n)]
+    return linalg.rref([sc.bracket_vec(u, v) for u in units for v in units], n)[0]
+
+
+def reference_h(sc, derived):
+    # the complement vector the re-expressing _ad_eigenvalue_data chose
+    n = sc.dimension
+    return next(i for i in range(n) if linalg.solve_in_span(derived, basis_vec(n, i)) is None)
+
+
+def reference_derived_invariants(sc):
+    """(derived_killing_signature, ad_eigenvalue_data) by re-expressing D and D + h."""
+    n = sc.dimension
+    derived = derived_basis(sc)
+    d = len(derived)
+    signature = None
+    if 0 < d < n:
+        signature = linalg.symmetric_signature(
+            killing_form(restrict_to_subalgebra(sc, derived))
+        )
+    ad_data = None
+    abelian = not any(any(sc.bracket_vec(u, v)) for u in derived for v in derived)
+    if d == n - 1 and 0 < d <= 2 and abelian:
+        h = basis_vec(n, reference_h(sc, derived))
+        table = restrict_to_subalgebra(sc, list(derived) + [h]).table
+        ad = [[table[d][j][i] for j in range(d)] for i in range(d)]
+        eigenvalues = liealg._matrix_eigenvalues(ad)
+        if eigenvalues is not None and all(v != 0 for v in eigenvalues):
+            smallest = min(eigenvalues, key=abs)
+            ad_data = tuple(sorted((v / smallest for v in eigenvalues), reverse=True))
+    return signature, ad_data
+
+
+def restricted_killing(killing, basis):
+    """The Gram matrix B K B^T of the form K on the rows B of ``basis``."""
+    return [
+        [sum(u[p] * killing[p][q] * v[q] for p in range(len(u)) for q in range(len(v)))
+         for v in basis]
+        for u in basis
+    ]
+
+
+def random_rational_basis_change(rng, n):
+    while True:
+        t = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)]
+        if linalg.rank(t, n) == n:
+            return t
 
 
 class TestStructureConstants:
@@ -145,6 +223,42 @@ class TestClassify:
                         t[i][col] += c * t[j][col]
                 transformed = change_basis(sc, t)
                 assert classify(profile(transformed)).label == label
+
+
+class TestDerivedInvariantsAgainstReference:
+    def algebras(self):
+        surfaces = suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces()
+        return [structure_constants(solve_algebra(s)) for s in surfaces]
+
+    def test_restricted_killing_is_killing_of_derived_algebra(self):
+        # D = [g, g] is an ideal, so its Killing form is K restricted to D
+        for sc in self.algebras():
+            derived = derived_basis(sc)
+            if 0 < len(derived) < sc.dimension:
+                assert restricted_killing(killing_form(sc), derived) == killing_form(
+                    restrict_to_subalgebra(sc, derived)
+                )
+
+    def test_match_reference_in_computed_and_random_rational_bases(self):
+        rng = random.Random(2229)
+        seen, moved_h = set(), 0
+        for sc in self.algebras():
+            pr = profile(sc)
+            expected = reference_derived_invariants(sc)
+            assert (pr.derived_killing_signature, pr.ad_eigenvalue_data) == expected
+            seen.add(tuple(v is not None for v in expected))
+            n = sc.dimension
+            for _ in range(3):
+                transformed = change_basis(sc, random_rational_basis_change(rng, n))
+                got = profile(transformed)
+                assert got == pr
+                assert reference_derived_invariants(transformed) == expected
+                if got.ad_eigenvalue_data is not None:
+                    pivots = linalg.rref(derived_basis(transformed), n)[1]
+                    h = next(c for c in range(n) if c not in pivots)
+                    moved_h += h != reference_h(transformed, derived_basis(transformed))
+        assert seen == {(True, False), (True, True)}
+        assert moved_h > 0
 
 
 class TestSl2Relations:

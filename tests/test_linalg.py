@@ -444,13 +444,15 @@ class TestSignature:
         assert {(1, True), (2, True), (0, False)} <= kinds
 
     def test_killing_forms_match_congruence_reference(self):
-        from paracr.liealg import killing_form, restrict_to_subalgebra, structure_constants
+        from paracr.liealg import killing_form, structure_constants
         from conftest import k_ladder_surfaces
+        from test_liealg import restrict_to_subalgebra, restricted_killing
 
         forms = []
         for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
             sc = structure_constants(solver.solve_algebra(s))
-            forms.append(killing_form(sc))
+            killing = killing_form(sc)
+            forms.append(killing)
             derived = linalg.rref(
                 [sc.bracket_vec(u, v) for u in _unit_vectors(sc.dimension)
                  for v in _unit_vectors(sc.dimension)],
@@ -458,6 +460,7 @@ class TestSignature:
             )[0]
             if 0 < len(derived) < sc.dimension:
                 forms.append(killing_form(restrict_to_subalgebra(sc, derived)))
+                forms.append(restricted_killing(killing, derived))
         for form in forms:
             assert linalg.symmetric_signature(form) == _congruence_signature(form)
 
