@@ -48,6 +48,10 @@ MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs 
 # 4.1 s at k = 24 (2.1 s with one-digit gammas) and 12 s at k = 40 (6 s); at k = 8,
 # weight 96 with 2,000-digit gammas (192,000) took 59 s
 MAX_WEIGHT_DIGITS = 12_000
+# --weight-cap solves every weight up to the cap: with one-digit gammas, cap 12k = 120
+# takes 2 s at k = 10, and cap 120 at most that for k up to 40, against 10.7 s for
+# cap 240 at k = 20 and 69 s for cap 480 at k = 40
+MAX_WEIGHT_CAP = 120
 MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200
 # --phi and --psi exponents: finite-type expands (a - g)^N, 0.45 s at a^200 and 8.5 s
@@ -113,9 +117,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None,
-                   help="in [k, 12k]; max(cap, 2k) times the most digits of a gamma numerator "
-                        f"or denominator must be at most {MAX_WEIGHT_DIGITS:,}, also with no "
-                        "cap; default: scan until the algebra is proved complete")
+                   help=f"in [k, min(12k, {MAX_WEIGHT_CAP})]; max(cap, 2k) times the most "
+                        "digits of a gamma numerator or denominator must be at most "
+                        f"{MAX_WEIGHT_DIGITS:,}, also with no cap; default: scan until the "
+                        "algebra is proved complete")
     add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -207,8 +212,9 @@ def _check_gamma_digits(surface: ModelSurface, cap: Optional[int] = None) -> Non
 def _cmd_analyze(args) -> int:
     surface = _surface(args)
     k, cap = surface.k, args.weight_cap
-    if cap is not None and not k <= cap <= MAX_WEIGHT_PER_K * k:
-        raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+    top = min(MAX_WEIGHT_PER_K * k, MAX_WEIGHT_CAP)
+    if cap is not None and not k <= cap <= top:
+        raise UsageError(f"--weight-cap must lie in [{k}, {top}] for k={k}")
     _check_gamma_digits(surface, cap)
     rep = report_mod.analyze(
         surface.k,

@@ -9,7 +9,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from paracr.cli import EXIT_CLOSURE, EXIT_FLOW, EXIT_OK, EXIT_USAGE, MAX_WEIGHT_DIGITS, main
+from paracr.cli import (
+    EXIT_CLOSURE,
+    EXIT_FLOW,
+    EXIT_OK,
+    EXIT_USAGE,
+    MAX_WEIGHT_CAP,
+    MAX_WEIGHT_DIGITS,
+    main,
+)
 from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
 from paracr.surface import ModelSurface
 from conftest import poly_st
@@ -137,6 +145,35 @@ class TestUsageErrors:
         )
         assert code == EXIT_OK
         assert json.loads(out)["algebra"]["dimension"] == 3
+
+    def test_weight_ladder_cap_at_k4_allowed(self, capsys):
+        # the benchmark's weight_ladder cap at k = 4
+        code, out, _ = run(
+            capsys, "analyze", "--k", "4", "--gamma", "1,0,1", "--weight-cap", "32", "--format", "json"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["algebra"]["dimension"] == 2
+
+    def test_weight_cap_over_absolute_bound_rejected_fast(self, capsys):
+        # within [k, 12k] and the digit bound, this ran for 69 s before MAX_WEIGHT_CAP
+        gamma = ",".join(str(1 + i % 9) for i in range(39))
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "analyze", "--k", "40", "--gamma", gamma, "--weight-cap", "480",
+            "--format", "json",
+        )
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"--weight-cap must lie in [40, {MAX_WEIGHT_CAP}] for k=40" in err
+
+    def test_largest_weight_cap_at_k40_allowed(self, capsys):
+        gamma = ",".join(str(1 + i % 9) for i in range(39))
+        argv = ["analyze", "--k", "40", "--gamma", gamma, "--format", "json"]
+        code, out, _ = run(capsys, *argv, "--weight-cap", str(MAX_WEIGHT_CAP))
+        assert code == EXIT_OK
+        assert json.loads(out)["algebra"]["dimension"] == 2
+        code, _, _ = run(capsys, *argv, "--weight-cap", str(MAX_WEIGHT_CAP + 1))
+        assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("weight", ["-4", "37", "200"])
     def test_weight_out_of_range_rejected_fast(self, capsys, weight):
