@@ -254,9 +254,9 @@ class TestDerivedInvariantsAgainstReference:
                 assert got == pr
                 assert reference_derived_invariants(transformed) == expected
                 if got.ad_eigenvalue_data is not None:
-                    pivots = linalg.rref(derived_basis(transformed), n)[1]
+                    derived, pivots = linalg.rref(derived_basis(transformed), n)
                     h = next(c for c in range(n) if c not in pivots)
-                    moved_h += h != reference_h(transformed, derived_basis(transformed))
+                    moved_h += h != reference_h(transformed, derived)
         assert seen == {(True, False), (True, True)}
         assert moved_h > 0
 
