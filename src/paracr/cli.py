@@ -117,10 +117,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None,
-                   help=f"in [k, min(12k, {MAX_WEIGHT_CAP})]; max(cap, 2k) times the most "
-                        "digits of a gamma numerator or denominator must be at most "
-                        f"{MAX_WEIGHT_DIGITS:,}, also with no cap; default: scan until the "
-                        "algebra is proved complete")
+                   help=f"in [k, min(12k, {MAX_WEIGHT_CAP})]; cap^2/2k for a cap of at least "
+                        "2k, else 2k, times the most digits of a gamma numerator or "
+                        f"denominator must be at most {MAX_WEIGHT_DIGITS:,}, also with no cap; "
+                        "default: scan until the algebra is proved complete")
     add_tolerance_flag(p)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
@@ -202,11 +202,17 @@ def _surface(args) -> ModelSurface:
 
 
 def _check_gamma_digits(surface: ModelSurface, cap: Optional[int] = None) -> None:
-    # the singular locus's integer Sturm chain and the uncapped scan, which
-    # reaches 2k - 2 or more, count as weight max(cap, 2k): with 2,000-digit
-    # gammas, singular_locus alone took 18.6 s at k = 20
-    weight = max(cap or 0, 2 * surface.k)
-    _check_weight_digits("--weight-cap" if weight == cap else "weight 2k =", weight, surface)
+    # the singular locus's Sturm chain and the uncapped scan count as weight 2k
+    # (2,000-digit gammas: 18.6 s at k = 20); a cap of 2k or more as cap^2/2k,
+    # since analyze solves every weight up to it with powers of y up to cap/k:
+    # at k = 10, cap 120, gammas alternating D-digit nines and small ints, the
+    # last 1/D, ran 16 s at D = 100 and take 3.3-4.9 s at D = 16, the most allowed
+    k2 = 2 * surface.k
+    if cap is None or cap < k2:
+        _check_weight_digits("weight 2k =", k2, surface)
+    else:
+        weight = -(-cap * cap // k2)  # rounded up
+        _check_weight_digits(f"--weight-cap {cap} counts as cap^2/2k =", weight, surface)
 
 
 def _cmd_analyze(args) -> int:

@@ -296,7 +296,7 @@ def singular_locus(s: ModelSurface) -> SingularLocus:
             # R = lead (t - root)^total would have t^(total-1) coefficient
             # -total root lead; the identity below decides
             lead = r[total]
-            line = X + r[total - 1] / (total * lead) * B
+            line = X + Fraction(r[total - 1], total * lead) * B
             if pxb == lead * line**total:
                 return SingularLocus(LINE, line=normal_line(line))
         return SingularLocus(PENCIL, line_count=1)

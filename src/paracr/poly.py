@@ -1,6 +1,9 @@
 """Exact polynomial arithmetic in the four ambient coordinates x, y, a, b.
 
-Coefficients are arbitrary-precision rationals (``fractions.Fraction``).
+Coefficients are exact rationals, a plain ``int`` where the value is integral
+and a ``fractions.Fraction`` only where it is not; equality, hashing, printing
+and evaluation do not depend on which.  Products run on ints, at one common
+denominator of each factor, so integral polynomials multiply with no gcd.
 A polynomial stores a map from exponent quadruples ``(e_x, e_y, e_a, e_b)``
 to nonzero coefficients.  The variable set is closed, so exponents live in
 fixed 4-tuples; this keeps hashing and term ordering trivial.  All
@@ -24,7 +27,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 VARS = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -37,6 +40,7 @@ def _var_index(name: str) -> int:
         raise ValueError(f"unknown variable {name!r}") from None
 
 Exponents = Tuple[int, int, int, int]
+Rational = Union[int, Fraction]  # a coefficient: an int when integral, else a Fraction
 
 ZERO_EXP: Exponents = (0, 0, 0, 0)
 
@@ -56,11 +60,14 @@ def order_key(exp: Exponents):
 def as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _exact(q: Rational) -> Rational:
+    # the one form of a rational coefficient: an int when integral
+    return q.numerator if q.denominator == 1 else q
 
 
 class OutputDigitsError(ValueError):
@@ -104,11 +111,11 @@ class Poly:
     __slots__ = ("_terms", "_plan")
 
     def __init__(self, terms: Optional[Mapping[Exponents, object]] = None):
-        clean: Dict[Exponents, Fraction] = {}
+        clean: Dict[Exponents, Rational] = {}
         if terms:
             for exp, coeff in terms.items():
-                q = as_fraction(coeff)
-                if q != 0:
+                q = coeff if type(coeff) is int else _exact(as_fraction(coeff))
+                if q:
                     clean[tuple(exp)] = q  # type: ignore[index]
         object.__setattr__(self, "_terms", clean)
         object.__setattr__(self, "_plan", None)
@@ -124,17 +131,17 @@ class Poly:
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly({ZERO_EXP: as_fraction(c)})
+        return Poly({ZERO_EXP: c})
 
     @staticmethod
     def variable(name: str) -> "Poly":
         exp = [0, 0, 0, 0]
         exp[_var_index(name)] = 1
-        return Poly({tuple(exp): Fraction(1)})
+        return Poly({tuple(exp): 1})
 
     @staticmethod
     def monomial(exp: Exponents, coeff=1) -> "Poly":
-        return Poly({tuple(exp): as_fraction(coeff)})
+        return Poly({tuple(exp): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -142,8 +149,8 @@ class Poly:
         """Iterate (exponents, coefficient) pairs.  Do not mutate."""
         return self._terms.items()
 
-    def coefficient(self, exp: Exponents) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Exponents) -> Rational:
+        return self._terms.get(tuple(exp), 0)
 
     @property
     def is_zero(self) -> bool:
@@ -191,11 +198,11 @@ class Poly:
             return NotImplemented
         merged = dict(self._terms)
         for exp, c in other._terms.items():
-            s = merged.get(exp, Fraction(0)) + c
+            s = merged.get(exp, 0) + c
             if s:
-                merged[exp] = s
+                merged[exp] = _exact(s)
             else:
-                merged.pop(exp, None)
+                del merged[exp]
         return _raw(merged)
 
     __radd__ = __add__
@@ -217,22 +224,21 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            q = as_fraction(other)
-            if q == 0:
+            if not other:
                 return Poly.zero()
-            return _raw({exp: c * q for exp, c in self._terms.items()})
+            return _raw({exp: _exact(c * other) for exp, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(exp, Fraction(0)) + c1 * c2
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
-        return _raw(out)
+        # the product runs on ints, at one common denominator of each factor
+        den1, terms1 = _over_denominator(self._terms)
+        den2, terms2 = _over_denominator(other._terms)
+        out: Dict[Exponents, int] = {}
+        for (x1, y1, a1, b1), c1 in terms1:
+            for (x2, y2, a2, b2), c2 in terms2:
+                exp = (x1 + x2, y1 + y2, a1 + a2, b1 + b2)
+                out[exp] = out.get(exp, 0) + c1 * c2
+        den = den1 * den2
+        return _raw({e: c if den == 1 else _exact(Fraction(c, den)) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -253,14 +259,14 @@ class Poly:
     def diff(self, var: str) -> "Poly":
         """Formal partial derivative with respect to x, y, a or b."""
         i = _var_index(var)
-        out: Dict[Exponents, Fraction] = {}
+        out: Dict[Exponents, Rational] = {}
         for exp, c in self._terms.items():
             e = exp[i]
             if e == 0:
                 continue
             new = list(exp)
             new[i] = e - 1
-            out[tuple(new)] = c * e
+            out[tuple(new)] = _exact(c * e)
         return _raw(out)
 
     def substitute(self, var: str, replacement: "Poly") -> "Poly":
@@ -333,10 +339,8 @@ class Poly:
 
     def _build_plan(self):
         terms = self._terms
-        lcm = math.lcm(*(c.denominator for c in terms.values()))
-        int_terms = tuple(
-            (c.numerator * (lcm // c.denominator), *exp) for exp, c in terms.items()
-        )
+        lcm, scaled = _over_denominator(terms)
+        int_terms = tuple((c, *exp) for exp, c in scaled)
         occurring = []
         for i in range(4):
             exps = sorted({exp[i] for exp in terms})
@@ -385,10 +389,18 @@ class Poly:
         return _parse_poly(text)
 
 
-def _raw(terms: Dict[Exponents, Fraction]) -> Poly:
+def _raw(terms: Dict[Exponents, Rational]) -> Poly:
     p = Poly()
     object.__setattr__(p, "_terms", terms)
     return p
+
+
+def _over_denominator(terms: Dict[Exponents, Rational]) -> Tuple[int, Iterable]:
+    # (L, the terms times L as ints), L the lcm of the coefficient denominators
+    if Fraction not in map(type, terms.values()):
+        return 1, terms.items()
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [(exp, c.numerator * (den // c.denominator)) for exp, c in terms.items()]
 
 
 def _coerce(value) -> Optional[Poly]:
@@ -452,7 +464,7 @@ class Grading:
 
     def components(self, p: Poly) -> Dict[int, Poly]:
         """Decompose by weighted degree; the parts sum back to ``p``."""
-        buckets: Dict[int, Dict[Exponents, Fraction]] = {}
+        buckets: Dict[int, Dict[Exponents, Rational]] = {}
         for exp, c in p.items():
             buckets.setdefault(self.weight(exp), {})[exp] = c
         return {w: _raw(terms) for w, terms in sorted(buckets.items())}
@@ -493,7 +505,7 @@ def _parse_poly(text: str) -> Poly:
     n = len(tokens)
     if n == 0:
         raise PolyParseError("empty polynomial", 0)
-    terms: Dict[Exponents, Fraction] = {}
+    terms: Dict[Exponents, Rational] = {}
     i = 0
     first = True
     while i < n:
@@ -506,7 +518,7 @@ def _parse_poly(text: str) -> Poly:
             raise PolyParseError(f"expected '+' or '-' before {value!r}", pos)
         if i >= n:
             raise PolyParseError("dangling sign", pos)
-        coeff = Fraction(1)
+        coeff: Rational = 1
         have_body = False
         kind, value, pos = tokens[i]
         if kind == "int":
@@ -521,7 +533,7 @@ def _parse_poly(text: str) -> Poly:
                 coeff = Fraction(num, den)
                 i += 2
             else:
-                coeff = Fraction(num)
+                coeff = num
             have_body = True
         exp = [0, 0, 0, 0]
         while i < n:
@@ -546,13 +558,9 @@ def _parse_poly(text: str) -> Poly:
         if not have_body:
             raise PolyParseError(f"expected coefficient or variable, got {value!r}", pos)
         key = tuple(exp)
-        s = terms.get(key, Fraction(0)) + sign * coeff
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
+        terms[key] = terms.get(key, 0) + sign * coeff
         first = False
-    return _raw(terms)
+    return Poly(terms)
 
 
 # module-level generators, convenient for building expressions

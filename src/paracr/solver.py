@@ -6,7 +6,8 @@ ki + j = m + 1, xi and eta monomials x^i y^j satisfy i + kj = m + 1 and
 i + kj = m + k.  The tangency residual is linear in these unknowns, so the
 solution space per weight is the kernel of an exact rational matrix.  Its
 columns are assembled slot by slot from powers (a+P)^j cached on the surface
-(see ``tangency_system``), with integral coefficients kept as plain ints.
+(see ``tangency_system``) as ``Poly`` products, whose integral coefficients
+are plain ints.
 
 ``brute_force_check`` rebuilds the same linear system by evaluating the
 residual at random rational points (interpolation style), each sampled row
@@ -29,15 +30,8 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Exponents, Poly, order_key
-from .surface import (
-    Coefficient,
-    ModelSurface,
-    ParaVectorField,
-    Terms,
-    exact_terms,
-    multiply_terms,
-)
+from .poly import Exponents, Poly, Rational, order_key
+from .surface import ModelSurface, ParaVectorField
 
 COMPONENTS = ("alpha", "beta", "xi", "eta")
 
@@ -69,8 +63,7 @@ class WeightAnsatz:
     def field_from_vector(self, vec: Sequence[Fraction]) -> ParaVectorField:
         parts: Dict[str, Dict[Exponents, Fraction]] = {name: {} for name in COMPONENTS}
         for (comp, exp), c in zip(self.unknowns, vec):
-            if c != 0:
-                parts[comp][exp] = Fraction(c)
+            parts[comp][exp] = c  # Poly drops the zeros
         return ParaVectorField(
             Poly(parts["alpha"]), Poly(parts["beta"]), Poly(parts["xi"]), Poly(parts["eta"])
         )
@@ -125,31 +118,32 @@ class KernelBasis:
 
 def tangency_system(
     s: ModelSurface, ansatz: WeightAnsatz
-) -> Tuple[List[Exponents], List[List[Coefficient]]]:
+) -> Tuple[List[Exponents], List[List[Rational]]]:
     """The per-weight linear system as (monomials, rows).
 
     Column i holds the residual of ``ansatz.unit_field(i)``, one row per
     residual monomial in ``order_key`` order.  Each column is built straight
-    from its slot, since ``tangency_residual`` expands to
-    eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
-    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b.
-    Integral entries are plain ints.
+    from its slot as a ``Poly`` product, since ``tangency_residual`` expands
+    to eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
+    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b, with
+    (a+P)^j from ``ModelSurface.y_power``.  Integral entries are ints.
     """
-    p_x = exact_terms(s.p_x)
-    p_b = exact_terms(s.p_b)
-    columns: List[Terms] = []
+    columns: List[Poly] = []
     for comp, (ex, ey, ea, eb) in ansatz.unknowns:
         if comp == "alpha":
-            columns.append({(0, 0, ea, eb): -1})
+            columns.append(Poly.monomial((0, 0, ea, eb), -1))
         elif comp == "beta":
-            columns.append(multiply_terms({(0, 0, ea, eb): -1}, p_b))
+            columns.append(Poly.monomial((0, 0, ea, eb), -1) * s.p_b)
         elif comp == "eta":
-            columns.append(multiply_terms({(ex, 0, 0, 0): 1}, s.y_power(ey)))
+            columns.append(Poly.monomial((ex, 0, 0, 0)) * s.y_power(ey))
         else:
-            power_p_x = multiply_terms(s.y_power(ey), p_x)
-            columns.append(multiply_terms({(ex, 0, 0, 0): -1}, power_p_x))
-    monomials = sorted({exp for col in columns for exp in col}, key=order_key)
-    rows = [[col.get(exp, 0) for col in columns] for exp in monomials]
+            columns.append(Poly.monomial((ex, 0, 0, 0), -1) * (s.y_power(ey) * s.p_x))
+    monomials = sorted({exp for col in columns for exp, _ in col.items()}, key=order_key)
+    row_of = {exp: r for r, exp in enumerate(monomials)}
+    rows: List[List[Rational]] = [[0] * len(columns) for _ in monomials]
+    for j, col in enumerate(columns):
+        for exp, c in col.items():
+            rows[row_of[exp]][j] = c
     return monomials, rows
 
 

@@ -4,6 +4,8 @@ A model surface of degree k >= 3 is defined by P(x, b) = sum_i g_i b^i x^(k-i)
 for i = 1 .. k-1, so P is weighted-homogeneous of degree k and carries no pure
 x^k or b^k term.  A para-holomorphic vector field splits into an (a, b) part
 and an (x, y) part; tangency to the surface is an exact polynomial condition.
+On the surface y^j is (a + P)^j, expanded once per power (``y_power``) for
+both substituting y and the per-weight tangency systems.
 """
 
 from __future__ import annotations
@@ -11,37 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .poly import (
-    A,
-    ZERO_EXP,
-    Exponents,
-    Grading,
-    Poly,
-    UnsupportedDegreeError,
-    Y,
-    as_fraction,
-)
-
-# an exact coefficient: a plain int wherever it is integral
-Coefficient = Union[int, Fraction]
-Terms = Dict[Exponents, Coefficient]
-
-
-def exact_terms(p: Poly) -> Terms:
-    """The terms of ``p`` with each integral coefficient as a plain ``int``."""
-    return {exp: c.numerator if c.denominator == 1 else c for exp, c in p.items()}
-
-
-def multiply_terms(p: Terms, q: Terms) -> Terms:
-    """Product of two term maps, zero coefficients dropped."""
-    out: Terms = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-            out[exp] = out.get(exp, 0) + c1 * c2
-    return {exp: c for exp, c in out.items() if c}
+from .poly import A, ONE, Grading, Poly, UnsupportedDegreeError, Y, as_fraction
 
 
 class InvalidSurfaceError(ValueError):
@@ -100,27 +74,30 @@ class ModelSurface:
         return Y - A - self.p
 
     @cached_property
-    def _y_powers(self) -> List[Terms]:
+    def _y_powers(self) -> List[Poly]:
         # (a + P)^0, (a + P)^1, ...; extended on demand by y_power
-        return [{ZERO_EXP: 1}, exact_terms(A + self.p)]
+        return [ONE, A + self.p]
 
-    def y_power(self, j: int) -> Terms:
-        """(a + P)^j, the value of y^j on the surface, as exact terms.
+    def y_power(self, j: int) -> Poly:
+        """(a + P)^j, the value of y^j on the surface.
 
-        Memoized on the surface, so every weight shares one expansion per
-        power.  The returned map must not be mutated.
+        Memoized on the surface, so ``tangency_system`` at every weight and
+        ``substitute_y`` share one expansion per power.
         """
         powers = self._y_powers
         while len(powers) <= j:
-            powers.append(multiply_terms(powers[-1], powers[1]))
+            powers.append(powers[-1] * powers[1])
         return powers[j]
 
     def grading(self) -> Grading:
         return Grading(self.k)
 
     def substitute_y(self, p: Poly) -> Poly:
-        """Replace y by a + P(x, b), expanded exactly."""
-        return p.substitute("y", A + self.p)
+        """Replace y by a + P(x, b), expanded exactly from ``y_power``."""
+        out = Poly.zero()
+        for (ex, ey, ea, eb), c in p.items():
+            out = out + Poly.monomial((ex, 0, ea, eb), c) * self.y_power(ey)
+        return out
 
     def contains(self, point) -> bool:
         return self.defining_poly.eval_exact(point) == 0

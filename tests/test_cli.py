@@ -18,6 +18,7 @@ from paracr.cli import (
     MAX_WEIGHT_DIGITS,
     main,
 )
+from paracr import cli as cli_mod
 from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
 from paracr.surface import ModelSurface
 from conftest import poly_st
@@ -194,9 +195,16 @@ class TestUsageErrors:
         assert f"weight {weight}:" in out
 
     @pytest.mark.parametrize(
-        "command, flag", [("solve-weight", "--weight"), ("analyze", "--weight-cap")]
+        "command, flag, counted",
+        [
+            ("solve-weight", "--weight", "--weight 96"),
+            ("analyze", "--weight-cap", "--weight-cap 96 counts as cap^2/2k = 576"),
+        ],
+        ids=["solve-weight---weight", "analyze---weight-cap"],
     )
-    def test_weight_times_gamma_digits_over_bound_rejected_fast(self, capsys, command, flag):
+    def test_weight_times_gamma_digits_over_bound_rejected_fast(
+        self, capsys, command, flag, counted
+    ):
         # 96 x 2,000 digits: solve-weight ran for about a minute before the bound
         nines = "9" * 2000
         start = time.perf_counter()
@@ -206,7 +214,7 @@ class TestUsageErrors:
         )
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert f"{flag} 96 times 2000" in err and f"bound {MAX_WEIGHT_DIGITS:,}" in err
+        assert f"{counted} times 2000" in err and f"bound {MAX_WEIGHT_DIGITS:,}" in err
 
     @pytest.mark.parametrize("gamma", ["3,{}", "1/{},3", "-{}/7,1"])
     def test_weight_times_gamma_digits_at_bound_allowed(self, capsys, gamma):
@@ -452,7 +460,9 @@ def _alternating_gamma(k, digits):
 
 
 class TestScanDigitBound:
-    """analyze and singular-locus count as weight max(cap, 2k) against MAX_WEIGHT_DIGITS."""
+    """singular-locus, and analyze with no cap or a cap below 2k, count as weight
+    2k against MAX_WEIGHT_DIGITS; analyze with a cap of 2k or more counts as
+    weight cap^2/2k."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -472,6 +482,31 @@ class TestScanDigitBound:
         assert (code, out) == (EXIT_USAGE, "")
         assert f"weight 2k = {2 * int(argv[2])} times" in err
         assert f"bound {MAX_WEIGHT_DIGITS:,}" in err
+
+    def test_tall_cap_with_large_gammas_exits_64_quickly(self, capsys):
+        # 120 x 100 digits is within 12,000, but analyze ran for 16 s on it
+        t0 = time.perf_counter()
+        code, out, err = run(
+            capsys, "analyze", "--k", "10", "--gamma", _alternating_gamma(10, 100),
+            "--weight-cap", "120", "--format", "json",
+        )
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "--weight-cap 120 counts as cap^2/2k = 720 times 100" in err
+
+    @pytest.mark.parametrize(
+        "k, cap, most_digits",
+        [(10, 120, 16), (10, 20, 600), (10, 19, 600), (3, 36, 55), (40, 120, 66), (7, 100, 16)],
+    )
+    def test_counted_weight_at_the_edge(self, k, cap, most_digits):
+        # cap^2/2k times the digits, rounded up, against the bound; a cap below 2k counts as 2k
+        for digits, accepted in ((most_digits, True), (most_digits + 1, False)):
+            s = ModelSurface(k, (Fraction(1, 10**digits - 1),) * (k - 1))
+            if accepted:
+                cli_mod._check_gamma_digits(s, cap)
+            else:
+                with pytest.raises(cli_mod.UsageError, match=f"bound {MAX_WEIGHT_DIGITS:,}"):
+                    cli_mod._check_gamma_digits(s, cap)
 
     def test_worst_accepted_case(self, capsys):
         # 2k = 80 times 150 digits is exactly MAX_WEIGHT_DIGITS

@@ -57,6 +57,61 @@ class TestArithmetic:
         assert Fraction(1, 2) * P("2x") == P("x")
 
 
+def coefficient_types(p):
+    return {type(c) for _, c in p.items()}
+
+
+class TestIntegralCoefficients:
+    """An integral coefficient is an int, whichever way it was made."""
+
+    def test_int_and_fraction_give_one_value(self):
+        e = (1, 0, 0, 3)
+        p, q = Poly({e: 2}), Poly({e: Fraction(2)})
+        assert p == q
+        assert hash(p) == hash(q)
+        assert str(p) == str(q) == "2 b^3 x"
+        assert coefficient_types(q) == {int}
+        assert p.eval_exact((1, 2, 3, Fraction(1, 2))) == q.eval_exact((1, 2, 3, Fraction(1, 2)))
+        assert p.eval_float((1.5, 0, 0, 2.0)) == q.eval_float((1.5, 0, 0, 2.0))
+
+    @pytest.mark.parametrize("s", suite_surfaces() + k_ladder_surfaces(), ids=lambda s: f"k{s.k}")
+    def test_integral_products_stay_int(self, s):
+        assert all(g.denominator == 1 for g in s.gamma)
+        power = (A + s.p) ** 4
+        for p in (power, power * s.p_x, power * P("-3 x^2"), power.diff("a") * s.p_b):
+            assert coefficient_types(p) == {int}
+
+    def test_integral_results_of_fractions_become_int(self):
+        half = P("1/2 x")
+        assert coefficient_types(half * P("4 b")) == {int}
+        assert coefficient_types(half + half) == {int}
+        assert coefficient_types(Fraction(2) * half) == {int}
+        assert coefficient_types(P("1/2 x^2").diff("x")) == {int}
+        assert coefficient_types(P("3/3 x + 4/2 b")) == {int}
+        assert coefficient_types(half * P("b")) == {Fraction}
+
+    def test_product_matches_termwise_fraction_product(self):
+        # the product runs at one common denominator per factor; the reference
+        # multiplies term by term in Fractions
+        rng = random.Random(17)
+        for _ in range(300):
+            p, q = random_poly(rng), random_poly(rng)
+            if rng.random() < 0.3:
+                p = p * rng.randint(-6, 6)
+            expected: Dict[tuple, Fraction] = {}
+            for e1, c1 in p.items():
+                for e2, c2 in q.items():
+                    e = tuple(u + v for u, v in zip(e1, e2))
+                    expected[e] = expected.get(e, Fraction(0)) + Fraction(c1) * Fraction(c2)
+            product = p * q
+            assert dict(product.items()) == {e: c for e, c in expected.items() if c}
+            assert all(type(c) is int or c.denominator != 1 for _, c in product.items())
+
+    def test_absent_coefficient_is_int_zero(self):
+        c = P("1/2 x").coefficient((0, 0, 0, 1))
+        assert c == 0 and type(c) is int
+
+
 class TestDiff:
     def test_diff_x(self):
         assert P("b^2 x^2").diff("x") == P("2 b^2 x")

@@ -53,6 +53,19 @@ class TestModelSurface:
         pt = s.point_from_xab(2, 1, 1)
         assert s.contains(pt)
 
+    @pytest.mark.parametrize("gamma", [(1, 1), (Fraction(1, 2), Fraction(-2, 3))])
+    def test_y_power_is_the_cached_power(self, gamma):
+        s = ModelSurface(3, gamma)
+        on_s = P("a") + s.p
+        for j in (5, 0, 3, 1):
+            assert s.y_power(j) == on_s**j
+        assert s.y_power(3) is s.y_power(3)
+
+    @given(poly_st())
+    def test_substitute_y_matches_poly_substitute(self, p):
+        s = ModelSurface(4, (2, Fraction(-1, 3), 1))
+        assert s.substitute_y(p) == p.substitute("y", P("a") + s.p)
+
 
 class TestParaVectorField:
     def test_rejects_mixed_alpha(self):
