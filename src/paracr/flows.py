@@ -9,10 +9,11 @@ a + b^k - 2(b+t)^k, b + t) is not even the identity at t = 0 and fails the
 integration oracle, so it is kept only as an audited negative (see
 ``vm1_transcription_mismatch``).
 
-Polynomial flows preserve the surface and obey the group law exactly; the
-para-CR proportionality of every flow, and every check of the root-taking
-EXP_VK, run in floating point against one tolerance, and EXP_VK also against
-the RK4 oracle.
+A polynomial flow's surface preservation and group law are checked as
+identities, composed by one simultaneous ``Poly.substitute``; the para-CR
+proportionality of every flow, and every check of the root-taking EXP_VK,
+run in floating point at samples against one tolerance, and EXP_VK also
+against the RK4 oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, detect_case
-from .poly import A, B, Poly, X, Y, as_fraction
+from .poly import VARS, A, B, Poly, X, Y, as_fraction
 from .solver import (
     grading_field,
     oblique_translation_field,
@@ -81,7 +82,7 @@ class FlowMap:
     name: str
     surface: ModelSurface
     detection: CaseDetection  # of ``surface``; reused by ``with_param``
-    param: object
+    param: Fraction
     law: str
     generator: ParaVectorField
     components: Optional[Tuple[Poly, Poly, Poly, Poly]]
@@ -375,13 +376,13 @@ def verify_flow(
 ) -> FlowVerification:
     """Check surface preservation, para-CR proportionality and the group law.
 
-    Polynomial flows with rational parameters are checked exactly, over
-    integers at a common denominator (``Poly.eval_exact``): the image of each
-    admitted point is computed once, tested on the defining polynomial, and
-    mapped on by the group-law partner, so a check with a partner costs three
-    ``apply_exact`` calls per point.  The para-CR proportionality of every
-    flow, and the surface and group-law checks of the radical EXP_VK, run in
-    floating point against the one absolute ``tolerance``.
+    A polynomial flow Phi's surface and group-law checks are identities,
+    composed by ``Poly.substitute`` without reading a sample: ``def o Phi``
+    vanishes once y = a + P, and ``Phi_s o Phi_t = Phi_{s+t}`` (``Phi_{st}``
+    for a dilation).  Residual 0.0 means it holds, None that it fails.  The
+    para-CR proportionality of every flow, and the surface and group-law
+    checks of the radical EXP_VK, run in floating point at the samples
+    against the one absolute ``tolerance``.
 
     A float step that overflows at a sample (a coordinate too large for a
     float, or an inf or nan value) fails its check, whose detail names the
@@ -392,14 +393,14 @@ def verify_flow(
     checks: List[FlowCheck] = []
     witnesses: List[ProportionalityWitness] = []
 
-    in_domain = []  # (exact point, float point)
+    in_domain: List[FloatPoint] = []
     unconverted = 0
     for p in samples:
         fp = _finite(lambda: tuple(float(v) for v in p))
         if fp is None:
             unconverted += 1
         elif fm.domain_check(fp) is None:
-            in_domain.append((p, fp))
+            in_domain.append(fp)
     if unconverted:
         detail = _overflow_detail("", unconverted, len(samples))
         checks.append(FlowCheck("float_range", False, False, None, detail))
@@ -411,21 +412,15 @@ def verify_flow(
 
     # (1) surface preservation
     if fm.is_polynomial:
-        images = [fm.apply_exact(p) for p, _ in in_domain]
-        worst = Fraction(0)
-        ok = True
-        for image in images:
-            residual = s.defining_poly.eval_exact(image)
-            if residual != 0:
-                ok = False
-                worst = max(worst, abs(residual))
+        phi = dict(zip(VARS, fm.components))
+        ok = s.substitute_y(s.defining_poly.substitute(phi)).is_zero
         checks.append(
-            FlowCheck("surface_preservation", ok, True, float(worst), "exact residuals")
+            FlowCheck("surface_preservation", ok, True, 0.0 if ok else None, "exact residuals")
         )
     else:
         worst_f = 0.0
         overflowed = 0
-        for _, fp in in_domain:
+        for fp in in_domain:
             residual = _finite(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),))
             if residual is None:
                 overflowed += 1
@@ -445,7 +440,7 @@ def verify_flow(
     worst_prop = 0.0
     prop_ok = True
     overflowed = 0
-    for _, fp in in_domain:
+    for fp in in_domain:
         values = _finite(lambda: _proportionality(fm, fp))
         if values is None:
             overflowed += 1
@@ -471,24 +466,17 @@ def verify_flow(
     if group_partner is not None:
         partner = fm.with_param(group_partner)
         if fm.law == ADDITIVE:
-            combined = fm.with_param(as_fraction(fm.param) + as_fraction(group_partner))
+            combined = fm.with_param(fm.param + partner.param)
         else:
-            combined = fm.with_param(as_fraction(fm.param) * as_fraction(group_partner))
+            combined = fm.with_param(fm.param * partner.param)
         if fm.is_polynomial:
-            ok = True
-            worst = Fraction(0)
-            for (p, _), image in zip(in_domain, images):
-                two_step = partner.apply_exact(image)
-                one_step = combined.apply_exact(p)
-                if two_step != one_step:  # equal images add no residual
-                    ok = False
-                    worst = max(worst, max(abs(u - v) for u, v in zip(two_step, one_step)))
-            checks.append(FlowCheck("group_law", ok, True, float(worst), "exact"))
+            ok = tuple(c.substitute(phi) for c in partner.components) == combined.components
+            checks.append(FlowCheck("group_law", ok, True, 0.0 if ok else None, "exact"))
         else:
             worst_f = 0.0
             checked = 0
             overflowed = 0
-            for _, fp in in_domain:
+            for fp in in_domain:
                 mid = _finite(lambda: fm.apply_float(fp))
                 if mid is None:
                     overflowed += 1
@@ -544,8 +532,8 @@ def rk4_oracle(
 def flow_time(fm: FlowMap) -> float:
     """Integration time matching the flow parameter (log for dilations)."""
     if fm.law == ADDITIVE:
-        return float(as_fraction(fm.param)) if fm.is_polynomial else float(fm.param)
-    return math.log(float(as_fraction(fm.param)))
+        return float(fm.param)
+    return math.log(float(fm.param))
 
 
 def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) -> float:
@@ -637,13 +625,7 @@ class SignMap:
         return tuple(s * v for s, v in zip(self.signs(), point))
 
     def transform_poly(self, p: Poly) -> Poly:
-        terms = {}
-        for exp, c in p.items():
-            sign = (
-                self.sx ** exp[0] * self.sy ** exp[1] * self.sa ** exp[2] * self.sb ** exp[3]
-            )
-            terms[exp] = c * sign
-        return Poly(terms)
+        return p.substitute({v: s * g for v, s, g in zip(VARS, self.signs(), (X, Y, A, B))})
 
 
 @dataclass(frozen=True)

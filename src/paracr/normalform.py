@@ -149,7 +149,7 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
                 f"a pure-b elimination step would multiply out {step_terms:,} terms or more, "
                 f"over the bound of {MAX_STEP_TERMS:,} (MAX_STEP_TERMS); the type is undecided"
             )
-        p = p.substitute("a", A - g) - g
+        p = p.substitute({"a": A - g}) - g
     else:
         raise RuntimeError("pure-term elimination did not stabilize")
     mixed = _mixed_a_free(p)
@@ -247,7 +247,7 @@ def normalize_binomial(s: ModelSurface, detection: CaseDetection) -> BinomialNor
     model_residual = (
         model_change.y_map
         - model_change.a_map
-        - normalized.p.substitute("b", model_change.b_map)
+        - normalized.p.substitute({"b": model_change.b_map})
     )
     if model_residual != inv_delta * s.defining_poly:
         raise NormalFormError("model-form identity failed")

@@ -269,19 +269,36 @@ class Poly:
             out[tuple(new)] = _exact(c * e)
         return _raw(out)
 
-    def substitute(self, var: str, replacement: "Poly") -> "Poly":
-        """Replace every occurrence of ``var`` by ``replacement``, expanded."""
-        i = _var_index(var)
-        powers = [Poly.constant(1)]
-        result = Poly.zero()
+    def substitute(self, replacements: Mapping[str, "Poly"]) -> "Poly":
+        """Replace each named variable by its polynomial, all at once, expanded.
+
+        Each replacement is read in the original variables, so
+        ``substitute({"x": B, "b": X})`` swaps x and b, and one call composes
+        a polynomial map.  Each replaced variable keeps one list of powers.
+        """
+        # per replaced variable: its slot, its replacement r and [r, r^2, ...]
+        slots = [(_var_index(name), r, [r]) for name, r in replacements.items()]
+        parts = []  # per term: exponents kept, numerator, denominator, int terms
         for exp, c in self._terms.items():
             rest = list(exp)
-            e = rest[i]
-            rest[i] = 0
-            while len(powers) <= e:
-                powers.append(powers[-1] * replacement)
-            result = result + Poly.monomial(tuple(rest), c) * powers[e]
-        return result
+            image = ONE  # the product of the replaced variables' powers
+            for i, r, powers in slots:
+                e, rest[i] = rest[i], 0
+                if e:
+                    while len(powers) < e:
+                        powers.append(powers[-1] * r)
+                    image = powers[e - 1] if image is ONE else image * powers[e - 1]
+            den, scaled = _over_denominator(image._terms)
+            parts.append((rest, c.numerator, c.denominator * den, scaled))
+        # the sum runs on ints, at one common denominator of every part
+        den = math.lcm(*(d for _, _, d, _ in parts))
+        out: Dict[Exponents, int] = {}
+        for (rx, ry, ra, rb), n, d, scaled in parts:
+            n *= den // d
+            for (ex, ey, ea, eb), c2 in scaled:
+                key = (rx + ex, ry + ey, ra + ea, rb + eb)
+                out[key] = out.get(key, 0) + n * c2
+        return _raw({e: c if den == 1 else _exact(Fraction(c, den)) for e, c in out.items() if c})
 
     # -- evaluation --------------------------------------------------------
 

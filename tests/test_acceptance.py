@@ -298,7 +298,7 @@ def test_criterion_11_binomial_normalization():
                 Fraction(comb(k, i)) for i in range(1, k)
             )
             mc = res.model_change
-            image = mc.y_map - mc.a_map - res.normalized.p.substitute("b", mc.b_map)
+            image = mc.y_map - mc.a_map - res.normalized.p.substitute({"b": mc.b_map})
             assert image == Fraction(1, Fraction(delta)) * s.defining_poly
             redet = detect_case(res.normalized)
             assert redet.kind == BINOMIAL

@@ -38,7 +38,6 @@ from conftest import (
     rational_gamma_surfaces,
     suite_surfaces,
 )
-from test_poly import reference_eval_exact
 
 
 def P(text):
@@ -161,31 +160,51 @@ class TestVerifyFlow:
             (BINO, EXP_VM1, Fraction(1, 10), Fraction(1, 7)),
         ],
     )
-    def test_each_image_is_computed_once(self, monkeypatch, s, name, param, partner):
-        calls = []
-        apply_exact = flows_mod.FlowMap.apply_exact
-
-        def counting_apply_exact(fm, point):
-            calls.append(fm.param)
-            return apply_exact(fm, point)
-
-        monkeypatch.setattr(flows_mod.FlowMap, "apply_exact", counting_apply_exact)
-        n = 7
-        samples = sample_on_surface(s, n)
+    def test_exact_checks_read_no_sample(self, monkeypatch, s, name, param, partner):
+        samples = sample_on_surface(s, 7)
         fm = flow(name, s, param)
-        assert verify_flow(fm, samples).passed
-        assert calls == [param] * n
-        calls.clear()
-        ver = verify_flow(fm, samples, group_partner=partner)
-        assert ver.passed and any(c.check == "group_law" for c in ver.checks)
-        # the image once, then the partner on it and the combined map on the point
-        assert len(calls) == 3 * n
-        assert calls.count(param) == n and calls.count(partner) == n
+        calls = []
+        for owner, attr in ((flows_mod.FlowMap, "apply_exact"), (Poly, "eval_exact")):
+            original = getattr(owner, attr)
 
-    def test_failing_exact_group_law_reports_its_residual(self):
+            def counted(*args, _attr=attr, _original=original):
+                calls.append(_attr)
+                return _original(*args)
+
+            monkeypatch.setattr(owner, attr, counted)
+        ver = verify_flow(fm, samples, group_partner=partner)
+        checks = {c.check: c for c in ver.checks}
+        assert ver.passed and calls == []
+        for check in ("surface_preservation", "group_law"):
+            assert checks[check].exact and checks[check].max_residual == 0.0
+
+    def test_map_agreeing_with_the_flow_at_every_sample_fails(self):
+        # EXP_Vmk with y -> y + t + prod(x - x_i), x_i the samples' x-values:
+        # at every sample it is the true translation, but it does not
+        # preserve S, and the true partner does not compose with it
+        samples = sample_on_surface(GEN, 20)
+        xs = {p[0] for p in samples}
+        assert len(xs) == 12
+        t = Fraction(3, 2)
+        bump = Poly.constant(1)
+        for xi in xs:
+            bump = bump * (X - Poly.constant(xi))
+        comps = (X, Y + Poly.constant(t) + bump, A + Poly.constant(t), B)
+        fm = flows_mod._poly_flow(
+            EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
+        )
+        assert all(fm.apply_exact(p) == flow(EXP_VMK, GEN, t).apply_exact(p) for p in samples)
+        ver = verify_flow(fm, samples, group_partner=Fraction(-1, 3))
+        checks = {c.check: c for c in ver.checks}
+        for check in ("surface_preservation", "group_law"):
+            assert not checks[check].passed and checks[check].exact
+            assert checks[check].max_residual is None
+        assert not ver.passed
+
+    def test_failing_exact_group_law_reports_no_residual(self):
         # EXP_Vmk with x -> x + t x^2 in place of x: with_param rebuilds the
-        # true translation, so the partner does not compose with this map and
-        # the residual t x^2 differs from sample to sample
+        # true translation, so the partner does not compose with this map;
+        # an identity that fails has no worst point, so no residual
         t, partner = Fraction(3, 2), Fraction(-1, 3)
         comps = (X + t * X**2, Y + Poly.constant(t), A + Poly.constant(t), B)
         fm = flows_mod._poly_flow(
@@ -195,17 +214,7 @@ class TestVerifyFlow:
         ver = verify_flow(fm, samples, group_partner=partner)
         (group_law,) = [c for c in ver.checks if c.check == "group_law"]
         assert not group_law.passed and group_law.exact and not ver.passed
-
-        true_partner, combined = flow(EXP_VMK, GEN, partner), flow(EXP_VMK, GEN, t + partner)
-        worst = Fraction(0)
-        for p in samples:
-            image = tuple(reference_eval_exact(c, p) for c in comps)
-            two_step = tuple(reference_eval_exact(c, image) for c in true_partner.components)
-            one_step = tuple(reference_eval_exact(c, p) for c in combined.components)
-            worst = max([worst] + [abs(u - v) for u, v in zip(two_step, one_step)])
-        assert worst > 0 and len({p[0] ** 2 for p in samples}) > 1
-        assert group_law.max_residual == float(worst)
-
+        assert group_law.max_residual is None
 
 
 class TestFlowTolerance:

@@ -130,7 +130,7 @@ class TestFiniteType:
             }
             p = Poly(terms)
             g = Poly({(0, 0, 0, rng.randint(1, 6)): rng.randint(1, 3) for _ in range(3)})
-            expanded = p.substitute("a", Poly.variable("a") - g)
+            expanded = p.substitute({"a": Poly.variable("a") - g})
             assert len(expanded) <= normalform._step_terms(p, g)
 
     def test_step_terms_exact_without_merging(self):
@@ -217,7 +217,7 @@ class TestNormalizeBinomial:
             s = ModelSurface(k, binomial_gamma(k, delta, nu))
             res = normalize_binomial(s, detect_case(s))
             mc = res.model_change
-            image = mc.y_map - mc.a_map - res.normalized.p.substitute("b", mc.b_map)
+            image = mc.y_map - mc.a_map - res.normalized.p.substitute({"b": mc.b_map})
             assert image == Fraction(1, delta) * s.defining_poly
 
     def test_rejects_non_binomial(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from paracr import report
-from paracr.flows import DEFAULT_SEED, admissible_flow_names, flow, sample_on_surface
+from paracr.flows import DEFAULT_SEED, EXP_VM1, admissible_flow_names, flow, sample_on_surface
 from paracr.normalform import detect_case
 from paracr.poly import (
     A,
@@ -16,11 +16,14 @@ from paracr.poly import (
     Poly,
     PolyParseError,
     UnsupportedDegreeError,
+    VARS,
     X,
     Y,
     as_fraction,
 )
+from paracr.surface import ModelSurface
 from conftest import (
+    binomial_gamma,
     k_ladder_surfaces,
     poly_st,
     random_poly,
@@ -127,20 +130,40 @@ class TestDiff:
 class TestSubstitute:
     def test_substitute_y_definition(self):
         repl = A + P("b^2 x^2")
-        assert Y.substitute("y", repl) == P("a + b^2 x^2")
+        assert Y.substitute({"y": repl}) == P("a + b^2 x^2")
 
     def test_substitute_y_square(self):
         repl = A + P("b^2 x^2")
-        assert (Y**2).substitute("y", repl) == P("a^2 + 2 a b^2 x^2 + b^4 x^4")
+        assert (Y**2).substitute({"y": repl}) == P("a^2 + 2 a b^2 x^2 + b^4 x^4")
 
     def test_substitute_y_free(self):
         repl = A + P("b^2 x^2")
-        assert X.substitute("y", repl) == X
+        assert X.substitute({"y": repl}) == X
 
     def test_substitute_high_power(self):
         # powers of the replacement are built in a loop, not by recursion
-        result = P("a^1500").substitute("a", P("b"))
+        result = P("a^1500").substitute({"a": P("b")})
         assert result == P("b^1500")
+
+    def test_substitution_is_simultaneous(self):
+        # each replacement is read in the original variables; one variable
+        # at a time, x -> b and then b -> x would give x^2
+        swap = {"x": B, "b": X}
+        assert (X * B).substitute(swap) == X * B
+        assert (X**3 * B - A).substitute(swap) == X * B**3 - A
+        assert (X * B).substitute({"x": B}).substitute({"b": X}) == X**2
+
+    def test_composes_binomial_flows(self):
+        # EXP_Vm1 at u after EXP_Vm1 at t is EXP_Vm1 at t + u, on a binomial
+        # surface with delta = 2, nu = 3; replacing y before x would also
+        # move the x inside y's replacement, so one at a time it fails
+        s = ModelSurface(5, binomial_gamma(5, 2, 3))
+        t, u = Fraction(1, 10), Fraction(-2, 7)
+        phi = dict(zip(VARS, flow(EXP_VM1, s, t).components))
+        partner = flow(EXP_VM1, s, u).components
+        assert tuple(c.substitute(phi) for c in partner) == flow(EXP_VM1, s, t + u).components
+        y_then_x = partner[1].substitute({"y": phi["y"]}).substitute({"x": phi["x"]})
+        assert y_then_x != flow(EXP_VM1, s, t + u).components[1]
 
 
 class TestEval:
@@ -514,6 +537,5 @@ class TestRingAxioms:
     @given(poly_st(), poly_st())
     def test_substitution_is_ring_hom(self, p, q):
         repl = A + P("b x^2 + b^2 x")
-        assert (p * q).substitute("y", repl) == p.substitute("y", repl) * q.substitute(
-            "y", repl
-        )
+        sub = {"y": repl}
+        assert (p * q).substitute(sub) == p.substitute(sub) * q.substitute(sub)

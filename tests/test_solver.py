@@ -126,7 +126,7 @@ def definitional_system(s, ansatz):
     with y expanded by ``Poly.substitute``, not the surface's cached powers."""
     on_s = A + s.p
     residuals = [
-        ansatz.unit_field(i).apply(s.defining_poly).substitute("y", on_s)
+        ansatz.unit_field(i).apply(s.defining_poly).substitute({"y": on_s})
         for i in range(len(ansatz))
     ]
     monomials = sorted({e for r in residuals for e, _ in r.items()}, key=order_key)

@@ -64,7 +64,7 @@ class TestModelSurface:
     @given(poly_st())
     def test_substitute_y_matches_poly_substitute(self, p):
         s = ModelSurface(4, (2, Fraction(-1, 3), 1))
-        assert s.substitute_y(p) == p.substitute("y", P("a") + s.p)
+        assert s.substitute_y(p) == p.substitute({"y": P("a") + s.p})
 
 
 class TestParaVectorField:
