@@ -12,8 +12,11 @@ integration oracle, so it is kept only as an audited negative (see
 A polynomial flow's surface preservation and group law are checked as
 identities, composed by one simultaneous ``Poly.substitute``; the para-CR
 proportionality of every flow, and every check of the root-taking EXP_VK,
-run in floating point at samples against one tolerance, and EXP_VK also
-against the RK4 oracle.
+run in floating point at samples, and EXP_VK also against the RK4 oracle.
+One rule decides every float check: its worst residual against one
+tolerance, a sample where a float step overflows fails it by name, a check
+that read no sample fails, and a check whose every sample overflowed
+reports no residual.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from operator import sub
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, detect_case
 from .poly import VARS, A, B, Poly, X, Y, as_fraction
@@ -327,14 +331,7 @@ def _direction_y(s: ModelSurface, pt) -> Tuple[float, float]:
     return (-s.p_b.eval_float(pt), 1.0)
 
 
-def _overflow_detail(detail: str, overflowed: int, total: int) -> str:
-    if not overflowed:
-        return detail
-    note = f"float overflow at {overflowed} of {total} samples"
-    return f"{detail}; {note}" if detail else note
-
-
-def _finite(compute: Callable[[], Sequence[float]]) -> Optional[Tuple[float, ...]]:
+def _finite(compute: Callable[[], Iterable[float]]) -> Optional[Tuple[float, ...]]:
     # the floats compute() returns, or None when a float step overflows:
     # an OverflowError, or an inf or nan value
     try:
@@ -342,6 +339,32 @@ def _finite(compute: Callable[[], Sequence[float]]) -> Optional[Tuple[float, ...
     except OverflowError:
         return None
     return values if all(math.isfinite(v) for v in values) else None
+
+
+def _worst(compute: Callable[[], Iterable[float]]) -> Optional[float]:
+    # the largest |value| compute() returns, or None when a float step overflows
+    values = _finite(compute)
+    return None if values is None else max(abs(v) for v in values)
+
+
+def _float_check(
+    check: str, residuals: Sequence[Optional[float]], tolerance: float, total: int
+) -> FlowCheck:
+    # The one rule of every float check.  ``residuals`` holds one entry per
+    # sample the check read, None where a float step overflowed, out of
+    # ``total`` admissible samples.  The worst residual must be within
+    # ``tolerance``; an overflow fails the check by name, and so does a check
+    # that read no sample.  When every sample overflowed there is no worst.
+    if not residuals:
+        outside = "no sample lies in the partner and combined flow domains"
+        return FlowCheck(check, False, False, None, outside if total else "no admissible samples")
+    read = [r for r in residuals if r is not None]
+    worst = max(read) if read else None
+    overflowed = len(residuals) - len(read)
+    detail = f"tolerance {tolerance:g}"
+    if overflowed:
+        detail += f"; float overflow at {overflowed} of {total} samples"
+    return FlowCheck(check, not overflowed and worst <= tolerance, False, worst, detail)
 
 
 def _proportionality(fm: FlowMap, fp: FloatPoint) -> Tuple[float, float, float, float]:
@@ -379,20 +402,20 @@ def verify_flow(
     A polynomial flow Phi's surface and group-law checks are identities,
     composed by ``Poly.substitute`` without reading a sample: ``def o Phi``
     vanishes once y = a + P, and ``Phi_s o Phi_t = Phi_{s+t}`` (``Phi_{st}``
-    for a dilation).  Residual 0.0 means it holds, None that it fails.  The
-    para-CR proportionality of every flow, and the surface and group-law
-    checks of the radical EXP_VK, run in floating point at the samples
-    against the one absolute ``tolerance``.
+    for a dilation).  They hold or fail whatever the samples: residual 0.0
+    means it holds, None that it fails.  The para-CR proportionality of
+    every flow, and the surface and group-law checks of the radical EXP_VK,
+    run in floating point at the admissible samples, and one rule decides
+    each: the worst residual against the one absolute ``tolerance``.
 
     A float step that overflows at a sample (a coordinate too large for a
     float, or an inf or nan value) fails its check, whose detail names the
-    float overflow; a sample that does not convert to floats at all fails a
-    ``float_range`` check.  Neither is skipped silently.
+    float overflow, and a check whose every sample overflowed reports None;
+    a sample that does not convert to floats at all fails a ``float_range``
+    check, and a float check left with no sample fails.  Nothing is skipped
+    silently.
     """
     s = fm.surface
-    checks: List[FlowCheck] = []
-    witnesses: List[ProportionalityWitness] = []
-
     in_domain: List[FloatPoint] = []
     unconverted = 0
     for p in samples:
@@ -401,14 +424,11 @@ def verify_flow(
             unconverted += 1
         elif fm.domain_check(fp) is None:
             in_domain.append(fp)
+    checks: List[FlowCheck] = []
     if unconverted:
-        detail = _overflow_detail("", unconverted, len(samples))
+        detail = f"float overflow at {unconverted} of {len(samples)} samples"
         checks.append(FlowCheck("float_range", False, False, None, detail))
-    if not in_domain:
-        checks.append(
-            FlowCheck("surface_preservation", False, False, None, "no admissible samples")
-        )
-        return FlowVerification(fm.name, (str(fm.param),), False, tuple(checks))
+    total = len(in_domain)
 
     # (1) surface preservation
     if fm.is_polynomial:
@@ -418,49 +438,25 @@ def verify_flow(
             FlowCheck("surface_preservation", ok, True, 0.0 if ok else None, "exact residuals")
         )
     else:
-        worst_f = 0.0
-        overflowed = 0
-        for fp in in_domain:
-            residual = _finite(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),))
-            if residual is None:
-                overflowed += 1
-            else:
-                worst_f = max(worst_f, abs(residual[0]))
-        checks.append(
-            FlowCheck(
-                "surface_preservation",
-                worst_f <= tolerance and not overflowed,
-                False,
-                worst_f,
-                _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
-            )
-        )
+        residuals = [
+            _worst(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),)) for fp in in_domain
+        ]
+        checks.append(_float_check("surface_preservation", residuals, tolerance, total))
 
-    # (2) para-CR property: pushforward proportional to the direction fields
-    worst_prop = 0.0
-    prop_ok = True
-    overflowed = 0
+    # (2) para-CR property: pushforward proportional to the direction fields;
+    # a zero factor is no proportionality, an infinite residual
+    witnesses: List[ProportionalityWitness] = []
+    residuals = []
     for fp in in_domain:
         values = _finite(lambda: _proportionality(fm, fp))
         if values is None:
-            overflowed += 1
+            residuals.append(None)
             continue
         w = ProportionalityWitness(fp, *values)
-        scale = 1.0 + abs(w.lam) + abs(w.mu)
-        worst_prop = max(worst_prop, w.x_residual / scale, w.y_residual / scale)
-        if w.lam == 0.0 or w.mu == 0.0:
-            prop_ok = False
         witnesses.append(w)
-    prop_ok = prop_ok and worst_prop <= tolerance and not overflowed
-    checks.append(
-        FlowCheck(
-            "para_cr_proportionality",
-            prop_ok,
-            False,
-            worst_prop,
-            _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
-        )
-    )
+        scale = 1.0 + abs(w.lam) + abs(w.mu)
+        residuals.append(max(w.x_residual, w.y_residual) / scale if w.lam and w.mu else math.inf)
+    checks.append(_float_check("para_cr_proportionality", residuals, tolerance, total))
 
     # (3) group law at a sampled parameter pair
     if group_partner is not None:
@@ -473,34 +469,16 @@ def verify_flow(
             ok = tuple(c.substitute(phi) for c in partner.components) == combined.components
             checks.append(FlowCheck("group_law", ok, True, 0.0 if ok else None, "exact"))
         else:
-            worst_f = 0.0
-            checked = 0
-            overflowed = 0
+            residuals = []
             for fp in in_domain:
                 mid = _finite(lambda: fm.apply_float(fp))
                 if mid is None:
-                    overflowed += 1
-                    continue
-                if partner.domain_check(mid) is not None or combined.domain_check(fp) is not None:
-                    continue
-                diffs = _finite(
-                    lambda: [
-                        abs(u - v)
-                        for u, v in zip(partner.apply_float(mid), combined.apply_float(fp))
-                    ]
-                )
-                if diffs is None:
-                    overflowed += 1
-                    continue
-                worst_f = max(worst_f, max(diffs))
-                checked += 1
-            if checked or overflowed:
-                ok = worst_f <= tolerance and not overflowed
-                detail = _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain))
-                checks.append(FlowCheck("group_law", ok, False, worst_f, detail))
-            else:
-                detail = "no sample lies in the partner and combined flow domains"
-                checks.append(FlowCheck("group_law", False, False, None, detail))
+                    residuals.append(None)
+                elif partner.domain_check(mid) is None and combined.domain_check(fp) is None:
+                    residuals.append(
+                        _worst(lambda: map(sub, partner.apply_float(mid), combined.apply_float(fp)))
+                    )
+            checks.append(_float_check("group_law", residuals, tolerance, total))
 
     passed = all(c.passed for c in checks)
     return FlowVerification(fm.name, (str(fm.param),), passed, tuple(checks), tuple(witnesses))
@@ -560,13 +538,12 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     worst = 0.0
     time = flow_time(fm)
     for fp in points:
-        closed = _finite(lambda: fm.apply_float(fp))
-        if closed is None:
+        residual = _worst(
+            lambda: map(sub, fm.apply_float(fp), rk4_oracle(fm.generator, fp, time, steps))
+        )
+        if residual is None:
             return math.inf
-        integrated = _finite(lambda: rk4_oracle(fm.generator, fp, time, steps))
-        if integrated is None:
-            return math.inf
-        worst = max(worst, *(abs(u - v) for u, v in zip(closed, integrated)))
+        worst = max(worst, residual)
     return worst
 
 

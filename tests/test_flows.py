@@ -1,7 +1,9 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
+from typing import List, Sequence
 
 import pytest
 
@@ -12,8 +14,16 @@ from paracr.flows import (
     EXP_VK,
     EXP_VM1,
     EXP_VMK,
+    ExactPoint,
+    FloatPoint,
+    FlowCheck,
     FlowDomainError,
+    FlowMap,
+    FlowVerification,
     InadmissibleFlowError,
+    ProportionalityWitness,
+    _finite,
+    _proportionality,
     admissible_flow_names,
     discrete_group,
     flow,
@@ -26,9 +36,10 @@ from paracr.flows import (
     vm1_transcription_mismatch,
 )
 from paracr import flows as flows_mod
+from paracr import report
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
-from paracr.poly import A, B, Poly, X, Y
+from paracr.poly import VARS, A, B, Poly, X, Y
 from paracr.solver import vertical_translation, grading_field
 from paracr.surface import ModelSurface, ParaVectorField
 from conftest import (
@@ -95,6 +106,33 @@ class TestFlowConstruction:
         fm = flow(EXP_V0, BINO, 1)
         for p in samples:
             assert fm.apply_exact(p) == p
+
+
+def _planted_translation(t, comps):
+    return flows_mod._poly_flow(
+        EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
+    )
+
+
+def planted_sample_agreeing_map():
+    # EXP_Vmk with y -> y + t + prod(x - x_i), x_i the samples' x-values:
+    # at every sample it is the true translation, but it does not
+    # preserve S, and the true partner does not compose with it
+    samples = sample_on_surface(GEN, 20)
+    t = Fraction(3, 2)
+    bump = Poly.constant(1)
+    for xi in {p[0] for p in samples}:
+        bump = bump * (X - Poly.constant(xi))
+    comps = (X, Y + Poly.constant(t) + bump, A + Poly.constant(t), B)
+    return _planted_translation(t, comps), samples, Fraction(-1, 3)
+
+
+def planted_group_law_breaking_map():
+    # EXP_Vmk with x -> x + t x^2 in place of x: with_param rebuilds the
+    # true translation, so the partner does not compose with this map
+    t = Fraction(3, 2)
+    comps = (X + t * X**2, Y + Poly.constant(t), A + Poly.constant(t), B)
+    return _planted_translation(t, comps), sample_on_surface(GEN, 9), Fraction(-1, 3)
 
 
 class TestVerifyFlow:
@@ -179,22 +217,11 @@ class TestVerifyFlow:
             assert checks[check].exact and checks[check].max_residual == 0.0
 
     def test_map_agreeing_with_the_flow_at_every_sample_fails(self):
-        # EXP_Vmk with y -> y + t + prod(x - x_i), x_i the samples' x-values:
-        # at every sample it is the true translation, but it does not
-        # preserve S, and the true partner does not compose with it
-        samples = sample_on_surface(GEN, 20)
-        xs = {p[0] for p in samples}
-        assert len(xs) == 12
-        t = Fraction(3, 2)
-        bump = Poly.constant(1)
-        for xi in xs:
-            bump = bump * (X - Poly.constant(xi))
-        comps = (X, Y + Poly.constant(t) + bump, A + Poly.constant(t), B)
-        fm = flows_mod._poly_flow(
-            EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
-        )
-        assert all(fm.apply_exact(p) == flow(EXP_VMK, GEN, t).apply_exact(p) for p in samples)
-        ver = verify_flow(fm, samples, group_partner=Fraction(-1, 3))
+        fm, samples, partner = planted_sample_agreeing_map()
+        assert len({p[0] for p in samples}) == 12
+        true_flow = flow(EXP_VMK, GEN, fm.param)
+        assert all(fm.apply_exact(p) == true_flow.apply_exact(p) for p in samples)
+        ver = verify_flow(fm, samples, group_partner=partner)
         checks = {c.check: c for c in ver.checks}
         for check in ("surface_preservation", "group_law"):
             assert not checks[check].passed and checks[check].exact
@@ -202,16 +229,8 @@ class TestVerifyFlow:
         assert not ver.passed
 
     def test_failing_exact_group_law_reports_no_residual(self):
-        # EXP_Vmk with x -> x + t x^2 in place of x: with_param rebuilds the
-        # true translation, so the partner does not compose with this map;
         # an identity that fails has no worst point, so no residual
-        t, partner = Fraction(3, 2), Fraction(-1, 3)
-        comps = (X + t * X**2, Y + Poly.constant(t), A + Poly.constant(t), B)
-        fm = flows_mod._poly_flow(
-            EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
-        )
-        samples = sample_on_surface(GEN, 9)
-        ver = verify_flow(fm, samples, group_partner=partner)
+        ver = verify_flow(*planted_group_law_breaking_map())
         (group_law,) = [c for c in ver.checks if c.check == "group_law"]
         assert not group_law.passed and group_law.exact and not ver.passed
         assert group_law.max_residual is None
@@ -234,6 +253,12 @@ class TestFlowTolerance:
         prop = [c for c in loose.checks if c.check == "para_cr_proportionality"][0]
         assert prop.detail == "tolerance 1e-07"
 
+    def test_residual_equal_to_the_tolerance_passes(self):
+        # the translation's float residuals are exactly 0.0
+        ver = verify_flow(flow(EXP_VMK, GEN, 1), sample_on_surface(GEN, 6), tolerance=0.0)
+        prop = [c for c in ver.checks if c.check == "para_cr_proportionality"][0]
+        assert ver.passed and prop.max_residual == 0.0
+
 
 class TestFloatOverflow:
     """A float step that overflows fails its check by name, never silently."""
@@ -250,8 +275,11 @@ class TestFloatOverflow:
         float_range = self.check(ver, "float_range")
         assert not float_range.passed and float_range.max_residual is None
         assert float_range.detail == "float overflow at 1 of 1 samples"
-        # the point is dropped, and a check with no point left still fails
-        assert self.check(ver, "surface_preservation").detail == "no admissible samples"
+        # the point is dropped, and a float check with no point left still fails;
+        # the identities need no point
+        assert self.check(ver, "para_cr_proportionality").detail == "no admissible samples"
+        assert self.check(ver, "surface_preservation").passed
+        assert self.check(ver, "group_law").passed
 
     def test_other_samples_are_still_checked(self):
         samples = sample_on_surface(BINO, 4) + [self.HUGE]
@@ -267,7 +295,7 @@ class TestFloatOverflow:
         assert all(c.passed for c in others)
         assert len(ver.witnesses) == 4
 
-    @pytest.mark.parametrize(
+    OVERFLOWING = pytest.mark.parametrize(
         "point",
         [
             # x^3 overflows a float power: OverflowError
@@ -277,7 +305,10 @@ class TestFloatOverflow:
         ],
         ids=["overflow-error", "inf-and-nan"],
     )
-    @pytest.mark.parametrize("name, param", [(EXP_VMK, 1), (EXP_V0, 2)])
+    FLOWS = pytest.mark.parametrize("name, param", [(EXP_VMK, 1), (EXP_V0, 2)])
+
+    @OVERFLOWING
+    @FLOWS
     def test_overflow_in_a_check_fails_it(self, point, name, param):
         ver = verify_flow(flow(name, GEN, param), [point])
         assert not ver.passed
@@ -286,6 +317,18 @@ class TestFloatOverflow:
         assert prop.detail == "tolerance 1e-09; float overflow at 1 of 1 samples"
         assert ver.witnesses == ()
 
+    @OVERFLOWING
+    @FLOWS
+    def test_a_check_with_no_finite_residual_reports_none(self, point, name, param):
+        # every sample overflowed, so there is no worst residual to report
+        prop = self.check(verify_flow(flow(name, GEN, param), [point]), "para_cr_proportionality")
+        assert not prop.passed and prop.max_residual is None
+        # one finite sample beside it gives the check a worst residual again
+        samples = [point, GEN.point_from_xab(1, 0, 1)]
+        prop = self.check(verify_flow(flow(name, GEN, param), samples), "para_cr_proportionality")
+        assert not prop.passed and prop.max_residual == 0.0
+        assert prop.detail == "tolerance 1e-09; float overflow at 1 of 2 samples"
+
     def test_radical_flow_surface_check_overflow(self):
         point = MONO.point_from_xab(10**160, Fraction(1, 10**300), Fraction(1, 10**320))
         ver = verify_flow(flow(EXP_VK, MONO, Fraction(1, 10)), [point], Fraction(1, 7))
@@ -293,6 +336,297 @@ class TestFloatOverflow:
         assert not surface_check.passed and not surface_check.exact
         assert surface_check.detail == "tolerance 1e-09; float overflow at 1 of 1 samples"
         assert not ver.passed
+
+    def test_radical_flow_group_law_overflow(self):
+        # x / (1 - t y)^(1/2) overflows to inf at the first map of the composition
+        point = MONO.point_from_xab(17 * 10**307, 5, 0)
+        samples = sample_on_surface(MONO, 4) + [point]
+        ver = verify_flow(flow(EXP_VK, MONO, Fraction(1, 10)), samples, Fraction(1, 7))
+        group_law = self.check(ver, "group_law")
+        assert not group_law.passed and group_law.max_residual < 1e-9
+        assert group_law.detail == "tolerance 1e-09; float overflow at 1 of 5 samples"
+
+    def test_identities_need_no_admissible_sample(self):
+        # y = a + 10^400 (x^3 + x^2 b) does not convert to a float at (x, a, b) = (1, 0, 1)
+        s = ModelSurface(3, (10**400, 10**400))
+        point = s.point_from_xab(1, 0, 1)
+        for name in (EXP_VMK, EXP_V0):
+            param, partner = report._FLOW_PARAMS[name]
+            ver = verify_flow(flow(name, s, param), [point], group_partner=partner)
+            checks = {c.check: c for c in ver.checks}
+            assert list(checks) == [
+                "float_range",
+                "surface_preservation",
+                "para_cr_proportionality",
+                "group_law",
+            ]
+            for check in ("surface_preservation", "group_law"):
+                assert checks[check].passed and checks[check].exact
+                assert checks[check].max_residual == 0.0
+            assert checks["para_cr_proportionality"] == FlowCheck(
+                "para_cr_proportionality", False, False, None, "no admissible samples"
+            )
+            assert not ver.passed and ver.witnesses == ()
+
+    def test_radical_flow_fails_every_float_check_with_no_admissible_sample(self):
+        point = MONO.point_from_xab(1, 10**400, 1)
+        ver = verify_flow(flow(EXP_VK, MONO, Fraction(1, 10)), [point], Fraction(1, 7))
+        assert ver.checks[0].check == "float_range"
+        assert ver.checks[1:] == tuple(
+            FlowCheck(check, False, False, None, "no admissible samples")
+            for check in ("surface_preservation", "para_cr_proportionality", "group_law")
+        )
+        assert not ver.passed
+
+    def test_zero_factor_is_an_infinite_residual(self):
+        # lambda = 10^-400 rounds to the float 0.0, so the pushforwards of X
+        # and Y vanish: every residual is 0.0, but the factors are 0
+        ver = verify_flow(flow(EXP_V0, GEN, Fraction(1, 10**400)), sample_on_surface(GEN, 3))
+        assert ver.witnesses and all(w.lam == 0.0 and w.mu == 0.0 for w in ver.witnesses)
+        assert all(w.x_residual == 0.0 and w.y_residual == 0.0 for w in ver.witnesses)
+        prop = self.check(ver, "para_cr_proportionality")
+        assert not prop.passed and prop.max_residual == math.inf
+        assert prop.detail == "tolerance 1e-09"
+
+
+# verify_flow and rk4_mismatch as they were before one rule (_float_check,
+# with _worst) decided every float check, kept verbatim, docstrings aside, as
+# the reference.  The new rule changes two outcomes on purpose: a float check
+# left with no admissible sample fails by name whichever check it is (the
+# reference failed surface_preservation and stopped, so a polynomial flow's
+# identities went unchecked), and a float check whose every sample
+# overflowed reports no residual (the reference reported 0.0).
+
+
+def _overflow_detail(detail: str, overflowed: int, total: int) -> str:
+    if not overflowed:
+        return detail
+    note = f"float overflow at {overflowed} of {total} samples"
+    return f"{detail}; {note}" if detail else note
+
+
+
+def reference_verify_flow(
+    fm: FlowMap,
+    samples: Sequence[ExactPoint],
+    group_partner=None,
+    tolerance: float = 1e-9,
+) -> FlowVerification:
+    s = fm.surface
+    checks: List[FlowCheck] = []
+    witnesses: List[ProportionalityWitness] = []
+
+    in_domain: List[FloatPoint] = []
+    unconverted = 0
+    for p in samples:
+        fp = _finite(lambda: tuple(float(v) for v in p))
+        if fp is None:
+            unconverted += 1
+        elif fm.domain_check(fp) is None:
+            in_domain.append(fp)
+    if unconverted:
+        detail = _overflow_detail("", unconverted, len(samples))
+        checks.append(FlowCheck("float_range", False, False, None, detail))
+    if not in_domain:
+        checks.append(
+            FlowCheck("surface_preservation", False, False, None, "no admissible samples")
+        )
+        return FlowVerification(fm.name, (str(fm.param),), False, tuple(checks))
+
+    # (1) surface preservation
+    if fm.is_polynomial:
+        phi = dict(zip(VARS, fm.components))
+        ok = s.substitute_y(s.defining_poly.substitute(phi)).is_zero
+        checks.append(
+            FlowCheck("surface_preservation", ok, True, 0.0 if ok else None, "exact residuals")
+        )
+    else:
+        worst_f = 0.0
+        overflowed = 0
+        for fp in in_domain:
+            residual = _finite(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),))
+            if residual is None:
+                overflowed += 1
+            else:
+                worst_f = max(worst_f, abs(residual[0]))
+        checks.append(
+            FlowCheck(
+                "surface_preservation",
+                worst_f <= tolerance and not overflowed,
+                False,
+                worst_f,
+                _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
+            )
+        )
+
+    # (2) para-CR property: pushforward proportional to the direction fields
+    worst_prop = 0.0
+    prop_ok = True
+    overflowed = 0
+    for fp in in_domain:
+        values = _finite(lambda: _proportionality(fm, fp))
+        if values is None:
+            overflowed += 1
+            continue
+        w = ProportionalityWitness(fp, *values)
+        scale = 1.0 + abs(w.lam) + abs(w.mu)
+        worst_prop = max(worst_prop, w.x_residual / scale, w.y_residual / scale)
+        if w.lam == 0.0 or w.mu == 0.0:
+            prop_ok = False
+        witnesses.append(w)
+    prop_ok = prop_ok and worst_prop <= tolerance and not overflowed
+    checks.append(
+        FlowCheck(
+            "para_cr_proportionality",
+            prop_ok,
+            False,
+            worst_prop,
+            _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain)),
+        )
+    )
+
+    # (3) group law at a sampled parameter pair
+    if group_partner is not None:
+        partner = fm.with_param(group_partner)
+        if fm.law == ADDITIVE:
+            combined = fm.with_param(fm.param + partner.param)
+        else:
+            combined = fm.with_param(fm.param * partner.param)
+        if fm.is_polynomial:
+            ok = tuple(c.substitute(phi) for c in partner.components) == combined.components
+            checks.append(FlowCheck("group_law", ok, True, 0.0 if ok else None, "exact"))
+        else:
+            worst_f = 0.0
+            checked = 0
+            overflowed = 0
+            for fp in in_domain:
+                mid = _finite(lambda: fm.apply_float(fp))
+                if mid is None:
+                    overflowed += 1
+                    continue
+                if partner.domain_check(mid) is not None or combined.domain_check(fp) is not None:
+                    continue
+                diffs = _finite(
+                    lambda: [
+                        abs(u - v)
+                        for u, v in zip(partner.apply_float(mid), combined.apply_float(fp))
+                    ]
+                )
+                if diffs is None:
+                    overflowed += 1
+                    continue
+                worst_f = max(worst_f, max(diffs))
+                checked += 1
+            if checked or overflowed:
+                ok = worst_f <= tolerance and not overflowed
+                detail = _overflow_detail(f"tolerance {tolerance:g}", overflowed, len(in_domain))
+                checks.append(FlowCheck("group_law", ok, False, worst_f, detail))
+            else:
+                detail = "no sample lies in the partner and combined flow domains"
+                checks.append(FlowCheck("group_law", False, False, None, detail))
+
+    passed = all(c.passed for c in checks)
+    return FlowVerification(fm.name, (str(fm.param),), passed, tuple(checks), tuple(witnesses))
+
+
+def reference_rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) -> float:
+    exists = fm.ode_domain_check or fm.domain_check
+    points = []
+    for p in samples:
+        fp = _finite(lambda: tuple(float(v) for v in p))
+        if fp is None:
+            return math.inf
+        if fm.domain_check(fp) is None and exists(fp) is None:
+            points.append(fp)
+    if not points:
+        raise FlowDomainError(f"{fm.name}: no sample lies in the flow's existence domain")
+    worst = 0.0
+    time = flow_time(fm)
+    for fp in points:
+        closed = _finite(lambda: fm.apply_float(fp))
+        if closed is None:
+            return math.inf
+        integrated = _finite(lambda: rk4_oracle(fm.generator, fp, time, steps))
+        if integrated is None:
+            return math.inf
+        worst = max(worst, *(abs(u - v) for u, v in zip(closed, integrated)))
+    return worst
+
+
+def _intended(want, fm, group_partner):
+    # the reference verification with those two outcomes changed
+    checks = []
+    for c in want.checks:
+        if c.detail == "no admissible samples":
+            # the reference stopped here; a polynomial flow's identities are
+            # compared in TestFloatOverflow, so only EXP_VK arrives here
+            assert not fm.is_polynomial
+            names = ["surface_preservation", "para_cr_proportionality"]
+            names += ["group_law"] if group_partner is not None else []
+            checks += [FlowCheck(name, False, False, None, c.detail) for name in names]
+            continue
+        overflow = re.search(r"float overflow at (\d+) of (\d+) samples$", c.detail)
+        if c.check != "float_range" and overflow and overflow[1] == overflow[2]:
+            assert c.max_residual == 0.0 and not c.passed
+            c = FlowCheck(c.check, c.passed, c.exact, None, c.detail)
+        checks.append(c)
+    return FlowVerification(want.flow_name, want.params, want.passed, tuple(checks), want.witnesses)
+
+
+def _rk4_outcome(mismatch, fm, samples):
+    try:
+        return mismatch(fm, samples, steps=20)
+    except FlowDomainError as exc:
+        return str(exc)
+
+
+def _reference_cases():
+    # (flow map, samples, group partner)
+    for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
+        samples = sample_on_surface(s, 20)
+        for name in admissible_flow_names(detect_case(s)):
+            param, partner = report._FLOW_PARAMS[name]
+            yield flow(name, s, param), samples, partner
+    samples = sample_on_surface(MONO, 20)
+    for t in (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 7), Fraction(-1, 7)):
+        yield flow(EXP_VK, MONO, t), samples, Fraction(1, 7)
+    yield planted_sample_agreeing_map()
+    yield planted_group_law_breaking_map()
+    # no sample lies in the partner and combined flow domains
+    yield flow(EXP_VK, MONO, Fraction(1, 10)), [MONO.point_from_xab(0, 1, 0)], 1
+    for s in (MONO, BINO, GEN):
+        for name in admissible_flow_names(detect_case(s)):
+            param, partner = report._FLOW_PARAMS[name]
+            yield flow(name, s, param), TestRk4Kernel.FAR_POINTS, partner
+
+
+class TestFloatCheckReference:
+    def test_verifications_match_reference(self):
+        cases = changed = 0
+        for fm, samples, partner in _reference_cases():
+            want = reference_verify_flow(fm, samples, group_partner=partner)
+            got = verify_flow(fm, samples, group_partner=partner)
+            expected = _intended(want, fm, partner)
+            assert got == expected, (fm.surface, fm.name, fm.param)
+            cases += 1
+            changed += expected != want
+        assert cases == 101
+        # both intended changes were met: FAR_POINTS leave EXP_VK on MONO no
+        # admissible sample, and overflow every proportionality residual of
+        # the other eight flows
+        assert changed == 9
+
+    def test_rk4_mismatch_matches_reference(self):
+        outcomes = set()
+        for fm, samples, _ in _reference_cases():
+            want = _rk4_outcome(reference_rk4_mismatch, fm, samples)
+            assert _rk4_outcome(rk4_mismatch, fm, samples) == want, (fm.surface, fm.name)
+            if isinstance(want, str):
+                outcomes.add("raised")
+            else:
+                outcomes.add("infinite" if want == math.inf else "finite")
+        # finite and infinite mismatches, and a FlowDomainError, were compared
+        assert outcomes == {"finite", "infinite", "raised"}
 
 
 class TestGeneratorConsistency:
