@@ -4,12 +4,15 @@ Two independent kernel routines are provided on purpose.  The main path
 scales rows to integers and runs fraction-free (Bareiss) elimination with
 partial pivoting on pivot magnitude, which avoids rational blow-up during
 elimination.  ``nullspace_modular`` puts a certified row selection in front
-of it: the rows are reduced modulo one fixed prime, and only the rows that
-raise the rank mod p go to Bareiss.  Rank mod p never exceeds the rank over
-Q, so full rank mod p proves the kernel is {0} with no exact elimination.
-Otherwise every row of the full system is checked against the subsystem's
-kernel over the integers, and rows that fail join the subsystem until none
-fails; the result then equals ``nullspace_bareiss`` on all rows.  The second
+of it, on sparse rows: each row is the list of its (column, value) pairs,
+which suits the per-weight tangency systems, whose entries are mostly zero.
+The rows are reduced modulo one fixed prime against a sparse echelon, and
+only the rows that raise the rank mod p go, made dense, to Bareiss.  Rank
+mod p never exceeds the rank over Q, so full rank mod p proves the kernel
+is {0} with no exact elimination.  Otherwise every row of the full system
+is checked against the subsystem's kernel over the integers, and rows that
+fail join the subsystem until none fails; the result then equals
+``nullspace_bareiss`` on all rows made dense.  The second
 path is a Gauss-Jordan reduction to reduced row echelon form, run over
 integers one row at a time: each row is cleared of denominators, divided by
 its content and reduced against the pivot rows found so far with gcd-reduced
@@ -33,6 +36,7 @@ from .sturm import sign_variations
 
 Vector = Tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
+SparseRow = Sequence[Tuple[int, Fraction]]  # a row's (column, value) pairs
 
 _PRIME = 2**61 - 1
 
@@ -111,48 +115,64 @@ def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
     return basis
 
 
-def nullspace_modular(rows: Matrix, ncols: int) -> List[Vector]:
-    """The basis ``nullspace_bareiss(rows, ncols)`` returns, via rank mod p.
+def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
+    """The basis ``nullspace_bareiss`` returns on the dense rows, via rank mod p.
 
-    Rows are reduced modulo ``_PRIME`` one at a time against an echelon keyed
-    by pivot column; a row that adds rank mod p is kept.  Kept rows are
-    independent mod p, hence over Q, so rank ``ncols`` mod p returns ``[]``.
-    Otherwise Bareiss runs on the kept rows, and every row is checked against
-    each basis vector over the integers.  Rows with a nonzero product join
-    the kept rows, which raises their rank, and Bareiss runs again.  Once no
-    row fails, the subsystem has the kernel of the full system, and Bareiss's
-    basis depends on the kernel alone: its free columns lie outside the
-    lex-first column basis, and each vector is the primitive kernel vector
-    on the pivots and one free column.
+    Each row is a sparse row: its (column, value) pairs, in any order, with
+    int or Fraction values; a zero value is allowed and adds nothing.  A row
+    is scaled to integers over its nonzero values by one lcm of their
+    denominators.  Rows are then reduced modulo ``_PRIME`` one at a time
+    against a sparse echelon keyed by pivot column, whose rows hold the
+    (column, value) pairs right of their pivot, scaled so that the pivot is
+    1; a row that adds rank mod p is kept.  Kept rows are independent mod p,
+    hence over Q, so rank ``ncols`` mod p returns ``[]``.  Otherwise Bareiss
+    runs on the kept rows, made dense, and every row is checked against each
+    basis vector over the integers by a sparse dot product.  Rows with a
+    nonzero product join the kept rows, which raises their rank, and Bareiss
+    runs again.  Once no row fails, the subsystem has the kernel of the full
+    system, and Bareiss's basis depends on the kernel alone: its free columns
+    lie outside the lex-first column basis, and each vector is the primitive
+    kernel vector on the pivots and one free column.
     """
-    m = [_row_to_int(row) for row in rows if any(v != 0 for v in row)]
+    m: List[List[Tuple[int, int]]] = []
+    for row in rows:
+        denom = lcm(*(v.denominator for _, v in row))
+        ints = [(j, v.numerator * (denom // v.denominator)) for j, v in row if v]
+        if ints:
+            m.append(ints)
     p = _PRIME
-    echelon: Dict[int, List[int]] = {}  # pivot column -> row mod p with pivot 1
+    echelon: Dict[int, List[Tuple[int, int]]] = {}  # pivot column -> pairs right of it
     kept: List[int] = []
     for i, row in enumerate(m):
-        red = [v % p for v in row]
-        for c in range(ncols):
-            v = red[c]
+        red = {j: v % p for j, v in row}
+        while red:
+            c = min(red)
+            v = red.pop(c)
             if not v:
                 continue
-            pivot_row = echelon.get(c)
-            if pivot_row is None:
+            tail = echelon.get(c)
+            if tail is None:
                 inv = pow(v, -1, p)
-                echelon[c] = [w * inv % p for w in red]
+                echelon[c] = [(j, w * inv % p) for j, w in red.items() if w]
                 kept.append(i)
                 break
-            for j in range(c + 1, ncols):
-                if pivot_row[j]:
-                    red[j] = (red[j] - v * pivot_row[j]) % p
+            for j, w in tail:
+                red[j] = (red.get(j, 0) - v * w) % p
         if len(kept) == ncols:
             return []
     while True:
-        basis = nullspace_bareiss([m[i] for i in kept], ncols)
-        vectors = [[(j, v.numerator) for j, v in enumerate(vec) if v] for vec in basis]
+        dense = []
+        for i in kept:
+            values = [0] * ncols
+            for j, v in m[i]:
+                values[j] = v
+            dense.append(values)
+        basis = nullspace_bareiss(dense, ncols)
+        vectors = [[v.numerator for v in vec] for vec in basis]
         failing = [
             i
             for i, row in enumerate(m)
-            if any(sum(row[j] * v for j, v in vec) for vec in vectors)
+            if any(sum(v * vec[j] for j, v in row) for vec in vectors)
         ]
         if not failing:
             return basis

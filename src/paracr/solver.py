@@ -4,10 +4,12 @@ For a fixed weight m the unknown field has one coefficient per admissible
 monomial: alpha and beta monomials a^i b^j satisfy ki + j = m + k and
 ki + j = m + 1, xi and eta monomials x^i y^j satisfy i + kj = m + 1 and
 i + kj = m + k.  The tangency residual is linear in these unknowns, so the
-solution space per weight is the kernel of an exact rational matrix.  Its
-columns are assembled slot by slot from powers (a+P)^j cached on the surface
-(see ``tangency_system``) as ``Poly`` products, whose integral coefficients
-are plain ints.
+solution space per weight is the kernel of an exact rational matrix.  That
+matrix is mostly zeros, so it is kept as sparse rows, the (column,
+coefficient) pairs of each residual monomial, from assembly through the
+mod-p kernel.  Its columns are read slot by slot off (a+P)^j and
+(a+P)^j P_x, cached on the surface (see ``tangency_system``) as ``Poly``
+values, whose integral coefficients are plain ints.
 
 ``brute_force_check`` rebuilds the same linear system by evaluating the
 residual at random rational points (interpolation style), each sampled row
@@ -30,7 +32,7 @@ from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import Exponents, Poly, Rational, order_key
+from .poly import ONE, Exponents, Poly, Rational, order_key
 from .surface import ModelSurface, ParaVectorField
 
 COMPONENTS = ("alpha", "beta", "xi", "eta")
@@ -118,47 +120,50 @@ class KernelBasis:
 
 def tangency_system(
     s: ModelSurface, ansatz: WeightAnsatz
-) -> Tuple[List[Exponents], List[List[Rational]]]:
-    """The per-weight linear system as (monomials, rows).
+) -> Tuple[List[Exponents], List[linalg.SparseRow]]:
+    """The per-weight linear system as (monomials, sparse rows).
 
     Column i holds the residual of ``ansatz.unit_field(i)``, one row per
-    residual monomial in ``order_key`` order.  Each column is built straight
-    from its slot as a ``Poly`` product, since ``tangency_residual`` expands
-    to eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
-    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b, with
-    (a+P)^j from ``ModelSurface.y_power``.  Integral entries are ints.
+    residual monomial in ``order_key`` order.  Each row lists its nonzero
+    entries as (column, coefficient) pairs in ascending column order; no
+    dense matrix is formed.  ``tangency_residual`` expands to
+    eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
+    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b, so each
+    column is read straight off one ``Poly`` with its exponents shifted by
+    the slot's monomial: (a+P)^j from ``ModelSurface.y_power`` and
+    (a+P)^j P_x from ``ModelSurface.y_power_p_x``, both memoized on the
+    surface.  Integral coefficients are ints.
     """
-    columns: List[Poly] = []
-    for comp, (ex, ey, ea, eb) in ansatz.unknowns:
+    entries: Dict[Exponents, List[Tuple[int, Rational]]] = {}
+    for col, (comp, (ex, ey, ea, eb)) in enumerate(ansatz.unknowns):
         if comp == "alpha":
-            columns.append(Poly.monomial((0, 0, ea, eb), -1))
+            factor, sign = ONE, -1
         elif comp == "beta":
-            columns.append(Poly.monomial((0, 0, ea, eb), -1) * s.p_b)
+            factor, sign = s.p_b, -1
         elif comp == "eta":
-            columns.append(Poly.monomial((ex, 0, 0, 0)) * s.y_power(ey))
+            factor, sign = s.y_power(ey), 1
         else:
-            columns.append(Poly.monomial((ex, 0, 0, 0), -1) * (s.y_power(ey) * s.p_x))
-    monomials = sorted({exp for col in columns for exp, _ in col.items()}, key=order_key)
-    row_of = {exp: r for r, exp in enumerate(monomials)}
-    rows: List[List[Rational]] = [[0] * len(columns) for _ in monomials]
-    for j, col in enumerate(columns):
-        for exp, c in col.items():
-            rows[row_of[exp]][j] = c
-    return monomials, rows
+            factor, sign = s.y_power_p_x(ey), -1
+        for (fx, fy, fa, fb), c in factor.items():
+            entries.setdefault((fx + ex, fy, fa + ea, fb + eb), []).append((col, sign * c))
+    monomials = sorted(entries, key=order_key)
+    return monomials, [entries[exp] for exp in monomials]
 
 
 @lru_cache(maxsize=None)
 def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     """Exact kernel of the per-weight tangency system.
 
-    The kernel comes from ``linalg.nullspace_modular``: the rows are reduced
-    modulo a fixed prime, and full column rank there proves the kernel is
-    {0}, as it is at most weights above k.  Otherwise Bareiss runs on the rows
-    that raise the rank mod p, every row is checked against that kernel over
-    the integers, and failing rows are added until none fails, so the basis
-    is the one full Bareiss gives.  Basis fields are primitive-integer
-    normalized with the first nonzero coefficient (in ansatz order)
-    positive.  Results are cached; all returned values are immutable.
+    The kernel comes from ``linalg.nullspace_modular`` on the sparse rows of
+    ``tangency_system``: the rows are reduced modulo a fixed prime against a
+    sparse echelon, and full column rank there proves the kernel is {0}, as
+    it is at most weights above k.  Otherwise Bareiss runs on the rows that
+    raise the rank mod p, made dense, every row is checked against that
+    kernel over the integers by a sparse dot product, and failing rows are
+    added until none fails, so the basis is the one full Bareiss gives.
+    Basis fields are primitive-integer normalized with the first nonzero
+    coefficient (in ansatz order) positive.  Results are cached; all
+    returned values are immutable.
     """
     ansatz = build_ansatz(s, m)
     t = len(ansatz)

@@ -5,7 +5,8 @@ for i = 1 .. k-1, so P is weighted-homogeneous of degree k and carries no pure
 x^k or b^k term.  A para-holomorphic vector field splits into an (a, b) part
 and an (x, y) part; tangency to the surface is an exact polynomial condition.
 On the surface y^j is (a + P)^j, expanded once per power (``y_power``) for
-both substituting y and the per-weight tangency systems.
+both substituting y and the per-weight tangency systems, which also read
+each product (a + P)^j P_x once per surface (``y_power_p_x``).
 """
 
 from __future__ import annotations
@@ -88,6 +89,22 @@ class ModelSurface:
         while len(powers) <= j:
             powers.append(powers[-1] * powers[1])
         return powers[j]
+
+    @cached_property
+    def _y_power_p_x_products(self) -> List[Poly]:
+        # y_power(0) P_x, y_power(1) P_x, ...; extended on demand by y_power_p_x
+        return []
+
+    def y_power_p_x(self, j: int) -> Poly:
+        """(a + P)^j P_x, the product each xi slot x^i y^j contributes.
+
+        Memoized on the surface like ``y_power``, so ``tangency_system``
+        expands each product once per surface, not once per weight.
+        """
+        products = self._y_power_p_x_products
+        while len(products) <= j:
+            products.append(self.y_power(len(products)) * self.p_x)
+        return products[j]
 
     def grading(self) -> Grading:
         return Grading(self.k)

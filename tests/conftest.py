@@ -73,6 +73,22 @@ def k_ladder_surfaces():
     return surfaces
 
 
+def sparse_rows(rows):
+    """Dense rows as sparse rows: each row's nonzero (column, value) pairs, ascending."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def dense_rows(rows, ncols):
+    """Sparse rows, (column, value) pairs in any order, as dense rows of ``ncols`` entries."""
+    dense = []
+    for row in rows:
+        values = [0] * ncols
+        for j, v in row:
+            values[j] = v
+        dense.append(values)
+    return dense
+
+
 @pytest.fixture(scope="session")
 def suite():
     return suite_surfaces()

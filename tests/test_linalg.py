@@ -5,7 +5,15 @@ import pytest
 
 from paracr import linalg, solver
 from paracr.surface import ModelSurface
-from conftest import binomial_gamma, monomial_gamma, rational_gamma_surfaces, suite_surfaces
+from conftest import (
+    binomial_gamma,
+    dense_rows,
+    monomial_gamma,
+    random_fraction,
+    rational_gamma_surfaces,
+    sparse_rows,
+    suite_surfaces,
+)
 
 
 def frac_matrix(rows):
@@ -53,14 +61,15 @@ class TestNullspace:
 
 
 def weight_systems():
-    """(label, rows, ncols) of every tangency system for weights in [-k, 3k]."""
+    """(label, dense rows, ncols) of every tangency system for weights in [-k, 3k]."""
     systems = []
     for s in suite_surfaces() + rational_gamma_surfaces():
         for m in range(-s.k, 3 * s.k + 1):
             ansatz = solver.build_ansatz(s, m)
             if len(ansatz):
                 _, rows = solver.tangency_system(s, ansatz)
-                systems.append((f"k={s.k} gamma={s.gamma} m={m}", rows, len(ansatz)))
+                label = f"k={s.k} gamma={s.gamma} m={m}"
+                systems.append((label, dense_rows(rows, len(ansatz)), len(ansatz)))
     return systems
 
 
@@ -86,7 +95,7 @@ class TestNullspaceModular:
         for label, rows, ncols in weight_systems():
             expected = linalg.nullspace_bareiss(rows, ncols)
             bareiss_calls.clear()
-            assert linalg.nullspace_modular(rows, ncols) == expected, label
+            assert linalg.nullspace_modular(sparse_rows(rows), ncols) == expected, label
             repaired += len(bareiss_calls) > 1
         if prime < 5:
             # a small prime loses rank on some systems, so the repair loop must run
@@ -94,17 +103,17 @@ class TestNullspaceModular:
 
     def test_rank_lost_mod_p_is_repaired(self, monkeypatch, bareiss_calls):
         monkeypatch.setattr(linalg, "_PRIME", 3)
-        assert linalg.nullspace_modular([[3, 0], [0, 1]], 2) == []
+        assert linalg.nullspace_modular(sparse_rows([[3, 0], [0, 1]]), 2) == []
         # the first pass keeps only [0, 1]; the repair adds [3, 0]
         assert bareiss_calls == [1, 2]
 
     def test_full_rank_mod_p_skips_bareiss(self, bareiss_calls):
-        assert linalg.nullspace_modular([[1, 2], [0, 0], [3, 4]], 2) == []
+        assert linalg.nullspace_modular(sparse_rows([[1, 2], [0, 0], [3, 4]]), 2) == []
         assert bareiss_calls == []
 
     def test_zero_and_empty_rows(self):
         for rows in ([], [[0, 0, 0]], [[0, 0, 0], [Fraction(0), 0, 0]]):
-            basis = linalg.nullspace_modular(rows, 3)
+            basis = linalg.nullspace_modular(sparse_rows(rows), 3)
             assert basis == linalg.nullspace_bareiss(rows, 3)
             assert len(basis) == 3
         assert linalg.nullspace_modular([], 0) == []
@@ -118,7 +127,9 @@ class TestNullspaceModular:
             for _ in range(rng.randint(0, 8)):
                 coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in gens]
                 rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
-            assert linalg.nullspace_modular(rows, ncols) == linalg.nullspace_bareiss(rows, ncols)
+            assert linalg.nullspace_modular(sparse_rows(rows), ncols) == linalg.nullspace_bareiss(
+                rows, ncols
+            )
 
     @pytest.mark.parametrize("prime", [2, 3, 5])
     def test_duplicate_rows_and_multiples_of_p(self, prime, monkeypatch):
@@ -131,7 +142,44 @@ class TestNullspaceModular:
             rows += [[prime * rng.randint(-3, 3) * v for v in row] for row in base]
             rows += [[prime * rng.randint(-3, 3) for _ in range(ncols)]]
             rng.shuffle(rows)
-            assert linalg.nullspace_modular(rows, ncols) == linalg.nullspace_bareiss(rows, ncols)
+            assert linalg.nullspace_modular(sparse_rows(rows), ncols) == linalg.nullspace_bareiss(
+                rows, ncols
+            )
+
+    @pytest.mark.parametrize(
+        "prime", [2, 3, 5, linalg._PRIME], ids=["p=2", "p=3", "p=5", "2^61-1"]
+    )
+    def test_random_sparse_rows(self, prime, monkeypatch, bareiss_calls):
+        monkeypatch.setattr(linalg, "_PRIME", prime)
+        rng = random.Random(prime)
+        zero = (0, Fraction(0))
+        repaired = 0
+        for _ in range(150):
+            ncols = rng.randint(1, 7)
+            gens = [
+                [rng.choice(zero + (rng.randint(-4, 4), random_fraction(rng))) for _ in range(ncols)]
+                for _ in range(rng.randint(0, ncols))
+            ]
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                coeffs = [rng.choice((0, 1, rng.randint(-3, 3), random_fraction(rng))) for _ in gens]
+                rows.append([sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)])
+            rows += [list(rng.choice(rows)) for _ in range(2) if rows]
+            rows += [[prime * v for v in rng.choice(gens)] for _ in range(2) if gens]
+            rng.shuffle(rows)
+            # pairs in any order, with the zero values of some columns written out
+            sparse = []
+            for row in rows:
+                pairs = [(j, v) for j, v in enumerate(row) if v or rng.random() < 0.3]
+                rng.shuffle(pairs)
+                sparse.append(pairs)
+            assert dense_rows(sparse, ncols) == rows
+            expected = linalg.nullspace_bareiss(rows, ncols)
+            bareiss_calls.clear()
+            assert linalg.nullspace_modular(sparse, ncols) == expected
+            repaired += len(bareiss_calls) > 1
+        if prime < 5:
+            assert repaired > 0
 
 
 def reference_rref(rows, ncols):

@@ -61,6 +61,13 @@ class TestModelSurface:
             assert s.y_power(j) == on_s**j
         assert s.y_power(3) is s.y_power(3)
 
+    @pytest.mark.parametrize("gamma", [(1, 1), (Fraction(1, 2), Fraction(-2, 3))])
+    def test_y_power_p_x_is_the_cached_product(self, gamma):
+        s = ModelSurface(3, gamma)
+        for j in (5, 0, 3, 1):
+            assert s.y_power_p_x(j) == s.y_power(j) * s.p_x
+        assert s.y_power_p_x(3) is s.y_power_p_x(3)
+
     @given(poly_st())
     def test_substitute_y_matches_poly_substitute(self, p):
         s = ModelSurface(4, (2, Fraction(-1, 3), 1))
