@@ -121,14 +121,6 @@ class ParaCRFunctionPair:
         if not self.v.uses_only(("a", "b")):
             raise MixedComponentError(f"v must be a polynomial in (a, b), got {self.v}")
 
-    def ambient_extension(self) -> Tuple[Poly, Poly]:
-        """The unique para-holomorphic extension is the pair itself.
-
-        The extension is two-sided: both components extend to the full
-        ambient space with no restriction on either side.
-        """
-        return (self.u, self.v)
-
 
 def paracr_residuals(f: ParaCRFunctionPair, s: ModelSurface) -> Tuple[Poly, Poly]:
     """(X v, Y u) on the surface; both vanish exactly for well-typed pairs.

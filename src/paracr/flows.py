@@ -1,13 +1,17 @@
 """One-parameter automorphism groups, their verification, discrete symmetries.
 
-Five named flows are provided.  EXP_Vmk and EXP_V0 exist on every model
-surface; EXP_V0PRIME and EXP_VK require a monomial surface, EXP_Vm1 a
-binomial one.  EXP_Vm1 is built by conjugating the starred translation
-(x*, b*) -> (x* - t, b* + t) with the binomial coordinate change; the
-alternate closed-form transcription (x - t, y - x^k + 2(x-t)^k,
-a + b^k - 2(b+t)^k, b + t) is not even the identity at t = 0 and fails the
-integration oracle, so it is kept only as an audited negative (see
-``vm1_transcription_mismatch``).
+Five named flows are declared in one table, ``_FLOW_TABLE``: the case each
+needs, its group law, and the parameter and group-law partner ``analyze``
+verifies it at.  EXP_Vmk and EXP_V0 exist on every model surface;
+EXP_V0PRIME and EXP_VK require a monomial surface, EXP_Vm1 a binomial one.
+A ``FlowMap`` is its name, surface, detected case, parameter and closed
+form as four polynomial components; EXP_VK, the one flow with radicals, has
+no components and is the subclass ``_RadicalFlow``.  EXP_Vm1 is built by
+conjugating the starred translation (x*, b*) -> (x* - t, b* + t) with the
+binomial coordinate change; the alternate closed-form transcription (x - t,
+y - x^k + 2(x-t)^k, a + b^k - 2(b+t)^k, b + t) is not even the identity at
+t = 0 and fails the integration oracle, so it is kept only as an audited
+negative (see ``vm1_transcription_mismatch``).
 
 A polynomial flow's surface preservation and group law are checked as
 identities, composed by one simultaneous ``Poly.substitute``; the para-CR
@@ -25,6 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import sub
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,13 +53,14 @@ EXP_VM1 = "EXP_Vm1"
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
 
-# name -> (the case the flow needs, None for every case; its group law)
+# name -> (the case the flow needs, None for every case; its group law;
+# the parameter and group-law partner analyze verifies it at)
 _FLOW_TABLE = {
-    EXP_VMK: (None, ADDITIVE),
-    EXP_V0: (None, MULTIPLICATIVE),
-    EXP_V0PRIME: (MONOMIAL, MULTIPLICATIVE),
-    EXP_VK: (MONOMIAL, ADDITIVE),
-    EXP_VM1: (BINOMIAL, ADDITIVE),
+    EXP_VMK: (None, ADDITIVE, Fraction(1), Fraction(1, 2)),
+    EXP_V0: (None, MULTIPLICATIVE, Fraction(2), Fraction(3, 2)),
+    EXP_V0PRIME: (MONOMIAL, MULTIPLICATIVE, Fraction(3), Fraction(2)),
+    EXP_VK: (MONOMIAL, ADDITIVE, Fraction(1, 10), Fraction(1, 7)),
+    EXP_VM1: (BINOMIAL, ADDITIVE, Fraction(1, 10), Fraction(1, 7)),
 }
 ALL_FLOW_NAMES = tuple(_FLOW_TABLE)
 
@@ -78,34 +84,66 @@ class FlowMap:
     """A closed-form one-parameter automorphism at a fixed parameter value.
 
     ``components`` are the four target coordinates as polynomials in the
-    source coordinates when the map is polynomial (all flows except EXP_VK).
-    ``float_map`` always works; ``float_jacobian`` returns the two diagonal
-    blocks d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
+    source coordinates; only the radical EXP_VK (``_RadicalFlow``) has none.
+    The group law is read from the flow table by name, and ``generator``,
+    ``float_map`` and ``float_jacobian`` are derived from the fields: the
+    generator field and the Jacobian's polynomials are built once, on first
+    use.  ``float_jacobian`` returns the two diagonal blocks
+    d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
     """
 
     name: str
     surface: ModelSurface
     detection: CaseDetection  # of ``surface``; reused by ``with_param``
     param: Fraction
-    law: str
-    generator: ParaVectorField
     components: Optional[Tuple[Poly, Poly, Poly, Poly]]
-    float_map: Callable[[FloatPoint], FloatPoint]
-    float_jacobian: Callable[[FloatPoint], Tuple[Tuple[Tuple[float, ...], ...], ...]]
-    domain_check: Callable[[FloatPoint], Optional[str]]
-    # stricter than domain_check when the closed form continues past the
-    # blow-up time of the generating ODE (odd root indices in EXP_VK)
-    ode_domain_check: Optional[Callable[[FloatPoint], Optional[str]]] = None
+
+    @property
+    def law(self) -> str:
+        return _FLOW_TABLE[self.name][1]
 
     @property
     def is_polynomial(self) -> bool:
         return self.components is not None
 
-    def apply_exact(self, point: Sequence[Fraction]) -> ExactPoint:
-        if self.components is None:
-            raise FlowDomainError(f"{self.name} involves radicals; use apply_float")
-        pt = tuple(as_fraction(v) for v in point)
-        return tuple(c.eval_exact(pt) for c in self.components)  # type: ignore[return-value]
+    @cached_property
+    def generator(self) -> ParaVectorField:
+        k, d = self.surface.k, self.detection
+        if self.name == EXP_VMK:
+            return vertical_translation()
+        if self.name == EXP_V0:
+            return grading_field(k)
+        if self.name == EXP_V0PRIME:
+            return relative_dilation_field(k, d.iota)
+        if self.name == EXP_VK:
+            return special_conformal_field(k, d.iota)
+        return Fraction(1, 1) / d.nu * oblique_translation_field(k, d.delta, d.nu)
+
+    def float_map(self, pt: FloatPoint) -> FloatPoint:
+        return tuple(c.eval_float(pt) for c in self.components)  # type: ignore[return-value]
+
+    @cached_property
+    def _jacobian(self) -> Tuple[List[List[Poly]], List[List[Poly]]]:
+        comps = self.components
+        dx = [[comps[i].diff(v) for v in ("x", "y")] for i in range(2)]
+        dab = [[comps[i + 2].diff(v) for v in ("a", "b")] for i in range(2)]
+        return dx, dab
+
+    def float_jacobian(self, pt: FloatPoint) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
+        dx, dab = self._jacobian
+        xy = tuple(tuple(d.eval_float(pt) for d in row) for row in dx)
+        ab = tuple(tuple(d.eval_float(pt) for d in row) for row in dab)
+        return (xy, ab)
+
+    def domain_check(self, pt: FloatPoint) -> Optional[str]:
+        """Why the closed form does not apply at ``pt``, or None."""
+        return None
+
+    def ode_domain_check(self, pt: FloatPoint) -> Optional[str]:
+        """Why the integral curve through ``pt`` does not reach the parameter,
+        or None.  Stricter than ``domain_check`` where the closed form
+        continues past the blow-up time of the generating ODE."""
+        return self.domain_check(pt)
 
     def apply_float(self, point: Sequence[float]) -> FloatPoint:
         pt = tuple(float(v) for v in point)
@@ -118,46 +156,73 @@ class FlowMap:
         return _flow(self.name, self.surface, self.detection, param)
 
 
-def _poly_flow(
-    name: str,
-    surface: ModelSurface,
-    detection: CaseDetection,
-    param,
-    law: str,
-    generator: ParaVectorField,
-    comps: Tuple[Poly, Poly, Poly, Poly],
-) -> FlowMap:
-    def float_map(pt: FloatPoint) -> FloatPoint:
-        return tuple(c.eval_float(pt) for c in comps)  # type: ignore[return-value]
-
-    dx = [[comps[i].diff(v) for v in ("x", "y")] for i in range(2)]
-    dab = [[comps[i + 2].diff(v) for v in ("a", "b")] for i in range(2)]
-
-    def float_jacobian(pt: FloatPoint):
-        xy = tuple(tuple(d.eval_float(pt) for d in row) for row in dx)
-        ab = tuple(tuple(d.eval_float(pt) for d in row) for row in dab)
-        return (xy, ab)
-
-    return FlowMap(
-        name=name,
-        surface=surface,
-        detection=detection,
-        param=param,
-        law=law,
-        generator=generator,
-        components=comps,
-        float_map=float_map,
-        float_jacobian=float_jacobian,
-        domain_check=lambda pt: None,
-    )
-
-
 def _real_root(value: float, index: int) -> float:
     if index == 1:
         return value
     if index % 2 == 0:
         return value ** (1.0 / index)
     return -((-value) ** (1.0 / index)) if value < 0 else value ** (1.0 / index)
+
+
+class _RadicalFlow(FlowMap):
+    """EXP_VK on the monomial surface with exponent iota:
+    (x / (1-ty)^(1/(k-iota)), y / (1-ty), a / (1-ta), b / (1-ta)^(1/iota))."""
+
+    @cached_property
+    def _time_and_roots(self) -> Tuple[float, int, int]:
+        # t as a float, and the root indices of 1 - t y and of 1 - t a
+        return float(self.param), self.surface.k - self.detection.iota, self.detection.iota
+
+    def domain_check(self, pt: FloatPoint) -> Optional[str]:
+        x, y, a, b = pt
+        t, rx, rb = self._time_and_roots
+        uy = 1.0 - t * y
+        ua = 1.0 - t * a
+        if uy == 0.0 or ua == 0.0:
+            return "1 - t a and 1 - t y must not vanish"
+        if rx % 2 == 0 and uy <= 0.0:
+            return "1 - t y > 0 required for the even root index"
+        if rb % 2 == 0 and ua <= 0.0:
+            return "1 - t a > 0 required for the even root index"
+        return None
+
+    def ode_domain_check(self, pt: FloatPoint) -> Optional[str]:
+        # the integral curve exists on [0, t] only while both factors
+        # stay positive, whatever the root parities
+        x, y, a, b = pt
+        t = self._time_and_roots[0]
+        if 1.0 - t * y <= 0.0 or 1.0 - t * a <= 0.0:
+            return "flow line leaves the existence domain before time t"
+        return None
+
+    def float_map(self, pt: FloatPoint) -> FloatPoint:
+        x, y, a, b = pt
+        t, rx, rb = self._time_and_roots
+        uy = 1.0 - t * y
+        ua = 1.0 - t * a
+        return (
+            x / _real_root(uy, rx),
+            y / uy,
+            a / ua,
+            b / _real_root(ua, rb),
+        )
+
+    def float_jacobian(self, pt: FloatPoint) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
+        x, y, a, b = pt
+        t, rx, rb = self._time_and_roots
+        uy = 1.0 - t * y
+        ua = 1.0 - t * a
+        ry = _real_root(uy, rx)
+        ra = _real_root(ua, rb)
+        xy_block = (
+            (1.0 / ry, x * (t / rx) * ry ** (-1.0) / uy),
+            (0.0, 1.0 / uy**2),
+        )
+        ab_block = (
+            (1.0 / ua**2, 0.0),
+            (b * (t / rb) * ra ** (-1.0) / ua, 1.0 / ra),
+        )
+        return (xy_block, ab_block)
 
 
 def flow(name: str, surface: ModelSurface, param) -> FlowMap:
@@ -172,90 +237,23 @@ def flow(name: str, surface: ModelSurface, param) -> FlowMap:
 def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> FlowMap:
     if name not in _FLOW_TABLE:
         raise InadmissibleFlowError(f"unknown flow name {name!r}")
-    case, law = _FLOW_TABLE[name]
+    case, law, _, _ = _FLOW_TABLE[name]
     if case is not None and detection.kind != case:
         raise InadmissibleFlowError(f"{name} requires a {case.lower()} surface")
     param = as_fraction(param)
     if law == MULTIPLICATIVE and param <= 0:
         raise FlowDomainError(f"{name} requires lambda > 0")
-    k = surface.k
     if name == EXP_VK:
-        iota = detection.iota
-        t = float(param)
-        rx = k - iota
-        rb = iota
-
-        def domain_check(pt: FloatPoint) -> Optional[str]:
-            x, y, a, b = pt
-            uy = 1.0 - t * y
-            ua = 1.0 - t * a
-            if uy == 0.0 or ua == 0.0:
-                return "1 - t a and 1 - t y must not vanish"
-            if rx % 2 == 0 and uy <= 0.0:
-                return "1 - t y > 0 required for the even root index"
-            if rb % 2 == 0 and ua <= 0.0:
-                return "1 - t a > 0 required for the even root index"
-            return None
-
-        def ode_domain_check(pt: FloatPoint) -> Optional[str]:
-            # the integral curve exists on [0, t] only while both factors
-            # stay positive, whatever the root parities
-            x, y, a, b = pt
-            if 1.0 - t * y <= 0.0 or 1.0 - t * a <= 0.0:
-                return "flow line leaves the existence domain before time t"
-            return None
-
-        def float_map(pt: FloatPoint) -> FloatPoint:
-            x, y, a, b = pt
-            uy = 1.0 - t * y
-            ua = 1.0 - t * a
-            return (
-                x / _real_root(uy, rx),
-                y / uy,
-                a / ua,
-                b / _real_root(ua, rb),
-            )
-
-        def float_jacobian(pt: FloatPoint):
-            x, y, a, b = pt
-            uy = 1.0 - t * y
-            ua = 1.0 - t * a
-            ry = _real_root(uy, rx)
-            ra = _real_root(ua, rb)
-            xy_block = (
-                (1.0 / ry, x * (t / rx) * ry ** (-1.0) / uy),
-                (0.0, 1.0 / uy**2),
-            )
-            ab_block = (
-                (1.0 / ua**2, 0.0),
-                (b * (t / rb) * ra ** (-1.0) / ua, 1.0 / ra),
-            )
-            return (xy_block, ab_block)
-
-        return FlowMap(
-            name=name,
-            surface=surface,
-            detection=detection,
-            param=param,
-            law=law,
-            generator=special_conformal_field(k, iota),
-            components=None,
-            float_map=float_map,
-            float_jacobian=float_jacobian,
-            domain_check=domain_check,
-            ode_domain_check=ode_domain_check,
-        )
+        return _RadicalFlow(name, surface, detection, param, None)
+    k = surface.k
     if name == EXP_VMK:
         t = Poly.constant(param)
         comps = (X, Y + t, A + t, B)
-        generator = vertical_translation()
     elif name == EXP_V0:
         comps = (param * X, param**k * Y, param**k * A, param * B)
-        generator = grading_field(k)
     elif name == EXP_V0PRIME:
         iota = detection.iota
         comps = (param**iota * X, Y, A, Fraction(1) / param ** (k - iota) * B)
-        generator = relative_dilation_field(k, iota)
     else:  # EXP_VM1
         t = Poly.constant(param)
         delta, nu = detection.delta, detection.nu
@@ -266,15 +264,20 @@ def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> 
             A + delta * ((nu * B + t) ** k - nu**k * B**k),
             B + Poly.constant(param / nu),
         )
-        generator = Fraction(1, 1) / nu * oblique_translation_field(k, delta, nu)
-    return _poly_flow(name, surface, detection, param, law, generator, comps)
+    return FlowMap(name, surface, detection, param, comps)
 
 
 def admissible_flow_names(detection: CaseDetection) -> Tuple[str, ...]:
     """The flows of ``ALL_FLOW_NAMES`` that the detected case admits, in that order."""
     return tuple(
-        name for name, (case, _) in _FLOW_TABLE.items() if case in (None, detection.kind)
+        name for name, (case, *_) in _FLOW_TABLE.items() if case in (None, detection.kind)
     )
+
+
+def verification_params(name: str) -> Tuple[Fraction, Fraction]:
+    """The parameter and group-law partner ``analyze`` verifies the named flow at."""
+    _, _, param, partner = _FLOW_TABLE[name]
+    return param, partner
 
 
 # -- verification -------------------------------------------------------------
@@ -525,13 +528,12 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     counts as ``math.inf``, and so does a coordinate difference that
     overflows, so such a point fails every limit.
     """
-    exists = fm.ode_domain_check or fm.domain_check
     points = []
     for p in samples:
         fp = _finite(lambda: tuple(float(v) for v in p))
         if fp is None:
             return math.inf
-        if fm.domain_check(fp) is None and exists(fp) is None:
+        if fm.domain_check(fp) is None and fm.ode_domain_check(fp) is None:
             points.append(fp)
     if not points:
         raise FlowDomainError(f"{fm.name}: no sample lies in the flow's existence domain")

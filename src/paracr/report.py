@@ -36,13 +36,6 @@ from .solver import solve_algebra
 from .surface import ModelSurface
 
 DEFAULT_FLOW_SAMPLES = 20
-_FLOW_PARAMS = {
-    flows_mod.EXP_VMK: (Fraction(1), Fraction(1, 2)),
-    flows_mod.EXP_V0: (Fraction(2), Fraction(3, 2)),
-    flows_mod.EXP_V0PRIME: (Fraction(3), Fraction(2)),
-    flows_mod.EXP_VK: (Fraction(1, 10), Fraction(1, 7)),
-    flows_mod.EXP_VM1: (Fraction(1, 10), Fraction(1, 7)),
-}
 # algebra dimension of the three-case pattern, by detected case
 _EXPECTED_DIMENSION = {MONOMIAL: 4, BINOMIAL: 3, GENERIC: 2}
 
@@ -163,7 +156,7 @@ def verify_flows(
     samples = flows_mod.sample_on_surface(surface, flow_samples, seed=seed)
     verifications = []
     for name in flows_mod.admissible_flow_names(detection):
-        param, partner = _FLOW_PARAMS[name]
+        param, partner = flows_mod.verification_params(name)
         fm = flows_mod.flow(name, surface, param)
         verifications.append(
             flows_mod.verify_flow(fm, samples, group_partner=partner, tolerance=tolerance)

@@ -116,9 +116,6 @@ class ModelSurface:
             out = out + Poly.monomial((ex, 0, ea, eb), c) * self.y_power(ey)
         return out
 
-    def contains(self, point) -> bool:
-        return self.defining_poly.eval_exact(point) == 0
-
     def point_from_xab(self, x, a, b) -> Tuple[Fraction, ...]:
         """Lift graph coordinates (x, a, b) to the surface point (x, y, a, b)."""
         x, a, b = as_fraction(x), as_fraction(a), as_fraction(b)
@@ -241,10 +238,6 @@ class ParaVectorField:
         namespace: Dict[str, object] = {"__builtins__": {}, "range": range}
         exec(compile("\n".join(lines) + "\n", "<ParaVectorField>", "exec"), namespace)
         return namespace["velocity"], namespace["integrate"]  # type: ignore[return-value]
-
-    def velocity_float(self, point) -> Tuple[float, float, float, float]:
-        """(dx, dy, da, db) at a numeric point, ordered like (x, y, a, b)."""
-        return self.float_velocity()(tuple(float(v) for v in point))
 
     def __add__(self, other: "ParaVectorField") -> "ParaVectorField":
         return ParaVectorField(

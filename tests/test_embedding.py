@@ -120,7 +120,7 @@ class TestParaCRFunctions:
 
     def test_two_sided_extension(self):
         pair = ParaCRFunctionPair(P("x^2 y"), P("a - b^3"))
-        assert pair.ambient_extension() == (P("x^2 y"), P("a - b^3"))
+        assert (pair.u, pair.v) == (P("x^2 y"), P("a - b^3"))
 
     def test_linearity(self):
         rng = random.Random(12)

@@ -31,6 +31,7 @@ from paracr.flows import (
     rk4_mismatch,
     rk4_oracle,
     sample_on_surface,
+    verification_params,
     verify_flow,
     vm1_transcription_candidate,
     vm1_transcription_mismatch,
@@ -55,6 +56,10 @@ def P(text):
     return Poly.parse(text)
 
 
+def exact_image(fm, point):
+    return tuple(c.eval_exact(point) for c in fm.components)
+
+
 MONO = ModelSurface(4, (0, 1, 0))
 BINO = ModelSurface(3, (3, 3))
 GEN = ModelSurface(4, (1, 0, 1))
@@ -68,11 +73,11 @@ RK4_PARAMS = {EXP_VMK: Fraction(1, 10), EXP_V0: EXP_TENTH, EXP_V0PRIME: EXP_TENT
 class TestFlowConstruction:
     def test_translation_moves_origin(self):
         fm = flow(EXP_VMK, GEN, 1)
-        assert fm.apply_exact((0, 0, 0, 0)) == (0, 1, 1, 0)
+        assert exact_image(fm, (0, 0, 0, 0)) == (0, 1, 1, 0)
 
     def test_dilation_point(self):
         fm = flow(EXP_V0, ModelSurface(3, (1, 1)), 2)
-        assert fm.apply_exact((1, 1, 1, 1)) == (2, 8, 8, 2)
+        assert exact_image(fm, (1, 1, 1, 1)) == (2, 8, 8, 2)
 
     def test_dilation_requires_positive(self):
         with pytest.raises(FlowDomainError):
@@ -102,16 +107,14 @@ class TestFlowConstruction:
         for name, param in [(EXP_VMK, 0), (EXP_VM1, 0)]:
             fm = flow(name, BINO, param)
             for p in samples:
-                assert fm.apply_exact(p) == p
+                assert exact_image(fm, p) == p
         fm = flow(EXP_V0, BINO, 1)
         for p in samples:
-            assert fm.apply_exact(p) == p
+            assert exact_image(fm, p) == p
 
 
 def _planted_translation(t, comps):
-    return flows_mod._poly_flow(
-        EXP_VMK, GEN, detect_case(GEN), t, ADDITIVE, vertical_translation(), comps
-    )
+    return FlowMap(EXP_VMK, GEN, detect_case(GEN), t, comps)
 
 
 def planted_sample_agreeing_map():
@@ -202,14 +205,13 @@ class TestVerifyFlow:
         samples = sample_on_surface(s, 7)
         fm = flow(name, s, param)
         calls = []
-        for owner, attr in ((flows_mod.FlowMap, "apply_exact"), (Poly, "eval_exact")):
-            original = getattr(owner, attr)
+        original = Poly.eval_exact
 
-            def counted(*args, _attr=attr, _original=original):
-                calls.append(_attr)
-                return _original(*args)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-            monkeypatch.setattr(owner, attr, counted)
+        monkeypatch.setattr(Poly, "eval_exact", counted)
         ver = verify_flow(fm, samples, group_partner=partner)
         checks = {c.check: c for c in ver.checks}
         assert ver.passed and calls == []
@@ -220,7 +222,7 @@ class TestVerifyFlow:
         fm, samples, partner = planted_sample_agreeing_map()
         assert len({p[0] for p in samples}) == 12
         true_flow = flow(EXP_VMK, GEN, fm.param)
-        assert all(fm.apply_exact(p) == true_flow.apply_exact(p) for p in samples)
+        assert all(exact_image(fm, p) == exact_image(true_flow, p) for p in samples)
         ver = verify_flow(fm, samples, group_partner=partner)
         checks = {c.check: c for c in ver.checks}
         for check in ("surface_preservation", "group_law"):
@@ -351,7 +353,7 @@ class TestFloatOverflow:
         s = ModelSurface(3, (10**400, 10**400))
         point = s.point_from_xab(1, 0, 1)
         for name in (EXP_VMK, EXP_V0):
-            param, partner = report._FLOW_PARAMS[name]
+            param, partner = verification_params(name)
             ver = verify_flow(flow(name, s, param), [point], group_partner=partner)
             checks = {c.check: c for c in ver.checks}
             assert list(checks) == [
@@ -585,7 +587,7 @@ def _reference_cases():
     for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
         samples = sample_on_surface(s, 20)
         for name in admissible_flow_names(detect_case(s)):
-            param, partner = report._FLOW_PARAMS[name]
+            param, partner = verification_params(name)
             yield flow(name, s, param), samples, partner
     samples = sample_on_surface(MONO, 20)
     for t in (Fraction(1, 10), Fraction(-1, 10), Fraction(1, 7), Fraction(-1, 7)):
@@ -596,7 +598,7 @@ def _reference_cases():
     yield flow(EXP_VK, MONO, Fraction(1, 10)), [MONO.point_from_xab(0, 1, 0)], 1
     for s in (MONO, BINO, GEN):
         for name in admissible_flow_names(detect_case(s)):
-            param, partner = report._FLOW_PARAMS[name]
+            param, partner = verification_params(name)
             yield flow(name, s, param), TestRk4Kernel.FAR_POINTS, partner
 
 
@@ -641,7 +643,7 @@ class TestGeneratorConsistency:
             samples = sample_on_surface(s, 4)
             generator = flow(name, s, 0).generator
             for p in samples:
-                values = [flow(name, s, t).apply_exact(p) for t in nodes]
+                values = [exact_image(flow(name, s, t), p) for t in nodes]
                 derivative = _lagrange_derivative_at_zero(nodes, values)
                 expected = (
                     generator.xi.eval_exact(p),
@@ -665,7 +667,7 @@ class TestGeneratorConsistency:
                     (u - v) / (2 * h)
                     for u, v in zip(plus.apply_float(fp), minus.apply_float(fp))
                 ]
-                expected = generator.velocity_float(fp)
+                expected = generator.float_velocity()(fp)
                 for got, want in zip(fd, expected):
                     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
@@ -941,7 +943,7 @@ class TestRk4Kernel:
         monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
         fm = flow(EXP_VK, MONO, Fraction(1, 10))
         rk4_mismatch(fm, sample_on_surface(MONO, 6), steps=10)
-        fm.generator.velocity_float((1, 2, 3, 4))
+        fm.generator.float_velocity()((1.0, 2.0, 3.0, 4.0))
         assert len(compiled) == 1
 
 
@@ -970,6 +972,50 @@ class TestFlowDetection:
             assert calls == [s]
             assert other.components == flow(name, s, partner).components
             assert other.param == partner and other.detection is fm.detection
+
+
+class TestDerivedFields:
+    GENERATOR_BUILDERS = (
+        "grading_field",
+        "oblique_translation_field",
+        "relative_dilation_field",
+        "special_conformal_field",
+        "vertical_translation",
+    )
+
+    @pytest.mark.parametrize(
+        "s", [ModelSurface(7, binomial_gamma(7)), ModelSurface(5, monomial_gamma(5, 2))]
+    )
+    def test_verify_flows_diffs_each_flow_once_and_builds_no_generator(self, monkeypatch, s):
+        # a polynomial flow's 8 Jacobian entries are its only diffs; the
+        # group law's partner and combined maps read only their components,
+        # and no check reads a generator field
+        for attr in ("p_x", "p_b", "p_xb"):
+            getattr(s, attr)
+        diffs, built = [], []
+        original_diff = Poly.diff
+
+        def counted_diff(p, var):
+            diffs.append(var)
+            return original_diff(p, var)
+
+        monkeypatch.setattr(Poly, "diff", counted_diff)
+        for builder in self.GENERATOR_BUILDERS:
+
+            def counted(*args, _builder=builder, _original=getattr(flows_mod, builder)):
+                built.append(_builder)
+                return _original(*args)
+
+            monkeypatch.setattr(flows_mod, builder, counted)
+        detection = detect_case(s)
+        verifications = report.verify_flows(s, detection, flows_mod.DEFAULT_SEED, 1e-9)
+        assert all(v.passed for v in verifications)
+        assert len([n for n in admissible_flow_names(detection) if n != EXP_VK]) == 3
+        assert len(diffs) == 24
+        assert built == []
+        # the generator is built on first read, once
+        fm = flow(EXP_VMK, s, 1)
+        assert fm.generator is fm.generator and built == ["vertical_translation"]
 
 
 def _reference_admissibility(name, detection, param):
@@ -1090,7 +1136,7 @@ class TestDiscreteGroup:
                 assert image == s.defining_poly or image == -s.defining_poly
                 point = s.point_from_xab(Fraction(1, 2), Fraction(2), Fraction(-1, 3))
                 assert g.apply(g.apply(point)) == point
-                assert s.contains(g.apply(point))
+                assert s.defining_poly.eval_exact(g.apply(point)) == 0
 
     def test_first_generator_signs(self):
         g = discrete_group(ModelSurface(5, (1, 0, 1, 0))).generators[0]

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given
 
 from paracr import report
-from paracr.flows import DEFAULT_SEED, EXP_VM1, admissible_flow_names, flow, sample_on_surface
+from paracr.flows import (
+    DEFAULT_SEED,
+    EXP_VM1,
+    admissible_flow_names,
+    flow,
+    sample_on_surface,
+    verification_params,
+)
 from paracr.normalform import detect_case
 from paracr.poly import (
     A,
@@ -264,10 +271,11 @@ def _report_evaluations():
         for point in samples:
             pairs += [(s.defining_poly, point), (s.p_x, point), (s.p_b, point)]
         for name in admissible_flow_names(detect_case(s)):
-            fm = flow(name, s, report._FLOW_PARAMS[name][0])
+            param, partner = verification_params(name)
+            fm = flow(name, s, param)
             if not fm.is_polynomial:
                 continue
-            partner = fm.with_param(report._FLOW_PARAMS[name][1])
+            partner = fm.with_param(partner)
             comps = fm.components
             jacobian = [comps[i].diff(v) for i in (0, 1) for v in "xy"]
             jacobian += [comps[i].diff(v) for i in (2, 3) for v in "ab"]
