@@ -1,11 +1,15 @@
 """Abstract Lie-algebra analysis of a computed symmetry algebra.
 
-Everything here runs over exact rationals: derived series by rank
-computations, the center dimension from the rank of the adjoint map, the
-Killing form with its signature by Descartes' rule of signs on its exact
-characteristic polynomial, and a structural classification with an honest
-OTHER bucket.  The derived algebra's invariants are read off that Killing
-form and off its RREF pivots, without re-expressing any subalgebra.
+Everything here runs over exact rationals, each an ``int`` where integral
+and a ``Fraction`` only where not (``poly.exact``); the structure constants
+of the computed algebras are integers in practice, so brackets, the Killing
+form and the grading eigenvalues run on ints.  The derived series comes
+from rank computations, the center dimension from the rank of the adjoint
+map, the Killing form's signature from Descartes' rule of signs on its
+exact characteristic polynomial, and the classification is structural,
+with an honest OTHER bucket.  The derived algebra's invariants are read off
+that Killing form and off its RREF pivots, without re-expressing any
+subalgebra.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from math import isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
+from .poly import Rational, exact
 from .solver import SymmetryAlgebra
 
-Vector = Tuple[Fraction, ...]
-Table = Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+Vector = Tuple[Rational, ...]
+Table = Tuple[Tuple[Vector, ...], ...]
 
 SL2_PLUS_CENTER = "SL2_PLUS_CENTER"
 SOLVABLE_3D_WEIGHTS_K_1 = "SOLVABLE_3D_WEIGHTS_K_1"
@@ -46,9 +51,9 @@ class StructureConstants:
     def dimension(self) -> int:
         return len(self.table)
 
-    def bracket_vec(self, u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
+    def bracket_vec(self, u: Sequence[Rational], v: Sequence[Rational]) -> Vector:
         n = self.dimension
-        out = [Fraction(0)] * n
+        out: List[Rational] = [0] * n
         for i in range(n):
             if u[i] == 0:
                 continue
@@ -60,7 +65,7 @@ class StructureConstants:
                 for l in range(n):
                     if row[l]:
                         out[l] += uv * row[l]
-        return tuple(out)
+        return tuple(map(exact, out))
 
     def validate(self) -> None:
         n = self.dimension
@@ -106,16 +111,11 @@ class AlgebraProfile:
     killing_signature: Tuple[int, int, int]
     is_solvable: bool
     derived_killing_signature: Optional[Tuple[int, int, int]]
-    ad_eigenvalue_data: Optional[Tuple[Fraction, ...]]
+    ad_eigenvalue_data: Optional[Vector]
 
 
 def _basis_vectors(n: int) -> List[Vector]:
-    out = []
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        out.append(tuple(e))
-    return out
+    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def _subspace_brackets(sc: StructureConstants, basis: Sequence[Vector]) -> List[Vector]:
@@ -147,31 +147,30 @@ def _center_dim(sc: StructureConstants) -> int:
     return n - linalg.rank(rows, n)
 
 
-def killing_form(sc: StructureConstants) -> List[List[Fraction]]:
+def killing_form(sc: StructureConstants) -> List[List[Rational]]:
     n = sc.dimension
-    killing = [[Fraction(0)] * n for _ in range(n)]
+    killing: List[List[Rational]] = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = Fraction(0)
+            total = 0
             for p in range(n):
                 for l in range(n):
                     total += sc.table[i][p][l] * sc.table[j][l][p]
-            killing[i][j] = total
-            killing[j][i] = total
+            killing[i][j] = killing[j][i] = exact(total)
     return killing
 
 
-def _rational_sqrt(q: Fraction) -> Optional[Fraction]:
+def _rational_sqrt(q: Rational) -> Optional[Rational]:
     if q < 0:
         return None
     rn = isqrt(q.numerator)
     rd = isqrt(q.denominator)
     if rn * rn == q.numerator and rd * rd == q.denominator:
-        return Fraction(rn, rd)
+        return exact(Fraction(rn, rd))
     return None
 
 
-def _matrix_eigenvalues(m: List[List[Fraction]]) -> Optional[List[Fraction]]:
+def _matrix_eigenvalues(m: List[List[Rational]]) -> Optional[List[Rational]]:
     # exact rational eigenvalues for sizes 1 and 2 only
     if len(m) == 1:
         return [m[0][0]]
@@ -182,13 +181,13 @@ def _matrix_eigenvalues(m: List[List[Fraction]]) -> Optional[List[Fraction]]:
         root = _rational_sqrt(disc)
         if root is None:
             return None
-        return [(tr + root) / 2, (tr - root) / 2]
+        return [exact(Fraction(tr + root, 2)), exact(Fraction(tr - root, 2))]
     return None
 
 
 def _ad_eigenvalue_data(
     sc: StructureConstants, derived_basis: Sequence[Vector], pivots: Sequence[int]
-) -> Optional[Tuple[Fraction, ...]]:
+) -> Optional[Vector]:
     """Normalized eigenvalues of ad(h) on an abelian codimension-1 ideal D.
 
     A vector of D has coordinate v[pivots[i]] along the RREF row
@@ -208,7 +207,7 @@ def _ad_eigenvalue_data(
     if eigenvalues is None or any(v == 0 for v in eigenvalues):
         return None
     smallest = min(eigenvalues, key=abs)
-    normalized = sorted((v / smallest for v in eigenvalues), reverse=True)
+    normalized = sorted((exact(Fraction(v, smallest)) for v in eigenvalues), reverse=True)
     return tuple(normalized)
 
 

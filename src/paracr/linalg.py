@@ -1,5 +1,10 @@
 """Exact rational linear algebra: kernels, rank, span tests, signatures.
 
+Entries are exact rationals in ``poly``'s one form, an ``int`` where the
+value is integral and a ``Fraction`` only where it is not, and so is every
+value returned: kernel vectors are primitive integer tuples, and reduced
+rows and span coefficients are ints except where a pivot leaves a fraction.
+
 Two independent kernel routines are provided on purpose.  The main path
 scales rows to integers and runs fraction-free (Bareiss) elimination with
 partial pivoting on pivot magnitude, which avoids rational blow-up during
@@ -32,16 +37,17 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .poly import Rational, exact
 from .sturm import sign_variations
 
-Vector = Tuple[Fraction, ...]
-Matrix = Sequence[Sequence[Fraction]]
-SparseRow = Sequence[Tuple[int, Fraction]]  # a row's (column, value) pairs
+Vector = Tuple[Rational, ...]
+Matrix = Sequence[Sequence[Rational]]
+SparseRow = Sequence[Tuple[int, Rational]]  # a row's (column, value) pairs
 
 _PRIME = 2**61 - 1
 
 
-def _row_to_int(row: Sequence[Fraction]) -> List[int]:
+def _row_to_int(row: Sequence[Rational]) -> List[int]:
     # int and Fraction entries alike: scale numerators to the common denominator
     denom = 1
     for v in row:
@@ -49,16 +55,10 @@ def _row_to_int(row: Sequence[Fraction]) -> List[int]:
     return [v.numerator * (denom // v.denominator) for v in row]
 
 
-def normalize_primitive(vec: Sequence[Fraction]) -> Vector:
+def normalize_primitive(vec: Sequence[Rational]) -> Tuple[int, ...]:
     """Scale to a primitive integer vector whose first nonzero entry is > 0."""
-    fracs = [Fraction(v) for v in vec]
-    denom = 1
-    for v in fracs:
-        denom = lcm(denom, v.denominator)
-    ints = [int(v * denom) for v in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+    ints = _row_to_int(vec)
+    g = gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     for v in ints:
@@ -66,7 +66,7 @@ def normalize_primitive(vec: Sequence[Fraction]) -> Vector:
             if v < 0:
                 ints = [-w for w in ints]
             break
-    return tuple(Fraction(v) for v in ints)
+    return tuple(ints)
 
 
 def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
@@ -103,14 +103,14 @@ def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: List[Vector] = []
     for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec: List[Rational] = [0] * ncols
+        vec[f] = 1
         for row, col in reversed(pivots):
-            s = Fraction(0)
+            s = 0
             for j in range(col + 1, ncols):
                 if vec[j]:
-                    s += Fraction(m[row][j]) * vec[j]
-            vec[col] = -s / Fraction(m[row][col])
+                    s += m[row][j] * vec[j]
+            vec[col] = Fraction(-s, m[row][col])
         basis.append(normalize_primitive(vec))
     return basis
 
@@ -168,11 +168,10 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
                 values[j] = v
             dense.append(values)
         basis = nullspace_bareiss(dense, ncols)
-        vectors = [[v.numerator for v in vec] for vec in basis]
         failing = [
             i
             for i, row in enumerate(m)
-            if any(sum(v * vec[j] for j, v in row) for vec in vectors)
+            if any(sum(v * vec[j] for j, v in row) for vec in basis)
         ]
         if not failing:
             return basis
@@ -192,7 +191,7 @@ def _clear_column(row: List[int], c: int, prow: List[int]) -> List[int]:
     return [v // content for v in row] if content > 1 else row
 
 
-def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
+def rref(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[List[Rational]], List[int]]:
     """Reduced row echelon form; returns (rows, pivot columns).
 
     Entries are ints or Fractions, and ``rows`` is read one row at a time.
@@ -204,9 +203,10 @@ def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Frac
     ``ncols`` pivots the matrix has full column rank, so its reduced form is
     the identity: that is returned at once and no further row is read.
     Otherwise one back-substitution pass, from the last pivot to the first,
-    clears each pivot column in the pivot rows above it, and only the final
-    rows become Fractions, divided by their pivots.  The reduced form is
-    unique, so the result does not depend on the order of the rows.
+    clears each pivot column in the pivot rows above it, and the final rows
+    are divided by their pivots, each entry an int where integral and a
+    Fraction where not.  The reduced form is unique, so the result does not
+    depend on the order of the rows.
     """
     pivot_cols: List[int] = []  # ascending
     pivot_rows: List[List[int]] = []
@@ -228,15 +228,13 @@ def rref(rows: Iterable[Sequence[Fraction]], ncols: int) -> Tuple[List[List[Frac
         pivot_cols.insert(i, lead)
         pivot_rows.insert(i, ints)
         if len(pivot_cols) == ncols:
-            zero, one = Fraction(0), Fraction(1)
-            identity = [[one if j == c else zero for j in range(ncols)] for c in pivot_cols]
-            return identity, pivot_cols
+            return [[int(j == c) for j in range(ncols)] for c in pivot_cols], pivot_cols
     for i in range(len(pivot_cols) - 1, 0, -1):
         c, prow = pivot_cols[i], pivot_rows[i]
         for h in range(i):
             if pivot_rows[h][c]:
                 pivot_rows[h] = _clear_column(pivot_rows[h], c, prow)
-    reduced = [[Fraction(v, row[c]) for v in row] for row, c in zip(pivot_rows, pivot_cols)]
+    reduced = [[exact(Fraction(v, row[c])) for v in row] for row, c in zip(pivot_rows, pivot_cols)]
     return reduced, pivot_cols
 
 
@@ -246,8 +244,8 @@ def nullspace_gauss_jordan(rows: Matrix, ncols: int) -> List[Vector]:
     free_cols = [c for c in range(ncols) if c not in pivot_cols]
     basis: List[Vector] = []
     for f in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
+        vec = [0] * ncols
+        vec[f] = 1
         for row, col in zip(reduced, pivot_cols):
             vec[col] = -row[f]
         basis.append(normalize_primitive(vec))
@@ -260,8 +258,8 @@ def rank(rows: Matrix, ncols: int) -> int:
 
 
 def solve_in_span(
-    basis: Sequence[Sequence[Fraction]], target: Sequence[Fraction]
-) -> Optional[List[Fraction]]:
+    basis: Sequence[Sequence[Rational]], target: Sequence[Rational]
+) -> Optional[List[Rational]]:
     """Coefficients z with sum_i z_i basis_i = target, or None if outside.
 
     Solved exactly by eliminating the transposed system.
@@ -269,12 +267,12 @@ def solve_in_span(
     n = len(target)
     k = len(basis)
     if k == 0:
-        return [] if all(Fraction(v) == 0 for v in target) else None
-    rows = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(n)]
+        return [] if not any(target) else None
+    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
     reduced, pivot_cols = rref(rows, k + 1)
     if k in pivot_cols:
         return None
-    coeffs = [Fraction(0)] * k
+    coeffs: List[Rational] = [0] * k
     for row, col in zip(reduced, pivot_cols):
         coeffs[col] = row[k]
     return coeffs
@@ -296,8 +294,8 @@ def symmetric_signature(matrix: Matrix) -> Tuple[int, int, int]:
     where c_n = 1 and every c is an integer, so each division is exact.
     """
     n = len(matrix)
-    scale = lcm(*(Fraction(v).denominator for row in matrix for v in row))
-    a = [[int(Fraction(v) * scale) for v in row] for row in matrix]
+    flat = _row_to_int([v for row in matrix for v in row])
+    a = [flat[r * n : (r + 1) * n] for r in range(n)]
     coeffs = [1]  # c_n, c_(n-1), ..., c_0
     m = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):

@@ -65,8 +65,8 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _exact(q: Rational) -> Rational:
-    # the one form of a rational coefficient: an int when integral
+def exact(q: Rational) -> Rational:
+    """The one form of an exact rational: an ``int`` when integral, else a ``Fraction``."""
     return q.numerator if q.denominator == 1 else q
 
 
@@ -75,7 +75,9 @@ class OutputDigitsError(ValueError):
     digit limit for ``str(int)`` (4,300 digits by default)."""
 
 
-def format_fraction(q: Fraction) -> str:
+def format_fraction(q: Rational) -> str:
+    if type(q) is not int and type(q) is not Fraction:
+        raise TypeError(f"not an exact rational: {q!r}")
     try:
         return f"{q.numerator}/{q.denominator}" if q.denominator != 1 else str(q.numerator)
     except ValueError:  # str(int) refuses integers over the interpreter's digit limit
@@ -114,7 +116,7 @@ class Poly:
         clean: Dict[Exponents, Rational] = {}
         if terms:
             for exp, coeff in terms.items():
-                q = coeff if type(coeff) is int else _exact(as_fraction(coeff))
+                q = coeff if type(coeff) is int else exact(as_fraction(coeff))
                 if q:
                     clean[tuple(exp)] = q  # type: ignore[index]
         object.__setattr__(self, "_terms", clean)
@@ -200,7 +202,7 @@ class Poly:
         for exp, c in other._terms.items():
             s = merged.get(exp, 0) + c
             if s:
-                merged[exp] = _exact(s)
+                merged[exp] = exact(s)
             else:
                 del merged[exp]
         return _raw(merged)
@@ -226,7 +228,7 @@ class Poly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly.zero()
-            return _raw({exp: _exact(c * other) for exp, c in self._terms.items()})
+            return _raw({exp: exact(c * other) for exp, c in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         # the product runs on ints, at one common denominator of each factor
@@ -238,7 +240,7 @@ class Poly:
                 exp = (x1 + x2, y1 + y2, a1 + a2, b1 + b2)
                 out[exp] = out.get(exp, 0) + c1 * c2
         den = den1 * den2
-        return _raw({e: c if den == 1 else _exact(Fraction(c, den)) for e, c in out.items() if c})
+        return _raw({e: c if den == 1 else exact(Fraction(c, den)) for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -266,7 +268,7 @@ class Poly:
                 continue
             new = list(exp)
             new[i] = e - 1
-            out[tuple(new)] = _exact(c * e)
+            out[tuple(new)] = exact(c * e)
         return _raw(out)
 
     def substitute(self, replacements: Mapping[str, "Poly"]) -> "Poly":
@@ -298,7 +300,7 @@ class Poly:
             for (ex, ey, ea, eb), c2 in scaled:
                 key = (rx + ex, ry + ey, ra + ea, rb + eb)
                 out[key] = out.get(key, 0) + n * c2
-        return _raw({e: c if den == 1 else _exact(Fraction(c, den)) for e, c in out.items() if c})
+        return _raw({e: c if den == 1 else exact(Fraction(c, den)) for e, c in out.items() if c})
 
     # -- evaluation --------------------------------------------------------
 

@@ -31,7 +31,7 @@ from .normalform import (
     normalize_binomial,
     singular_locus,
 )
-from .poly import as_fraction, format_fraction
+from .poly import Rational, as_fraction, format_fraction
 from .solver import solve_algebra
 from .surface import ModelSurface
 
@@ -45,8 +45,8 @@ class AlgebraSummary:
     dimension: int
     weights: Tuple[int, ...]
     generators: Tuple[str, ...]
-    structure_constants: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
-    profile: liealg.AlgebraProfile
+    structure_constants: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
+    profile: Optional[liealg.AlgebraProfile]
     classification: str
 
 
@@ -92,12 +92,10 @@ def analyze(
     for violation in algebra.closure_violations:
         warnings.append(f"closure: {violation.describe()}")
     if algebra.closure_violations:
-        classification = liealg.Classification(liealg.OTHER, None)  # type: ignore[arg-type]
-        summary_profile = None
+        label, summary_profile = liealg.OTHER, None
     else:
-        sc = liealg.structure_constants(algebra)
-        summary_profile = liealg.profile(sc)
-        classification = liealg.classify(summary_profile)
+        summary_profile = liealg.profile(liealg.structure_constants(algebra))
+        label = liealg.classify(summary_profile).label
     expected = _EXPECTED_DIMENSION[detection.kind]
     if algebra.dimension != expected:
         extra = sorted(
@@ -128,7 +126,7 @@ def analyze(
         ),
         structure_constants=algebra.structure_constants,
         profile=summary_profile,
-        classification=classification.label,
+        classification=label,
     )
     return AnalysisReport(
         k=k,
@@ -175,7 +173,7 @@ def _field_text(f) -> str:
 
 
 def _fractions(seq) -> List[str]:
-    return [format_fraction(Fraction(v)) for v in seq]
+    return [format_fraction(v) for v in seq]
 
 
 def _case_dict(c: CaseDetection) -> Dict:

@@ -62,15 +62,15 @@ class WeightAnsatz:
         polys[comp] = Poly.monomial(exp)
         return ParaVectorField(polys["alpha"], polys["beta"], polys["xi"], polys["eta"])
 
-    def field_from_vector(self, vec: Sequence[Fraction]) -> ParaVectorField:
-        parts: Dict[str, Dict[Exponents, Fraction]] = {name: {} for name in COMPONENTS}
+    def field_from_vector(self, vec: Sequence[Rational]) -> ParaVectorField:
+        parts: Dict[str, Dict[Exponents, Rational]] = {name: {} for name in COMPONENTS}
         for (comp, exp), c in zip(self.unknowns, vec):
             parts[comp][exp] = c  # Poly drops the zeros
         return ParaVectorField(
             Poly(parts["alpha"]), Poly(parts["beta"]), Poly(parts["xi"]), Poly(parts["eta"])
         )
 
-    def vector_from_field(self, v: ParaVectorField) -> Tuple[Fraction, ...]:
+    def vector_from_field(self, v: ParaVectorField) -> Tuple[Rational, ...]:
         comps = {"alpha": v.alpha, "beta": v.beta, "xi": v.xi, "eta": v.eta}
         return tuple(comps[comp].coefficient(exp) for comp, exp in self.unknowns)
 
@@ -293,8 +293,8 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
         )
     symbolic_vectors = [ansatz.vector_from_field(f) for f in symbolic.basis]
     for vec in symbolic_vectors:
-        # primitive integer entries, kept sparse: (column, value) for each nonzero
-        support = [(j, int(c)) for j, c in enumerate(linalg.normalize_primitive(vec)) if c]
+        # the primitive integer entries, kept sparse: (column, value) for each nonzero
+        support = [(j, c) for j, c in enumerate(vec) if c]
         for row in rows:
             if sum(row[j] * c for j, c in support) != 0:
                 raise OracleMismatchError(
@@ -333,7 +333,7 @@ class SymmetryAlgebra:
     surface: ModelSurface
     weight_cap: int
     generators: Tuple[Tuple[int, ParaVectorField], ...]
-    structure_constants: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
+    structure_constants: Tuple[Tuple[Tuple[Rational, ...], ...], ...]
     closure_violations: Tuple[ClosureViolation, ...]
 
     @property
@@ -386,7 +386,7 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     stop = 2 * k - 2 if weight_cap is None else weight_cap
     generators: List[Tuple[int, ParaVectorField]] = []
     # weight -> (ansatz, index of its first generator, basis in ansatz coordinates)
-    blocks: Dict[int, Tuple[WeightAnsatz, int, List[Tuple[Fraction, ...]]]] = {}
+    blocks: Dict[int, Tuple[WeightAnsatz, int, List[Tuple[Rational, ...]]]] = {}
     m = -k
     while m <= stop:
         ansatz = build_ansatz(s, m)
@@ -399,8 +399,8 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     weight_cap = stop
     fields = [f for _, f in generators]
     n = len(fields)
-    zero_row = tuple(Fraction(0) for _ in range(n))
-    table: List[List[Tuple[Fraction, ...]]] = [[zero_row] * n for _ in range(n)]
+    zero_row: Tuple[Rational, ...] = (0,) * n
+    table: List[List[Tuple[Rational, ...]]] = [[zero_row] * n for _ in range(n)]
     violations: List[ClosureViolation] = []
     for i in range(n):
         for j in range(i + 1, n):

@@ -95,7 +95,7 @@ def reference_derived_invariants(sc):
         eigenvalues = liealg._matrix_eigenvalues(ad)
         if eigenvalues is not None and all(v != 0 for v in eigenvalues):
             smallest = min(eigenvalues, key=abs)
-            ad_data = tuple(sorted((v / smallest for v in eigenvalues), reverse=True))
+            ad_data = tuple(sorted((Fraction(v, smallest) for v in eigenvalues), reverse=True))
     return signature, ad_data
 
 
