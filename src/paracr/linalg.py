@@ -1,4 +1,4 @@
-"""Exact rational linear algebra: kernels, rank, span tests, signatures.
+"""Exact rational linear algebra: kernels, rank, span solves, signatures.
 
 Entries are exact rationals in ``poly``'s one form, an ``int`` where the
 value is integral and a ``Fraction`` only where it is not, and so is every
@@ -17,17 +17,18 @@ mod p never exceeds the rank over Q, so full rank mod p proves the kernel
 is {0} with no exact elimination.  Otherwise every row of the full system
 is checked against the subsystem's kernel over the integers, and rows that
 fail join the subsystem until none fails; the result then equals
-``nullspace_bareiss`` on all rows made dense.  The second
-path is a Gauss-Jordan reduction to reduced row echelon form, run over
+``nullspace_bareiss`` on all rows made dense.  The second path is a
+Gauss-Jordan reduction to reduced row echelon form (``rref``), run over
 integers one row at a time: each row is cleared of denominators, divided by
 its content and reduced against the pivot rows found so far with gcd-reduced
 multipliers.  A row that reduces to zero is dropped, and the reduction stops
 as soon as every column has a pivot, since the reduced form is then the
-identity; otherwise one back-substitution pass clears above the pivots.  It
-stays independent of the first so that cross-checks do not share an
-elimination route: it shares no helper with it, uses no modular arithmetic
-and never divides by the previous pivot.  Signatures of symmetric matrices
-come from Descartes' rule of signs on the exact characteristic polynomial.
+identity; otherwise one back-substitution pass clears above the pivots.
+``rref`` serves the span solves and the Lie invariants, and
+``nullspace_gauss_jordan`` built on it is the tests' independent cross-check
+of Bareiss: it shares no helper with it, uses no modular arithmetic and never
+divides by the previous pivot.  Signatures of symmetric matrices come from
+Descartes' rule of signs on the exact characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -276,11 +277,6 @@ def solve_in_span(
     for row, col in zip(reduced, pivot_cols):
         coeffs[col] = row[k]
     return coeffs
-
-
-def same_span(u: Matrix, v: Matrix, ncols: int) -> bool:
-    """Whether the rows of u and of v span the same space: their reduced forms agree."""
-    return rref(u, ncols) == rref(v, ncols)
 
 
 def symmetric_signature(matrix: Matrix) -> Tuple[int, int, int]:

@@ -11,15 +11,13 @@ mod-p kernel.  Its columns are read slot by slot off (a+P)^j and
 (a+P)^j P_x, cached on the surface (see ``tangency_system``) as ``Poly``
 values, whose integral coefficients are plain ints.
 
-``brute_force_check`` rebuilds the same linear system by evaluating the
-residual at random rational points (interpolation style), each sampled row
-built over the integers at one common denominator of its point, and reduces
-it with an unrelated routine, the integer Gauss-Jordan ``linalg.rref``, which
-shares no code with the Bareiss path: it reduces the rows one at a time
-against the pivots found so far, stops reading rows once every column has a
-pivot (the kernel is then {0}) and otherwise ends with one back-substitution
-pass.  Every sampled row is still checked against every symbolic kernel
-vector; disagreement with ``solve_weight`` is a hard failure.
+``brute_force_check`` certifies each kernel independently: it samples the
+residual of every unit field at random points of F_q, q = 2^31 - 1, each
+row read straight off the gamma sequence mod q, and checks the symbolic
+basis against those rows (dimension from the rank mod q, vanishing on every
+row, independence mod q) with its own small dense elimination mod q, which
+shares no code with ``tangency_system``, ``Poly`` or the kernel routines of
+``linalg``.  Disagreement with ``solve_weight`` is a hard failure.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -38,6 +35,7 @@ from .surface import ModelSurface, ParaVectorField
 COMPONENTS = ("alpha", "beta", "xi", "eta")
 
 _ORACLE_SEED = 0x5EED
+_ORACLE_PRIME = 2**31 - 1
 
 
 class OracleMismatchError(AssertionError):
@@ -175,100 +173,81 @@ def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     return KernelBasis(m, basis, (len(monomials), t))
 
 
-def _random_fraction(rng: random.Random) -> Fraction:
-    num = rng.randint(-9, 9)
-    den = rng.randint(1, 5)
-    return Fraction(num, den)
-
-
-def _surface_values(s: ModelSurface, x: Fraction, b: Fraction) -> Tuple[int, int, int, int]:
-    """Integer numerators of P, P_x and P_b at (x, b) over one denominator D.
-
-    With x = xn/xd, b = bn/bd, L the lcm of the gamma denominators and
-    G_i = gamma_i L, the denominator is D = L xd^k bd^k and
-    P D = sum G_i bn^i bd^(k-i) xn^(k-i) xd^i,
-    P_x D = sum G_i (k-i) bn^i bd^(k-i) xn^(k-i-1) xd^(i+1),
-    P_b D = sum G_i i bn^(i-1) bd^(k-i+1) xn^(k-i) xd^i.
-    Returns (P D, P_x D, P_b D, D), read off the coefficient sequence with
-    no Poly machinery.
-    """
-    k = s.k
-    scale = lcm(*(g.denominator for g in s.gamma))
-    xn, xd = x.numerator, x.denominator
-    bn, bd = b.numerator, b.denominator
-    p = p_x = p_b = 0
-    for i, g in enumerate(s.gamma, start=1):
-        c = g.numerator * (scale // g.denominator)
-        if not c:
-            continue
-        xb = xn ** (k - i - 1) * xd**i * bn ** (i - 1) * bd ** (k - i)
-        p += c * xb * xn * bn
-        p_x += c * (k - i) * xb * xd * bn
-        p_b += c * i * xb * xn * bd
-    return p, p_x, p_b, scale * xd**k * bd**k
-
-
-def _power_table(n: int, d: int, top: int) -> List[int]:
-    # n^e d^(top-e) for e = 0..top: the powers of n/d over the one denominator d^top
-    num = [1]
-    den = [1]
-    for _ in range(top):
-        num.append(num[-1] * n)
-        den.append(den[-1] * d)
-    return [num[e] * den[top - e] for e in range(top + 1)]
-
-
 def _slot_values(
-    unknowns: Sequence[Tuple[str, Exponents]],
-    maxima: Exponents,
-    s: ModelSurface,
-    x: Fraction,
-    a: Fraction,
-    b: Fraction,
+    unknowns: Sequence[Tuple[str, Exponents]], maxima: Exponents, gamma: Sequence[int],
+    x: int, a: int, b: int,
 ) -> List[int]:
-    """The residual eta - alpha - beta P_b - xi P_x of each unit field at one
-    point, times one positive integer common denominator of that point.
+    """The residual eta - alpha - beta P_b - xi P_x of each unit field at the
+    point (x, a, b) of F_q^3, with q = ``_ORACLE_PRIME``.
 
-    ``maxima`` holds the largest exponents (Ex, Ey, Ea, Eb) of x, y, a, b in
-    ``unknowns``.  The row is scaled by D xd^Ex yd^Ey ad^Ea bd^Eb, with D
-    from ``_surface_values`` and y = (an D + P D ad) / (ad D), so each entry
-    is a product of two power tables and one of four per-row multipliers.
-    A nonzero scale leaves the row's kernel unchanged.
+    ``gamma`` is the coefficient sequence reduced mod q and ``maxima`` holds
+    the largest exponents (Ex, Ey, Ea, Eb) of x, y, a, b in ``unknowns``.
+    P, P_x and P_b are summed straight off ``gamma``, y = a + P, and each
+    entry is the slot's monomial, read off four power tables, times its
+    component's factor 1, -P_x, -1 or -P_b.
     """
-    ex_max, ey_max, ea_max, eb_max = maxima
-    p, p_x, p_b, d = _surface_values(s, x, b)
-    an, ad = a.numerator, a.denominator
-    tx = _power_table(x.numerator, x.denominator, ex_max)
-    ty = _power_table(an * d + p * ad, ad * d, ey_max)
-    ta = _power_table(an, ad, ea_max)
-    tb = _power_table(b.numerator, b.denominator, eb_max)
-    dxy = tx[0] * ty[0]  # xd^Ex yd^Ey
-    dab = ta[0] * tb[0]  # ad^Ea bd^Eb
-    eta, xi = dab * d, -p_x * dab
-    alpha, beta = -dxy * d, -p_b * dxy
-    values = []
-    for comp, (ex, ey, ea, eb) in unknowns:
-        if comp == "eta":
-            values.append(tx[ex] * ty[ey] * eta)
-        elif comp == "xi":
-            values.append(tx[ex] * ty[ey] * xi)
-        elif comp == "alpha":
-            values.append(ta[ea] * tb[eb] * alpha)
-        else:
-            values.append(ta[ea] * tb[eb] * beta)
-    return values
+    q = _ORACLE_PRIME
+    k = len(gamma) + 1
+    p = p_x = p_b = 0
+    for i, g in enumerate(gamma, start=1):
+        if g:
+            p += g * pow(b, i, q) * pow(x, k - i, q)
+            p_x += g * (k - i) * pow(b, i, q) * pow(x, k - i - 1, q)
+            p_b += g * i * pow(b, i - 1, q) * pow(x, k - i, q)
+    tables = []
+    for base, top in zip((x, a + p, a, b), maxima):
+        tables.append([1] * (top + 1))
+        for e in range(1, top + 1):
+            tables[-1][e] = tables[-1][e - 1] * base % q
+    tx, ty, ta, tb = tables
+    factor = {"eta": 1, "xi": -p_x, "alpha": -1, "beta": -p_b}
+    return [
+        tx[ex] * ty[ey] * ta[ea] * tb[eb] * factor[comp] % q
+        for comp, (ex, ey, ea, eb) in unknowns
+    ]
+
+
+def _rank_mod_q(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank over F_q of dense rows, by Gaussian elimination one row at a time."""
+    q = _ORACLE_PRIME
+    echelon: Dict[int, List[int]] = {}  # pivot column -> row scaled to pivot 1, zero before it
+    for row in rows:
+        row = [v % q for v in row]
+        for c in range(ncols):
+            v = row[c]
+            if not v:
+                continue
+            prow = echelon.get(c)
+            if prow is None:
+                inv = pow(v, -1, q)
+                echelon[c] = [w * inv % q for w in row]
+                break
+            row = [(w - v * u) % q for w, u in zip(row, prow)]
+        if len(echelon) == ncols:
+            break
+    return len(echelon)
 
 
 def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
-    """Interpolation-built kernel, compared against ``solve_weight``.
+    """Certify ``solve_weight``'s kernel by the residual at random points of F_q.
 
-    The linear system is assembled from residual values at random rational
-    points instead of symbolic coefficient extraction: each sampled row is
-    built over the integers at one common denominator of its point
-    (``_slot_values``) and the rows are reduced with the integer Gauss-Jordan
-    routine.  The oracle uses none of the symbolic path's helpers.
-    Dimension or span disagreement raises.
+    The residual of every unit field is sampled at 2t + 16 seeded points
+    drawn in F_q, q = 2^31 - 1 (``_slot_values``), with no symbolic
+    coefficient extraction.  A sampled row is a combination of the symbolic
+    rows, so rank_q of the samples is at most the rank over Q, and
+    t - rank_q below the symbolic dimension always means a missing generator.
+    The symbolic basis passes when t - rank_q equals its dimension, every
+    vector vanishes on every sampled row, and the vectors are independent
+    mod q; by Schwartz-Zippel a wrong basis survives only with small
+    probability.  The oracle uses none of the symbolic path's helpers.  Any
+    disagreement raises ``OracleMismatchError``; a gamma denominator
+    divisible by q raises ``ValueError``.  Returns ``solve_weight``'s basis
+    with shape (2t + 16, t).
     """
+    q = _ORACLE_PRIME
+    if any(g.denominator % q == 0 for g in s.gamma):
+        raise ValueError(f"a gamma denominator is divisible by the oracle prime q = {q}")
+    gamma = [g.numerator * pow(g.denominator, -1, q) % q for g in s.gamma]
     symbolic = solve_weight(s, m)
     ansatz = build_ansatz(s, m)
     t = len(ansatz)
@@ -283,12 +262,12 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
     maxima = tuple(max(exp[v] for _, exp in ansatz.unknowns) for v in range(4))
     rows = []
     for _ in range(npoints):
-        x, a, b = (_random_fraction(rng) for _ in range(3))
-        rows.append(_slot_values(ansatz.unknowns, maxima, s, x, a, b))
-    kernel = linalg.nullspace_gauss_jordan(rows, t)
-    if len(kernel) != symbolic.dimension:
+        x, a, b = (rng.randrange(q) for _ in range(3))
+        rows.append(_slot_values(ansatz.unknowns, maxima, gamma, x, a, b))
+    dimension = t - _rank_mod_q(rows, t)
+    if dimension != symbolic.dimension:
         raise OracleMismatchError(
-            f"weight {m}: interpolation dimension {len(kernel)} "
+            f"weight {m}: interpolation dimension {dimension} "
             f"!= symbolic dimension {symbolic.dimension}"
         )
     symbolic_vectors = [ansatz.vector_from_field(f) for f in symbolic.basis]
@@ -296,14 +275,13 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
         # the primitive integer entries, kept sparse: (column, value) for each nonzero
         support = [(j, c) for j, c in enumerate(vec) if c]
         for row in rows:
-            if sum(row[j] * c for j, c in support) != 0:
+            if sum(row[j] * c for j, c in support) % q:
                 raise OracleMismatchError(
                     f"weight {m}: symbolic kernel vector fails a sampled equation"
                 )
-    if kernel and not linalg.same_span(kernel, symbolic_vectors, t):
+    if _rank_mod_q(symbolic_vectors, t) != len(symbolic_vectors):
         raise OracleMismatchError(f"weight {m}: kernel spans differ")
-    basis = tuple(ansatz.field_from_vector(vec) for vec in kernel)
-    return KernelBasis(m, basis, (npoints, t))
+    return KernelBasis(m, symbolic.basis, (npoints, t))
 
 
 # -- full graded algebra -----------------------------------------------------

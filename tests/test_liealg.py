@@ -282,7 +282,7 @@ class TestSl2Relations:
                 for i in range(n)
                 for j in range(i + 1, n)
             ]
-            assert linalg.same_span(derived, [e_low, list(h), e_high], n)
+            assert linalg.rref(derived, n) == linalg.rref([e_low, list(h), e_high], n)
             # ad(h) scales the extreme weight vectors oppositely
             down = sc.bracket_vec(h, e_low)
             up = sc.bracket_vec(h, e_high)
