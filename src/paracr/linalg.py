@@ -11,24 +11,26 @@ partial pivoting on pivot magnitude, which avoids rational blow-up during
 elimination.  ``nullspace_modular`` puts a certified row selection in front
 of it, on sparse rows: each row is the list of its (column, value) pairs,
 which suits the per-weight tangency systems, whose entries are mostly zero.
-The rows are reduced modulo one fixed prime against a sparse echelon, and
-only the rows that raise the rank mod p go, made dense, to Bareiss.  Rank
-mod p never exceeds the rank over Q, so full rank mod p proves the kernel
-is {0} with no exact elimination.  Otherwise every row of the full system
-is checked against the subsystem's kernel over the integers, and rows that
-fail join the subsystem until none fails; the result then equals
-``nullspace_bareiss`` on all rows made dense.  The second path is a
-Gauss-Jordan reduction to reduced row echelon form (``rref``), run over
-integers one row at a time: each row is cleared of denominators, divided by
-its content and reduced against the pivot rows found so far with gcd-reduced
-multipliers.  A row that reduces to zero is dropped, and the reduction stops
-as soon as every column has a pivot, since the reduced form is then the
-identity; otherwise one back-substitution pass clears above the pivots.
-``rref`` serves the span solves and the Lie invariants, and
-``nullspace_gauss_jordan`` built on it is the tests' independent cross-check
-of Bareiss: it shares no helper with it, uses no modular arithmetic and never
-divides by the previous pivot.  Signatures of symmetric matrices come from
-Descartes' rule of signs on the exact characteristic polynomial.
+The rows are read shortest first, each scaled to integers only when read,
+and reduced modulo one fixed prime against a sparse echelon; only the rows
+that raise the rank mod p go, made dense, to Bareiss.  Rank mod p never
+exceeds the rank over Q, so full rank mod p proves the kernel is {0}, in any
+row order and before the later rows are scaled.  Otherwise every row is
+checked against the subsystem's kernel over the integers, and rows that fail
+join the subsystem until none fails; the result is then the basis
+``nullspace_bareiss`` gives on all rows, which depends on the kernel alone.
+The second path is a Gauss-Jordan reduction to reduced row echelon form
+(``rref``), run over integers one row at a time: each row is cleared of
+denominators, divided by its content and reduced against the pivot rows
+found so far with gcd-reduced multipliers.  A row that reduces to zero is
+dropped, and the reduction stops as soon as every column has a pivot, since
+the reduced form is then the identity; otherwise one back-substitution pass
+clears above the pivots, which ``rank`` skips.  ``rref`` serves the span
+solves and the Lie invariants, and ``nullspace_gauss_jordan`` built on it is
+the tests' independent cross-check of Bareiss: it shares no helper with it,
+uses no modular arithmetic and never divides by the previous pivot.
+Signatures of symmetric matrices come from Descartes' rule of signs on the
+exact characteristic polynomial.
 """
 
 from __future__ import annotations
@@ -119,33 +121,33 @@ def nullspace_bareiss(rows: Matrix, ncols: int) -> List[Vector]:
 def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
     """The basis ``nullspace_bareiss`` returns on the dense rows, via rank mod p.
 
-    Each row is a sparse row: its (column, value) pairs, in any order, with
-    int or Fraction values; a zero value is allowed and adds nothing.  A row
-    is scaled to integers over its nonzero values by one lcm of their
-    denominators.  Rows are then reduced modulo ``_PRIME`` one at a time
-    against a sparse echelon keyed by pivot column, whose rows hold the
-    (column, value) pairs right of their pivot, scaled so that the pivot is
-    1; a row that adds rank mod p is kept.  Kept rows are independent mod p,
-    hence over Q, so rank ``ncols`` mod p returns ``[]``.  Otherwise Bareiss
-    runs on the kept rows, made dense, and every row is checked against each
-    basis vector over the integers by a sparse dot product.  Rows with a
+    Each row is a sparse row: its (column, value) pairs, in any order, with int
+    or Fraction values; a zero value is allowed and adds nothing.  Rows are read
+    shortest first, ties last row first (on tall tangency systems, in
+    ``order_key`` order, full rank then comes after fewer rows than with ties
+    first row first), and each is scaled to integers by the lcm of its
+    denominators only when read, then reduced modulo ``_PRIME`` against a sparse
+    echelon keyed by pivot column, whose rows hold the pairs right of their
+    pivot, scaled so that the pivot is 1 (a row of one entry needs no inverse);
+    a row that adds rank mod p is kept.  Kept rows are independent mod p, hence
+    over Q, so rank ``ncols`` mod p returns ``[]`` in any order.  Otherwise
+    Bareiss runs on the kept rows, made dense, and every row is checked against
+    each basis vector over the integers by a sparse dot product.  Rows with a
     nonzero product join the kept rows, which raises their rank, and Bareiss
     runs again.  Once no row fails, the subsystem has the kernel of the full
-    system, and Bareiss's basis depends on the kernel alone: its free columns
-    lie outside the lex-first column basis, and each vector is the primitive
-    kernel vector on the pivots and one free column.
+    system, and Bareiss's basis depends on the kernel alone, not on the row
+    order: its free columns lie outside the lex-first column basis, and each
+    vector is the primitive kernel vector on the pivots and one free column.
     """
-    m: List[List[Tuple[int, int]]] = []
-    for row in rows:
-        denom = lcm(*(v.denominator for _, v in row))
-        ints = [(j, v.numerator * (denom // v.denominator)) for j, v in row if v]
-        if ints:
-            m.append(ints)
     p = _PRIME
+    m: List[List[Tuple[int, int]]] = []  # the rows read, scaled to integers
     echelon: Dict[int, List[Tuple[int, int]]] = {}  # pivot column -> pairs right of it
     kept: List[int] = []
-    for i, row in enumerate(m):
-        red = {j: v % p for j, v in row}
+    for row in sorted(reversed(rows), key=len):
+        denom = lcm(*(v.denominator for _, v in row))
+        ints = [(j, v.numerator * (denom // v.denominator)) for j, v in row if v]
+        m.append(ints)
+        red = {j: v % p for j, v in ints}
         while red:
             c = min(red)
             v = red.pop(c)
@@ -153,9 +155,9 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
                 continue
             tail = echelon.get(c)
             if tail is None:
-                inv = pow(v, -1, p)
+                inv = pow(v, -1, p) if red else 1
                 echelon[c] = [(j, w * inv % p) for j, w in red.items() if w]
-                kept.append(i)
+                kept.append(len(m) - 1)
                 break
             for j, w in tail:
                 red[j] = (red.get(j, 0) - v * w) % p
@@ -192,24 +194,9 @@ def _clear_column(row: List[int], c: int, prow: List[int]) -> List[int]:
     return [v // content for v in row] if content > 1 else row
 
 
-def rref(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[List[Rational]], List[int]]:
-    """Reduced row echelon form; returns (rows, pivot columns).
-
-    Entries are ints or Fractions, and ``rows`` is read one row at a time.
-    Each row is scaled to a primitive integer row, then reduced against the
-    pivot rows found so far, in ascending pivot column, by
-    ``row = (p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``, after which
-    it is divided by its content.  A row that reduces to zero is dropped; any
-    other row becomes the pivot row of its leading column.  Once there are
-    ``ncols`` pivots the matrix has full column rank, so its reduced form is
-    the identity: that is returned at once and no further row is read.
-    Otherwise one back-substitution pass, from the last pivot to the first,
-    clears each pivot column in the pivot rows above it, and the final rows
-    are divided by their pivots, each entry an int where integral and a
-    Fraction where not.  The reduced form is unique, so the result does not
-    depend on the order of the rows.
-    """
-    pivot_cols: List[int] = []  # ascending
+def _echelon(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[int], List[List[int]]]:
+    # rref's elimination below the pivots, all ``rank`` needs: (ascending pivot columns, rows)
+    pivot_cols: List[int] = []
     pivot_rows: List[List[int]] = []
     for row in rows:
         scale = lcm(*(v.denominator for v in row))
@@ -229,7 +216,30 @@ def rref(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[List[Rati
         pivot_cols.insert(i, lead)
         pivot_rows.insert(i, ints)
         if len(pivot_cols) == ncols:
-            return [[int(j == c) for j in range(ncols)] for c in pivot_cols], pivot_cols
+            break
+    return pivot_cols, pivot_rows
+
+
+def rref(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[List[Rational]], List[int]]:
+    """Reduced row echelon form; returns (rows, pivot columns).
+
+    Entries are ints or Fractions, and ``rows`` is read one row at a time.
+    Each row is scaled to a primitive integer row, then reduced against the
+    pivot rows found so far, in ascending pivot column, by
+    ``row = (p/g) row - (f/g) pivot_row`` with ``g = gcd(p, f)``, after which
+    it is divided by its content.  A row that reduces to zero is dropped; any
+    other row becomes the pivot row of its leading column.  Once there are
+    ``ncols`` pivots the matrix has full column rank, so its reduced form is
+    the identity: that is returned at once and no further row is read.
+    Otherwise one back-substitution pass, from the last pivot to the first,
+    clears each pivot column in the pivot rows above it, and the final rows
+    are divided by their pivots, each entry an int where integral and a
+    Fraction where not.  The reduced form is unique, so the result does not
+    depend on the order of the rows.
+    """
+    pivot_cols, pivot_rows = _echelon(rows, ncols)
+    if len(pivot_cols) == ncols:
+        return [[int(j == c) for j in range(ncols)] for c in pivot_cols], pivot_cols
     for i in range(len(pivot_cols) - 1, 0, -1):
         c, prow = pivot_cols[i], pivot_rows[i]
         for h in range(i):
@@ -254,8 +264,7 @@ def nullspace_gauss_jordan(rows: Matrix, ncols: int) -> List[Vector]:
 
 
 def rank(rows: Matrix, ncols: int) -> int:
-    _, pivot_cols = rref(rows, ncols)
-    return len(pivot_cols)
+    return len(_echelon(rows, ncols)[0])
 
 
 def solve_in_span(

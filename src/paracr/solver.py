@@ -153,12 +153,13 @@ def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
     """Exact kernel of the per-weight tangency system.
 
     The kernel comes from ``linalg.nullspace_modular`` on the sparse rows of
-    ``tangency_system``: the rows are reduced modulo a fixed prime against a
-    sparse echelon, and full column rank there proves the kernel is {0}, as
+    ``tangency_system``, read shortest first and each scaled to integers when
+    reached: full column rank mod a fixed prime proves the kernel is {0}, as
     it is at most weights above k.  Otherwise Bareiss runs on the rows that
     raise the rank mod p, made dense, every row is checked against that
     kernel over the integers by a sparse dot product, and failing rows are
-    added until none fails, so the basis is the one full Bareiss gives.
+    added until none fails, so the basis is the one full Bareiss gives, in
+    any row order.
     Basis fields are primitive-integer normalized with the first nonzero
     coefficient (in ansatz order) positive.  Results are cached; all
     returned values are immutable.

@@ -87,6 +87,23 @@ def bareiss_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture(scope="module")
+def kernel_systems():
+    """(label, sparse rows, ncols, Bareiss basis of the dense rows) of the weight_ladder
+    surfaces up to weight 32 and of the suite surfaces on [-k, 3k]."""
+    ladder = [ModelSurface(3, (3, 3)), ModelSurface(3, (1, 0)), ModelSurface(4, (1, 0, 1))]
+    spans = [(s, 32) for s in ladder] + [(s, 3 * s.k) for s in suite_surfaces()]
+    systems = []
+    for s, top in spans:
+        for m in range(-s.k, top + 1):
+            ansatz = solver.build_ansatz(s, m)
+            if len(ansatz):
+                _, rows = solver.tangency_system(s, ansatz)
+                basis = linalg.nullspace_bareiss(dense_rows(rows, len(ansatz)), len(ansatz))
+                systems.append((f"k={s.k} gamma={s.gamma} m={m}", rows, len(ansatz), basis))
+    return systems
+
+
 class TestNullspaceModular:
     @pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2], ids=["2^61-1", "p=3", "p=2"])
     def test_equals_bareiss_on_weight_systems(self, prime, monkeypatch, bareiss_calls):
@@ -106,6 +123,41 @@ class TestNullspaceModular:
         assert linalg.nullspace_modular(sparse_rows([[3, 0], [0, 1]]), 2) == []
         # the first pass keeps only [0, 1]; the repair adds [3, 0]
         assert bareiss_calls == [1, 2]
+
+    @pytest.mark.parametrize("prime", [linalg._PRIME, 3], ids=["2^61-1", "p=3"])
+    def test_row_order_does_not_change_the_kernel(
+        self, prime, monkeypatch, bareiss_calls, kernel_systems
+    ):
+        monkeypatch.setattr(linalg, "_PRIME", prime)
+        rng = random.Random(f"row-order-{prime}")
+        repaired = 0
+        for label, rows, ncols, expected in kernel_systems:
+            for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
+                bareiss_calls.clear()
+                assert linalg.nullspace_modular(order, ncols) == expected, label
+                repaired += len(bareiss_calls) > 1
+        if prime == 3:
+            assert repaired > 0
+
+    def test_rows_after_full_rank_are_not_read(self):
+        class Unread(list):
+            def __iter__(self):
+                raise AssertionError("a row after full rank was read")
+
+        rows = [[(0, 1), (1, 1)], Unread([(0, 5), (1, Fraction(1, 7)), (2, 1)]), [(1, 2)]]
+        assert linalg.nullspace_modular(rows, 2) == []
+
+    def test_singleton_rows_need_no_inverse(self, monkeypatch):
+        inverses = []
+
+        def counting_pow(*args):
+            inverses.append(args)
+            return pow(*args)
+
+        monkeypatch.setattr(linalg, "pow", counting_pow, raising=False)
+        rows = [[(0, 1), (2, 3)], [(2, 5)], [(1, -4)], [(0, Fraction(2, 3))]]
+        assert linalg.nullspace_modular(rows, 3) == []
+        assert inverses == []
 
     def test_full_rank_mod_p_skips_bareiss(self, bareiss_calls):
         assert linalg.nullspace_modular(sparse_rows([[1, 2], [0, 0], [3, 4]]), 2) == []
@@ -348,6 +400,31 @@ class TestRref:
             ansatz = solver.build_ansatz(s, m)
             _, rows = solver.tangency_system(s, ansatz)
             self.assert_matches_reference(dense_rows(rows, len(ansatz)), len(ansatz))
+
+
+class TestRank:
+    @pytest.mark.parametrize("entries", ["int", "Fraction"])
+    def test_equals_rref_pivot_count(self, entries):
+        rng = random.Random(f"rank-{entries}")
+        if entries == "int":
+            draw, zero = (lambda: rng.randint(-4, 4)), 0
+        else:
+            draw, zero = (lambda: random_fraction(rng)), Fraction(0)
+        seen = set()
+        for _ in range(150):
+            ncols = rng.randint(0, 6)
+            gens = [[draw() for _ in range(ncols)] for _ in range(rng.randint(0, ncols + 1))]
+            rows = [
+                [sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(ncols)]
+                for coeffs in ([rng.randint(-2, 2) for _ in gens] for _ in range(rng.randint(0, 4)))
+            ]
+            rows += gens + [[zero] * ncols for _ in range(rng.randint(0, 2))]
+            rng.shuffle(rows)
+            rank = linalg.rank(rows, ncols)
+            assert rank == len(linalg.rref(rows, ncols)[1])
+            if ncols:
+                seen.add("full" if rank == ncols else "deficient")
+        assert seen == {"full", "deficient"}
 
 
 class TestSolveInSpan:

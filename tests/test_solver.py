@@ -430,11 +430,9 @@ class TestOracleIndependence:
 
 
 class TestOracleBudget:
-    # With F_q rows the 84 weights take 0.08-0.14 s (0.14-0.21 s with integer
-    # rows over Q, 7 runs each) on a 2-vCPU Xeon under Python 3.11.  The budget
-    # stays 3x the 0.63 s the integer rows once took, since a shared host's CPU
-    # speed can swing up to 2x.
-    BUDGET_S = 1.9
+    # The 84 weights take 0.09-0.16 s (7 runs, each in a fresh interpreter)
+    # on a 2-vCPU Xeon under Python 3.11; the budget is 3x the 0.16 s maximum.
+    BUDGET_S = 0.5
 
     def test_oracle_workload_weights(self):
         surfaces = [
@@ -455,10 +453,10 @@ class TestOracleBudget:
 
 
 class TestWeightLadderBudget:
-    # Cold, the three cap-32 surfaces (109 weights) take 0.053-0.165 s with
-    # sparse rows (0.21-0.23 s with dense rows) on a 2-vCPU Xeon under
-    # Python 3.11; the budget is 3x 0.165 s.
-    BUDGET_S = 0.5
+    # Cold, the three cap-32 surfaces (109 weights) take 0.034-0.059 s (7 runs,
+    # each in a fresh interpreter) on a 2-vCPU Xeon under Python 3.11; the
+    # budget is 3x the 0.059 s maximum.
+    BUDGET_S = 0.18
 
     def test_weight_ladder_surfaces(self):
         solve_weight.cache_clear()
