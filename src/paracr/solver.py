@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import ONE, Exponents, Poly, Rational, order_key
@@ -183,24 +183,29 @@ def _slot_values(
 
     ``gamma`` is the coefficient sequence reduced mod q and ``maxima`` holds
     the largest exponents (Ex, Ey, Ea, Eb) of x, y, a, b in ``unknowns``.
-    P, P_x and P_b are summed straight off ``gamma``, y = a + P, and each
-    entry is the slot's monomial, read off four power tables, times its
-    component's factor 1, -P_x, -1 or -P_b.
+    P, P_x and P_b are summed straight off ``gamma`` and the power tables of
+    x and b, which reach at least k - 1, y = a + P, and each entry is the
+    slot's monomial, read off four power tables, times its component's
+    factor 1, -P_x, -1 or -P_b.
     """
     q = _ORACLE_PRIME
     k = len(gamma) + 1
+
+    def powers(base: int, top: int) -> List[int]:
+        table = [1] * (top + 1)
+        for e in range(1, top + 1):
+            table[e] = table[e - 1] * base % q
+        return table
+
+    ex_max, ey_max, ea_max, eb_max = maxima
+    tx, tb = powers(x, max(ex_max, k - 1)), powers(b, max(eb_max, k - 1))
     p = p_x = p_b = 0
     for i, g in enumerate(gamma, start=1):
         if g:
-            p += g * pow(b, i, q) * pow(x, k - i, q)
-            p_x += g * (k - i) * pow(b, i, q) * pow(x, k - i - 1, q)
-            p_b += g * i * pow(b, i - 1, q) * pow(x, k - i, q)
-    tables = []
-    for base, top in zip((x, a + p, a, b), maxima):
-        tables.append([1] * (top + 1))
-        for e in range(1, top + 1):
-            tables[-1][e] = tables[-1][e - 1] * base % q
-    tx, ty, ta, tb = tables
+            p += g * tb[i] * tx[k - i]
+            p_x += g * (k - i) * tb[i] * tx[k - i - 1]
+            p_b += g * i * tb[i - 1] * tx[k - i]
+    ty, ta = powers(a + p, ey_max), powers(a, ea_max)
     factor = {"eta": 1, "xi": -p_x, "alpha": -1, "beta": -p_b}
     return [
         tx[ex] * ty[ey] * ta[ea] * tb[eb] * factor[comp] % q
@@ -208,8 +213,9 @@ def _slot_values(
     ]
 
 
-def _rank_mod_q(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank over F_q of dense rows, by Gaussian elimination one row at a time."""
+def _rank_mod_q(rows: Iterable[Sequence[int]], ncols: int) -> int:
+    """Rank over F_q of dense rows, by Gaussian elimination one row at a time;
+    no row is read after the rank reaches ``ncols``."""
     q = _ORACLE_PRIME
     echelon: Dict[int, List[int]] = {}  # pivot column -> row scaled to pivot 1, zero before it
     for row in rows:
@@ -232,18 +238,20 @@ def _rank_mod_q(rows: Sequence[Sequence[int]], ncols: int) -> int:
 def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
     """Certify ``solve_weight``'s kernel by the residual at random points of F_q.
 
-    The residual of every unit field is sampled at 2t + 16 seeded points
-    drawn in F_q, q = 2^31 - 1 (``_slot_values``), with no symbolic
+    The residual of every unit field is sampled at up to 2t + 16 seeded
+    points drawn in F_q, q = 2^31 - 1 (``_slot_values``), with no symbolic
     coefficient extraction.  A sampled row is a combination of the symbolic
     rows, so rank_q of the samples is at most the rank over Q, and
     t - rank_q below the symbolic dimension always means a missing generator.
     The symbolic basis passes when t - rank_q equals its dimension, every
     vector vanishes on every sampled row, and the vectors are independent
     mod q; by Schwartz-Zippel a wrong basis survives only with small
-    probability.  The oracle uses none of the symbolic path's helpers.  Any
-    disagreement raises ``OracleMismatchError``; a gamma denominator
-    divisible by q raises ``ValueError``.  Returns ``solve_weight``'s basis
-    with shape (2t + 16, t).
+    probability.  Points are drawn in seeded order only as the elimination
+    reads rows: no row after rank t can change the verdict, so only a weight
+    with a kernel draws all 2t + 16.  The oracle uses none of the symbolic
+    path's helpers.  Any disagreement raises ``OracleMismatchError``; a
+    gamma denominator divisible by q raises ``ValueError``.  Returns
+    ``solve_weight``'s basis with shape (2t + 16, t), the sampling budget.
     """
     q = _ORACLE_PRIME
     if any(g.denominator % q == 0 for g in s.gamma):
@@ -261,11 +269,16 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
     rng = random.Random((_ORACLE_SEED, s.k, tuple(s.gamma), m).__repr__())
     npoints = 2 * t + 16
     maxima = tuple(max(exp[v] for _, exp in ansatz.unknowns) for v in range(4))
-    rows = []
-    for _ in range(npoints):
-        x, a, b = (rng.randrange(q) for _ in range(3))
-        rows.append(_slot_values(ansatz.unknowns, maxima, gamma, x, a, b))
-    dimension = t - _rank_mod_q(rows, t)
+    rows: List[List[int]] = []
+
+    def sampled() -> Iterator[List[int]]:
+        # a point is drawn and its row built and kept only when read
+        for _ in range(npoints):
+            x, a, b = (rng.randrange(q) for _ in range(3))
+            rows.append(_slot_values(ansatz.unknowns, maxima, gamma, x, a, b))
+            yield rows[-1]
+
+    dimension = t - _rank_mod_q(sampled(), t)
     if dimension != symbolic.dimension:
         raise OracleMismatchError(
             f"weight {m}: interpolation dimension {dimension} "

@@ -181,12 +181,13 @@ class ParaVectorField:
         of the contract, since the RK4 endpoints depend on them bit for bit:
         each component is ``0.0 + t1 + t2 + ...`` in ``items()`` order, and
         each term is ``((c * x ** ex) * y ** ey) ...`` with
-        ``c = float(coefficient)``, the factors of exponent 0 left out and
-        a factor of exponent 1 written as the bare variable, both of which
-        are exact (``v ** 1 == v`` for every float, and it never overflows).
-        Every other power stays ``v ** e``, which raises ``OverflowError``
-        where ``v * v`` would give inf.  A coefficient too large for a float
-        raises ``OverflowError``.  No user text reaches ``exec``: the source
+        ``c = float(coefficient)``, the factors of exponent 0 left out, a
+        factor of exponent 1 written as the bare variable and a ``c`` of 1.0
+        before a factor left out, all of which are exact (``v ** 1 == v``
+        and ``1.0 * v == v`` for every float).  Every other power stays
+        ``v ** e``, which raises ``OverflowError`` where ``v * v`` would give
+        inf.  A coefficient too large for a float raises ``OverflowError``.
+        No user text reaches ``exec``: the source
         is built from ``repr`` of floats, fixed variable names and integer
         exponents alone, and its namespace holds ``range`` and nothing else.
         """
@@ -200,39 +201,54 @@ class ParaVectorField:
         and returns the endpoint.  Each of the four stages evaluates the
         field's components inline, with the float operations of
         ``float_velocity``; see ``flows.rk4_oracle`` for the stage and step
-        order.  Compiled with ``float_velocity``, from one source.
+        order.  A constant component's stage values and step increment are
+        computed once, before the loop, by the same operations.  Compiled
+        with ``float_velocity``, from one source.
         """
         return self._compiled[1]
 
     @cached_property
     def _compiled(self) -> Tuple[Callable[..., Tuple[float, ...]], Callable[..., Tuple[float, ...]]]:
-        sums = []
-        read = set()  # the variables some term reads
+        sums = []  # each component's source, reading x{s}, y{s}, a{s} and b{s}
         for comp in (self.xi, self.eta, self.alpha, self.beta):
             terms = ["0.0"]
             for exp, c in comp.items():
-                factors = "".join(
-                    f" * {v}_" if e == 1 else f" * {v}_ ** {e:d}" for v, e in zip("xyab", exp) if e
-                )
-                terms.append(f"({float(c)!r}){factors}")
-                read.update(v for v, e in zip("xyab", exp) if e)
+                factors = [f"{v}{{s}}" + (f" ** {e:d}" if e > 1 else "") for v, e in zip("xyab", exp) if e]
+                value = float(c)
+                if value != 1.0 or not factors:  # 1.0 * t == t for every float t
+                    factors.insert(0, f"({value!r})")
+                terms.append(" * ".join(factors))
             sums.append(" + ".join(terms))
+        read = [v for v in "xyab" if any(f"{v}{{s}}" in expr for expr in sums)]
+        constant = {v for v, expr in zip("xyab", sums) if "{s}" not in expr}
         lines = [
             "def velocity(point):",
-            "    x_, y_, a_, b_ = point",
-            f"    return ({', '.join(sums)})",
+            "    x, y, a, b = point",
+            f"    return ({', '.join(expr.format(s='') for expr in sums)})",
             "def integrate(x, y, a, b, h, half, sixth, steps):",
-            "    for _ in range(steps):",
         ]
-        # k1 at the point, k2 and k3 at half steps along k1 and k2, k4 at a
-        # full step along k3; a stage coordinate no term reads is not formed,
-        # which changes no value, since float + and * never raise
-        stage_points = ("{v}", "{v} + half * k1{v}", "{v} + half * k2{v}", "{v} + h * k3{v}")
-        for stage, stage_point in enumerate(stage_points, start=1):
-            lines.extend(f"        {v}_ = " + stage_point.format(v=v) for v in "xyab" if v in read)
-            lines.extend(f"        k{stage}{v} = {expr}" for v, expr in zip("xyab", sums))
+        increment = "sixth * (k1{v} + 2.0 * k2{v} + 2.0 * k3{v} + k4{v})"
+        # a constant component's four stage values and its step increment are
+        # computed once, by the loop's operations on the same operands
+        for v, expr in zip("xyab", sums):
+            if v in constant:
+                lines.append(f"    k1{v} = k2{v} = k3{v} = k4{v} = {expr}")
+                lines.append(f"    d{v} = " + increment.format(v=v))
+        lines.append("    for _ in range(steps):")
+        # k1 at the point itself, k2 and k3 at half steps along k1 and k2, k4
+        # at a full step along k3; a stage coordinate no term reads is not
+        # formed, which changes no value, since float + and * never raise
+        for stage, step in enumerate((None, "half", "half", "h"), start=1):
+            if step:
+                lines.extend(f"        {v}_ = {v} + {step} * k{stage - 1}{v}" for v in read)
+            suffix = "_" if step else ""
+            lines.extend(
+                f"        k{stage}{v} = {expr.format(s=suffix)}"
+                for v, expr in zip("xyab", sums) if v not in constant
+            )
         lines.extend(
-            f"        {v} = {v} + sixth * (k1{v} + 2.0 * k2{v} + 2.0 * k3{v} + k4{v})" for v in "xyab"
+            f"        {v} = {v} + " + (f"d{v}" if v in constant else increment.format(v=v))
+            for v in "xyab"
         )
         lines.append("    return (x, y, a, b)")
         namespace: Dict[str, object] = {"__builtins__": {}, "range": range}

@@ -879,11 +879,17 @@ class TestRk4Kernel:
                             == _hex_or_error(reference_float_velocity(v), fp))
 
     # exponent-1 factors in each of x, y, a and b, which the compiled source
-    # writes as the bare variable, and one zero component per field
+    # writes as the bare variable, and one zero component per field; terms of
+    # coefficient 1, written with no factor 1.0, and -1; a constant xi read
+    # through eta = 3x^2, as in EXP_Vm1's generator, and an all-constant field,
+    # whose constant components the integrator computes before its loop
     EDGE_FIELDS = [
         ParaVectorField(P("a - 3*a*b^2"), P("0"), P("x + 2*x^2*y"), P("y - x*y^3")),
         ParaVectorField(P("a^2*b + 1"), P("b - a*b"), P("0"), P("x*y + 1/3*y^2")),
         ParaVectorField(P("0"), P("b^3 + a"), P("7 - x*y"), P("5*x^2 + y")),
+        ParaVectorField(P("a^2*b - b^3"), P("1 - a^2"), P("x^2*y - 1"), P("x^3 - y^2")),
+        ParaVectorField(P("3*b^2"), P("1"), P("-1"), P("3*x^2")),
+        ParaVectorField(P("1"), P("0"), P("0"), P("1")),
     ]
     SUBNORMAL = 5e-324
     EDGE_VALUES = [-0.0, 0.0, SUBNORMAL, -3 * SUBNORMAL, math.inf, -math.inf, math.nan, 1e200]

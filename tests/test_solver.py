@@ -429,19 +429,67 @@ class TestOracleIndependence:
             assert calls[key] > 0, key
 
 
+def oracle_workload_pairs():
+    """The (surface, weight) pairs of the ``oracle`` benchmark workload."""
+    surfaces = [
+        ModelSurface(5, monomial_gamma(5, 2)),
+        ModelSurface(5, binomial_gamma(5, 2, 3)),
+        ModelSurface(6, (0, 1, 0, 1, 0)),
+        ModelSurface(4, monomial_gamma(4, 3)),
+    ]
+    return [(s, m) for s in surfaces for m in range(-s.k, 3 * s.k + 1)]
+
+
+class TestOracleLazyRows:
+    """A point is drawn and its row built only when the elimination reads it."""
+
+    def test_full_rank_weights_stop_sampling(self, monkeypatch):
+        slot_values, rank_mod_q = solver._slot_values, solver._rank_mod_q
+        built, read = [0], []
+
+        def counting_slot_values(*args):
+            built[0] += 1
+            return slot_values(*args)
+
+        def counting_rank_mod_q(rows, ncols):
+            consumed = [0]
+
+            def counted():
+                for row in rows:
+                    consumed[0] += 1
+                    yield row
+
+            rank = rank_mod_q(counted(), ncols)
+            read.append(consumed[0])
+            return rank
+
+        monkeypatch.setattr(solver, "_slot_values", counting_slot_values)
+        monkeypatch.setattr(solver, "_rank_mod_q", counting_rank_mod_q)
+        full_rank = with_kernel = total = 0
+        for s, m in oracle_workload_pairs():
+            t, dimension = len(build_ansatz(s, m)), solve_weight(s, m).dimension
+            built[0], read[:] = 0, []
+            brute_force_check(s, m)
+            total += built[0]
+            if dimension == 0:
+                # the first elimination reads the sampled rows
+                assert built[0] == read[0] < 2 * t + 16, (s.gamma, m)
+                full_rank += 1
+            else:
+                assert built[0] == read[0] == 2 * t + 16, (s.gamma, m)
+                with_kernel += 1
+        assert (full_rank, with_kernel) == (71, 13)
+        # all 2t + 16 points at every weight would build 2,832 rows
+        assert total == 1020
+
+
 class TestOracleBudget:
-    # The 84 weights take 0.09-0.16 s (7 runs, each in a fresh interpreter)
-    # on a 2-vCPU Xeon under Python 3.11; the budget is 3x the 0.16 s maximum.
-    BUDGET_S = 0.5
+    # The 84 weights take 0.039-0.069 s (7 runs, each in a fresh interpreter)
+    # on a 2-vCPU Xeon under Python 3.11; the budget is 3x the 0.069 s maximum.
+    BUDGET_S = 0.21
 
     def test_oracle_workload_weights(self):
-        surfaces = [
-            ModelSurface(5, monomial_gamma(5, 2)),
-            ModelSurface(5, binomial_gamma(5, 2, 3)),
-            ModelSurface(6, (0, 1, 0, 1, 0)),
-            ModelSurface(4, monomial_gamma(4, 3)),
-        ]
-        pairs = [(s, m) for s in surfaces for m in range(-s.k, 3 * s.k + 1)]
+        pairs = oracle_workload_pairs()
         assert len(pairs) == 84
         for s, m in pairs:
             solve_weight(s, m)
