@@ -48,9 +48,10 @@ MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs 
 # 4.1 s at k = 24 (2.1 s with one-digit gammas) and 12 s at k = 40 (6 s); at k = 8,
 # weight 96 with 2,000-digit gammas (192,000) took 59 s
 MAX_WEIGHT_DIGITS = 12_000
-# --weight-cap solves every weight up to the cap: with one-digit gammas, cap 12k = 120
-# takes 2 s at k = 10, and cap 120 at most that for k up to 40, against 10.7 s for
-# cap 240 at k = 20 and 69 s for cap 480 at k = 40
+# --weight-cap solves every weight up to the cap, each on the preimage of the weight
+# k below: with one-digit gammas, cap 12k = 120 takes 0.16-0.28 s end to end at k = 10
+# (0.43-0.64 s when each weight solved its full ansatz) and at most 0.25 s for k up
+# to 40; in process, cap 240 at k = 20 takes 0.07 s and cap 480 at k = 40 0.18 s
 MAX_WEIGHT_CAP = 120
 MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200

@@ -18,7 +18,8 @@ exceeds the rank over Q, so full rank mod p proves the kernel is {0}, in any
 row order and before the later rows are scaled.  Otherwise every row is
 checked against the subsystem's kernel over the integers, and rows that fail
 join the subsystem until none fails; the result is then the basis
-``nullspace_bareiss`` gives on all rows, which depends on the kernel alone.
+``nullspace_bareiss`` gives on all rows, which depends on the kernel alone,
+and ``kernel_normal_form`` reads that basis off any spanning set of a kernel.
 The second path is a Gauss-Jordan reduction to reduced row echelon form
 (``rref``), run over integers one row at a time: each row is cleared of
 denominators, divided by its content and reduced against the pivot rows
@@ -179,6 +180,22 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
         if not failing:
             return basis
         kept = sorted(kept + failing)
+
+
+def kernel_normal_form(kernel: Sequence[Sequence[Rational]], ncols: int) -> List[Vector]:
+    """The basis ``nullspace_bareiss`` returns on any matrix whose kernel the
+    vectors of ``kernel`` span, read off the kernel alone.
+
+    Column f is free in Bareiss, outside the lex-first column basis, exactly
+    when some kernel vector has its last nonzero entry at f, so the free
+    columns are the pivots of the kernel's echelon form taken from the right.
+    Bareiss's vector for f is the kernel vector that is zero on every other
+    free column: the row of pivot f in the RREF of the kernel with its columns
+    reversed, read back in column order and made primitive.  Vectors come in
+    ascending free column.
+    """
+    reduced, _ = rref([vec[::-1] for vec in kernel], ncols)
+    return [normalize_primitive(row[::-1]) for row in reversed(reduced)]
 
 
 def _clear_column(row: List[int], c: int, prow: List[int]) -> List[int]:

@@ -343,18 +343,21 @@ class Poly:
         """Floating evaluation at (x, y, a, b), by sparse Horner.
 
         The plan's tree buckets the terms by the exponent of x, then of y,
-        a and b.  A node holds its exponents in descending order as gaps,
-        and a leaf the one coefficient with those exponents, as a float.
-        The walk computes ``0.0 + c`` at a leaf, ``acc * v ** gap + sub``
-        down a node and ``acc * v ** last`` at its end; the report
+        a and b, and skips a variable where every term has exponent 0.  A
+        node holds its exponents in descending order as gaps, and a leaf the
+        one coefficient with those exponents as ``0.0 + float(c)``.  The
+        walk computes ``acc * v ** gap + sub`` down a node and
+        ``acc * v ** last`` at its end, where ``last`` is not 0; the report
         witnesses pin this operation order, so values are reproducible bit
-        for bit.  A coefficient too large for a float raises
+        for bit.  A skipped level or a ``last`` of 0 would multiply by
+        ``v ** 0 == 1.0``, which changes no float.  A coefficient too large
+        for a float stays exact in its leaf, where ``0.0 + c`` raises
         ``OverflowError`` at every call.
         """
         if not self._terms:
             return 0.0
         tree = (self._plan or self._build_plan())[3]
-        return _walk(tree, tuple(map(float, point)), 0)
+        return _walk(tree, tuple(map(float, point)))
 
     def _build_plan(self):
         terms = self._terms
@@ -431,17 +434,19 @@ def _coerce(value) -> Optional[Poly]:
 
 
 def _horner_tree(items, vi):
-    # sparse Horner's bucket tree: one level per variable, exponents in
-    # descending order as (first child, ((gap, child), ...), last exponent);
-    # a leaf is one coefficient, since no two terms share all four exponents
+    # sparse Horner's bucket tree: one level per variable that occurs, with
+    # exponents in descending order as (variable, first child,
+    # ((gap, child), ...), last exponent); a leaf is one coefficient, since
+    # no two terms share all four exponents
+    while vi < 4 and not any(exp[vi] for exp, _ in items):
+        vi += 1
     if vi == 4:
         ((_, c),) = items
         try:
-            return float(c)
+            # as a sum from 0.0: a coefficient that underflows to -0.0 gives 0.0
+            return 0.0 + float(c)
         except OverflowError:
-            # kept exact: adding it to 0.0 converts it again and raises, so
-            # every evaluation raises, as float(c) itself would
-            return c
+            return c  # kept exact: the walk adds it to 0.0, which raises at every call
     buckets: Dict[int, list] = {}
     for exp, c in items:
         buckets.setdefault(exp[vi], []).append((exp, c))
@@ -450,18 +455,18 @@ def _horner_tree(items, vi):
     rest = tuple(
         (prev - e, _horner_tree(buckets[e], vi + 1)) for prev, e in zip(order, order[1:])
     )
-    return (first, rest, order[-1])
+    return (vi, first, rest, order[-1])
 
 
-def _walk(node, point, vi):
-    if vi == 4:
-        return 0.0 + node  # as a sum from 0.0: a coefficient that underflows to -0.0 gives 0.0
-    first, rest, last = node
+def _walk(node, point):
+    if type(node) is not tuple:
+        return node if type(node) is float else 0.0 + node
+    vi, first, rest, last = node
     v = point[vi]
-    acc = _walk(first, point, vi + 1)
+    acc = _walk(first, point)
     for gap, child in rest:
-        acc = acc * v**gap + _walk(child, point, vi + 1)
-    return acc * v**last
+        acc = acc * v**gap + _walk(child, point)
+    return acc * v**last if last else acc
 
 
 # -- weighted grading ------------------------------------------------------

@@ -9,7 +9,14 @@ matrix is mostly zeros, so it is kept as sparse rows, the (column,
 coefficient) pairs of each residual monomial, from assembly through the
 mod-p kernel.  Its columns are read slot by slot off (a+P)^j and
 (a+P)^j P_x, cached on the surface (see ``tangency_system``) as ``Poly``
-values, whose integral coefficients are plain ints.
+values, whose integral coefficients are plain ints.  ``solve_weight`` solves
+that full system; it is the reference the ``solve-weight`` command prints and
+the oracle certifies.
+
+``solve_algebra`` solves each weight w on a smaller space instead, the
+preimage under ad V, V = d_a + d_y, of g_(w-k): the prolongation of the
+graded algebra below w (Tanaka 1970; Sternberg 1964), at most
+dim g_(w-k) + 4 unknowns, whose kernel is brought to ``solve_weight``'s basis.
 
 ``brute_force_check`` certifies each kernel independently: it samples the
 residual of every unit field at random points of F_q, q = 2^31 - 1, each
@@ -26,6 +33,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import linalg
@@ -116,6 +124,19 @@ class KernelBasis:
         return len(self.basis)
 
 
+def _slot_factor(s: ModelSurface, comp: str, ey: int) -> Tuple[Poly, int]:
+    """(factor, sign) of one slot's residual, before the shift by its monomial:
+    eta x^i y^j gives +(a+P)^j, xi x^i y^j gives -(a+P)^j P_x, alpha gives -1
+    and beta gives -P_b."""
+    if comp == "alpha":
+        return ONE, -1
+    if comp == "beta":
+        return s.p_b, -1
+    if comp == "eta":
+        return s.y_power(ey), 1
+    return s.y_power_p_x(ey), -1
+
+
 def tangency_system(
     s: ModelSurface, ansatz: WeightAnsatz
 ) -> Tuple[List[Exponents], List[linalg.SparseRow]]:
@@ -134,14 +155,7 @@ def tangency_system(
     """
     entries: Dict[Exponents, List[Tuple[int, Rational]]] = {}
     for col, (comp, (ex, ey, ea, eb)) in enumerate(ansatz.unknowns):
-        if comp == "alpha":
-            factor, sign = ONE, -1
-        elif comp == "beta":
-            factor, sign = s.p_b, -1
-        elif comp == "eta":
-            factor, sign = s.y_power(ey), 1
-        else:
-            factor, sign = s.y_power_p_x(ey), -1
+        factor, sign = _slot_factor(s, comp, ey)
         for (fx, fy, fa, fb), c in factor.items():
             entries.setdefault((fx + ex, fy, fa + ea, fb + eb), []).append((col, sign * c))
     monomials = sorted(entries, key=order_key)
@@ -347,16 +361,83 @@ class SymmetryAlgebra:
         return tuple(f for _, f in self.generators)
 
 
+def _solve_prolonged(ansatz: WeightAnsatz, below: Sequence[ParaVectorField]) -> KernelBasis:
+    """``solve_weight``'s basis at ``ansatz.weight`` = w, solved on the
+    preimage under ad V of g_(w-k), whose basis is ``below``.
+
+    The candidates, each scaled to integers, are the integrals of ``below``
+    and the fields of ker ad V with exponents >= 0 (see ``solve_algebra``).
+    They are independent, since ad V maps the integrals back onto ``below``.
+    A candidate's residual column is the sum of its slots' columns, each read
+    as in ``tangency_system``; the kernel of those columns, mapped to ansatz
+    coordinates, is the tangency kernel within their span, and
+    ``linalg.kernel_normal_form`` brings it to ``solve_weight``'s basis.  The
+    shape is (residual monomials, candidates).
+    """
+    s, w, k = ansatz.surface, ansatz.weight, ansatz.surface.k
+    index = {slot: i for i, slot in enumerate(ansatz.unknowns)}
+    candidates: List[List[Tuple[int, int]]] = []  # (slot, integer coefficient) pairs
+    for z in below:
+        pairs = []
+        # alpha and beta integrated in a (exponent slot 2), xi and eta in y (slot 1)
+        for comp, part, var in zip(COMPONENTS, (z.alpha, z.beta, z.xi, z.eta), (2, 2, 1, 1)):
+            for exp, c in part.items():
+                e = list(exp)
+                e[var] += 1
+                pairs.append((index[(comp, tuple(e))], Fraction(c, e[var])))
+        den = lcm(*(q.denominator for _, q in pairs))
+        candidates.append([(j, q.numerator * (den // q.denominator)) for j, q in pairs])
+    for slot in (
+        ("alpha", (0, 0, 0, w + k)),
+        ("beta", (0, 0, 0, w + 1)),
+        ("xi", (w + 1, 0, 0, 0)),
+        ("eta", (w + k, 0, 0, 0)),
+    ):
+        if min(slot[1]) >= 0:
+            candidates.append([(index[slot], 1)])
+    entries: Dict[Exponents, Dict[int, Rational]] = {}  # residual monomial -> column -> value
+    for col, vec in enumerate(candidates):
+        for j, c in vec:
+            comp, (ex, ey, ea, eb) = ansatz.unknowns[j]
+            factor, sign = _slot_factor(s, comp, ey)
+            c *= sign
+            for (fx, fy, fa, fb), f in factor.items():
+                row = entries.setdefault((fx + ex, fy, fa + ea, fb + eb), {})
+                row[col] = row.get(col, 0) + c * f
+    rows = [list(row.items()) for row in entries.values()]
+    kernel = linalg.nullspace_modular(rows, len(candidates))
+    vectors = []
+    for u in kernel:
+        vec = [0] * len(ansatz)
+        for coefficient, candidate in zip(u, candidates):
+            for j, c in candidate:
+                vec[j] += coefficient * c
+        vectors.append(vec)
+    normal = linalg.kernel_normal_form(vectors, len(ansatz))
+    basis = tuple(ansatz.field_from_vector(vec) for vec in normal)
+    return KernelBasis(w, basis, (len(rows), len(candidates)))
+
+
 def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> SymmetryAlgebra:
     """Kernel bases for every weight from -k up, plus brackets.
 
+    Each weight w is solved on the preimage under ad V, V = d_a + d_y, of
+    g_(w-k), the weight solved k steps before (``_solve_prolonged``): V is in
+    the algebra and the algebra is closed, so [V, X] lies in g_(w-k) for
+    every X in g_w.  ad V differentiates alpha and beta in a and xi and eta
+    in y, so the preimage is spanned by the integrals of g_(w-k)'s basis and
+    ker ad V on the weight-w ansatz, b^(w+k) d_a, b^(w+1) d_b, x^(w+1) d_x
+    and x^(w+k) d_y.  The basis found there is ``solve_weight(s, w)``'s, in
+    its normal form.
+
     With a ``weight_cap`` the weights [-k, weight_cap] are solved.  Without
     one the scan stops at c + k, where c = max(k - 2, highest weight seen so
-    far with a nonzero kernel), which finds the whole algebra by this lemma:
+    far with a nonzero kernel), which finds the whole algebra by this lemma,
+    the case g_(w-k) = 0 of the prolongation:
 
     Let c >= k - 2.  If g_w = 0 for every w in (c, c + k], then g_w = 0 for
-    every w > c.  For X in g_w with w > c + k, [X, V] with V = d_y + d_a
-    lies in g_(w-k) = 0 by induction, so X = c1 x^(w+1) d_x + e x^(w+k) d_y
+    every w > c.  For X in g_w with w > c + k, [V, X] lies in g_(w-k) = 0 by
+    induction, so X lies in ker ad V: X = c1 x^(w+1) d_x + e x^(w+k) d_y
     + e' b^(w+k) d_a + d b^(w+1) d_b.  Tangency asks that
     e x^(w+k) - e' b^(w+k) = c1 x^(w+1) P_x + d b^(w+1) P_b; the left side
     is pure and the right side mixed, and for w >= k - 1 the two mixed sums
@@ -382,7 +463,7 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     m = -k
     while m <= stop:
         ansatz = build_ansatz(s, m)
-        basis = solve_weight(s, m).basis
+        basis = _solve_prolonged(ansatz, [f for w, f in generators if w == m - k]).basis
         blocks[m] = (ansatz, len(generators), [ansatz.vector_from_field(f) for f in basis])
         generators.extend((m, f) for f in basis)
         if basis and weight_cap is None:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from paracr import linalg, solver
 from paracr.surface import ModelSurface
@@ -232,6 +234,32 @@ class TestNullspaceModular:
             repaired += len(bareiss_calls) > 1
         if prime < 5:
             assert repaired > 0
+
+
+class TestKernelNormalForm:
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_scrambled_kernel_gives_bareiss_basis(self, data):
+        ncols = data.draw(st.integers(1, 6), label="ncols")
+        entry = st.integers(-3, 3)
+        rows = data.draw(
+            st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=5), label="rows"
+        )
+        kernel = linalg.nullspace_bareiss(rows, ncols)
+        d = len(kernel)
+        mix = data.draw(
+            st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d), label="mix"
+        )
+        assume(linalg.rank(mix, d) == d)
+        scrambled = [
+            [sum(mix[i][j] * kernel[j][c] for j in range(d)) for c in range(ncols)]
+            for i in range(d)
+        ]
+        assert linalg.kernel_normal_form(scrambled, ncols) == kernel
+
+    def test_empty_and_full_kernels(self):
+        assert linalg.kernel_normal_form([], 3) == []
+        assert linalg.kernel_normal_form([[1, 1], [0, -2]], 2) == [(1, 0), (0, 1)]
 
 
 def reference_rref(rows, ncols):

@@ -501,10 +501,10 @@ class TestOracleBudget:
 
 
 class TestWeightLadderBudget:
-    # Cold, the three cap-32 surfaces (109 weights) take 0.034-0.059 s (7 runs,
+    # Cold, the three cap-32 surfaces (109 weights) take 0.012-0.021 s (7 runs,
     # each in a fresh interpreter) on a 2-vCPU Xeon under Python 3.11; the
-    # budget is 3x the 0.059 s maximum.
-    BUDGET_S = 0.18
+    # budget is 3x the 0.0214 s maximum.
+    BUDGET_S = 0.064
 
     def test_weight_ladder_surfaces(self):
         solve_weight.cache_clear()
@@ -553,20 +553,36 @@ SCAN_SURFACES = suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces
 
 
 def solved_weights(monkeypatch, plant=None):
-    """Patch ``solve_weight`` to record each weight it is called for; ``plant``
-    maps a weight to an extra field added to that weight's basis."""
-    real = solver.solve_weight
+    """Patch the scan's per-weight step to record each weight it is called for;
+    ``plant`` maps a weight to an extra field added to that weight's basis."""
+    real = solver._solve_prolonged
     calls = []
 
-    def spy(s, m):
+    def spy(ansatz, below):
+        m = ansatz.weight
         calls.append(m)
-        kb = real(s, m)
+        kb = real(ansatz, below)
         if plant and m in plant:
             return KernelBasis(m, kb.basis + (plant[m],), kb.system_shape)
         return kb
 
-    monkeypatch.setattr(solver, "solve_weight", spy)
+    monkeypatch.setattr(solver, "_solve_prolonged", spy)
     return calls
+
+
+def patch_weight_bases(monkeypatch, edit):
+    """Make ``solve_weight`` and the scan's per-weight step both return
+    ``edit(m, basis)`` of the full-ansatz basis at each weight m."""
+    real = solver.solve_weight
+
+    def patched(s, m):
+        kb = real(s, m)
+        return KernelBasis(m, edit(m, kb.basis), kb.system_shape)
+
+    monkeypatch.setattr(solver, "solve_weight", patched)
+    monkeypatch.setattr(
+        solver, "_solve_prolonged", lambda ansatz, below: patched(ansatz.surface, ansatz.weight)
+    )
 
 
 class TestWeightScan:
@@ -736,13 +752,7 @@ class TestGradedBrackets:
     def test_weight_basis_misses_bracket(self, monkeypatch):
         # dropping a weight-0 generator of the monomial k=4 algebra leaves
         # [translation, special conformal] outside the weight-0 span
-        real = solver.solve_weight
-
-        def patched(s, m):
-            kb = real(s, m)
-            return KernelBasis(m, kb.basis[:1], kb.system_shape) if m == 0 else kb
-
-        monkeypatch.setattr(solver, "solve_weight", patched)
+        patch_weight_bases(monkeypatch, lambda m, basis: basis[:1] if m == 0 else basis)
         s = ModelSurface(4, (0, 1, 0))
         alg = self.assert_matches_reference(s, 4)
         assert alg.closure_violations
@@ -750,15 +760,9 @@ class TestGradedBrackets:
 
     def test_bracket_weight_above_cap(self, monkeypatch):
         # an extra field at the cap brackets with the weight-k generator to weight 2k
-        real = solver.solve_weight
         s = ModelSurface(4, (0, 1, 0))
         extra = build_ansatz(s, 4).unit_field(0)
-
-        def patched(s, m):
-            kb = real(s, m)
-            return KernelBasis(m, kb.basis + (extra,), kb.system_shape) if m == 4 else kb
-
-        monkeypatch.setattr(solver, "solve_weight", patched)
+        patch_weight_bases(monkeypatch, lambda m, basis: basis + (extra,) if m == 4 else basis)
         alg = self.assert_matches_reference(s, 4)
         assert any(v.weight_sum > 4 for v in alg.closure_violations)
 
@@ -766,19 +770,45 @@ class TestGradedBrackets:
         # a weight-0 "generator" with a stray a^2 d_a: its bracket with the
         # translation d_a + d_y has the term 2a d_a outside the weight -4 ansatz,
         # while the rest, the bracket with the grading field, lies in the span
-        real = solver.solve_weight
         s = ModelSurface(4, (0, 1, 0))
         stray = grading_field(4)
         stray = surface.ParaVectorField(stray.alpha + P("a^2"), stray.beta, stray.xi, stray.eta)
-
-        def patched(s, m):
-            kb = real(s, m)
-            return KernelBasis(m, (stray,), kb.system_shape) if m == 0 else kb
-
-        monkeypatch.setattr(solver, "solve_weight", patched)
+        patch_weight_bases(monkeypatch, lambda m, basis: (stray,) if m == 0 else basis)
         alg = solve_algebra(s, 4)
         i, j = alg.weights.index(-4), alg.weights.index(0)
         assert solver.ClosureViolation(i, j, -4) in alg.closure_violations
+
+
+PROLONGED_CASES = [(s, None) for s in SCAN_SURFACES] + [(s, 32) for s in WEIGHT_LADDER_SURFACES]
+
+
+class TestProlongedSolve:
+    """The scan solves each weight on the preimage under ad V of the weight below."""
+
+    @pytest.mark.parametrize(
+        "s, cap",
+        PROLONGED_CASES,
+        ids=[f"{surface_id(s)}-cap{cap}" for s, cap in PROLONGED_CASES],
+    )
+    def test_same_basis_as_full_ansatz(self, monkeypatch, s, cap):
+        real = solver._solve_prolonged
+        steps = []
+
+        def spy(ansatz, below):
+            kb = real(ansatz, below)
+            steps.append((ansatz, len(below), kb))
+            return kb
+
+        monkeypatch.setattr(solver, "_solve_prolonged", spy)
+        alg = solve_algebra(s, cap)
+        assert [ansatz.weight for ansatz, _, _ in steps] == list(range(-s.k, alg.weight_cap + 1))
+        for ansatz, below, kb in steps:
+            m = ansatz.weight
+            assert kb.basis == solve_weight(s, m).basis, m
+            # the same one form of every coefficient: primitive ints
+            assert all(type(c) is int for f in kb.basis for c in ansatz.vector_from_field(f))
+            assert below == solve_weight(s, m - s.k).dimension
+            assert kb.system_shape[1] <= below + 4, m
 
 
 class TestInvariances:
