@@ -41,18 +41,17 @@ EXIT_OK = 0
 EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
-MAX_WEIGHT_PER_K = 12  # bounds the per-weight system; weight 200 at k = 3 runs for minutes
-# --weight and --weight-cap times the most decimal digits of a gamma numerator or
-# denominator: the powers of y = a + P carry coefficients that grow with both.
+# --weight lies in [-k, 12k] and --weight-cap in [k, 12k]: solve-weight solves the full
+# ansatz, where weight 200 at k = 3 runs for minutes; analyze solves each weight up to the
+# cap on the preimage of the weight k below, and cap 480 at k = 40 takes 0.4-0.55 s end
+# to end
+MAX_WEIGHT_PER_K = 12
+# --weight times the most decimal digits of a gamma numerator or denominator: the
+# powers of y = a + P carry coefficients that grow with both; analyze counts as 2k.
 # At weight 12k and this bound, solve-weight takes 0.9 s at k = 8, 2.4 s at k = 16,
 # 4.1 s at k = 24 (2.1 s with one-digit gammas) and 12 s at k = 40 (6 s); at k = 8,
 # weight 96 with 2,000-digit gammas (192,000) took 59 s
 MAX_WEIGHT_DIGITS = 12_000
-# --weight-cap solves every weight up to the cap, each on the preimage of the weight
-# k below: with one-digit gammas, cap 12k = 120 takes 0.16-0.28 s end to end at k = 10
-# (0.43-0.64 s when each weight solved its full ansatz) and at most 0.25 s for k up
-# to 40; in process, cap 240 at k = 20 takes 0.07 s and cap 480 at k = 40 0.18 s
-MAX_WEIGHT_CAP = 120
 MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200
 # --phi and --psi exponents: finite-type expands (a - g)^N, 0.45 s at a^200 and 8.5 s
@@ -118,8 +117,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("analyze", help="full pipeline report")
     add_surface_flags(p)
     p.add_argument("--weight-cap", type=int, default=None,
-                   help=f"in [k, min(12k, {MAX_WEIGHT_CAP})]; cap^2/2k for a cap of at least "
-                        "2k, else 2k, times the most digits of a gamma numerator or "
+                   help="in [k, 12k]; 2k times the most digits of a gamma numerator or "
                         f"denominator must be at most {MAX_WEIGHT_DIGITS:,}, also with no cap; "
                         "default: scan until the algebra is proved complete")
     add_tolerance_flag(p)
@@ -202,27 +200,19 @@ def _surface(args) -> ModelSurface:
         raise UsageError(str(exc))
 
 
-def _check_gamma_digits(surface: ModelSurface, cap: Optional[int] = None) -> None:
-    # the singular locus's Sturm chain and the uncapped scan count as weight 2k
-    # (2,000-digit gammas: 18.6 s at k = 20); a cap of 2k or more as cap^2/2k,
-    # since analyze solves every weight up to it with powers of y up to cap/k:
-    # at k = 10, cap 120, gammas alternating D-digit nines and small ints, the
-    # last 1/D, ran 16 s at D = 100 and take 3.3-4.9 s at D = 16, the most allowed
-    k2 = 2 * surface.k
-    if cap is None or cap < k2:
-        _check_weight_digits("weight 2k =", k2, surface)
-    else:
-        weight = -(-cap * cap // k2)  # rounded up
-        _check_weight_digits(f"--weight-cap {cap} counts as cap^2/2k =", weight, surface)
+def _check_gamma_digits(surface: ModelSurface) -> None:
+    # the singular locus's Sturm chain and analyze's scan, with or without a cap,
+    # count as weight 2k (2,000-digit gammas: 18.6 s in singular_locus at k = 20);
+    # at the bound, cap 12k took 0.2-1.4 s end to end for each k tried in [3, 40]
+    _check_weight_digits("weight 2k =", 2 * surface.k, surface)
 
 
 def _cmd_analyze(args) -> int:
     surface = _surface(args)
     k, cap = surface.k, args.weight_cap
-    top = min(MAX_WEIGHT_PER_K * k, MAX_WEIGHT_CAP)
-    if cap is not None and not k <= cap <= top:
-        raise UsageError(f"--weight-cap must lie in [{k}, {top}] for k={k}")
-    _check_gamma_digits(surface, cap)
+    if cap is not None and not k <= cap <= MAX_WEIGHT_PER_K * k:
+        raise UsageError(f"--weight-cap must lie in [{k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
+    _check_gamma_digits(surface)
     rep = report_mod.analyze(
         surface.k,
         surface.gamma,

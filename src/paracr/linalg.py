@@ -124,21 +124,22 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
 
     Each row is a sparse row: its (column, value) pairs, in any order, with int
     or Fraction values; a zero value is allowed and adds nothing.  Rows are read
-    shortest first, ties last row first (on tall tangency systems, in
-    ``order_key`` order, full rank then comes after fewer rows than with ties
-    first row first), and each is scaled to integers by the lcm of its
-    denominators only when read, then reduced modulo ``_PRIME`` against a sparse
-    echelon keyed by pivot column, whose rows hold the pairs right of their
-    pivot, scaled so that the pivot is 1 (a row of one entry needs no inverse);
-    a row that adds rank mod p is kept.  Kept rows are independent mod p, hence
-    over Q, so rank ``ncols`` mod p returns ``[]`` in any order.  Otherwise
-    Bareiss runs on the kept rows, made dense, and every row is checked against
-    each basis vector over the integers by a sparse dot product.  Rows with a
-    nonzero product join the kept rows, which raises their rank, and Bareiss
-    runs again.  Once no row fails, the subsystem has the kernel of the full
-    system, and Bareiss's basis depends on the kernel alone, not on the row
-    order: its free columns lie outside the lex-first column basis, and each
-    vector is the primitive kernel vector on the pivots and one free column.
+    shortest first, ties last row first (on tall tangency systems, whose rows
+    come in the order their monomials are first reached, full rank then comes
+    after fewer rows than with ties first row first), and each is scaled to
+    integers by the lcm of its denominators only when read, then reduced
+    modulo ``_PRIME`` against a sparse echelon keyed by pivot column, whose
+    rows hold the pairs right of their pivot, scaled so that the pivot is 1
+    (a row of one entry needs no inverse); a row that adds rank mod p is kept.
+    Kept rows are independent mod p, hence over Q, so rank ``ncols`` mod p
+    returns ``[]`` in any order.  Otherwise Bareiss runs on the kept rows,
+    made dense, and every row is checked against each basis vector over the
+    integers by a sparse dot product.  Rows with a nonzero product join the
+    kept rows, which raises their rank, and Bareiss runs again.  Once no row
+    fails, the subsystem has the kernel of the full system, and Bareiss's
+    basis depends on the kernel alone, not on the row order: its free columns
+    lie outside the lex-first column basis, and each vector is the primitive
+    kernel vector on the pivots and one free column.
     """
     p = _PRIME
     m: List[List[Tuple[int, int]]] = []  # the rows read, scaled to integers

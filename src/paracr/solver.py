@@ -4,19 +4,18 @@ For a fixed weight m the unknown field has one coefficient per admissible
 monomial: alpha and beta monomials a^i b^j satisfy ki + j = m + k and
 ki + j = m + 1, xi and eta monomials x^i y^j satisfy i + kj = m + 1 and
 i + kj = m + k.  The tangency residual is linear in these unknowns, so the
-solution space per weight is the kernel of an exact rational matrix.  That
-matrix is mostly zeros, so it is kept as sparse rows, the (column,
-coefficient) pairs of each residual monomial, from assembly through the
-mod-p kernel.  Its columns are read slot by slot off (a+P)^j and
-(a+P)^j P_x, cached on the surface (see ``tangency_system``) as ``Poly``
-values, whose integral coefficients are plain ints.  ``solve_weight`` solves
-that full system; it is the reference the ``solve-weight`` command prints and
-the oracle certifies.
-
-``solve_algebra`` solves each weight w on a smaller space instead, the
-preimage under ad V, V = d_a + d_y, of g_(w-k): the prolongation of the
-graded algebra below w (Tanaka 1970; Sternberg 1964), at most
-dim g_(w-k) + 4 unknowns, whose kernel is brought to ``solve_weight``'s basis.
+solution space per weight is the kernel of an exact rational matrix.  One
+assembly and one solve serve every weight: ``tangency_system`` builds the
+residual columns of any candidate fields, each a combination of ansatz
+slots, as sparse rows, the (column, coefficient) pairs of each residual
+monomial, read slot by slot off (a+P)^j and (a+P)^j P_x, cached on the
+surface as ``Poly`` values, whose integral coefficients are plain ints.
+``_solve`` takes the kernel of those columns in ansatz coordinates and in
+one normal form.  ``solve_weight`` runs it on the unit fields of the full
+ansatz, the reference the ``solve-weight`` command prints and the oracle
+certifies; ``solve_algebra`` runs it on the preimage under ad V,
+V = d_a + d_y, of g_(w-k): the prolongation of the graded algebra below w
+(Tanaka 1970; Sternberg 1964), at most dim g_(w-k) + 4 candidates.
 
 ``brute_force_check`` certifies each kernel independently: it samples the
 residual of every unit field at random points of F_q, q = 2^31 - 1, each
@@ -138,54 +137,69 @@ def _slot_factor(s: ModelSurface, comp: str, ey: int) -> Tuple[Poly, int]:
 
 
 def tangency_system(
-    s: ModelSurface, ansatz: WeightAnsatz
+    ansatz: WeightAnsatz, candidates: Sequence[Sequence[Tuple[int, int]]]
 ) -> Tuple[List[Exponents], List[linalg.SparseRow]]:
     """The per-weight linear system as (monomials, sparse rows).
 
-    Column i holds the residual of ``ansatz.unit_field(i)``, one row per
-    residual monomial in ``order_key`` order.  Each row lists its nonzero
-    entries as (column, coefficient) pairs in ascending column order; no
-    dense matrix is formed.  ``tangency_residual`` expands to
-    eta x^i y^j -> x^i (a+P)^j, xi x^i y^j -> -x^i (a+P)^j P_x,
-    alpha a^i b^j -> -a^i b^j and beta a^i b^j -> -a^i b^j P_b, so each
-    column is read straight off one ``Poly`` with its exponents shifted by
-    the slot's monomial: (a+P)^j from ``ModelSurface.y_power`` and
-    (a+P)^j P_x from ``ModelSurface.y_power_p_x``, both memoized on the
-    surface.  Integral coefficients are ints.
+    Each candidate is a field given by its (slot, integer coefficient) pairs,
+    and column i holds the residual of candidate i, one row per residual
+    monomial, in the order the monomials are first reached.  Each row lists
+    its (column, coefficient) pairs in ascending column order, a value 0
+    where a candidate's slots cancel; no dense matrix is formed.
+    ``tangency_residual`` expands to eta x^i y^j -> x^i (a+P)^j,
+    xi x^i y^j -> -x^i (a+P)^j P_x, alpha a^i b^j -> -a^i b^j and
+    beta a^i b^j -> -a^i b^j P_b, so each slot is read straight off one
+    ``Poly`` (``_slot_factor``) with its exponents shifted by the slot's
+    monomial: (a+P)^j from ``ModelSurface.y_power`` and (a+P)^j P_x from
+    ``ModelSurface.y_power_p_x``, both memoized on the surface.  Integral
+    coefficients are ints.
     """
-    entries: Dict[Exponents, List[Tuple[int, Rational]]] = {}
-    for col, (comp, (ex, ey, ea, eb)) in enumerate(ansatz.unknowns):
-        factor, sign = _slot_factor(s, comp, ey)
-        for (fx, fy, fa, fb), c in factor.items():
-            entries.setdefault((fx + ex, fy, fa + ea, fb + eb), []).append((col, sign * c))
-    monomials = sorted(entries, key=order_key)
-    return monomials, [entries[exp] for exp in monomials]
+    s = ansatz.surface
+    entries: Dict[Exponents, Dict[int, Rational]] = {}  # residual monomial -> column -> value
+    for col, candidate in enumerate(candidates):
+        for j, c in candidate:
+            comp, (ex, ey, ea, eb) = ansatz.unknowns[j]
+            factor, sign = _slot_factor(s, comp, ey)
+            c *= sign
+            for (fx, fy, fa, fb), f in factor.items():
+                row = entries.setdefault((fx + ex, fy, fa + ea, fb + eb), {})
+                row[col] = row.get(col, 0) + c * f
+    return list(entries), [list(row.items()) for row in entries.values()]
+
+
+def _solve(ansatz: WeightAnsatz, candidates: Sequence[Sequence[Tuple[int, int]]]) -> KernelBasis:
+    """The tangency kernel within the span of independent ``candidates``, in
+    ``solve_weight``'s basis, with shape (residual monomials, candidates).
+
+    ``linalg.nullspace_modular`` solves the candidate columns of
+    ``tangency_system``, the kernel is mapped to ansatz coordinates, and
+    ``linalg.kernel_normal_form`` reads the basis off it.
+    """
+    monomials, rows = tangency_system(ansatz, candidates)
+    vectors = []
+    for u in linalg.nullspace_modular(rows, len(candidates)):
+        vec = [0] * len(ansatz)
+        for coefficient, candidate in zip(u, candidates):
+            for j, c in candidate:
+                vec[j] += coefficient * c
+        vectors.append(vec)
+    normal = linalg.kernel_normal_form(vectors, len(ansatz))
+    basis = tuple(ansatz.field_from_vector(vec) for vec in normal)
+    return KernelBasis(ansatz.weight, basis, (len(monomials), len(candidates)))
 
 
 @lru_cache(maxsize=None)
 def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
-    """Exact kernel of the per-weight tangency system.
+    """Exact kernel of the per-weight tangency system on the full ansatz,
+    whose candidates are its unit fields.
 
-    The kernel comes from ``linalg.nullspace_modular`` on the sparse rows of
-    ``tangency_system``, read shortest first and each scaled to integers when
-    reached: full column rank mod a fixed prime proves the kernel is {0}, as
-    it is at most weights above k.  Otherwise Bareiss runs on the rows that
-    raise the rank mod p, made dense, every row is checked against that
-    kernel over the integers by a sparse dot product, and failing rows are
-    added until none fails, so the basis is the one full Bareiss gives, in
-    any row order.
     Basis fields are primitive-integer normalized with the first nonzero
-    coefficient (in ansatz order) positive.  Results are cached; all
-    returned values are immutable.
+    coefficient (in ansatz order) positive: the basis ``nullspace_bareiss``
+    gives on the full system.  Results are cached; all returned values are
+    immutable.
     """
     ansatz = build_ansatz(s, m)
-    t = len(ansatz)
-    if t == 0:
-        return KernelBasis(m, (), (0, 0))
-    monomials, rows = tangency_system(s, ansatz)
-    kernel = linalg.nullspace_modular(rows, t)
-    basis = tuple(ansatz.field_from_vector(vec) for vec in kernel)
-    return KernelBasis(m, basis, (len(monomials), t))
+    return _solve(ansatz, [[(j, 1)] for j in range(len(ansatz))])
 
 
 def _slot_values(
@@ -368,13 +382,8 @@ def _solve_prolonged(ansatz: WeightAnsatz, below: Sequence[ParaVectorField]) -> 
     The candidates, each scaled to integers, are the integrals of ``below``
     and the fields of ker ad V with exponents >= 0 (see ``solve_algebra``).
     They are independent, since ad V maps the integrals back onto ``below``.
-    A candidate's residual column is the sum of its slots' columns, each read
-    as in ``tangency_system``; the kernel of those columns, mapped to ansatz
-    coordinates, is the tangency kernel within their span, and
-    ``linalg.kernel_normal_form`` brings it to ``solve_weight``'s basis.  The
-    shape is (residual monomials, candidates).
     """
-    s, w, k = ansatz.surface, ansatz.weight, ansatz.surface.k
+    w, k = ansatz.weight, ansatz.surface.k
     index = {slot: i for i, slot in enumerate(ansatz.unknowns)}
     candidates: List[List[Tuple[int, int]]] = []  # (slot, integer coefficient) pairs
     for z in below:
@@ -395,27 +404,7 @@ def _solve_prolonged(ansatz: WeightAnsatz, below: Sequence[ParaVectorField]) -> 
     ):
         if min(slot[1]) >= 0:
             candidates.append([(index[slot], 1)])
-    entries: Dict[Exponents, Dict[int, Rational]] = {}  # residual monomial -> column -> value
-    for col, vec in enumerate(candidates):
-        for j, c in vec:
-            comp, (ex, ey, ea, eb) = ansatz.unknowns[j]
-            factor, sign = _slot_factor(s, comp, ey)
-            c *= sign
-            for (fx, fy, fa, fb), f in factor.items():
-                row = entries.setdefault((fx + ex, fy, fa + ea, fb + eb), {})
-                row[col] = row.get(col, 0) + c * f
-    rows = [list(row.items()) for row in entries.values()]
-    kernel = linalg.nullspace_modular(rows, len(candidates))
-    vectors = []
-    for u in kernel:
-        vec = [0] * len(ansatz)
-        for coefficient, candidate in zip(u, candidates):
-            for j, c in candidate:
-                vec[j] += coefficient * c
-        vectors.append(vec)
-    normal = linalg.kernel_normal_form(vectors, len(ansatz))
-    basis = tuple(ansatz.field_from_vector(vec) for vec in normal)
-    return KernelBasis(w, basis, (len(rows), len(candidates)))
+    return _solve(ansatz, candidates)
 
 
 def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> SymmetryAlgebra:

@@ -82,8 +82,9 @@ class ModelSurface:
     def y_power(self, j: int) -> Poly:
         """(a + P)^j, the value of y^j on the surface.
 
-        Memoized on the surface, so ``tangency_system`` at every weight and
-        ``substitute_y`` share one expansion per power.
+        Memoized on the surface, so ``tangency_system``, at every weight and
+        for every candidate list, and ``substitute_y`` share one expansion
+        per power.
         """
         powers = self._y_powers
         while len(powers) <= j:
@@ -99,7 +100,8 @@ class ModelSurface:
         """(a + P)^j P_x, the product each xi slot x^i y^j contributes.
 
         Memoized on the surface like ``y_power``, so ``tangency_system``
-        expands each product once per surface, not once per weight.
+        expands each product once per surface, not once per weight or per
+        candidate list.
         """
         products = self._y_power_p_x_products
         while len(products) <= j:

@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from paracr.poly import Poly
+from paracr.solver import tangency_system
 from paracr.surface import ModelSurface, ParaVectorField
 
 
@@ -76,6 +77,11 @@ def k_ladder_surfaces():
 def sparse_rows(rows):
     """Dense rows as sparse rows: each row's nonzero (column, value) pairs, ascending."""
     return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+
+
+def unit_system(ansatz):
+    """``tangency_system`` on the unit fields of ``ansatz``: the full per-weight system."""
+    return tangency_system(ansatz, [[(j, 1)] for j in range(len(ansatz))])
 
 
 def dense_rows(rows, ncols):

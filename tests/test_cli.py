@@ -14,7 +14,6 @@ from paracr.cli import (
     EXIT_FLOW,
     EXIT_OK,
     EXIT_USAGE,
-    MAX_WEIGHT_CAP,
     MAX_WEIGHT_DIGITS,
     main,
 )
@@ -28,6 +27,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class BoundsPassed(Exception):
+    """Raised in place of the computation a command starts once its input is within bounds."""
+
+
+def stop_after_bounds(monkeypatch):
+    """Make ``analyze`` and ``solve-weight`` raise ``BoundsPassed`` instead of computing."""
+
+    def passed(*args, **kwargs):
+        raise BoundsPassed
+
+    monkeypatch.setattr(cli_mod.report_mod, "analyze", passed)
+    monkeypatch.setattr(cli_mod, "solve_weight", passed)
 
 
 class TestAnalyze:
@@ -155,25 +168,26 @@ class TestUsageErrors:
         assert code == EXIT_OK
         assert json.loads(out)["algebra"]["dimension"] == 2
 
-    def test_weight_cap_over_absolute_bound_rejected_fast(self, capsys):
-        # within [k, 12k] and the digit bound, this ran for 69 s before MAX_WEIGHT_CAP
+    def test_weight_cap_over_absolute_bound_rejected_fast(self, capsys, monkeypatch):
+        # 12k bounds the cap at every k: cap 480 at k = 40 passes, 481 is refused at once
         gamma = ",".join(str(1 + i % 9) for i in range(39))
+        argv = ["analyze", "--k", "40", "--gamma", gamma, "--format", "json"]
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, "analyze", "--k", "40", "--gamma", gamma, "--weight-cap", "480",
-            "--format", "json",
-        )
+        code, out, err = run(capsys, *argv, "--weight-cap", "481")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert f"--weight-cap must lie in [40, {MAX_WEIGHT_CAP}] for k=40" in err
+        assert "--weight-cap must lie in [40, 480] for k=40" in err
+        stop_after_bounds(monkeypatch)
+        with pytest.raises(BoundsPassed):
+            main(argv + ["--weight-cap", "480"])
 
     def test_largest_weight_cap_at_k40_allowed(self, capsys):
         gamma = ",".join(str(1 + i % 9) for i in range(39))
         argv = ["analyze", "--k", "40", "--gamma", gamma, "--format", "json"]
-        code, out, _ = run(capsys, *argv, "--weight-cap", str(MAX_WEIGHT_CAP))
+        code, out, _ = run(capsys, *argv, "--weight-cap", "480")
         assert code == EXIT_OK
         assert json.loads(out)["algebra"]["dimension"] == 2
-        code, _, _ = run(capsys, *argv, "--weight-cap", str(MAX_WEIGHT_CAP + 1))
+        code, _, _ = run(capsys, *argv, "--weight-cap", "481")
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("weight", ["-4", "37", "200"])
@@ -195,26 +209,33 @@ class TestUsageErrors:
         assert f"weight {weight}:" in out
 
     @pytest.mark.parametrize(
-        "command, flag, counted",
+        "command, flag, counted, weight",
         [
-            ("solve-weight", "--weight", "--weight 96"),
-            ("analyze", "--weight-cap", "--weight-cap 96 counts as cap^2/2k = 576"),
+            ("solve-weight", "--weight", "--weight 96", 96),
+            ("analyze", "--weight-cap", "weight 2k = 16", 16),
         ],
         ids=["solve-weight---weight", "analyze---weight-cap"],
     )
     def test_weight_times_gamma_digits_over_bound_rejected_fast(
-        self, capsys, command, flag, counted
+        self, capsys, monkeypatch, command, flag, counted, weight
     ):
-        # 96 x 2,000 digits: solve-weight ran for about a minute before the bound
-        nines = "9" * 2000
+        # 96 x 2,000 digits: solve-weight ran for about a minute before the bound;
+        # analyze with a cap of 96 counts as weight 2k = 16
+        def argv(digits):
+            nines = "9" * digits
+            gamma = f"{nines},1,{nines},2,{nines},3,1/{nines}"
+            return [command, "--k", "8", "--gamma", gamma, flag, "96"]
+
         start = time.perf_counter()
-        code, out, err = run(
-            capsys, command, "--k", "8", "--gamma", f"{nines},1,{nines},2,{nines},3,1/{nines}",
-            flag, "96",
-        )
+        code, out, err = run(capsys, *argv(2000))
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{counted} times 2000" in err and f"bound {MAX_WEIGHT_DIGITS:,}" in err
+        stop_after_bounds(monkeypatch)
+        with pytest.raises(BoundsPassed):
+            main(argv(MAX_WEIGHT_DIGITS // weight))
+        code, _, err = run(capsys, *argv(MAX_WEIGHT_DIGITS // weight + 1))
+        assert code == EXIT_USAGE and f"{counted} times" in err
 
     @pytest.mark.parametrize("gamma", ["3,{}", "1/{},3", "-{}/7,1"])
     def test_weight_times_gamma_digits_at_bound_allowed(self, capsys, gamma):
@@ -460,9 +481,8 @@ def _alternating_gamma(k, digits):
 
 
 class TestScanDigitBound:
-    """singular-locus, and analyze with no cap or a cap below 2k, count as weight
-    2k against MAX_WEIGHT_DIGITS; analyze with a cap of 2k or more counts as
-    weight cap^2/2k."""
+    """singular-locus, and analyze with or without a cap, count as weight 2k
+    against MAX_WEIGHT_DIGITS."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -483,35 +503,47 @@ class TestScanDigitBound:
         assert f"weight 2k = {2 * int(argv[2])} times" in err
         assert f"bound {MAX_WEIGHT_DIGITS:,}" in err
 
-    def test_tall_cap_with_large_gammas_exits_64_quickly(self, capsys):
-        # 120 x 100 digits is within 12,000, but analyze ran for 16 s on it
+    def test_tall_cap_with_large_gammas_exits_64_quickly(self, capsys, monkeypatch):
+        # at k = 10 and cap 12k = 120, 2k = 20 times 601 digits is over 12,000; 600 pass
+        argv = ["analyze", "--k", "10", "--weight-cap", "120", "--format", "json", "--gamma"]
         t0 = time.perf_counter()
-        code, out, err = run(
-            capsys, "analyze", "--k", "10", "--gamma", _alternating_gamma(10, 100),
-            "--weight-cap", "120", "--format", "json",
-        )
+        code, out, err = run(capsys, *argv, _alternating_gamma(10, 601))
         assert time.perf_counter() - t0 < 1.0
         assert (code, out) == (EXIT_USAGE, "")
-        assert "--weight-cap 120 counts as cap^2/2k = 720 times 100" in err
+        assert "weight 2k = 20 times 601" in err
+        stop_after_bounds(monkeypatch)
+        with pytest.raises(BoundsPassed):
+            main(argv + [_alternating_gamma(10, 600)])
 
     @pytest.mark.parametrize(
         "k, cap, most_digits",
-        [(10, 120, 16), (10, 20, 600), (10, 19, 600), (3, 36, 55), (40, 120, 66), (7, 100, 16)],
+        [
+            (10, 120, 600), (10, 20, 600), (10, 19, 600),
+            (3, 36, 2000), (40, 480, 150), (7, None, 857),
+        ],
     )
-    def test_counted_weight_at_the_edge(self, k, cap, most_digits):
-        # cap^2/2k times the digits, rounded up, against the bound; a cap below 2k counts as 2k
+    def test_counted_weight_at_the_edge(self, capsys, monkeypatch, k, cap, most_digits):
+        # 2k times the digits against the bound, whatever the cap
+        stop_after_bounds(monkeypatch)
+        cap_flag = [] if cap is None else ["--weight-cap", str(cap)]
         for digits, accepted in ((most_digits, True), (most_digits + 1, False)):
-            s = ModelSurface(k, (Fraction(1, 10**digits - 1),) * (k - 1))
+            gamma = ",".join([f"1/{10**digits - 1}"] * (k - 1))
+            argv = ["analyze", "--k", str(k), "--gamma", gamma] + cap_flag
             if accepted:
-                cli_mod._check_gamma_digits(s, cap)
+                with pytest.raises(BoundsPassed):
+                    main(argv)
             else:
-                with pytest.raises(cli_mod.UsageError, match=f"bound {MAX_WEIGHT_DIGITS:,}"):
-                    cli_mod._check_gamma_digits(s, cap)
+                code, _, err = run(capsys, *argv)
+                assert code == EXIT_USAGE
+                assert f"weight 2k = {2 * k} times {digits}" in err
 
     def test_worst_accepted_case(self, capsys):
-        # 2k = 80 times 150 digits is exactly MAX_WEIGHT_DIGITS
+        # 2k = 80 times 150 digits is exactly MAX_WEIGHT_DIGITS, at the largest cap 12k
         gamma = _alternating_gamma(40, 150)
-        code, out, _ = run(capsys, "analyze", "--k", "40", "--gamma", gamma, "--format", "json")
+        code, out, _ = run(
+            capsys, "analyze", "--k", "40", "--gamma", gamma, "--weight-cap", "480",
+            "--format", "json",
+        )
         assert code == EXIT_OK
         assert json.loads(out)["k"] == 40
         code, out, _ = run(capsys, "singular-locus", "--k", "40", "--gamma", gamma)

@@ -24,9 +24,15 @@ from paracr.flows import FlowCheck, ProportionalityWitness
 from paracr.normalform import DefiningFunction, NormalFormError, finite_type, singular_locus
 from paracr.poly import Poly, format_fraction
 from paracr.report import analyze, report_to_dict
-from paracr.solver import build_ansatz, solve_algebra, tangency_system
+from paracr.solver import build_ansatz, solve_algebra
 from paracr.surface import ModelSurface
-from conftest import dense_rows, k_ladder_surfaces, rational_gamma_surfaces, suite_surfaces
+from conftest import (
+    dense_rows,
+    k_ladder_surfaces,
+    rational_gamma_surfaces,
+    suite_surfaces,
+    unit_system,
+)
 from test_liealg import change_basis, random_rational_basis_change
 
 CLI_GOLDEN = Path(__file__).parent / "golden" / "cli_outputs.json"
@@ -159,7 +165,7 @@ def test_kernels_follow_the_scalar_rule(s):
         t = len(ansatz)
         if not t:
             continue
-        rows = tangency_system(s, ansatz)[1]
+        rows = unit_system(ansatz)[1]
         dense = dense_rows(rows, t)
         reduced = linalg.rref(dense, t)[0]
         # the sum of the system's rows, in the basis of its reduced rows

@@ -15,6 +15,7 @@ from conftest import (
     rational_gamma_surfaces,
     sparse_rows,
     suite_surfaces,
+    unit_system,
 )
 
 
@@ -69,7 +70,7 @@ def weight_systems():
         for m in range(-s.k, 3 * s.k + 1):
             ansatz = solver.build_ansatz(s, m)
             if len(ansatz):
-                _, rows = solver.tangency_system(s, ansatz)
+                _, rows = unit_system(ansatz)
                 label = f"k={s.k} gamma={s.gamma} m={m}"
                 systems.append((label, dense_rows(rows, len(ansatz)), len(ansatz)))
     return systems
@@ -100,7 +101,7 @@ def kernel_systems():
         for m in range(-s.k, top + 1):
             ansatz = solver.build_ansatz(s, m)
             if len(ansatz):
-                _, rows = solver.tangency_system(s, ansatz)
+                _, rows = unit_system(ansatz)
                 basis = linalg.nullspace_bareiss(dense_rows(rows, len(ansatz)), len(ansatz))
                 systems.append((f"k={s.k} gamma={s.gamma} m={m}", rows, len(ansatz), basis))
     return systems
@@ -426,7 +427,7 @@ class TestRref:
     def test_tangency_systems(self, s):
         for m in range(-s.k, 3 * s.k + 1):
             ansatz = solver.build_ansatz(s, m)
-            _, rows = solver.tangency_system(s, ansatz)
+            _, rows = unit_system(ansatz)
             self.assert_matches_reference(dense_rows(rows, len(ansatz)), len(ansatz))
 
 

@@ -28,6 +28,7 @@ from conftest import (
     monomial_gamma,
     rational_gamma_surfaces,
     suite_surfaces,
+    unit_system,
 )
 
 
@@ -110,10 +111,12 @@ class TestSolveWeight:
                     assert weight_of(f, g) == m
 
     @pytest.mark.parametrize(
-        "weight, shape, budget_s", [(50, (408, 72), 0.5), (100, (1327, 138), 2.0)]
+        "weight, shape, budget_s", [(50, (408, 72), 0.036), (100, (1327, 138), 0.29)]
     )
     def test_high_weight_runtime_budget(self, weight, shape, budget_s):
-        # a fresh surface and the uncached function: assembly and kernel both run cold
+        # a fresh surface and the uncached function: assembly and kernel both run cold.
+        # Weights 50 and 100 take 0.0067-0.0119 s and 0.058-0.098 s (17 runs, each in a
+        # fresh interpreter) on a 2-vCPU Xeon under Python 3.11; each budget is 3x the maximum.
         s = ModelSurface(3, (3, 3))
         start = time.perf_counter()
         kb = solve_weight.__wrapped__(s, weight)
@@ -124,15 +127,16 @@ class TestSolveWeight:
 
 
 def definitional_system(s, ansatz):
-    """The per-weight system from the residual V(y - a - P) of each unit field,
-    with y expanded by ``Poly.substitute``, not the surface's cached powers."""
+    """The per-weight system as residual monomial -> row, from the residual
+    V(y - a - P) of each unit field, with y expanded by ``Poly.substitute``,
+    not the surface's cached powers."""
     on_s = A + s.p
     residuals = [
         ansatz.unit_field(i).apply(s.defining_poly).substitute({"y": on_s})
         for i in range(len(ansatz))
     ]
-    monomials = sorted({e for r in residuals for e, _ in r.items()}, key=order_key)
-    return monomials, [[r.coefficient(e) for r in residuals] for e in monomials]
+    monomials = {e for r in residuals for e, _ in r.items()}
+    return {e: [r.coefficient(e) for r in residuals] for e in monomials}
 
 
 class TestTangencySystem:
@@ -147,16 +151,13 @@ class TestTangencySystem:
             ansatz = build_ansatz(s, m)
             if not len(ansatz):
                 continue
-            monomials, rows = tangency_system(s, ansatz)
-            rows = dense_rows(rows, len(ansatz))
-            expected_monomials, expected_rows = definitional_system(s, ansatz)
-            assert monomials == expected_monomials
+            monomials, rows = unit_system(ansatz)
+            system = dict(zip(monomials, dense_rows(rows, len(ansatz))))
+            assert len(system) == len(monomials)  # one row per residual monomial
+            assert system == definitional_system(s, ansatz)
             assert solve_weight(s, m).system_shape == (len(rows), len(ansatz))
-            for row, expected_row in zip(rows, expected_rows):
-                assert len(row) == len(ansatz)
-                assert [Fraction(v) for v in row] == expected_row
-                if integral:
-                    assert all(type(v) is int for v in row)
+            if integral:
+                assert all(type(v) is int for row in rows for _, v in row)
 
     @pytest.mark.parametrize(
         "s",
@@ -169,7 +170,7 @@ class TestTangencySystem:
             ansatz = build_ansatz(s, m)
             if not len(ansatz):
                 continue
-            _, rows = tangency_system(s, ansatz)
+            _, rows = unit_system(ansatz)
             for row in rows:
                 columns = [j for j, _ in row]
                 assert columns and columns == sorted(set(columns))
@@ -593,7 +594,7 @@ class TestWeightScan:
         """Kernel of the weight-w tangency system stacked on [V, X] = 0."""
         ansatz = build_ansatz(s, w)
         below = build_ansatz(s, w - s.k)
-        _, rows = tangency_system(s, ansatz)
+        _, rows = unit_system(ansatz)
         rows = dense_rows(rows, len(ansatz))
         columns = []
         for i in range(len(ansatz)):
@@ -663,13 +664,13 @@ class TestWeightScan:
         assert alg.weight_cap == stop and alg.complete
 
     def test_binomial_k30_runtime_budget(self):
-        # cold: the weight cache is cleared; cap 3k took 0.27 s here
-        solver.solve_weight.cache_clear()
+        # cold, on a fresh surface: 0.013-0.025 s (17 runs, each in a fresh interpreter)
+        # on a 2-vCPU Xeon under Python 3.11; the budget is 3x the 0.0249 s maximum
         s = ModelSurface(30, binomial_gamma(30))
         start = time.perf_counter()
         solve_algebra(s)
         elapsed = time.perf_counter() - start
-        assert elapsed < 0.3, f"solve_algebra took {elapsed:.3f}s"
+        assert elapsed < 0.075, f"solve_algebra took {elapsed:.3f}s"
 
 
 def _field_keys(fields):
@@ -809,6 +810,29 @@ class TestProlongedSolve:
             assert all(type(c) is int for f in kb.basis for c in ansatz.vector_from_field(f))
             assert below == solve_weight(s, m - s.k).dimension
             assert kb.system_shape[1] <= below + 4, m
+
+    @pytest.mark.parametrize("s", suite_surfaces() + rational_gamma_surfaces(), ids=surface_id)
+    def test_candidate_columns_match_their_residuals(self, monkeypatch, s):
+        # each candidate's column, against tangency_residual of the field it stands for
+        real = solver._solve
+        steps = []
+
+        def spy(ansatz, candidates):
+            steps.append((ansatz, candidates))
+            return real(ansatz, candidates)
+
+        monkeypatch.setattr(solver, "_solve", spy)
+        alg = solve_algebra(s)
+        assert [ansatz.weight for ansatz, _ in steps] == list(range(-s.k, alg.weight_cap + 1))
+        for ansatz, candidates in steps:
+            monomials, rows = tangency_system(ansatz, candidates)
+            for col, candidate in enumerate(candidates):
+                vec = [0] * len(ansatz)
+                for j, c in candidate:
+                    vec[j] += c
+                expected = tangency_residual(ansatz.field_from_vector(vec), s)
+                column = {e: v for e, row in zip(monomials, rows) for j, v in row if j == col and v}
+                assert column == dict(expected.items()), (ansatz.weight, col)
 
 
 class TestInvariances:
