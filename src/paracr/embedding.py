@@ -9,9 +9,8 @@ coefficients in (a, x); the argument order (a, x, b) is fixed throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .poly import A, B, Poly
 from .surface import MixedComponentError, ModelSurface
@@ -26,8 +25,7 @@ def truncate_b(p: Poly, max_b_degree: int) -> Poly:
     return Poly({exp: c for exp, c in p.items() if exp[3] <= max_b_degree})
 
 
-@dataclass(frozen=True)
-class EmbeddingSeries:
+class EmbeddingSeries(NamedTuple):
     """phi~ = sum_n c_n(a, x) b^n with c_0 = a, solved through order N."""
 
     psi: Poly
@@ -79,8 +77,7 @@ def solve_embedding(psi: Poly, order: int = 8) -> EmbeddingSeries:
     return series
 
 
-@dataclass(frozen=True)
-class InducedDirection:
+class InducedDirection(NamedTuple):
     """The direction field d_b - (phi_b / (1 + phi_a)) d_a on the graph."""
 
     numerator: Poly    # -phi_b
@@ -108,18 +105,32 @@ def induced_Y(series: EmbeddingSeries) -> InducedDirection:
     return InducedDirection(numerator=num, denominator=den, psi_residual=psi_residual)
 
 
-@dataclass(frozen=True)
 class ParaCRFunctionPair:
     """u(x, y) paired with v(a, b); the defining residuals vanish on S."""
 
-    u: Poly
-    v: Poly
+    __slots__ = __match_args__ = ("u", "v")
 
-    def __post_init__(self):
-        if not self.u.uses_only(("x", "y")):
-            raise MixedComponentError(f"u must be a polynomial in (x, y), got {self.u}")
-        if not self.v.uses_only(("a", "b")):
-            raise MixedComponentError(f"v must be a polynomial in (a, b), got {self.v}")
+    def __init__(self, u: Poly, v: Poly):
+        if not u.uses_only(("x", "y")):
+            raise MixedComponentError(f"u must be a polynomial in (x, y), got {u}")
+        if not v.uses_only(("a", "b")):
+            raise MixedComponentError(f"v must be a polynomial in (a, b), got {v}")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParaCRFunctionPair is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.u, self.v) == (other.u, other.v)
+
+    def __hash__(self) -> int:
+        return hash((self.u, self.v))
+
+    def __repr__(self) -> str:
+        return f"ParaCRFunctionPair(u={self.u!r}, v={self.v!r})"
 
 
 def paracr_residuals(f: ParaCRFunctionPair, s: ModelSurface) -> Tuple[Poly, Poly]:

@@ -27,11 +27,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import sub
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, detect_case
 from .poly import VARS, A, B, Poly, X, Y, as_fraction
@@ -79,7 +78,6 @@ ExactPoint = Tuple[Fraction, Fraction, Fraction, Fraction]
 FloatPoint = Tuple[float, float, float, float]
 
 
-@dataclass(frozen=True)
 class FlowMap:
     """A closed-form one-parameter automorphism at a fixed parameter value.
 
@@ -92,11 +90,41 @@ class FlowMap:
     d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
     """
 
-    name: str
-    surface: ModelSurface
-    detection: CaseDetection  # of ``surface``; reused by ``with_param``
-    param: Fraction
-    components: Optional[Tuple[Poly, Poly, Poly, Poly]]
+    __match_args__ = ("name", "surface", "detection", "param", "components")
+
+    def __init__(
+        self,
+        name: str,
+        surface: ModelSurface,
+        detection: CaseDetection,  # of ``surface``; reused by ``with_param``
+        param: Fraction,
+        components: Optional[Tuple[Poly, Poly, Poly, Poly]],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "detection", detection)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "components", components)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.surface, self.detection, self.param, self.components) == (
+            other.name, other.surface, other.detection, other.param, other.components
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.surface, self.detection, self.param, self.components))
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(name={self.name!r}, surface={self.surface!r}, "
+            f"detection={self.detection!r}, param={self.param!r}, "
+            f"components={self.components!r})"
+        )
 
     @property
     def law(self) -> str:
@@ -283,8 +311,7 @@ def verification_params(name: str) -> Tuple[Fraction, Fraction]:
 # -- verification -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProportionalityWitness:
+class ProportionalityWitness(NamedTuple):
     """Pushforward factors F_* X = lambda X' and F_* Y = mu Y' at a point."""
 
     point: Tuple[float, ...]
@@ -294,8 +321,7 @@ class ProportionalityWitness:
     y_residual: float
 
 
-@dataclass(frozen=True)
-class FlowCheck:
+class FlowCheck(NamedTuple):
     check: str
     passed: bool
     exact: bool
@@ -303,8 +329,7 @@ class FlowCheck:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class FlowVerification:
+class FlowVerification(NamedTuple):
     flow_name: str
     params: Tuple[str, ...]
     passed: bool
@@ -589,8 +614,7 @@ def vm1_transcription_mismatch(s: ModelSurface) -> str:
 # -- discrete automorphisms -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignMap:
+class SignMap(NamedTuple):
     """Coordinate sign flip (x, y, a, b) -> (sx x, sy y, sa a, sb b)."""
 
     sx: int
@@ -608,8 +632,7 @@ class SignMap:
         return p.substitute({v: s * g for v, s, g in zip(VARS, self.signs(), (X, Y, A, B))})
 
 
-@dataclass(frozen=True)
-class DiscreteGroup:
+class DiscreteGroup(NamedTuple):
     kind: str  # "Z2" or "Z2xZ2"
     generators: Tuple[SignMap, ...]
 

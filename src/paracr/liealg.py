@@ -14,11 +14,10 @@ subalgebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import Rational, exact
@@ -41,8 +40,7 @@ class InvalidStructureError(ValueError):
     """Antisymmetry or the Jacobi identity fails for a constants table."""
 
 
-@dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NamedTuple):
     """Table c with [e_i, e_j] = sum_l c[i][j][l] e_l, exact rationals."""
 
     table: Table
@@ -100,8 +98,7 @@ def structure_constants(algebra: SymmetryAlgebra) -> StructureConstants:
     return sc
 
 
-@dataclass(frozen=True)
-class AlgebraProfile:
+class AlgebraProfile(NamedTuple):
     """Basis-independent invariants used for classification."""
 
     dimension: int
@@ -246,8 +243,7 @@ def profile(sc: StructureConstants) -> AlgebraProfile:
     )
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     label: str
     profile: AlgebraProfile
 

@@ -9,10 +9,9 @@ binomial ones normalize exactly onto the binomial-coefficient sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import sturm
 from .poly import A, B, Poly, X, Y
@@ -45,23 +44,36 @@ class NormalFormError(ValueError):
     """Raised for inputs outside an operation's stated domain."""
 
 
-@dataclass(frozen=True)
 class DefiningFunction:
     """phi with y = a + phi(a, b, x); phi(0) = 0 and d(phi)/da vanishes at 0."""
 
-    phi: Poly
+    __slots__ = __match_args__ = ("phi",)
 
-    def __post_init__(self):
-        if not self.phi.uses_only(("x", "a", "b")):
+    def __init__(self, phi: Poly):
+        if not phi.uses_only(("x", "a", "b")):
             raise NormalFormError("phi must not involve y")
-        if self.phi.coefficient((0, 0, 0, 0)) != 0:
+        if phi.coefficient((0, 0, 0, 0)) != 0:
             raise NormalFormError("phi must vanish at the origin")
-        if self.phi.coefficient((0, 0, 1, 0)) != 0:
+        if phi.coefficient((0, 0, 1, 0)) != 0:
             raise NormalFormError("d(phi)/da must vanish at the origin")
+        object.__setattr__(self, "phi", phi)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("DefiningFunction is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.phi == other.phi
+
+    def __hash__(self) -> int:
+        return hash((self.phi,))
+
+    def __repr__(self) -> str:
+        return f"DefiningFunction(phi={self.phi!r})"
 
 
-@dataclass(frozen=True)
-class TypeResult:
+class TypeResult(NamedTuple):
     kind: str
     k: Optional[int] = None
     gamma: Optional[Tuple[Fraction, ...]] = None
@@ -164,8 +176,7 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
 # -- case detection ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CaseDetection:
+class CaseDetection(NamedTuple):
     kind: str
     iota: Optional[int] = None
     delta: Optional[Fraction] = None
@@ -196,8 +207,7 @@ def detect_case(s: ModelSurface) -> CaseDetection:
 # -- binomial normalization --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoordinateChange:
+class CoordinateChange(NamedTuple):
     """Target coordinates expressed as polynomials in the source ones."""
 
     x_map: Poly
@@ -206,8 +216,7 @@ class CoordinateChange:
     b_map: Poly
 
 
-@dataclass(frozen=True)
-class BinomialNormalization:
+class BinomialNormalization(NamedTuple):
     change: CoordinateChange        # shears a and y by the pure k-th powers
     model_change: CoordinateChange  # diagonal scaling onto the model shape
     normalized: ModelSurface        # gamma_i = C(k, i)
@@ -257,8 +266,7 @@ def normalize_binomial(s: ModelSurface, detection: CaseDetection) -> BinomialNor
 # -- singular locus ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularLocus:
+class SingularLocus(NamedTuple):
     """Real zero set of P_xb in the (x, b) plane."""
 
     kind: str

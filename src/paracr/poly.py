@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
@@ -472,15 +471,29 @@ def _walk(node, point):
 # -- weighted grading ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Grading:
     """Weights 1 on x and b, k on a and y, with k >= 3."""
 
-    k: int
+    __slots__ = __match_args__ = ("k",)
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 3:
-            raise UnsupportedDegreeError(f"grading requires integer k >= 3, got {self.k!r}")
+    def __init__(self, k: int):
+        if not isinstance(k, int) or k < 3:
+            raise UnsupportedDegreeError(f"grading requires integer k >= 3, got {k!r}")
+        object.__setattr__(self, "k", k)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Grading is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.k == other.k
+
+    def __hash__(self) -> int:
+        return hash((self.k,))
+
+    def __repr__(self) -> str:
+        return f"Grading(k={self.k!r})"
 
     def weight(self, exp: Exponents) -> int:
         ex, ey, ea, eb = exp

@@ -10,9 +10,8 @@ transcription).  Reports serialize to a stable JSON object: rationals as
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import flows as flows_mod
 from . import liealg
@@ -40,8 +39,7 @@ DEFAULT_FLOW_SAMPLES = 20
 _EXPECTED_DIMENSION = {MONOMIAL: 4, BINOMIAL: 3, GENERIC: 2}
 
 
-@dataclass(frozen=True)
-class AlgebraSummary:
+class AlgebraSummary(NamedTuple):
     dimension: int
     weights: Tuple[int, ...]
     generators: Tuple[str, ...]
@@ -50,8 +48,7 @@ class AlgebraSummary:
     classification: str
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     k: int
     gamma: Tuple[Fraction, ...]
     case: CaseDetection

@@ -29,11 +29,10 @@ shares no code with ``tangency_system``, ``Poly`` or the kernel routines of
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .poly import ONE, Exponents, Poly, Rational, order_key
@@ -49,13 +48,36 @@ class OracleMismatchError(AssertionError):
     """The interpolation oracle disagrees with the symbolic kernel."""
 
 
-@dataclass(frozen=True)
 class WeightAnsatz:
     """Unknown layout for one weight: ordered (component, monomial) slots."""
 
-    surface: ModelSurface
-    weight: int
-    unknowns: Tuple[Tuple[str, Exponents], ...]
+    __slots__ = __match_args__ = ("surface", "weight", "unknowns")
+
+    def __init__(
+        self, surface: ModelSurface, weight: int, unknowns: Tuple[Tuple[str, Exponents], ...]
+    ):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "unknowns", unknowns)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WeightAnsatz is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.surface, self.weight, self.unknowns) == (
+            other.surface, other.weight, other.unknowns
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.surface, self.weight, self.unknowns))
+
+    def __repr__(self) -> str:
+        return (
+            f"WeightAnsatz(surface={self.surface!r}, weight={self.weight!r}, "
+            f"unknowns={self.unknowns!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.unknowns)
@@ -110,8 +132,7 @@ def build_ansatz(s: ModelSurface, m: int) -> WeightAnsatz:
     return WeightAnsatz(s, m, tuple(unknowns))
 
 
-@dataclass(frozen=True)
-class KernelBasis:
+class KernelBasis(NamedTuple):
     """Solution space of the tangency condition at one weight."""
 
     weight: int
@@ -329,8 +350,7 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
 # -- full graded algebra -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ClosureViolation:
+class ClosureViolation(NamedTuple):
     left: int
     right: int
     weight_sum: int
@@ -342,8 +362,7 @@ class ClosureViolation:
         )
 
 
-@dataclass(frozen=True)
-class SymmetryAlgebra:
+class SymmetryAlgebra(NamedTuple):
     """Concatenated kernel bases with exact structure constants.
 
     ``weight_cap`` is the last weight solved: the given cap, or the weight

@@ -11,12 +11,11 @@ each product (a + P)^j P_x once per surface (``y_power_p_x``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import A, ONE, Grading, Poly, UnsupportedDegreeError, Y, as_fraction
+from .poly import A, ONE, Exponents, Grading, Poly, Rational, UnsupportedDegreeError, Y, as_fraction
 
 
 class InvalidSurfaceError(ValueError):
@@ -27,26 +26,39 @@ class MixedComponentError(ValueError):
     """Raised when a vector field component mixes the (x,y) and (a,b) sides."""
 
 
-@dataclass(frozen=True)
 class ModelSurface:
     """Degree k plus the coefficient sequence (g_1, ..., g_{k-1}) of P."""
 
-    k: int
-    gamma: Tuple[Fraction, ...]
+    __match_args__ = ("k", "gamma")
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 3:
+    def __init__(self, k: int, gamma: Tuple[Fraction, ...]):
+        if not isinstance(k, int) or k < 3:
             raise UnsupportedDegreeError(
-                f"model surfaces require integer degree k >= 3, got {self.k!r}"
+                f"model surfaces require integer degree k >= 3, got {k!r}"
             )
-        gamma = tuple(as_fraction(g) for g in self.gamma)
-        object.__setattr__(self, "gamma", gamma)
-        if len(gamma) != self.k - 1:
+        gamma = tuple(as_fraction(g) for g in gamma)
+        if len(gamma) != k - 1:
             raise InvalidSurfaceError(
-                f"expected {self.k - 1} coefficients for k={self.k}, got {len(gamma)}"
+                f"expected {k - 1} coefficients for k={k}, got {len(gamma)}"
             )
         if all(g == 0 for g in gamma):
             raise InvalidSurfaceError("at least one gamma coefficient must be nonzero")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "gamma", gamma)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ModelSurface is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.gamma) == (other.k, other.gamma)
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.gamma))
+
+    def __repr__(self) -> str:
+        return f"ModelSurface(k={self.k!r}, gamma={self.gamma!r})"
 
     @cached_property
     def p(self) -> Poly:
@@ -112,11 +124,22 @@ class ModelSurface:
         return Grading(self.k)
 
     def substitute_y(self, p: Poly) -> Poly:
-        """Replace y by a + P(x, b), expanded exactly from ``y_power``."""
-        out = Poly.zero()
+        """Replace y by a + P(x, b), expanded exactly from ``y_power``.
+
+        Each term's product with its power is summed into one map, in one
+        pass; a sum that cancels leaves the map, so the terms come out in
+        the order of adding the products one by one.
+        """
+        terms: Dict[Exponents, Rational] = {}
         for (ex, ey, ea, eb), c in p.items():
-            out = out + Poly.monomial((ex, 0, ea, eb), c) * self.y_power(ey)
-        return out
+            for (x, _, a, b), d in self.y_power(ey).items():
+                key = (ex + x, 0, ea + a, eb + b)
+                total = terms.get(key, 0) + c * d
+                if total:
+                    terms[key] = total
+                else:
+                    del terms[key]
+        return Poly(terms)
 
     def point_from_xab(self, x, a, b) -> Tuple[Fraction, ...]:
         """Lift graph coordinates (x, a, b) to the surface point (x, y, a, b)."""
@@ -125,26 +148,45 @@ class ModelSurface:
         return (x, y, a, b)
 
 
-@dataclass(frozen=True)
 class ParaVectorField:
     """alpha(a,b) d_a + beta(a,b) d_b + xi(x,y) d_x + eta(x,y) d_y."""
 
-    alpha: Poly
-    beta: Poly
-    xi: Poly
-    eta: Poly
+    __match_args__ = ("alpha", "beta", "xi", "eta")
 
-    def __post_init__(self):
+    def __init__(self, alpha: Poly, beta: Poly, xi: Poly, eta: Poly):
         for name, comp, allowed in (
-            ("alpha", self.alpha, ("a", "b")),
-            ("beta", self.beta, ("a", "b")),
-            ("xi", self.xi, ("x", "y")),
-            ("eta", self.eta, ("x", "y")),
+            ("alpha", alpha, ("a", "b")),
+            ("beta", beta, ("a", "b")),
+            ("xi", xi, ("x", "y")),
+            ("eta", eta, ("x", "y")),
         ):
             if not comp.uses_only(allowed):
                 raise MixedComponentError(
                     f"{name} component must use only {allowed}, got {comp}"
                 )
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "eta", eta)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ParaVectorField is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.beta, self.xi, self.eta) == (
+            other.alpha, other.beta, other.xi, other.eta
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.alpha, self.beta, self.xi, self.eta))
+
+    def __repr__(self) -> str:
+        return (
+            f"ParaVectorField(alpha={self.alpha!r}, beta={self.beta!r}, "
+            f"xi={self.xi!r}, eta={self.eta!r})"
+        )
 
     @staticmethod
     def zero() -> "ParaVectorField":
@@ -345,8 +387,7 @@ def ambient_bracket(v: AmbientField, w: AmbientField) -> AmbientField:
     )  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class DirectionPair:
+class DirectionPair(NamedTuple):
     """The induced direction fields X = d_x + P_x d_y and Y = d_b - P_b d_a."""
 
     x_field: AmbientField

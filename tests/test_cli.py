@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import paracr
 from paracr.cli import (
     EXIT_CLOSURE,
     EXIT_FLOW,
@@ -343,6 +347,20 @@ class TestUsageErrors:
         assert fail_lines[0].endswith(": tolerance 0")
 
 
+def test_import_loads_no_dataclass_machinery():
+    # a fresh interpreter without site, so no startup hook imports these first
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(paracr.__file__)))
+    code = (
+        "import sys, paracr, paracr.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestDashValues:
     """Values that start with "-" parse as values, as in the "--flag=value" form."""
 
@@ -552,17 +570,13 @@ class TestScanDigitBound:
 
 class TestExitCodeMapping:
     def test_closure_violation_exit(self, capsys, monkeypatch):
-        import dataclasses
-
         import paracr.cli as cli_mod
 
         real_analyze = cli_mod.report_mod.analyze
 
         def fake_analyze(*args, **kwargs):
             rep = real_analyze(*args, **kwargs)
-            return dataclasses.replace(
-                rep, warnings=rep.warnings + ("closure: synthetic violation",)
-            )
+            return rep._replace(warnings=rep.warnings + ("closure: synthetic violation",))
 
         monkeypatch.setattr(cli_mod.report_mod, "analyze", fake_analyze)
         code, _, _ = run(capsys, "analyze", "--k", "4", "--gamma", "0,1,0")

@@ -2,7 +2,7 @@
 
 Exact values are ints wherever they are integral (``poly.exact``), and
 ``int / int`` is a float in Python, so a division that sees one must go
-through ``Fraction``.  Each test walks a result dataclass field by field,
+through ``Fraction``.  Each test walks a result record field by field,
 through tuples, lists, dicts and the coefficients of every polynomial, and
 asserts that no float appears outside the two places that hold floats by
 design: a flow check's ``max_residual`` and the proportionality witnesses.
@@ -10,7 +10,6 @@ The kernels, the structure constants and the Lie profile are also walked for
 a ``Fraction`` whose denominator is 1, which the rule makes an int.
 """
 
-import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -54,12 +53,14 @@ def floats_in(value, path="result", integral_fractions=False):
             return []
         if isinstance(value, Poly):
             return [f"{path}[{exp}]" for exp, c in value.items() if stray(c)]
-        if dataclasses.is_dataclass(value):
+        # a record's fields: a NamedTuple's _fields, a plain record class's __match_args__
+        names = getattr(value, "_fields", None) or getattr(type(value), "__match_args__", None)
+        if names:
             return [
                 p
-                for f in dataclasses.fields(value)
-                if not (isinstance(value, FlowCheck) and f.name == "max_residual")
-                for p in walk(getattr(value, f.name), f"{path}.{f.name}")
+                for name in names
+                if not (isinstance(value, FlowCheck) and name == "max_residual")
+                for p in walk(getattr(value, name), f"{path}.{name}")
             ]
         if isinstance(value, dict):
             return [p for k, v in value.items() for p in walk(v, f"{path}[{k!r}]")]
@@ -87,11 +88,11 @@ def surface_id(s):
 
 
 def test_walk_finds_a_float():
-    # control: the walk reaches into lists, tuples, dicts and dataclass fields
+    # control: the walk reaches into lists, tuples, dicts and record fields
     s = ModelSurface(3, (Fraction(3), Fraction(3)))
     assert floats_in((s, {"p": Poly.parse("x")})) == []
     assert floats_in(FlowCheck("c", True, True, 0.5, "")) == []
-    assert floats_in(dataclasses.replace(FlowCheck("c", True, True, None), detail=0.5)) == [
+    assert floats_in(FlowCheck("c", True, True, None)._replace(detail=0.5)) == [
         "result.detail"
     ]
     assert floats_in([1, (2, 0.5)]) == ["result[1][1]"]
@@ -115,8 +116,9 @@ def test_serializer_refuses_a_float():
     rep = analyze(4, (1, 0, 1))
     assert rep.algebra.profile.ad_eigenvalue_data == (1,)
     assert report_to_dict(rep)["algebra"]["profile"]["ad_eigenvalue_data"] == ["1"]
-    profile = dataclasses.replace(rep.algebra.profile, ad_eigenvalue_data=(1.0,))
-    planted = dataclasses.replace(rep, algebra=dataclasses.replace(rep.algebra, profile=profile))
+    profile = rep.algebra.profile._replace(ad_eigenvalue_data=(1.0,))
+    planted = rep._replace(algebra=rep.algebra._replace(profile=profile))
+    assert floats_in(planted) == ["result.algebra.profile.ad_eigenvalue_data[0]"]
     with pytest.raises(TypeError, match="1.0"):
         report_to_dict(planted)
 
