@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
-from .poly import A, B, Poly
+from .poly import A, B, Poly, Record
 from .surface import MixedComponentError, ModelSurface
 
 
@@ -105,7 +105,7 @@ def induced_Y(series: EmbeddingSeries) -> InducedDirection:
     return InducedDirection(numerator=num, denominator=den, psi_residual=psi_residual)
 
 
-class ParaCRFunctionPair:
+class ParaCRFunctionPair(Record):
     """u(x, y) paired with v(a, b); the defining residuals vanish on S."""
 
     __slots__ = __match_args__ = ("u", "v")
@@ -115,22 +115,7 @@ class ParaCRFunctionPair:
             raise MixedComponentError(f"u must be a polynomial in (x, y), got {u}")
         if not v.uses_only(("a", "b")):
             raise MixedComponentError(f"v must be a polynomial in (a, b), got {v}")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParaCRFunctionPair is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.u, self.v) == (other.u, other.v)
-
-    def __hash__(self) -> int:
-        return hash((self.u, self.v))
-
-    def __repr__(self) -> str:
-        return f"ParaCRFunctionPair(u={self.u!r}, v={self.v!r})"
+        super().__init__(u, v)
 
 
 def paracr_residuals(f: ParaCRFunctionPair, s: ModelSurface) -> Tuple[Poly, Poly]:

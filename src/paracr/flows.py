@@ -33,7 +33,7 @@ from operator import sub
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, detect_case
-from .poly import VARS, A, B, Poly, X, Y, as_fraction
+from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction
 from .solver import (
     grading_field,
     oblique_translation_field,
@@ -78,7 +78,7 @@ ExactPoint = Tuple[Fraction, Fraction, Fraction, Fraction]
 FloatPoint = Tuple[float, float, float, float]
 
 
-class FlowMap:
+class FlowMap(Record):
     """A closed-form one-parameter automorphism at a fixed parameter value.
 
     ``components`` are the four target coordinates as polynomials in the
@@ -88,43 +88,11 @@ class FlowMap:
     generator field and the Jacobian's polynomials are built once, on first
     use.  ``float_jacobian`` returns the two diagonal blocks
     d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
+    ``detection`` is the ``CaseDetection`` of ``surface``, reused by
+    ``with_param``.
     """
 
     __match_args__ = ("name", "surface", "detection", "param", "components")
-
-    def __init__(
-        self,
-        name: str,
-        surface: ModelSurface,
-        detection: CaseDetection,  # of ``surface``; reused by ``with_param``
-        param: Fraction,
-        components: Optional[Tuple[Poly, Poly, Poly, Poly]],
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "detection", detection)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "components", components)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.name, self.surface, self.detection, self.param, self.components) == (
-            other.name, other.surface, other.detection, other.param, other.components
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.surface, self.detection, self.param, self.components))
-
-    def __repr__(self) -> str:
-        return (
-            f"{type(self).__qualname__}(name={self.name!r}, surface={self.surface!r}, "
-            f"detection={self.detection!r}, param={self.param!r}, "
-            f"components={self.components!r})"
-        )
 
     @property
     def law(self) -> str:

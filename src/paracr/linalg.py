@@ -53,9 +53,7 @@ _PRIME = 2**61 - 1
 
 def _row_to_int(row: Sequence[Rational]) -> List[int]:
     # int and Fraction entries alike: scale numerators to the common denominator
-    denom = 1
-    for v in row:
-        denom = lcm(denom, v.denominator)
+    denom = lcm(*(v.denominator for v in row))
     return [v.numerator * (denom // v.denominator) for v in row]
 
 
@@ -217,8 +215,7 @@ def _echelon(rows: Iterable[Sequence[Rational]], ncols: int) -> Tuple[List[int],
     pivot_cols: List[int] = []
     pivot_rows: List[List[int]] = []
     for row in rows:
-        scale = lcm(*(v.denominator for v in row))
-        ints = [v.numerator * (scale // v.denominator) for v in row]
+        ints = _row_to_int(row)
         content = gcd(*ints)
         if content > 1:
             ints = [v // content for v in ints]

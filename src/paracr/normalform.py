@@ -14,7 +14,8 @@ from math import comb, factorial
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from . import sturm
-from .poly import A, B, Poly, X, Y
+from .linalg import normalize_primitive
+from .poly import A, B, Poly, Record, X, Y
 from .surface import InvalidSurfaceError, ModelSurface
 
 FINITE = "FINITE"
@@ -44,7 +45,7 @@ class NormalFormError(ValueError):
     """Raised for inputs outside an operation's stated domain."""
 
 
-class DefiningFunction:
+class DefiningFunction(Record):
     """phi with y = a + phi(a, b, x); phi(0) = 0 and d(phi)/da vanishes at 0."""
 
     __slots__ = __match_args__ = ("phi",)
@@ -56,21 +57,7 @@ class DefiningFunction:
             raise NormalFormError("phi must vanish at the origin")
         if phi.coefficient((0, 0, 1, 0)) != 0:
             raise NormalFormError("d(phi)/da must vanish at the origin")
-        object.__setattr__(self, "phi", phi)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DefiningFunction is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.phi == other.phi
-
-    def __hash__(self) -> int:
-        return hash((self.phi,))
-
-    def __repr__(self) -> str:
-        return f"DefiningFunction(phi={self.phi!r})"
+        super().__init__(phi)
 
 
 class TypeResult(NamedTuple):
@@ -313,8 +300,6 @@ def singular_locus(s: ModelSurface) -> SingularLocus:
 
 def normal_line(line: Poly) -> Poly:
     """Clear denominators and fix the sign of a linear form in x, b."""
-    from .linalg import normalize_primitive
-
     cx = line.coefficient((1, 0, 0, 0))
     cb = line.coefficient((0, 0, 0, 1))
     nx, nb = normalize_primitive((cx, cb))

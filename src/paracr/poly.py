@@ -26,6 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from operator import attrgetter
 from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
 
 VARS = ("x", "y", "a", "b")
@@ -468,10 +469,57 @@ def _walk(node, point):
     return acc * v**last if last else acc
 
 
+# -- immutable records -----------------------------------------------------
+
+
+class Record:
+    """An immutable value, equal to, hashed and printed by its fields.
+
+    A subclass names its fields once, in order, in ``__match_args__``; it
+    validates its arguments in its own ``__init__``, if it has one, and then
+    calls ``super().__init__`` with every field.  A record equals only a
+    record of exactly its class, never one of a subclass or a base, and
+    hashes as its field tuple.
+    """
+
+    __slots__ = ()
+    __match_args__: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple in one C call; attrgetter of one name returns the bare value
+        get = attrgetter(*cls.__match_args__)
+        cls._values = staticmethod(get if len(cls.__match_args__) > 1 else lambda r: (get(r),))
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(
+                f"{type(self).__name__} takes {len(names)} fields, got {len(values)}"
+            )
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self.__match_args__, self._values(self))
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
 # -- weighted grading ------------------------------------------------------
 
 
-class Grading:
+class Grading(Record):
     """Weights 1 on x and b, k on a and y, with k >= 3."""
 
     __slots__ = __match_args__ = ("k",)
@@ -479,21 +527,7 @@ class Grading:
     def __init__(self, k: int):
         if not isinstance(k, int) or k < 3:
             raise UnsupportedDegreeError(f"grading requires integer k >= 3, got {k!r}")
-        object.__setattr__(self, "k", k)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Grading is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.k == other.k
-
-    def __hash__(self) -> int:
-        return hash((self.k,))
-
-    def __repr__(self) -> str:
-        return f"Grading(k={self.k!r})"
+        super().__init__(k)
 
     def weight(self, exp: Exponents) -> int:
         ex, ey, ea, eb = exp

@@ -35,7 +35,7 @@ from math import lcm
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
-from .poly import ONE, Exponents, Poly, Rational, order_key
+from .poly import ONE, Exponents, Poly, Rational, Record, order_key
 from .surface import ModelSurface, ParaVectorField
 
 COMPONENTS = ("alpha", "beta", "xi", "eta")
@@ -48,36 +48,10 @@ class OracleMismatchError(AssertionError):
     """The interpolation oracle disagrees with the symbolic kernel."""
 
 
-class WeightAnsatz:
+class WeightAnsatz(Record):
     """Unknown layout for one weight: ordered (component, monomial) slots."""
 
     __slots__ = __match_args__ = ("surface", "weight", "unknowns")
-
-    def __init__(
-        self, surface: ModelSurface, weight: int, unknowns: Tuple[Tuple[str, Exponents], ...]
-    ):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "unknowns", unknowns)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightAnsatz is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.surface, self.weight, self.unknowns) == (
-            other.surface, other.weight, other.unknowns
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.surface, self.weight, self.unknowns))
-
-    def __repr__(self) -> str:
-        return (
-            f"WeightAnsatz(surface={self.surface!r}, weight={self.weight!r}, "
-            f"unknowns={self.unknowns!r})"
-        )
 
     def __len__(self) -> int:
         return len(self.unknowns)
@@ -300,7 +274,8 @@ def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
     with a kernel draws all 2t + 16.  The oracle uses none of the symbolic
     path's helpers.  Any disagreement raises ``OracleMismatchError``; a
     gamma denominator divisible by q raises ``ValueError``.  Returns
-    ``solve_weight``'s basis with shape (2t + 16, t), the sampling budget.
+    ``solve_weight``'s basis with shape (2t + 16, t), the sampling budget;
+    an empty ansatz (t = 0) draws no point and gives shape (0, 0).
     """
     q = _ORACLE_PRIME
     if any(g.denominator % q == 0 for g in s.gamma):

@@ -15,7 +15,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .poly import A, ONE, Exponents, Grading, Poly, Rational, UnsupportedDegreeError, Y, as_fraction
+from .poly import (
+    A, ONE, Exponents, Grading, Poly, Rational, Record, UnsupportedDegreeError, Y, as_fraction,
+)
 
 
 class InvalidSurfaceError(ValueError):
@@ -26,7 +28,7 @@ class MixedComponentError(ValueError):
     """Raised when a vector field component mixes the (x,y) and (a,b) sides."""
 
 
-class ModelSurface:
+class ModelSurface(Record):
     """Degree k plus the coefficient sequence (g_1, ..., g_{k-1}) of P."""
 
     __match_args__ = ("k", "gamma")
@@ -43,22 +45,7 @@ class ModelSurface:
             )
         if all(g == 0 for g in gamma):
             raise InvalidSurfaceError("at least one gamma coefficient must be nonzero")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "gamma", gamma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ModelSurface is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.k, self.gamma) == (other.k, other.gamma)
-
-    def __hash__(self) -> int:
-        return hash((self.k, self.gamma))
-
-    def __repr__(self) -> str:
-        return f"ModelSurface(k={self.k!r}, gamma={self.gamma!r})"
+        super().__init__(k, gamma)
 
     @cached_property
     def p(self) -> Poly:
@@ -148,7 +135,7 @@ class ModelSurface:
         return (x, y, a, b)
 
 
-class ParaVectorField:
+class ParaVectorField(Record):
     """alpha(a,b) d_a + beta(a,b) d_b + xi(x,y) d_x + eta(x,y) d_y."""
 
     __match_args__ = ("alpha", "beta", "xi", "eta")
@@ -164,29 +151,7 @@ class ParaVectorField:
                 raise MixedComponentError(
                     f"{name} component must use only {allowed}, got {comp}"
                 )
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "eta", eta)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ParaVectorField is immutable")
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alpha, self.beta, self.xi, self.eta) == (
-            other.alpha, other.beta, other.xi, other.eta
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.alpha, self.beta, self.xi, self.eta))
-
-    def __repr__(self) -> str:
-        return (
-            f"ParaVectorField(alpha={self.alpha!r}, beta={self.beta!r}, "
-            f"xi={self.xi!r}, eta={self.eta!r})"
-        )
+        super().__init__(alpha, beta, xi, eta)
 
     @staticmethod
     def zero() -> "ParaVectorField":

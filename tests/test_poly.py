@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given
 
 from paracr import report
+from paracr.embedding import ParaCRFunctionPair
 from paracr.flows import (
     DEFAULT_SEED,
+    EXP_VK,
     EXP_VM1,
+    EXP_VMK,
+    FlowMap,
+    _RadicalFlow,
     admissible_flow_names,
     flow,
     sample_on_surface,
     verification_params,
 )
-from paracr.normalform import detect_case
+from paracr.normalform import DefiningFunction, detect_case
 from paracr.poly import (
     A,
     B,
@@ -28,10 +33,12 @@ from paracr.poly import (
     Y,
     as_fraction,
 )
-from paracr.surface import ModelSurface
+from paracr.solver import WeightAnsatz, build_ansatz
+from paracr.surface import ModelSurface, ParaVectorField
 from conftest import (
     binomial_gamma,
     k_ladder_surfaces,
+    monomial_gamma,
     poly_st,
     random_poly,
     rational_gamma_surfaces,
@@ -479,6 +486,80 @@ class TestGrading:
             for part in g.components(p).values():
                 total = total + part
             assert total == p
+
+
+_MONOMIAL_K4 = ModelSurface(4, monomial_gamma(4, 1))
+
+# (class, a builder of one record, whether the class has __slots__ all the way down)
+_RECORDS = [
+    (Grading, lambda: Grading(5), True),
+    (ModelSurface, lambda: ModelSurface(4, (1, 0, Fraction(2, 3))), False),
+    (ParaVectorField, lambda: ParaVectorField(P("a^2"), P("b"), P("x y"), P("y")), False),
+    (WeightAnsatz, lambda: build_ansatz(_MONOMIAL_K4, 1), True),
+    (DefiningFunction, lambda: DefiningFunction(P("b^3 x + a^2")), True),
+    (ParaCRFunctionPair, lambda: ParaCRFunctionPair(P("x y"), P("a - b")), True),
+    (FlowMap, lambda: flow(EXP_VMK, _MONOMIAL_K4, 2), False),
+    (_RadicalFlow, lambda: flow(EXP_VK, _MONOMIAL_K4, Fraction(1, 3)), False),
+]
+
+
+def _destructure(record):
+    match record:
+        case Grading(k):
+            return (k,)
+        case ModelSurface(k, gamma):
+            return (k, gamma)
+        case ParaVectorField(alpha, beta, xi, eta):
+            return (alpha, beta, xi, eta)
+        case WeightAnsatz(surface, weight, unknowns):
+            return (surface, weight, unknowns)
+        case DefiningFunction(phi):
+            return (phi,)
+        case ParaCRFunctionPair(u, v):
+            return (u, v)
+        case FlowMap(name, surface, detection, param, components):
+            return (name, surface, detection, param, components)
+
+
+class TestRecord:
+    """The immutable value classes share ``poly.Record``: equal, hashed and
+    printed by the fields named in ``__match_args__``."""
+
+    @pytest.mark.parametrize(
+        "cls, build, slotted", _RECORDS, ids=[c.__qualname__ for c, _, _ in _RECORDS]
+    )
+    def test_value_semantics(self, cls, build, slotted):
+        r, twin = build(), build()
+        assert type(r) is cls and r is not twin
+        names = cls.__match_args__
+        fields = tuple(getattr(r, n) for n in names)
+        assert r == twin and not r != twin
+        assert hash(r) == hash(twin) == hash(fields)
+        assert cls(*fields) == r
+        shown = ", ".join(f"{n}={v!r}" for n, v in zip(names, fields))
+        assert repr(r) == f"{cls.__qualname__}({shown})"
+        with pytest.raises(AttributeError, match="is immutable"):
+            setattr(r, names[0], fields[0])
+        with pytest.raises(AttributeError):
+            r.extra = 1
+        assert hasattr(r, "__dict__") is not slotted
+        assert _destructure(r) == fields
+        with pytest.raises(TypeError):
+            cls(*fields[:-1])
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+
+    def test_reprs(self):
+        assert repr(Grading(5)) == "Grading(k=5)"
+        assert repr(DefiningFunction(P("x b^3"))) == "DefiningFunction(phi=Poly('b^3 x'))"
+
+    def test_class_strict(self):
+        radical = flow(EXP_VK, _MONOMIAL_K4, 1)
+        plain = FlowMap(*_destructure(radical))
+        assert plain != radical and radical != plain
+        assert hash(plain) == hash(radical)
+        assert ModelSurface(3, (1, 1)) != (3, (1, 1))
+        assert Grading(4) != 4
 
 
 class TestTextRoundTrip:
