@@ -37,7 +37,6 @@ from .normalform import (
     detect_case,
     finite_type,
     normalize_binomial,
-    ode_manifold_check,
     singular_locus,
 )
 from .flows import (

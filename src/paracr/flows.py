@@ -488,14 +488,14 @@ def rk4_oracle(
 ) -> FloatPoint:
     """Classical 4th-order integration of dp/dt = V(p) from p0 over time t.
 
-    The whole loop is compiled once per field (``rk4_integrator``), from
-    the source that also defines ``float_velocity``, so each stage runs the
-    field's components inline on scalar locals, with a factor of exponent
-    1 written as the bare variable, a coefficient 1.0 left out and a
-    constant component computed once.  The float operations are part of
-    the contract, so the endpoints are reproducible bit for bit: a stage
-    point is ``p + 0.5 * h * k`` (``p + h * k3`` for the last stage) and a
-    step is ``p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``, per coordinate.
+    The whole loop is compiled once per field (``rk4_integrator``), so
+    each stage runs the field's components inline on scalar locals, with a
+    factor of exponent 1 written as the bare variable, a coefficient 1.0
+    left out and a constant component computed once.  The float operations
+    are part of the contract, so the endpoints are reproducible bit for
+    bit: a stage point is ``p + 0.5 * h * k`` (``p + h * k3`` for the last
+    stage) and a step is ``p + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)``,
+    per coordinate.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")

@@ -10,8 +10,8 @@ binomial ones normalize exactly onto the binomial-coefficient sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from math import comb
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import sturm
 from .linalg import normalize_primitive
@@ -305,42 +305,3 @@ def normal_line(line: Poly) -> Poly:
     nx, nb = normalize_primitive((cx, cb))
     return nx * X + nb * B
 
-
-# -- ODE solution-manifold correspondence -------------------------------------
-
-
-def ode_reconstruction(
-    s: ModelSurface,
-    initial_derivative: Optional[Callable[[int], Poly]] = None,
-) -> Poly:
-    """Rebuild the graph from the Cauchy data of y^(k)(x) = 0.
-
-    The j-th derivative at 0 is j! gamma_{k-j} b^(k-j) for j = 1 .. k-1 and
-    y(0) = a; the Taylor sum then reproduces a + P(x, b).  A different
-    ``initial_derivative`` can be injected to demonstrate failure.
-    """
-    k = s.k
-    if initial_derivative is None:
-        def initial_derivative(j: int) -> Poly:
-            return Poly.monomial((0, 0, 0, k - j), factorial(j) * s.gamma[k - j - 1])
-    result = A
-    for j in range(1, k):
-        term = initial_derivative(j) * Fraction(1, factorial(j)) * X**j
-        result = result + term
-    return result
-
-
-def _strip_pure(p: Poly) -> Poly:
-    return p - _pure_x_part(p) - _pure_b_part(p)
-
-
-def ode_manifold_check(
-    s: ModelSurface,
-    initial_derivative: Optional[Callable[[int], Poly]] = None,
-) -> bool:
-    """Exact identity test between the Taylor rebuild and y = a + P(x, b).
-
-    Pure b and x terms are discarded on both sides before comparison.
-    """
-    rebuilt = ode_reconstruction(s, initial_derivative)
-    return _strip_pure(rebuilt) == _strip_pure(A + s.p)

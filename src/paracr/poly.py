@@ -533,13 +533,6 @@ class Grading(Record):
         ex, ey, ea, eb = exp
         return ex + eb + self.k * (ea + ey)
 
-    def components(self, p: Poly) -> Dict[int, Poly]:
-        """Decompose by weighted degree; the parts sum back to ``p``."""
-        buckets: Dict[int, Dict[Exponents, Rational]] = {}
-        for exp, c in p.items():
-            buckets.setdefault(self.weight(exp), {})[exp] = c
-        return {w: _raw(terms) for w, terms in sorted(buckets.items())}
-
     def weight_of_poly(self, p: Poly) -> Optional[int]:
         """Weighted degree if homogeneous, else None.  Zero gives None."""
         weights = {self.weight(exp) for exp, _ in p.items()}

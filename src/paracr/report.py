@@ -3,9 +3,10 @@
 ``analyze`` runs case detection, finite-type echo, the singular locus, the
 full graded algebra with profile and classification, the discrete group and
 flow verification, and collects warnings (closure violations, dimension
-discrepancies against the expected three-case pattern, the rejected EXP_Vm1
-transcription).  Reports serialize to a stable JSON object: rationals as
-"p/q" strings, polynomials as grammar strings, keys sorted.
+discrepancies against the expected three-case pattern, a monomial exponent
+at the boundary iota = 1 or k - 1, the rejected EXP_Vm1 transcription).
+Reports serialize to a stable JSON object: rationals as "p/q" strings,
+polynomials as grammar strings, keys sorted.
 """
 
 from __future__ import annotations
@@ -347,7 +348,7 @@ def render_report(d: Dict) -> str:
 
 def fail_detail(c: Dict) -> str:
     """The suffix of a check's text line: ": <detail>" when it failed with a
-    detail, else empty, so pass lines read as before."""
+    detail, else empty, so a passed check's line ends at its residual."""
     return f": {c['detail']}" if not c["passed"] and c["detail"] else ""
 
 

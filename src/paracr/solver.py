@@ -365,9 +365,6 @@ class SymmetryAlgebra(NamedTuple):
         k = self.surface.k
         return self.weight_cap >= max(k - 2, max(self.weights)) + k
 
-    def fields(self) -> Tuple[ParaVectorField, ...]:
-        return tuple(f for _, f in self.generators)
-
 
 def _solve_prolonged(ansatz: WeightAnsatz, below: Sequence[ParaVectorField]) -> KernelBasis:
     """``solve_weight``'s basis at ``ansatz.weight`` = w, solved on the

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .poly import (
     A, ONE, Exponents, Grading, Poly, Rational, Record, UnsupportedDegreeError, Y, as_fraction,
@@ -107,9 +107,6 @@ class ModelSurface(Record):
             products.append(self.y_power(len(products)) * self.p_x)
         return products[j]
 
-    def grading(self) -> Grading:
-        return Grading(self.k)
-
     def substitute_y(self, p: Poly) -> Poly:
         """Replace y by a + P(x, b), expanded exactly from ``y_power``.
 
@@ -180,44 +177,34 @@ class ParaVectorField(Record):
         xi, eta, alpha, beta = ambient_bracket(self.ambient, other.ambient)
         return ParaVectorField(alpha, beta, xi, eta)
 
-    def float_velocity(self) -> Callable[[Sequence[float]], Tuple[float, float, float, float]]:
-        """The field as a float function (x, y, a, b) -> (dx, dy, da, db).
-
-        The field is compiled once, on first use, to one straight-line
-        Python function, which every later call returns again.  The same
-        source also defines the field's RK4 integrator (``rk4_integrator``),
-        and one ``compile`` call builds both.  Its float operations are part
-        of the contract, since the RK4 endpoints depend on them bit for bit:
-        each component is ``0.0 + t1 + t2 + ...`` in ``items()`` order, and
-        each term is ``((c * x ** ex) * y ** ey) ...`` with
-        ``c = float(coefficient)``, the factors of exponent 0 left out, a
-        factor of exponent 1 written as the bare variable and a ``c`` of 1.0
-        before a factor left out, all of which are exact (``v ** 1 == v``
-        and ``1.0 * v == v`` for every float).  Every other power stays
-        ``v ** e``, which raises ``OverflowError`` where ``v * v`` would give
-        inf.  A coefficient too large for a float raises ``OverflowError``.
-        No user text reaches ``exec``: the source
-        is built from ``repr`` of floats, fixed variable names and integer
-        exponents alone, and its namespace holds ``range`` and nothing else.
-        """
-        return self._compiled[0]
-
     def rk4_integrator(self) -> Callable[..., Tuple[float, float, float, float]]:
         """The field's compiled RK4 loop, ``integrate(x, y, a, b, h, half, sixth, steps)``.
 
         It runs ``steps`` classical RK4 steps of size ``h`` from the float
         point (x, y, a, b), with ``half = 0.5 * h`` and ``sixth = h / 6.0``,
-        and returns the endpoint.  Each of the four stages evaluates the
-        field's components inline, with the float operations of
-        ``float_velocity``; see ``flows.rk4_oracle`` for the stage and step
-        order.  A constant component's stage values and step increment are
-        computed once, before the loop, by the same operations.  Compiled
-        with ``float_velocity``, from one source.
+        and returns the endpoint; see ``flows.rk4_oracle`` for the stage and
+        step order.  The field is compiled once, on first use, to one
+        straight-line Python function, which every later call returns again.
+        Each of the four stages evaluates the field's components inline, and
+        their float operations are part of the contract, since the RK4
+        endpoints depend on them bit for bit: each component is
+        ``0.0 + t1 + t2 + ...`` in ``items()`` order, and each term is
+        ``((c * x ** ex) * y ** ey) ...`` with ``c = float(coefficient)``, the
+        factors of exponent 0 left out, a factor of exponent 1 written as the
+        bare variable and a ``c`` of 1.0 before a factor left out, all of
+        which are exact (``v ** 1 == v`` and ``1.0 * v == v`` for every
+        float).  Every other power stays ``v ** e``, which raises
+        ``OverflowError`` where ``v * v`` would give inf.  A coefficient too
+        large for a float raises ``OverflowError``.  A constant component's
+        stage values and step increment are computed once, before the loop,
+        by the same operations.  No user text reaches ``exec``: the source is
+        built from ``repr`` of floats, fixed variable names and integer
+        exponents alone, and its namespace holds ``range`` and nothing else.
         """
-        return self._compiled[1]
+        return self._compiled
 
     @cached_property
-    def _compiled(self) -> Tuple[Callable[..., Tuple[float, ...]], Callable[..., Tuple[float, ...]]]:
+    def _compiled(self) -> Callable[..., Tuple[float, float, float, float]]:
         sums = []  # each component's source, reading x{s}, y{s}, a{s} and b{s}
         for comp in (self.xi, self.eta, self.alpha, self.beta):
             terms = ["0.0"]
@@ -230,12 +217,7 @@ class ParaVectorField(Record):
             sums.append(" + ".join(terms))
         read = [v for v in "xyab" if any(f"{v}{{s}}" in expr for expr in sums)]
         constant = {v for v, expr in zip("xyab", sums) if "{s}" not in expr}
-        lines = [
-            "def velocity(point):",
-            "    x, y, a, b = point",
-            f"    return ({', '.join(expr.format(s='') for expr in sums)})",
-            "def integrate(x, y, a, b, h, half, sixth, steps):",
-        ]
+        lines = ["def integrate(x, y, a, b, h, half, sixth, steps):"]
         increment = "sixth * (k1{v} + 2.0 * k2{v} + 2.0 * k3{v} + k4{v})"
         # a constant component's four stage values and its step increment are
         # computed once, by the loop's operations on the same operands
@@ -262,7 +244,7 @@ class ParaVectorField(Record):
         lines.append("    return (x, y, a, b)")
         namespace: Dict[str, object] = {"__builtins__": {}, "range": range}
         exec(compile("\n".join(lines) + "\n", "<ParaVectorField>", "exec"), namespace)
-        return namespace["velocity"], namespace["integrate"]  # type: ignore[return-value]
+        return namespace["integrate"]  # type: ignore[return-value]
 
     def __add__(self, other: "ParaVectorField") -> "ParaVectorField":
         return ParaVectorField(

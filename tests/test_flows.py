@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from typing import List, Sequence
@@ -41,7 +42,7 @@ from paracr import report
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
 from paracr.poly import VARS, A, B, Poly, X, Y
-from paracr.solver import vertical_translation, grading_field
+from paracr.solver import grading_field, special_conformal_field, vertical_translation
 from paracr.surface import ModelSurface, ParaVectorField
 from conftest import (
     binomial_gamma,
@@ -667,7 +668,7 @@ class TestGeneratorConsistency:
                     (u - v) / (2 * h)
                     for u, v in zip(plus.apply_float(fp), minus.apply_float(fp))
                 ]
-                expected = generator.float_velocity()(fp)
+                expected = reference_float_velocity(generator)(fp)
                 for got, want in zip(fd, expected):
                     assert abs(got - want) <= 1e-5 * max(1.0, abs(want))
 
@@ -869,15 +870,6 @@ class TestRk4Kernel:
         assert cases == 850
         assert raised > 0
 
-    def test_velocity_matches_reference_bit_for_bit(self):
-        for s in suite_surfaces() + rational_gamma_surfaces():
-            points = [tuple(float(v) for v in p) for p in sample_on_surface(s, 3, seed=12)]
-            for name in admissible_flow_names(detect_case(s)):
-                v = flow(name, s, RK4_PARAMS[name]).generator
-                for fp in points + self.FAR_POINTS:
-                    assert (_hex_or_error(v.float_velocity(), fp)
-                            == _hex_or_error(reference_float_velocity(v), fp))
-
     # exponent-1 factors in each of x, y, a and b, which the compiled source
     # writes as the bare variable, and one zero component per field; terms of
     # coefficient 1, written with no factor 1.0, and -1; a constant xi read
@@ -903,9 +895,6 @@ class TestRk4Kernel:
         outcomes = set()
         for v in self.EDGE_FIELDS:
             for fp in points:
-                want = _hex_or_error(reference_float_velocity(v), fp)
-                assert _hex_or_error(v.float_velocity(), fp) == want, (str(v), fp)
-                outcomes.add(want if isinstance(want, type) else "values")
                 for t in (0.1, -0.3):
                     want = _hex_or_error(reference_rk4, v, fp, t, 20)
                     got = _hex_or_error(rk4_oracle, v, fp, t, 20)
@@ -925,19 +914,13 @@ class TestRk4Kernel:
             for s in suite_surfaces()
             for name in admissible_flow_names(detect_case(s))
         ]
-        folded = 0
         for v in fields:
-            for code in (v.float_velocity().__code__, v.rk4_integrator().__code__):
-                assert set(code.co_names) <= {"range"}, (str(v), code.co_names)
-                for const in code.co_consts:
-                    if isinstance(const, tuple):
-                        assert all(type(c) is float for c in const), (str(v), const)
-                        folded += 1
-                    else:
-                        assert const is None or type(const) in (float, int), (str(v), const)
-        # a constant field's velocity folds into one tuple of floats
-        assert folded > 0
-
+            code = v.rk4_integrator().__code__
+            assert set(code.co_names) <= {"range"}, (str(v), code.co_names)
+            # every step's increment reads the float constant 2.0
+            assert 2.0 in code.co_consts, (str(v), code.co_consts)
+            for const in code.co_consts:
+                assert const is None or type(const) in (float, int), (str(v), const)
 
     def test_rk4_mismatch_compiles_the_generator_once(self, monkeypatch):
         compiled = []
@@ -949,8 +932,57 @@ class TestRk4Kernel:
         monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
         fm = flow(EXP_VK, MONO, Fraction(1, 10))
         rk4_mismatch(fm, sample_on_surface(MONO, 6), steps=10)
-        fm.generator.float_velocity()((1.0, 2.0, 3.0, 4.0))
+        rk4_oracle(fm.generator, (1.0, 2.0, 3.0, 4.0), 0.1, 10)
         assert len(compiled) == 1
+
+    def test_compiled_once_per_field(self, monkeypatch):
+        compiled = []
+
+        def counting_compile(*args):
+            compiled.append(args)
+            return compile(*args)
+
+        monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
+        v = grading_field(5) + special_conformal_field(5, 2)
+        integrate = v.rk4_integrator()
+        assert v.rk4_integrator() is integrate
+        rk4_oracle(v, (1.0, 2.0, 3.0, 4.0), 0.1, 10)
+        assert len(compiled) == 1
+        # an equal field built apart compiles its own function
+        w = grading_field(5) + special_conformal_field(5, 2)
+        assert w == v and w.rk4_integrator() is not integrate
+        assert len(compiled) == 2
+
+    def test_coefficient_too_large_for_a_float_raises(self):
+        v = ParaVectorField(
+            Poly.zero(), Poly.zero(), Poly({(1, 0, 0, 0): Fraction(10**400, 3)}), Poly.zero()
+        )
+        for _ in range(2):
+            with pytest.raises(OverflowError):
+                v.rk4_integrator()
+
+    def test_tiny_coefficients_round_trip(self):
+        # 1/10^320 is subnormal; -1/10^400 underflows to -0.0
+        tiny = Fraction(1, 10**320)
+        assert 0.0 < float(tiny) < sys.float_info.min
+        v = ParaVectorField(
+            Poly({(0, 0, 0, 0): Fraction(-1, 10**400)}),
+            Poly.zero(),
+            Poly({(0, 0, 0, 0): tiny, (1, 0, 0, 0): tiny}),
+            Poly({(0, 2, 0, 0): -tiny}),
+        )
+        # the subnormal xi at the origin moves x off 0
+        assert rk4_oracle(v, (0.0, 0.0, 0.0, 0.0), 1.0, 1)[0] > 0.0
+        points = [(0.0, 0.0, 0.0, 0.0), (1.0, -2.0, 0.5, 3.0), (-0.7, 1.3, -2.25, -1.1),
+                  (1e10, -3e-5, 7.0, 1e-3)]
+        for fp in points:
+            for t in (0.1, -0.3):
+                want = _hex_or_error(reference_rk4, v, fp, t, 20)
+                assert _hex_or_error(rk4_oracle, v, fp, t, 20) == want, (fp, t)
+
+    def test_zero_field(self):
+        point = (1.0, 2.0, 3.0, 4.0)
+        assert rk4_oracle(ParaVectorField.zero(), point, 1.0, 10) == point
 
 
 class TestFlowDetection:

@@ -1,7 +1,6 @@
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -20,8 +19,6 @@ from paracr.normalform import (
     detect_case,
     finite_type,
     normalize_binomial,
-    ode_manifold_check,
-    ode_reconstruction,
     singular_locus,
 )
 from paracr.poly import Poly
@@ -474,30 +471,3 @@ class TestSturmOracle:
                 if not distinct or abs(r - distinct[-1]) > 1e-4:
                     distinct.append(r)
             assert len(distinct) == expected
-
-
-class TestOdeManifold:
-    def test_reproduces_p(self):
-        s = ModelSurface(3, (1, 1))
-        rebuilt = ode_reconstruction(s)
-        assert rebuilt == P("a + b x^2 + b^2 x")
-        assert ode_manifold_check(s)
-
-    def test_last_coefficient_only(self):
-        k = 5
-        s = ModelSurface(k, monomial_gamma(k, k - 1))
-        assert ode_manifold_check(s)
-        rebuilt = ode_reconstruction(s)
-        assert rebuilt == P("a + b^4 x")
-
-    def test_wrong_factorial_fails(self):
-        s = ModelSurface(3, (1, 1))
-
-        def wrong(j):
-            return Poly.monomial((0, 0, 0, 3 - j), factorial(j + 1) * s.gamma[3 - j - 1])
-
-        assert not ode_manifold_check(s, wrong)
-
-    def test_whole_suite(self, suite):
-        for s in suite:
-            assert ode_manifold_check(s)

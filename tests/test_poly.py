@@ -465,28 +465,6 @@ class TestGrading:
         with pytest.raises(UnsupportedDegreeError):
             Grading(2)
 
-    def test_single_component(self):
-        g = Grading(3)
-        comps = g.components(P("a + b x^2"))
-        assert comps == {3: P("a + b x^2")}
-
-    def test_two_components(self):
-        g = Grading(3)
-        assert g.components(P("a + b")) == {1: P("b"), 3: P("a")}
-
-    def test_zero_gives_empty(self):
-        assert Grading(3).components(Poly.zero()) == {}
-
-    def test_components_reassemble(self):
-        rng = random.Random(5)
-        g = Grading(4)
-        for _ in range(100):
-            p = random_poly(rng)
-            total = Poly.zero()
-            for part in g.components(p).values():
-                total = total + part
-            assert total == p
-
 
 _MONOMIAL_K4 = ModelSurface(4, monomial_gamma(4, 1))
 

@@ -1,11 +1,9 @@
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from paracr import surface as surface_mod
 from paracr.poly import Grading, Poly, UnsupportedDegreeError
 from paracr.surface import (
     InvalidSurfaceError,
@@ -97,100 +95,6 @@ class TestParaVectorField:
             s = ModelSurface(3, gamma)
             v = grading_field(3)
             assert v.apply(s.defining_poly) == 3 * s.defining_poly
-
-
-def _reference_velocity(v, point):
-    # the term-by-term power product, summed in Poly.items() order
-    x, y, a, b = point
-    out = []
-    for comp in (v.xi, v.eta, v.alpha, v.beta):
-        total = 0.0
-        for (ex, ey, ea, eb), c in comp.items():
-            total += float(c) * x**ex * y**ey * a**ea * b**eb
-        out.append(total)
-    return tuple(out)
-
-
-class TestFloatVelocity:
-    FIELDS = [
-        ParaVectorField.zero(),
-        vertical_translation(),
-        grading_field(4),
-        oblique_translation_field(4, Fraction(1, 2), Fraction(2, 3)),
-        grading_field(5) + special_conformal_field(5, 2) + Fraction(-3, 7) * vertical_translation(),
-    ]
-    POINTS = [
-        (0.0, 0.0, 0.0, 0.0),
-        (1.0, -2.0, 0.5, 3.0),
-        (-0.7, 1.3, -2.25, -1.1),
-        (1e10, -3e-5, 7.0, 1e-3),
-    ]
-
-    def test_matches_reference_exactly(self):
-        for v in self.FIELDS:
-            velocity = v.float_velocity()
-            for pt in self.POINTS:
-                assert velocity(pt) == _reference_velocity(v, pt)
-
-    def test_matches_eval_float(self):
-        for v in self.FIELDS:
-            velocity = v.float_velocity()
-            for pt in self.POINTS:
-                expected = [c.eval_float(pt) for c in (v.xi, v.eta, v.alpha, v.beta)]
-                for got, want in zip(velocity(pt), expected):
-                    assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
-
-    def test_zero_field(self):
-        assert ParaVectorField.zero().float_velocity()((1.0, 2.0, 3.0, 4.0)) == (0.0,) * 4
-
-    def test_tiny_coefficients_round_trip(self):
-        # 1/10^320 is subnormal; -1/10^400 underflows to -0.0
-        tiny = Fraction(1, 10**320)
-        assert 0.0 < float(tiny) < sys.float_info.min
-        v = ParaVectorField(
-            Poly({(0, 0, 0, 0): Fraction(-1, 10**400)}),
-            Poly.zero(),
-            Poly({(0, 0, 0, 0): tiny, (1, 0, 0, 0): tiny}),
-            Poly({(0, 2, 0, 0): -tiny}),
-        )
-        velocity = v.float_velocity()
-        assert velocity((0.0, 0.0, 0.0, 0.0))[0] == float(tiny)
-        for pt in self.POINTS:
-            got = [c.hex() for c in velocity(pt)]
-            assert got == [c.hex() for c in _reference_velocity(v, pt)]
-
-    def test_coefficient_too_large_for_a_float_raises(self):
-        v = ParaVectorField(
-            Poly.zero(), Poly.zero(), Poly({(1, 0, 0, 0): Fraction(10**400, 3)}), Poly.zero()
-        )
-        for _ in range(2):
-            with pytest.raises(OverflowError):
-                v.float_velocity()
-
-    def test_compiled_once_per_field(self, monkeypatch):
-        compiled = []
-
-        def counting_compile(*args):
-            compiled.append(args)
-            return compile(*args)
-
-        monkeypatch.setattr(surface_mod, "compile", counting_compile, raising=False)
-        v = grading_field(5) + special_conformal_field(5, 2)
-        velocity = v.float_velocity()
-        assert v.float_velocity() is velocity
-        velocity((1.0, 2.0, 3.0, 4.0))
-        assert len(compiled) == 1
-        # an equal field built apart compiles its own function
-        w = grading_field(5) + special_conformal_field(5, 2)
-        assert w == v and w.float_velocity() is not velocity
-        assert len(compiled) == 2
-
-    def test_float_velocity_at_a_rational_point(self):
-        v = oblique_translation_field(4, Fraction(1, 2), Fraction(2, 3))
-        pt = (Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(5, 4))
-        got = v.float_velocity()(tuple(float(c) for c in pt))
-        exact = [c.eval_exact(pt) for c in (v.xi, v.eta, v.alpha, v.beta)]
-        assert got == pytest.approx([float(c) for c in exact], rel=1e-12)
 
 
 class TestBracket:
@@ -313,7 +217,7 @@ class TestGradedStructure:
         from paracr.solver import build_ansatz
 
         s = ModelSurface(4, (0, 1, 0))
-        g = s.grading()
+        g = Grading(s.k)
         for _ in range(60):
             m = rng.randint(-4, 5)
             n = rng.randint(-4, 5)
@@ -333,7 +237,7 @@ class TestGradedStructure:
 
         rng = random.Random(10)
         s = ModelSurface(3, (1, 1))
-        g = s.grading()
+        g = Grading(s.k)
         for _ in range(60):
             m = rng.randint(-3, 4)
             ans = build_ansatz(s, m)
