@@ -52,14 +52,7 @@ from .flows import (
     sample_on_surface,
     verify_flow,
 )
-from .embedding import (
-    EmbeddingSeries,
-    InducedDirection,
-    ParaCRFunctionPair,
-    induced_Y,
-    paracr_residuals,
-    solve_embedding,
-)
+from .embedding import EmbeddingSeries, solve_embedding
 from .report import AnalysisReport, analyze, render_text, report_to_dict
 
 __version__ = "0.1.0"

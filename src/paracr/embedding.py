@@ -1,4 +1,4 @@
-"""Series solution of the embedding Cauchy problem and function residuals.
+"""Series solution of the embedding Cauchy problem.
 
 Given a canonical frame X = d_x, Y = d_b + psi(x, a, b) d_a, the graph
 y = phi~(a, x, b) embeds the structure when phi~ solves the transport
@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
-from .poly import A, B, Poly, Record
-from .surface import MixedComponentError, ModelSurface
+from .poly import A, B, Poly
 
 
 class EmbeddingError(ValueError):
@@ -75,56 +74,3 @@ def solve_embedding(psi: Poly, order: int = 8) -> EmbeddingSeries:
     if not series.transport_residual().is_zero:
         raise AssertionError("transport recursion produced a nonzero residual")
     return series
-
-
-class InducedDirection(NamedTuple):
-    """The direction field d_b - (phi_b / (1 + phi_a)) d_a on the graph."""
-
-    numerator: Poly    # -phi_b
-    denominator: Poly  # 1 + phi_a
-    psi_residual: Poly
-
-
-def induced_Y(series: EmbeddingSeries) -> InducedDirection:
-    """Rational direction field induced on the embedded graph.
-
-    Certifies that the field annihilates phi~ after clearing denominators
-    and that it matches d_b + psi d_a through order b^(N-2).
-    """
-    phi = series.phi_tilde() - A
-    num = -phi.diff("b")
-    den = Poly.constant(1) + phi.diff("a")
-    if den.coefficient((0, 0, 0, 0)) != 1:
-        raise EmbeddingError("denominator must have constant term 1")
-    phi_tilde = series.phi_tilde()
-    cleared = den * phi_tilde.diff("b") + num * phi_tilde.diff("a")
-    if not cleared.is_zero:
-        raise AssertionError("induced direction does not annihilate the graph")
-    # -phi_b = psi (1 + phi_a) holds through the solved order
-    psi_residual = truncate_b(num - series.psi * den, series.order - 1)
-    return InducedDirection(numerator=num, denominator=den, psi_residual=psi_residual)
-
-
-class ParaCRFunctionPair(Record):
-    """u(x, y) paired with v(a, b); the defining residuals vanish on S."""
-
-    __slots__ = __match_args__ = ("u", "v")
-
-    def __init__(self, u: Poly, v: Poly):
-        if not u.uses_only(("x", "y")):
-            raise MixedComponentError(f"u must be a polynomial in (x, y), got {u}")
-        if not v.uses_only(("a", "b")):
-            raise MixedComponentError(f"v must be a polynomial in (a, b), got {v}")
-        super().__init__(u, v)
-
-
-def paracr_residuals(f: ParaCRFunctionPair, s: ModelSurface) -> Tuple[Poly, Poly]:
-    """(X v, Y u) on the surface; both vanish exactly for well-typed pairs.
-
-    X = d_x + P_x d_y acts on v, and Y = d_b - P_b d_a acts on u with y
-    replaced by a + P.
-    """
-    xv = f.v.diff("x") + s.p_x * f.v.diff("y")
-    u_on_s = s.substitute_y(f.u)
-    yu = u_on_s.diff("b") - s.p_b * u_on_s.diff("a")
-    return (xv, yu)

@@ -20,7 +20,12 @@ run in floating point at samples, and EXP_VK also against the RK4 oracle.
 One rule decides every float check: its worst residual against one
 tolerance, a sample where a float step overflows fails it by name, a check
 that read no sample fails, and a check whose every sample overflowed
-reports no residual.
+reports no residual.  A float check reads all its samples in one pass:
+``Poly.eval_floats`` walks each polynomial's Horner tree once over the
+samples' coordinate columns, and each sample's value takes the float
+operations, in the order, it would take alone.  An ``OverflowError`` at any
+sample reruns the check on each sample alone, so it fails only the samples
+where it arises.
 """
 
 from __future__ import annotations
@@ -86,8 +91,10 @@ class FlowMap(Record):
     The group law is read from the flow table by name, and ``generator``,
     ``float_map`` and ``float_jacobian`` are derived from the fields: the
     generator field and the Jacobian's polynomials are built once, on first
-    use.  ``float_jacobian`` returns the two diagonal blocks
-    d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
+    use.  ``float_map`` and ``float_jacobian`` take a list of points and
+    return one entry per point; ``float_jacobian``'s entry is the two
+    diagonal blocks d(x',y')/d(x,y) and d(a',b')/d(a,b) of the
+    para-holomorphic map.
     ``detection`` is the ``CaseDetection`` of ``surface``, reused by
     ``with_param``.
     """
@@ -115,8 +122,9 @@ class FlowMap(Record):
             return special_conformal_field(k, d.iota)
         return Fraction(1, 1) / d.nu * oblique_translation_field(k, d.delta, d.nu)
 
-    def float_map(self, pt: FloatPoint) -> FloatPoint:
-        return tuple(c.eval_float(pt) for c in self.components)  # type: ignore[return-value]
+    def float_map(self, pts: Sequence[FloatPoint]) -> List[FloatPoint]:
+        """The closed form at each point, by one column walk per component."""
+        return list(zip(*(c.eval_floats(pts) for c in self.components)))
 
     @cached_property
     def _jacobian(self) -> Tuple[List[List[Poly]], List[List[Poly]]]:
@@ -125,11 +133,12 @@ class FlowMap(Record):
         dab = [[comps[i + 2].diff(v) for v in ("a", "b")] for i in range(2)]
         return dx, dab
 
-    def float_jacobian(self, pt: FloatPoint) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
+    def float_jacobian(
+        self, pts: Sequence[FloatPoint]
+    ) -> List[Tuple[Tuple[Tuple[float, ...], ...], ...]]:
+        """The two diagonal blocks at each point, by one column walk per entry."""
         dx, dab = self._jacobian
-        xy = tuple(tuple(d.eval_float(pt) for d in row) for row in dx)
-        ab = tuple(tuple(d.eval_float(pt) for d in row) for row in dab)
-        return (xy, ab)
+        return list(zip(_blocks(dx, pts), _blocks(dab, pts)))
 
     def domain_check(self, pt: FloatPoint) -> Optional[str]:
         """Why the closed form does not apply at ``pt``, or None."""
@@ -146,10 +155,15 @@ class FlowMap(Record):
         violation = self.domain_check(pt)
         if violation:
             raise FlowDomainError(f"{self.name}: {violation} at {pt}")
-        return self.float_map(pt)
+        return self.float_map([pt])[0]
 
     def with_param(self, param) -> "FlowMap":
         return _flow(self.name, self.surface, self.detection, param)
+
+
+def _blocks(rows: List[List[Poly]], pts: Sequence[FloatPoint]):
+    # per point, the rows of polynomials evaluated there, as a tuple of tuples
+    return zip(*(zip(*(d.eval_floats(pts) for d in row)) for row in rows))
 
 
 def _real_root(value: float, index: int) -> float:
@@ -191,34 +205,35 @@ class _RadicalFlow(FlowMap):
             return "flow line leaves the existence domain before time t"
         return None
 
-    def float_map(self, pt: FloatPoint) -> FloatPoint:
-        x, y, a, b = pt
+    def float_map(self, pts: Sequence[FloatPoint]) -> List[FloatPoint]:
         t, rx, rb = self._time_and_roots
-        uy = 1.0 - t * y
-        ua = 1.0 - t * a
-        return (
-            x / _real_root(uy, rx),
-            y / uy,
-            a / ua,
-            b / _real_root(ua, rb),
-        )
+        images = []
+        for x, y, a, b in pts:
+            uy = 1.0 - t * y
+            ua = 1.0 - t * a
+            images.append((x / _real_root(uy, rx), y / uy, a / ua, b / _real_root(ua, rb)))
+        return images
 
-    def float_jacobian(self, pt: FloatPoint) -> Tuple[Tuple[Tuple[float, ...], ...], ...]:
-        x, y, a, b = pt
+    def float_jacobian(
+        self, pts: Sequence[FloatPoint]
+    ) -> List[Tuple[Tuple[Tuple[float, ...], ...], ...]]:
         t, rx, rb = self._time_and_roots
-        uy = 1.0 - t * y
-        ua = 1.0 - t * a
-        ry = _real_root(uy, rx)
-        ra = _real_root(ua, rb)
-        xy_block = (
-            (1.0 / ry, x * (t / rx) * ry ** (-1.0) / uy),
-            (0.0, 1.0 / uy**2),
-        )
-        ab_block = (
-            (1.0 / ua**2, 0.0),
-            (b * (t / rb) * ra ** (-1.0) / ua, 1.0 / ra),
-        )
-        return (xy_block, ab_block)
+        jacobians = []
+        for x, y, a, b in pts:
+            uy = 1.0 - t * y
+            ua = 1.0 - t * a
+            ry = _real_root(uy, rx)
+            ra = _real_root(ua, rb)
+            xy_block = (
+                (1.0 / ry, x * (t / rx) * ry ** (-1.0) / uy),
+                (0.0, 1.0 / uy**2),
+            )
+            ab_block = (
+                (1.0 / ua**2, 0.0),
+                (b * (t / rb) * ra ** (-1.0) / ua, 1.0 / ra),
+            )
+            jacobians.append((xy_block, ab_block))
+        return jacobians
 
 
 def flow(name: str, surface: ModelSurface, param) -> FlowMap:
@@ -317,16 +332,6 @@ def sample_on_surface(s: ModelSurface, count: int, seed: int = DEFAULT_SEED) -> 
     return points
 
 
-def _direction_x(s: ModelSurface, pt) -> Tuple[float, float]:
-    # X = d_x + P_x d_y restricted to the (x, y) block
-    return (1.0, s.p_x.eval_float(pt))
-
-
-def _direction_y(s: ModelSurface, pt) -> Tuple[float, float]:
-    # Y = d_b - P_b d_a in the (a, b) block, ordered (da, db)
-    return (-s.p_b.eval_float(pt), 1.0)
-
-
 def _finite(compute: Callable[[], Iterable[float]]) -> Optional[Tuple[float, ...]]:
     # the floats compute() returns, or None when a float step overflows:
     # an OverflowError, or an inf or nan value
@@ -335,6 +340,16 @@ def _finite(compute: Callable[[], Iterable[float]]) -> Optional[Tuple[float, ...
     except OverflowError:
         return None
     return values if all(math.isfinite(v) for v in values) else None
+
+
+def _finite_rows(compute: Callable[[Sequence], List[Tuple[float, ...]]], points: Sequence):
+    # the row of floats compute(points) returns for each point, None where a
+    # float step overflows; after an OverflowError each point runs alone
+    try:
+        rows = compute(points)
+    except OverflowError:
+        return [_finite(lambda: compute([p])[0]) for p in points]
+    return [row if all(math.isfinite(v) for v in row) else None for row in rows]
 
 
 def _worst(compute: Callable[[], Iterable[float]]) -> Optional[float]:
@@ -363,28 +378,44 @@ def _float_check(
     return FlowCheck(check, not overflowed and worst <= tolerance, False, worst, detail)
 
 
-def _proportionality(fm: FlowMap, fp: FloatPoint) -> Tuple[float, float, float, float]:
-    # pushforwards of X and Y at fp against the direction fields at the image
+def _proportionality(fm: FlowMap, pts: Sequence[FloatPoint]) -> List[Tuple[float, ...]]:
+    # per point: pushforwards of X = d_x + P_x d_y and Y = d_b - P_b d_a
+    # against the direction fields at the image, as (lam, mu, res_x, res_y)
     s = fm.surface
-    xy_block, ab_block = fm.float_jacobian(fp)
-    image = fm.apply_float(fp)
-    vx = _direction_x(s, fp)
-    push_x = (
-        xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
-        xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
-    )
-    target_x = _direction_x(s, image)
-    lam = push_x[0] / target_x[0]
-    res_x = abs(push_x[1] - lam * target_x[1])
-    vy = _direction_y(s, fp)
-    push_y = (
-        ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
-        ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
-    )
-    target_y = _direction_y(s, image)
-    mu = push_y[1] / target_y[1]
-    res_y = abs(push_y[0] - mu * target_y[0])
-    return lam, mu, res_x, res_y
+    images = fm.float_map(pts)
+    rows = []
+    for (xy_block, ab_block), px, px_image, pb, pb_image in zip(
+        fm.float_jacobian(pts),
+        s.p_x.eval_floats(pts),
+        s.p_x.eval_floats(images),
+        s.p_b.eval_floats(pts),
+        s.p_b.eval_floats(images),
+    ):
+        vx = (1.0, px)
+        push_x = (
+            xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
+            xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
+        )
+        target_x = (1.0, px_image)
+        lam = push_x[0] / target_x[0]
+        res_x = abs(push_x[1] - lam * target_x[1])
+        vy = (-pb, 1.0)  # (da, db)
+        push_y = (
+            ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
+            ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
+        )
+        target_y = (-pb_image, 1.0)
+        mu = push_y[1] / target_y[1]
+        res_y = abs(push_y[0] - mu * target_y[0])
+        rows.append((lam, mu, res_x, res_y))
+    return rows
+
+
+def _float_samples(samples: Sequence[ExactPoint]) -> Tuple[List[FloatPoint], int]:
+    # the samples that convert to finite floats, and how many do not
+    rows = _finite_rows(lambda pts: [tuple(float(v) for v in p) for p in pts], samples)
+    converted = [row for row in rows if row is not None]
+    return converted, len(rows) - len(converted)
 
 
 def verify_flow(
@@ -411,18 +442,24 @@ def verify_flow(
     check, and a float check left with no sample fails.  Nothing is skipped
     silently.
     """
+    converted, unconverted = _float_samples(samples)
+    return _verify_flow(fm, converted, unconverted, group_partner, tolerance)
+
+
+def _verify_flow(
+    fm: FlowMap,
+    converted: List[FloatPoint],
+    unconverted: int,
+    group_partner,
+    tolerance: float,
+) -> FlowVerification:
+    # verify_flow on samples already converted to floats, ``unconverted``
+    # more having failed to convert
     s = fm.surface
-    in_domain: List[FloatPoint] = []
-    unconverted = 0
-    for p in samples:
-        fp = _finite(lambda: tuple(float(v) for v in p))
-        if fp is None:
-            unconverted += 1
-        elif fm.domain_check(fp) is None:
-            in_domain.append(fp)
+    in_domain = [fp for fp in converted if fm.domain_check(fp) is None]
     checks: List[FlowCheck] = []
     if unconverted:
-        detail = f"float overflow at {unconverted} of {len(samples)} samples"
+        detail = f"float overflow at {unconverted} of {len(converted) + unconverted} samples"
         checks.append(FlowCheck("float_range", False, False, None, detail))
     total = len(in_domain)
 
@@ -434,17 +471,18 @@ def verify_flow(
             FlowCheck("surface_preservation", ok, True, 0.0 if ok else None, "exact residuals")
         )
     else:
-        residuals = [
-            _worst(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),)) for fp in in_domain
-        ]
+        rows = _finite_rows(
+            lambda pts: [(v,) for v in s.defining_poly.eval_floats(fm.float_map(pts))], in_domain
+        )
+        residuals = [None if row is None else abs(row[0]) for row in rows]
         checks.append(_float_check("surface_preservation", residuals, tolerance, total))
 
     # (2) para-CR property: pushforward proportional to the direction fields;
     # a zero factor is no proportionality, an infinite residual
     witnesses: List[ProportionalityWitness] = []
     residuals = []
-    for fp in in_domain:
-        values = _finite(lambda: _proportionality(fm, fp))
+    rows = _finite_rows(lambda pts: _proportionality(fm, pts), in_domain)
+    for fp, values in zip(in_domain, rows):
         if values is None:
             residuals.append(None)
             continue
@@ -466,14 +504,20 @@ def verify_flow(
             checks.append(FlowCheck("group_law", ok, True, 0.0 if ok else None, "exact"))
         else:
             residuals = []
-            for fp in in_domain:
-                mid = _finite(lambda: fm.apply_float(fp))
+            pairs = []  # (Phi_t(p), p) where the partner and the combined flow apply
+            for fp, mid in zip(in_domain, _finite_rows(fm.float_map, in_domain)):
                 if mid is None:
                     residuals.append(None)
                 elif partner.domain_check(mid) is None and combined.domain_check(fp) is None:
-                    residuals.append(
-                        _worst(lambda: map(sub, partner.apply_float(mid), combined.apply_float(fp)))
-                    )
+                    pairs.append((mid, fp))
+
+            def differences(pairs):
+                composed = partner.float_map([mid for mid, _ in pairs])
+                direct = combined.float_map([fp for _, fp in pairs])
+                return [tuple(map(sub, u, v)) for u, v in zip(composed, direct)]
+
+            rows = _finite_rows(differences, pairs)
+            residuals += [None if row is None else max(abs(v) for v in row) for row in rows]
             checks.append(_float_check("group_law", residuals, tolerance, total))
 
     passed = all(c.passed for c in checks)
@@ -522,21 +566,20 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     counts as ``math.inf``, and so does a coordinate difference that
     overflows, so such a point fails every limit.
     """
-    points = []
-    for p in samples:
-        fp = _finite(lambda: tuple(float(v) for v in p))
-        if fp is None:
-            return math.inf
-        if fm.domain_check(fp) is None and fm.ode_domain_check(fp) is None:
-            points.append(fp)
+    converted, unconverted = _float_samples(samples)
+    if unconverted:
+        return math.inf
+    points = [
+        fp for fp in converted if fm.domain_check(fp) is None and fm.ode_domain_check(fp) is None
+    ]
     if not points:
         raise FlowDomainError(f"{fm.name}: no sample lies in the flow's existence domain")
     worst = 0.0
     time = flow_time(fm)
-    for fp in points:
-        residual = _worst(
-            lambda: map(sub, fm.apply_float(fp), rk4_oracle(fm.generator, fp, time, steps))
-        )
+    for fp, closed in zip(points, _finite_rows(fm.float_map, points)):
+        if closed is None:
+            return math.inf
+        residual = _worst(lambda: map(sub, closed, rk4_oracle(fm.generator, fp, time, steps)))
         if residual is None:
             return math.inf
         worst = max(worst, residual)

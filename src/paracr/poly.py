@@ -7,7 +7,7 @@ denominator of each factor, so integral polynomials multiply with no gcd.
 A polynomial stores a map from exponent quadruples ``(e_x, e_y, e_a, e_b)``
 to nonzero coefficients.  The variable set is closed, so exponents live in
 fixed 4-tuples; this keeps hashing and term ordering trivial.  All
-operations are exact; floating point enters only through ``eval_float``.
+operations are exact; floating point enters only through ``eval_floats``.
 
 Text grammar, shared by the CLI and the test fixtures (whitespace ignored):
 
@@ -26,8 +26,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import attrgetter
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from operator import attrgetter, itemgetter
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 VARS = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -106,7 +106,7 @@ class Poly:
     Besides its terms a polynomial holds its evaluation plan, built from the
     terms alone the first time it is evaluated and kept from then on: the
     integer form of the terms that ``eval_exact`` sums and the Horner tree
-    that ``eval_float`` walks.  The plan never changes a value, and equality
+    that ``eval_floats`` walks.  The plan never changes a value, and equality
     and hashing ignore it.
     """
 
@@ -340,24 +340,38 @@ class Poly:
         return Fraction(total, denominator)
 
     def eval_float(self, point) -> float:
-        """Floating evaluation at (x, y, a, b), by sparse Horner.
+        """Floating evaluation at (x, y, a, b): ``eval_floats`` of one point."""
+        return self.eval_floats((point,))[0]
+
+    def eval_floats(self, points) -> List[float]:
+        """Floating evaluation at each of the points (x, y, a, b), by sparse Horner.
 
         The plan's tree buckets the terms by the exponent of x, then of y,
         a and b, and skips a variable where every term has exponent 0.  A
         node holds its exponents in descending order as gaps, and a leaf the
-        one coefficient with those exponents as ``0.0 + float(c)``.  The
-        walk computes ``acc * v ** gap + sub`` down a node and
-        ``acc * v ** last`` at its end, where ``last`` is not 0; the report
-        witnesses pin this operation order, so values are reproducible bit
-        for bit.  A skipped level or a ``last`` of 0 would multiply by
-        ``v ** 0 == 1.0``, which changes no float.  A coefficient too large
-        for a float stays exact in its leaf, where ``0.0 + c`` raises
-        ``OverflowError`` at every call.
+        one coefficient with those exponents as ``0.0 + float(c)``.  One walk
+        of the tree serves every point: it runs over the points' coordinate
+        columns, one list per node, and computes for each point
+        ``acc * v ** gap + sub`` down a node and ``acc * v ** last`` at its
+        end, where ``last`` is not 0.  Each point's value thus takes the
+        same float operations in the same order as a walk at that point
+        alone; the report witnesses pin this order, so values are
+        reproducible bit for bit.  A skipped level or a ``last`` of 0 would
+        multiply by ``v ** 0 == 1.0``, which changes no float.  An
+        ``OverflowError`` at any point is raised for the whole call, and a
+        caller that needs the other points' values evaluates them one by
+        one.  A coefficient too large for a float stays exact in its leaf,
+        where ``0.0 + c`` raises ``OverflowError`` at every call with a point.
         """
+        if not points:
+            return []
         if not self._terms:
-            return 0.0
+            return [0.0] * len(points)
         tree = (self._plan or self._build_plan())[3]
-        return _walk(tree, tuple(map(float, point)))
+        # one list per coordinate, built by index: zip(*points) would also
+        # build an argument tuple as long as the point list
+        columns = [list(map(float, map(itemgetter(i), points))) for i in range(4)]
+        return _walk(tree, columns, len(points))
 
     def _build_plan(self):
         terms = self._terms
@@ -458,15 +472,16 @@ def _horner_tree(items, vi):
     return (vi, first, rest, order[-1])
 
 
-def _walk(node, point):
+def _walk(node, columns, n):
+    # the node's value at each of n points, from their coordinate columns
     if type(node) is not tuple:
-        return node if type(node) is float else 0.0 + node
+        return [node if type(node) is float else 0.0 + node] * n
     vi, first, rest, last = node
-    v = point[vi]
-    acc = _walk(first, point)
+    column = columns[vi]
+    acc = _walk(first, columns, n)
     for gap, child in rest:
-        acc = acc * v**gap + _walk(child, point)
-    return acc * v**last if last else acc
+        acc = [s * v**gap + c for s, v, c in zip(acc, column, _walk(child, columns, n))]
+    return [s * v**last for s, v in zip(acc, column)] if last else acc
 
 
 # -- immutable records -----------------------------------------------------

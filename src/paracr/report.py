@@ -150,12 +150,14 @@ def verify_flows(
     """Verify each named flow the case admits, at its fixed parameter and
     group-law partner, on ``flow_samples`` points drawn with ``seed``."""
     samples = flows_mod.sample_on_surface(surface, flow_samples, seed=seed)
+    # every flow reads the same samples, converted to floats once
+    converted, unconverted = flows_mod._float_samples(samples)
     verifications = []
     for name in flows_mod.admissible_flow_names(detection):
         param, partner = flows_mod.verification_params(name)
-        fm = flows_mod.flow(name, surface, param)
+        fm = flows_mod._flow(name, surface, detection, param)
         verifications.append(
-            flows_mod.verify_flow(fm, samples, group_partner=partner, tolerance=tolerance)
+            flows_mod._verify_flow(fm, converted, unconverted, partner, tolerance)
         )
     return tuple(verifications)
 

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from math import comb
+from typing import Dict
 
 import pytest
 from hypothesis import settings
@@ -126,6 +127,42 @@ def random_para_field(rng, max_terms=3, max_exp=2):
         random_poly(rng, ("x", "y"), max_terms, max_exp),
         random_poly(rng, ("x", "y"), max_terms, max_exp),
     )
+
+
+# -- float evaluation reference -------------------------------------------------
+
+
+def reference_eval_float(p, point):
+    """``Poly.eval_float`` as it was before the evaluation plan: the sparse
+    Horner below, rebuilt at every call, kept verbatim as the reference."""
+    if not p:
+        return 0.0
+    pt = tuple(float(v) for v in point)
+    return _horner(list(p.items()), pt, 0)
+
+
+def _horner(items, point, vi):
+    # sparse Horner in floats, one variable at a time; the report witnesses
+    # pin this operation order, so eval_float is reproducible bit for bit
+    if vi == 4:
+        total = 0.0
+        for _, c in items:
+            total += float(c)
+        return total
+    buckets: Dict[int, list] = {}
+    for exp, c in items:
+        buckets.setdefault(exp[vi], []).append((exp, c))
+    v = point[vi]
+    acc = None
+    prev = 0
+    for e in sorted(buckets, reverse=True):
+        sub = _horner(buckets[e], point, vi + 1)
+        if acc is None:
+            acc = sub
+        else:
+            acc = acc * v ** (prev - e) + sub
+        prev = e
+    return acc * v**prev
 
 
 # -- hypothesis strategies -----------------------------------------------------

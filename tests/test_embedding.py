@@ -4,17 +4,10 @@ from math import factorial
 
 import pytest
 
-from paracr.embedding import (
-    EmbeddingError,
-    ParaCRFunctionPair,
-    induced_Y,
-    paracr_residuals,
-    solve_embedding,
-    truncate_b,
-)
-from paracr.poly import Poly
-from paracr.surface import MixedComponentError, ModelSurface
-from conftest import random_poly
+from paracr.embedding import EmbeddingError, solve_embedding, truncate_b
+from paracr.linalg import rank
+from paracr.poly import A, Poly, X
+from conftest import k_ladder_surfaces, random_poly, suite_surfaces
 
 
 def P(text):
@@ -78,62 +71,36 @@ class TestSolveEmbedding:
             assert series.phi_tilde() == P("a") - truncate_b(integral, 10)
 
 
-class TestInducedY:
-    def test_zero_psi_gives_db(self):
-        ind = induced_Y(solve_embedding(Poly.zero(), 6))
-        assert ind.numerator.is_zero
-        assert ind.denominator == P("1")
-        assert ind.psi_residual.is_zero
+class TestModelFrame:
+    """The model surface's own frame embeds as the model surface."""
 
-    def test_constant_psi(self):
-        ind = induced_Y(solve_embedding(P("3"), 6))
-        assert ind.numerator == P("3")
-        assert ind.denominator == P("1")
-        assert ind.psi_residual.is_zero
+    def test_model_frame_embeds_as_the_model(self):
+        # Y = d_b - P_b d_a is psi = -P_b, and phi~ = a + P solves the
+        # transport problem: P has b-degree below k and vanishes at b = 0
+        for s in suite_surfaces() + k_ladder_surfaces():
+            for order in (s.k, s.k + 3):
+                assert solve_embedding(-s.p_b, order).phi_tilde() == A + s.p, (s, order)
 
-    def test_psi_a_residual_vanishes(self):
-        ind = induced_Y(solve_embedding(P("a"), 8))
-        assert ind.psi_residual.is_zero
+    def test_kernel_of_y_is_functions_of_x_and_y(self):
+        # a polynomial f(x, a, b) with Y f = f_b - P_b f_a = 0 is u(x, a + P):
+        # in weighted degree d the kernel has one element per monomial
+        # x^i y^j with i + k j = d, and x^i (a + P)^j is that element
+        for s in suite_surfaces():
+            k = s.k
 
-    def test_random_psi_residual_vanishes(self):
-        rng = random.Random(10)
-        for _ in range(15):
-            psi = random_poly(rng, ("x", "a", "b"), max_terms=3, max_exp=2)
-            ind = induced_Y(solve_embedding(psi, 7))
-            assert ind.psi_residual.is_zero
+            def apply_y(f):
+                return f.diff("b") - s.p_b * f.diff("a")
 
-
-class TestParaCRFunctions:
-    def test_coordinate_pair(self):
-        s = ModelSurface(4, (0, 1, 0))
-        pair = ParaCRFunctionPair(P("x"), P("a"))
-        assert paracr_residuals(pair, s) == (Poly.zero(), Poly.zero())
-
-    def test_y_b_pair(self):
-        s = ModelSurface(4, (0, 1, 0))
-        pair = ParaCRFunctionPair(P("y"), P("b"))
-        assert paracr_residuals(pair, s) == (Poly.zero(), Poly.zero())
-
-    def test_ill_typed_rejected(self):
-        with pytest.raises(MixedComponentError):
-            ParaCRFunctionPair(P("x"), P("x"))
-
-    def test_two_sided_extension(self):
-        pair = ParaCRFunctionPair(P("x^2 y"), P("a - b^3"))
-        assert (pair.u, pair.v) == (P("x^2 y"), P("a - b^3"))
-
-    def test_linearity(self):
-        rng = random.Random(12)
-        s = ModelSurface(3, (1, 1))
-        for _ in range(15):
-            u1 = random_poly(rng, ("x", "y"), 3, 2)
-            u2 = random_poly(rng, ("x", "y"), 3, 2)
-            v1 = random_poly(rng, ("a", "b"), 3, 2)
-            v2 = random_poly(rng, ("a", "b"), 3, 2)
-            c = Fraction(rng.randint(-3, 3))
-            p1 = ParaCRFunctionPair(u1 + c * u2, v1 + c * v2)
-            xv, yu = paracr_residuals(p1, s)
-            xv1, yu1 = paracr_residuals(ParaCRFunctionPair(u1, v1), s)
-            xv2, yu2 = paracr_residuals(ParaCRFunctionPair(u2, v2), s)
-            assert xv == xv1 + c * xv2
-            assert yu == yu1 + c * yu2
+            for d in range(3 * k):
+                basis = [
+                    Poly.monomial((i, 0, j, d - i - k * j))
+                    for j in range(d // k + 1)
+                    for i in range(d - k * j + 1)
+                ]
+                images = [apply_y(f) for f in basis]
+                targets = sorted({exp for image in images for exp, _ in image.items()})
+                rows = [[image.coefficient(t) for image in images] for t in targets]
+                kernel_dim = len(basis) - rank(rows, len(basis))
+                assert kernel_dim == d // k + 1, (s, d)
+                for j in range(d // k + 1):
+                    assert apply_y(X ** (d - k * j) * (A + s.p) ** j).is_zero

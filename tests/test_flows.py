@@ -24,7 +24,7 @@ from paracr.flows import (
     InadmissibleFlowError,
     ProportionalityWitness,
     _finite,
-    _proportionality,
+    _real_root,
     admissible_flow_names,
     discrete_group,
     flow,
@@ -49,6 +49,7 @@ from conftest import (
     k_ladder_surfaces,
     monomial_gamma,
     rational_gamma_surfaces,
+    reference_eval_float,
     suite_surfaces,
 )
 
@@ -408,6 +409,92 @@ def _overflow_detail(detail: str, overflowed: int, total: int) -> str:
     return f"{detail}; {note}" if detail else note
 
 
+# FlowMap.float_map, FlowMap.float_jacobian and the proportionality as they
+# were at one point at a time, kept verbatim as the reference of the column
+# walk, with each Poly.eval_float read through reference_eval_float, so the
+# reference shares no batched code.
+
+
+def reference_float_map(fm: FlowMap, pt: FloatPoint) -> FloatPoint:
+    if fm.is_polynomial:
+        return tuple(reference_eval_float(c, pt) for c in fm.components)
+    x, y, a, b = pt
+    t, rx, rb = fm._time_and_roots
+    uy = 1.0 - t * y
+    ua = 1.0 - t * a
+    return (
+        x / _real_root(uy, rx),
+        y / uy,
+        a / ua,
+        b / _real_root(ua, rb),
+    )
+
+
+def reference_float_jacobian(fm: FlowMap, pt: FloatPoint):
+    if fm.is_polynomial:
+        dx, dab = fm._jacobian
+        xy = tuple(tuple(reference_eval_float(d, pt) for d in row) for row in dx)
+        ab = tuple(tuple(reference_eval_float(d, pt) for d in row) for row in dab)
+        return (xy, ab)
+    x, y, a, b = pt
+    t, rx, rb = fm._time_and_roots
+    uy = 1.0 - t * y
+    ua = 1.0 - t * a
+    ry = _real_root(uy, rx)
+    ra = _real_root(ua, rb)
+    xy_block = (
+        (1.0 / ry, x * (t / rx) * ry ** (-1.0) / uy),
+        (0.0, 1.0 / uy**2),
+    )
+    ab_block = (
+        (1.0 / ua**2, 0.0),
+        (b * (t / rb) * ra ** (-1.0) / ua, 1.0 / ra),
+    )
+    return (xy_block, ab_block)
+
+
+def reference_apply_float(fm: FlowMap, point: Sequence[float]) -> FloatPoint:
+    pt = tuple(float(v) for v in point)
+    violation = fm.domain_check(pt)
+    if violation:
+        raise FlowDomainError(f"{fm.name}: {violation} at {pt}")
+    return reference_float_map(fm, pt)
+
+
+def _direction_x(s: ModelSurface, pt):
+    # X = d_x + P_x d_y restricted to the (x, y) block
+    return (1.0, reference_eval_float(s.p_x, pt))
+
+
+def _direction_y(s: ModelSurface, pt):
+    # Y = d_b - P_b d_a in the (a, b) block, ordered (da, db)
+    return (-reference_eval_float(s.p_b, pt), 1.0)
+
+
+def reference_proportionality(fm: FlowMap, fp: FloatPoint):
+    # pushforwards of X and Y at fp against the direction fields at the image
+    s = fm.surface
+    xy_block, ab_block = reference_float_jacobian(fm, fp)
+    image = reference_apply_float(fm, fp)
+    vx = _direction_x(s, fp)
+    push_x = (
+        xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
+        xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
+    )
+    target_x = _direction_x(s, image)
+    lam = push_x[0] / target_x[0]
+    res_x = abs(push_x[1] - lam * target_x[1])
+    vy = _direction_y(s, fp)
+    push_y = (
+        ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
+        ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
+    )
+    target_y = _direction_y(s, image)
+    mu = push_y[1] / target_y[1]
+    res_y = abs(push_y[0] - mu * target_y[0])
+    return lam, mu, res_x, res_y
+
+
 
 def reference_verify_flow(
     fm: FlowMap,
@@ -447,7 +534,9 @@ def reference_verify_flow(
         worst_f = 0.0
         overflowed = 0
         for fp in in_domain:
-            residual = _finite(lambda: (s.defining_poly.eval_float(fm.apply_float(fp)),))
+            residual = _finite(
+                lambda: (reference_eval_float(s.defining_poly, reference_apply_float(fm, fp)),)
+            )
             if residual is None:
                 overflowed += 1
             else:
@@ -467,7 +556,7 @@ def reference_verify_flow(
     prop_ok = True
     overflowed = 0
     for fp in in_domain:
-        values = _finite(lambda: _proportionality(fm, fp))
+        values = _finite(lambda: reference_proportionality(fm, fp))
         if values is None:
             overflowed += 1
             continue
@@ -503,7 +592,7 @@ def reference_verify_flow(
             checked = 0
             overflowed = 0
             for fp in in_domain:
-                mid = _finite(lambda: fm.apply_float(fp))
+                mid = _finite(lambda: reference_apply_float(fm, fp))
                 if mid is None:
                     overflowed += 1
                     continue
@@ -512,7 +601,10 @@ def reference_verify_flow(
                 diffs = _finite(
                     lambda: [
                         abs(u - v)
-                        for u, v in zip(partner.apply_float(mid), combined.apply_float(fp))
+                        for u, v in zip(
+                            reference_apply_float(partner, mid),
+                            reference_apply_float(combined, fp),
+                        )
                     ]
                 )
                 if diffs is None:
@@ -546,7 +638,7 @@ def reference_rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: in
     worst = 0.0
     time = flow_time(fm)
     for fp in points:
-        closed = _finite(lambda: fm.apply_float(fp))
+        closed = _finite(lambda: reference_apply_float(fm, fp))
         if closed is None:
             return math.inf
         integrated = _finite(lambda: rk4_oracle(fm.generator, fp, time, steps))
@@ -630,6 +722,30 @@ class TestFloatCheckReference:
                 outcomes.add("infinite" if want == math.inf else "finite")
         # finite and infinite mismatches, and a FlowDomainError, were compared
         assert outcomes == {"finite", "infinite", "raised"}
+
+
+class TestMixedOverflow:
+    """One sample's float overflow reruns the batch one sample at a time, so
+    the other samples of the same check are still read."""
+
+    # at the default seed, EXP_V0's proportionality overflows at 7 and 8 of 20 samples
+    @pytest.mark.parametrize(
+        "k, gamma, overflowed", [(5, (10**305, 1, 0, 0), 7), (6, (0, 0, 10**305, 1, 0), 8)]
+    )
+    def test_matches_reference(self, k, gamma, overflowed):
+        s = ModelSurface(k, gamma)
+        samples = sample_on_surface(s, 20)
+        param, partner = verification_params(EXP_V0)
+        fm = flow(EXP_V0, s, param)
+        got = verify_flow(fm, samples, group_partner=partner)
+        want = reference_verify_flow(fm, samples, group_partner=partner)
+        assert got == _intended(want, fm, partner)
+        (prop,) = [c for c in got.checks if c.check == "para_cr_proportionality"]
+        assert prop.detail == f"tolerance 1e-09; float overflow at {overflowed} of 20 samples"
+        assert prop.max_residual is not None and len(got.witnesses) == 20 - overflowed
+        # the report converts the samples once for every flow, with the same outcome
+        reported = report.verify_flows(s, detect_case(s), flows_mod.DEFAULT_SEED, 1e-9)
+        assert [v for v in reported if v.flow_name == EXP_V0] == [got]
 
 
 class TestGeneratorConsistency:

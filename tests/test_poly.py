@@ -4,10 +4,10 @@ from fractions import Fraction
 from typing import Dict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from paracr import report
-from paracr.embedding import ParaCRFunctionPair
 from paracr.flows import (
     DEFAULT_SEED,
     EXP_VK,
@@ -42,6 +42,7 @@ from conftest import (
     poly_st,
     random_poly,
     rational_gamma_surfaces,
+    reference_eval_float,
     suite_surfaces,
 )
 
@@ -232,39 +233,6 @@ def _reference_horner(items, point, vi, numeric):
     return acc * v**prev
 
 
-def reference_eval_float(p, point):
-    """``Poly.eval_float`` as it was before the evaluation plan: the sparse
-    Horner below, rebuilt at every call, kept verbatim as the reference."""
-    if not p:
-        return 0.0
-    pt = tuple(float(v) for v in point)
-    return _horner(list(p.items()), pt, 0)
-
-
-def _horner(items, point, vi):
-    # sparse Horner in floats, one variable at a time; the report witnesses
-    # pin this operation order, so eval_float is reproducible bit for bit
-    if vi == 4:
-        total = 0.0
-        for _, c in items:
-            total += float(c)
-        return total
-    buckets: Dict[int, list] = {}
-    for exp, c in items:
-        buckets.setdefault(exp[vi], []).append((exp, c))
-    v = point[vi]
-    acc = None
-    prev = 0
-    for e in sorted(buckets, reverse=True):
-        sub = _horner(buckets[e], point, vi + 1)
-        if acc is None:
-            acc = sub
-        else:
-            acc = acc * v ** (prev - e) + sub
-        prev = e
-    return acc * v**prev
-
-
 def _report_evaluations():
     """(polynomial, exact point) pairs that flow verification evaluates on
     the suite, rational-gamma and k-ladder surfaces at the report samples:
@@ -423,6 +391,48 @@ class TestEvalFloat:
             p.eval_float((1.0, 0.0, 0.0, 2.0))
 
 
+# coordinates where a float step is most likely to differ: signed zeros,
+# subnormals, the smallest normal float, and powers that overflow
+_EDGE_COORDINATES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e154, -1e200)
+# terms added to a polynomial: none, a coefficient too large for a float,
+# and one that underflows to -0.0
+_EXTREME_TERMS = (None, Fraction(10**400, 3), Fraction(-1, 10**400))
+_coordinate_st = st.one_of(
+    st.sampled_from(_EDGE_COORDINATES),
+    st.floats(-8, 8),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestEvalFloats:
+    @given(
+        poly_st(max_terms=6),
+        st.lists(st.tuples(*[_coordinate_st] * 4), min_size=1, max_size=6),
+        st.sampled_from(_EXTREME_TERMS),
+        st.sampled_from([(1, 0, 0, 0), (0, 2, 0, 1), (0, 0, 0, 0)]),
+    )
+    # no point, no float step: a coefficient too large for a float raises nothing
+    @example(P("x^2 - 3/2 b"), [], _EXTREME_TERMS[1], (1, 0, 0, 0))
+    def test_batch_matches_reference_bit_for_bit(self, p, points, extreme, exp):
+        if extreme is not None:
+            p = p + Poly({exp: extreme})
+        want = []  # per point: the reference value's hex, or None where it overflows
+        for point in points:
+            try:
+                want.append(reference_eval_float(p, point).hex())
+            except OverflowError:
+                want.append(None)
+                with pytest.raises(OverflowError):
+                    p.eval_float(point)
+        if None in want:
+            with pytest.raises(OverflowError):
+                p.eval_floats(points)
+        else:
+            got = p.eval_floats(points)
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == want, (p, points)
+
+
 class TestEvaluationPlan:
     def test_built_once_per_polynomial(self, monkeypatch):
         built = []
@@ -475,7 +485,6 @@ _RECORDS = [
     (ParaVectorField, lambda: ParaVectorField(P("a^2"), P("b"), P("x y"), P("y")), False),
     (WeightAnsatz, lambda: build_ansatz(_MONOMIAL_K4, 1), True),
     (DefiningFunction, lambda: DefiningFunction(P("b^3 x + a^2")), True),
-    (ParaCRFunctionPair, lambda: ParaCRFunctionPair(P("x y"), P("a - b")), True),
     (FlowMap, lambda: flow(EXP_VMK, _MONOMIAL_K4, 2), False),
     (_RadicalFlow, lambda: flow(EXP_VK, _MONOMIAL_K4, Fraction(1, 3)), False),
 ]
@@ -493,8 +502,6 @@ def _destructure(record):
             return (surface, weight, unknowns)
         case DefiningFunction(phi):
             return (phi,)
-        case ParaCRFunctionPair(u, v):
-            return (u, v)
         case FlowMap(name, surface, detection, param, components):
             return (name, surface, detection, param, components)
 
