@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Callable, List, Optional
@@ -59,6 +60,9 @@ MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at o
 MAX_EXPONENT = 200
 # flags whose values may start with "-", as in --gamma -1,1 or --phi "-x^3"
 _DASH_VALUE_FLAGS = ("--gamma", "--phi", "--psi")
+# the decimal exponent of a gamma, in every spelling Fraction() reads: E or e,
+# a sign, leading zeros, "_" between digits and any Unicode decimal digits
+_EXPONENT_RE = re.compile(r"e[-+]?([\d_]+)\Z", re.IGNORECASE)
 
 
 class UsageError(Exception):
@@ -71,8 +75,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_gamma(text: str) -> List[Fraction]:
+    parts = [part.strip() for part in text.split(",")]
+    for part in parts:
+        # Fraction() builds 10**|exponent| ("1e10000000" alone takes 13 s), and a gamma
+        # of more than MAX_WEIGHT_DIGITS digits is refused later in any case
+        m = _EXPONENT_RE.search(part)
+        digits = "".join(str(int(d)) for d in m.group(1) if d != "_").lstrip("0") if m else ""
+        if len(digits) > len(str(MAX_WEIGHT_DIGITS)) or int(digits or 0) > MAX_WEIGHT_DIGITS:
+            raise UsageError(f"invalid gamma list {text!r}: the exponent of {part!r} is "
+                             f"over the bound {MAX_WEIGHT_DIGITS:,} in magnitude")
     try:
-        return [Fraction(part.strip()) for part in text.split(",")]
+        return [Fraction(part) for part in parts]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"invalid gamma list {text!r}: {exc}")
 
@@ -109,7 +122,7 @@ def build_parser() -> _Parser:
                        help="comma-separated rationals, e.g. 0,1,0 or -3/2,1")
 
     def add_tolerance_flag(p):
-        p.add_argument("--tolerance", type=_tolerance, default=1e-9,
+        p.add_argument("--tolerance", type=_tolerance, default=flows_mod.DEFAULT_TOLERANCE,
                        help="absolute limit of every float check of a flow (para-CR "
                             "proportionality; EXP_VK's surface and group law), "
                             "finite and >= 0; default 1e-9")
@@ -315,7 +328,9 @@ def _flows_text(d: dict) -> str:
 
 def _cmd_flows(args) -> int:
     surface = _surface(args)
-    verifications = report_mod.verify_flows(surface, detect_case(surface), _seed(), args.tolerance)
+    # the same digit bound as analyze, which prints the same flow objects
+    _check_gamma_digits(surface)
+    verifications = flows_mod.verify_flows(surface, detect_case(surface), _seed(), args.tolerance)
     payload = {"flows": [report_mod.verification_dict(v) for v in verifications]}
     _emit(payload, _flows_text, args.format)
     return EXIT_OK if all(v.passed for v in verifications) else EXIT_FLOW

@@ -25,7 +25,7 @@ reports no residual.  A float check reads all its samples in one pass:
 samples' coordinate columns, and each sample's value takes the float
 operations, in the order, it would take alone.  An ``OverflowError`` at any
 sample reruns the check on each sample alone, so it fails only the samples
-where it arises.
+where it arises.  ``verify_flows`` is the flow stage of ``analyze``.
 """
 
 from __future__ import annotations
@@ -69,6 +69,8 @@ _FLOW_TABLE = {
 ALL_FLOW_NAMES = tuple(_FLOW_TABLE)
 
 DEFAULT_SEED = 74207281
+DEFAULT_FLOW_SAMPLES = 20
+DEFAULT_TOLERANCE = 1e-9  # the absolute limit of every float check of a flow
 
 
 class InadmissibleFlowError(ValueError):
@@ -149,13 +151,6 @@ class FlowMap(Record):
         or None.  Stricter than ``domain_check`` where the closed form
         continues past the blow-up time of the generating ODE."""
         return self.domain_check(pt)
-
-    def apply_float(self, point: Sequence[float]) -> FloatPoint:
-        pt = tuple(float(v) for v in point)
-        violation = self.domain_check(pt)
-        if violation:
-            raise FlowDomainError(f"{self.name}: {violation} at {pt}")
-        return self.float_map([pt])[0]
 
     def with_param(self, param) -> "FlowMap":
         return _flow(self.name, self.surface, self.detection, param)
@@ -352,12 +347,6 @@ def _finite_rows(compute: Callable[[Sequence], List[Tuple[float, ...]]], points:
     return [row if all(math.isfinite(v) for v in row) else None for row in rows]
 
 
-def _worst(compute: Callable[[], Iterable[float]]) -> Optional[float]:
-    # the largest |value| compute() returns, or None when a float step overflows
-    values = _finite(compute)
-    return None if values is None else max(abs(v) for v in values)
-
-
 def _float_check(
     check: str, residuals: Sequence[Optional[float]], tolerance: float, total: int
 ) -> FlowCheck:
@@ -380,7 +369,8 @@ def _float_check(
 
 def _proportionality(fm: FlowMap, pts: Sequence[FloatPoint]) -> List[Tuple[float, ...]]:
     # per point: pushforwards of X = d_x + P_x d_y and Y = d_b - P_b d_a
-    # against the direction fields at the image, as (lam, mu, res_x, res_y)
+    # against the direction fields at the image, as (lam, mu, res_x, res_y);
+    # X's d_x and Y's d_b components are 1, and a float times 1.0 is itself
     s = fm.surface
     images = fm.float_map(pts)
     rows = []
@@ -391,22 +381,12 @@ def _proportionality(fm: FlowMap, pts: Sequence[FloatPoint]) -> List[Tuple[float
         s.p_b.eval_floats(pts),
         s.p_b.eval_floats(images),
     ):
-        vx = (1.0, px)
-        push_x = (
-            xy_block[0][0] * vx[0] + xy_block[0][1] * vx[1],
-            xy_block[1][0] * vx[0] + xy_block[1][1] * vx[1],
-        )
-        target_x = (1.0, px_image)
-        lam = push_x[0] / target_x[0]
-        res_x = abs(push_x[1] - lam * target_x[1])
-        vy = (-pb, 1.0)  # (da, db)
-        push_y = (
-            ab_block[0][0] * vy[0] + ab_block[0][1] * vy[1],
-            ab_block[1][0] * vy[0] + ab_block[1][1] * vy[1],
-        )
-        target_y = (-pb_image, 1.0)
-        mu = push_y[1] / target_y[1]
-        res_y = abs(push_y[0] - mu * target_y[0])
+        (j00, j01), (j10, j11) = xy_block
+        (k00, k01), (k10, k11) = ab_block
+        lam = j00 + j01 * px
+        res_x = abs(j10 + j11 * px - lam * px_image)
+        mu = k10 * -pb + k11
+        res_y = abs(k00 * -pb + k01 - mu * -pb_image)
         rows.append((lam, mu, res_x, res_y))
     return rows
 
@@ -422,7 +402,7 @@ def verify_flow(
     fm: FlowMap,
     samples: Sequence[ExactPoint],
     group_partner=None,
-    tolerance: float = 1e-9,
+    tolerance: float = DEFAULT_TOLERANCE,
 ) -> FlowVerification:
     """Check surface preservation, para-CR proportionality and the group law.
 
@@ -444,6 +424,26 @@ def verify_flow(
     """
     converted, unconverted = _float_samples(samples)
     return _verify_flow(fm, converted, unconverted, group_partner, tolerance)
+
+
+def verify_flows(
+    surface: ModelSurface,
+    detection: CaseDetection,
+    seed: int,
+    tolerance: float,
+    flow_samples: int = DEFAULT_FLOW_SAMPLES,
+) -> Tuple[FlowVerification, ...]:
+    """Verify each named flow the case admits, at its fixed parameter and
+    group-law partner, on ``flow_samples`` points drawn with ``seed``."""
+    samples = sample_on_surface(surface, flow_samples, seed=seed)
+    # every flow reads the same samples, converted to floats once
+    converted, unconverted = _float_samples(samples)
+    verifications = []
+    for name in admissible_flow_names(detection):
+        param, partner = verification_params(name)
+        fm = _flow(name, surface, detection, param)
+        verifications.append(_verify_flow(fm, converted, unconverted, partner, tolerance))
+    return tuple(verifications)
 
 
 def _verify_flow(
@@ -579,10 +579,10 @@ def rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) 
     for fp, closed in zip(points, _finite_rows(fm.float_map, points)):
         if closed is None:
             return math.inf
-        residual = _worst(lambda: map(sub, closed, rk4_oracle(fm.generator, fp, time, steps)))
-        if residual is None:
+        diffs = _finite(lambda: map(sub, closed, rk4_oracle(fm.generator, fp, time, steps)))
+        if diffs is None:
             return math.inf
-        worst = max(worst, residual)
+        worst = max(worst, *map(abs, diffs))
     return worst
 
 

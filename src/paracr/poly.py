@@ -44,9 +44,6 @@ Rational = Union[int, Fraction]  # a coefficient: an int when integral, else a F
 
 ZERO_EXP: Exponents = (0, 0, 0, 0)
 
-# eval_exact's power table for a variable that does not occur; never mutated
-_ONLY_POWER_ZERO = {0: 1}
-
 # print order of factors inside a term: a, y, b, x
 _PRINT_SLOTS = (("a", 2), ("y", 1), ("b", 3), ("x", 0))
 
@@ -103,14 +100,12 @@ class UnsupportedDegreeError(ValueError):
 class Poly:
     """Immutable sparse polynomial over Q in x, y, a, b.
 
-    Besides its terms a polynomial holds its evaluation plan, built from the
-    terms alone the first time it is evaluated and kept from then on: the
-    integer form of the terms that ``eval_exact`` sums and the Horner tree
-    that ``eval_floats`` walks.  The plan never changes a value, and equality
-    and hashing ignore it.
+    Besides its terms a polynomial holds the Horner tree that
+    ``eval_floats`` walks, built from the terms alone on its first call.
+    The tree never changes a value, and equality and hashing ignore it.
     """
 
-    __slots__ = ("_terms", "_plan")
+    __slots__ = ("_terms", "_tree")
 
     def __init__(self, terms: Optional[Mapping[Exponents, object]] = None):
         clean: Dict[Exponents, Rational] = {}
@@ -120,7 +115,7 @@ class Poly:
                 if q:
                     clean[tuple(exp)] = q  # type: ignore[index]
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_plan", None)
+        object.__setattr__(self, "_tree", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -313,40 +308,32 @@ class Poly:
         c L prod p_i^e_i q_i^(D_i - e_i), and the value is the sum of these
         over L prod q_i^D_i: one ``Fraction`` per call, in lowest terms.
         Powers are taken only at the exponents that occur, so a sparse
-        x^100000 costs two powers, not a table of 100000.  The plan holds
-        L, each c L as an integer and the occurring exponents and D_i of
-        each variable, so a call only takes the powers of the point and
-        sums.  A float coordinate is a ``TypeError``, used slot or not.
+        x^100000 costs two powers, not a table of 100000.  A float
+        coordinate is a ``TypeError``, used slot or not.
         """
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return Fraction(0)
-        lcm, int_terms, occurring, _ = self._plan or self._build_plan()
-        denominator = lcm
+        denominator, scaled = _over_denominator(terms)
         factors = []
         for i, v in enumerate(point):
             if not isinstance(v, (int, Fraction)):
                 v = as_fraction(v)
-            exps, top = occurring[i]
-            if top == 0:  # the variable does not occur
-                factors.append(_ONLY_POWER_ZERO)
-                continue
+            exps = {exp[i] for exp in terms}
+            top = max(exps)
             num, den = v.numerator, v.denominator
             factors.append({e: num**e * den ** (top - e) for e in exps})
             denominator *= den**top
         fx, fy, fa, fb = factors
         total = 0
-        for c, ex, ey, ea, eb in int_terms:
+        for (ex, ey, ea, eb), c in scaled:
             total += c * fx[ex] * fy[ey] * fa[ea] * fb[eb]
         return Fraction(total, denominator)
-
-    def eval_float(self, point) -> float:
-        """Floating evaluation at (x, y, a, b): ``eval_floats`` of one point."""
-        return self.eval_floats((point,))[0]
 
     def eval_floats(self, points) -> List[float]:
         """Floating evaluation at each of the points (x, y, a, b), by sparse Horner.
 
-        The plan's tree buckets the terms by the exponent of x, then of y,
+        The Horner tree buckets the terms by the exponent of x, then of y,
         a and b, and skips a variable where every term has exponent 0.  A
         node holds its exponents in descending order as gaps, and a leaf the
         one coefficient with those exponents as ``0.0 + float(c)``.  One walk
@@ -367,23 +354,14 @@ class Poly:
             return []
         if not self._terms:
             return [0.0] * len(points)
-        tree = (self._plan or self._build_plan())[3]
+        tree = self._tree
+        if tree is None:  # a leaf of 0.0 is a built tree too
+            tree = _horner_tree(list(self._terms.items()), 0)
+            object.__setattr__(self, "_tree", tree)
         # one list per coordinate, built by index: zip(*points) would also
         # build an argument tuple as long as the point list
         columns = [list(map(float, map(itemgetter(i), points))) for i in range(4)]
         return _walk(tree, columns, len(points))
-
-    def _build_plan(self):
-        terms = self._terms
-        lcm, scaled = _over_denominator(terms)
-        int_terms = tuple((c, *exp) for exp, c in scaled)
-        occurring = []
-        for i in range(4):
-            exps = sorted({exp[i] for exp in terms})
-            occurring.append((tuple(exps), exps[-1]))
-        plan = (lcm, int_terms, tuple(occurring), _horner_tree(list(terms.items()), 0))
-        object.__setattr__(self, "_plan", plan)
-        return plan
 
     # -- text --------------------------------------------------------------
 

@@ -35,7 +35,6 @@ from .poly import Rational, as_fraction, format_fraction
 from .solver import solve_algebra
 from .surface import ModelSurface
 
-DEFAULT_FLOW_SAMPLES = 20
 # algebra dimension of the three-case pattern, by detected case
 _EXPECTED_DIMENSION = {MONOMIAL: 4, BINOMIAL: 3, GENERIC: 2}
 
@@ -75,8 +74,8 @@ def analyze(
     gamma: Sequence,
     weight_cap: Optional[int] = None,
     seed: int = flows_mod.DEFAULT_SEED,
-    tolerance: float = 1e-9,
-    flow_samples: int = DEFAULT_FLOW_SAMPLES,
+    tolerance: float = flows_mod.DEFAULT_TOLERANCE,
+    flow_samples: int = flows_mod.DEFAULT_FLOW_SAMPLES,
 ) -> AnalysisReport:
     surface = ModelSurface(k, tuple(as_fraction(g) for g in gamma))
     detection = detect_case(surface)
@@ -114,7 +113,7 @@ def analyze(
     if detection.kind == BINOMIAL:
         warnings.append(flows_mod.vm1_transcription_mismatch(surface))
 
-    verifications = verify_flows(surface, detection, seed, tolerance, flow_samples)
+    verifications = flows_mod.verify_flows(surface, detection, seed, tolerance, flow_samples)
     discrete = flows_mod.discrete_group(surface)
     summary = AlgebraSummary(
         dimension=algebra.dimension,
@@ -138,28 +137,6 @@ def analyze(
         flow_verifications=verifications,
         warnings=tuple(warnings),
     )
-
-
-def verify_flows(
-    surface: ModelSurface,
-    detection: CaseDetection,
-    seed: int,
-    tolerance: float,
-    flow_samples: int = DEFAULT_FLOW_SAMPLES,
-) -> Tuple[flows_mod.FlowVerification, ...]:
-    """Verify each named flow the case admits, at its fixed parameter and
-    group-law partner, on ``flow_samples`` points drawn with ``seed``."""
-    samples = flows_mod.sample_on_surface(surface, flow_samples, seed=seed)
-    # every flow reads the same samples, converted to floats once
-    converted, unconverted = flows_mod._float_samples(samples)
-    verifications = []
-    for name in flows_mod.admissible_flow_names(detection):
-        param, partner = flows_mod.verification_params(name)
-        fm = flows_mod._flow(name, surface, detection, param)
-        verifications.append(
-            flows_mod._verify_flow(fm, converted, unconverted, partner, tolerance)
-        )
-    return tuple(verifications)
 
 
 def _field_text(f) -> str:

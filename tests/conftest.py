@@ -133,8 +133,9 @@ def random_para_field(rng, max_terms=3, max_exp=2):
 
 
 def reference_eval_float(p, point):
-    """``Poly.eval_float`` as it was before the evaluation plan: the sparse
-    Horner below, rebuilt at every call, kept verbatim as the reference."""
+    """``Poly.eval_floats`` at one point as it was before the Horner tree was
+    kept: the sparse Horner below, rebuilt at every call, kept verbatim as
+    the reference."""
     if not p:
         return 0.0
     pt = tuple(float(v) for v in point)
@@ -143,7 +144,7 @@ def reference_eval_float(p, point):
 
 def _horner(items, point, vi):
     # sparse Horner in floats, one variable at a time; the report witnesses
-    # pin this operation order, so eval_float is reproducible bit for bit
+    # pin this operation order, so eval_floats is reproducible bit for bit
     if vi == 4:
         total = 0.0
         for _, c in items:

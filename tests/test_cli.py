@@ -568,6 +568,62 @@ class TestScanDigitBound:
         assert code == EXIT_OK
 
 
+# every command that takes --gamma, with the flags it needs besides --k and --gamma
+_GAMMA_COMMANDS = [
+    ("analyze",), ("solve-weight", "--weight", "3"), ("singular-locus",), ("flows",), ("discrete",),
+]
+
+
+class TestGammaExponentBound:
+    """A decimal exponent of a gamma over MAX_WEIGHT_DIGITS in magnitude is
+    refused before Fraction() builds its power of 10, which for 1e10000000
+    alone took 13.5 s."""
+
+    @pytest.mark.parametrize("command", _GAMMA_COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "gamma",
+        ["1e100000000,1", "1,-2E+12001", "1e-12_001,1", "1,00012001e0_0012001", "1e١٢٠٠١,1"],
+    )
+    def test_refused_fast(self, capsys, command, gamma):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command[0], "--k", "3", "--gamma", gamma, *command[1:])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"is over the bound {MAX_WEIGHT_DIGITS:,} in magnitude" in err
+
+    @pytest.mark.parametrize("part", ["1e12000", "-1E-12000", "7e+0012000", "3e12_000", "1e٠٠١٢٠٠٠"])
+    def test_exponent_at_the_bound_is_read(self, part):
+        if sys.version_info < (3, 11) and "_" in part:
+            pytest.skip("Fraction reads '_' between digits from Python 3.11")
+        assert cli_mod._parse_gamma(f"{part}, 1") == [Fraction(part), 1]
+
+    @pytest.mark.parametrize(
+        "command, expected",
+        [(c, EXIT_USAGE) for c in _GAMMA_COMMANDS[:4]] + [(_GAMMA_COMMANDS[4], EXIT_OK)],
+        ids=lambda c: c[0] if isinstance(c, tuple) else str(c),
+    )
+    def test_gamma_digits_checked_where_computed_with(self, capsys, command, expected):
+        # flows seeds its samples from the repr of the gammas, and str(int)
+        # refuses an integer over 4,300 digits; it counts them as analyze
+        # does, while discrete only compares polynomials and prints signs
+        code, out, err = run(capsys, command[0], "--k", "3", "--gamma", "1e5000,1", *command[1:])
+        assert code == expected
+        if expected == EXIT_USAGE:
+            assert out == "" and "times 5001" in err
+        else:
+            assert out.startswith("Z2") and err == ""
+
+    @pytest.mark.parametrize("gamma, command", [("1e100000000,1", "analyze"), ("1e5000,1", "flows")])
+    def test_console_exits_64_without_traceback(self, gamma, command):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(paracr.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "paracr.cli", command, "--k", "3", "--gamma", gamma],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, "")
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 class TestExitCodeMapping:
     def test_closure_violation_exit(self, capsys, monkeypatch):
         import paracr.cli as cli_mod

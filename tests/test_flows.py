@@ -38,7 +38,6 @@ from paracr.flows import (
     vm1_transcription_mismatch,
 )
 from paracr import flows as flows_mod
-from paracr import report
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
 from paracr.poly import VARS, A, B, Poly, X, Y
@@ -95,14 +94,14 @@ class TestFlowConstruction:
 
     def test_vk_domain_violation(self):
         fm = flow(EXP_VK, MONO, 1)
-        with pytest.raises(FlowDomainError):
-            fm.apply_float((1.0, 2.0, 2.0, 1.0))  # 1 - t a < 0 with even root
+        # 1 - t a < 0 with even root
+        assert "even root index" in fm.domain_check((1.0, 2.0, 2.0, 1.0))
 
     def test_vk_on_surface_image(self):
         fm = flow(EXP_VK, MONO, Fraction(1, 10))
         point = MONO.point_from_xab(1, 1, 1)
-        image = fm.apply_float(tuple(float(v) for v in point))
-        assert abs(MONO.defining_poly.eval_float(image)) < 1e-12
+        image = fm.float_map([tuple(float(v) for v in point)])[0]
+        assert abs(MONO.defining_poly.eval_floats([image])[0]) < 1e-12
 
     def test_identity_at_zero_parameter(self):
         samples = sample_on_surface(BINO, 5)
@@ -393,8 +392,8 @@ class TestFloatOverflow:
         assert prop.detail == "tolerance 1e-09"
 
 
-# verify_flow and rk4_mismatch as they were before one rule (_float_check,
-# with _worst) decided every float check, kept verbatim, docstrings aside, as
+# verify_flow and rk4_mismatch as they were before one rule (_float_check)
+# decided every float check, kept verbatim, docstrings aside, as
 # the reference.  The new rule changes two outcomes on purpose: a float check
 # left with no admissible sample fails by name whichever check it is (the
 # reference failed surface_preservation and stopped, so a polynomial flow's
@@ -411,7 +410,7 @@ def _overflow_detail(detail: str, overflowed: int, total: int) -> str:
 
 # FlowMap.float_map, FlowMap.float_jacobian and the proportionality as they
 # were at one point at a time, kept verbatim as the reference of the column
-# walk, with each Poly.eval_float read through reference_eval_float, so the
+# walk, with each polynomial read through reference_eval_float, so the
 # reference shares no batched code.
 
 
@@ -744,7 +743,7 @@ class TestMixedOverflow:
         assert prop.detail == f"tolerance 1e-09; float overflow at {overflowed} of 20 samples"
         assert prop.max_residual is not None and len(got.witnesses) == 20 - overflowed
         # the report converts the samples once for every flow, with the same outcome
-        reported = report.verify_flows(s, detect_case(s), flows_mod.DEFAULT_SEED, 1e-9)
+        reported = flows_mod.verify_flows(s, detect_case(s), flows_mod.DEFAULT_SEED, 1e-9)
         assert [v for v in reported if v.flow_name == EXP_V0] == [got]
 
 
@@ -782,7 +781,7 @@ class TestGeneratorConsistency:
                 minus = flow(name, s, Fraction(math.exp(-h)).limit_denominator(10**12))
                 fd = [
                     (u - v) / (2 * h)
-                    for u, v in zip(plus.apply_float(fp), minus.apply_float(fp))
+                    for u, v in zip(plus.float_map([fp])[0], minus.float_map([fp])[0])
                 ]
                 expected = reference_float_velocity(generator)(fp)
                 for got, want in zip(fd, expected):
@@ -863,7 +862,7 @@ class TestRk4:
         fm = flow(EXP_VK, s, Fraction(1, 10))
         p = s.point_from_xab(17 * 10**307, 5, 0)
         fp = tuple(float(v) for v in p)
-        assert fm.apply_float(fp)[0] == math.inf
+        assert fm.float_map([fp])[0][0] == math.inf
         assert rk4_oracle(fm.generator, fp, flow_time(fm), 1000)[0] == math.inf
         assert rk4_mismatch(fm, [p], steps=1000) == math.inf
         assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
@@ -876,7 +875,7 @@ class TestRk4:
         p = s.point_from_xab(1, -10**155, 1)
         fp = tuple(float(v) for v in p)
         assert fm.domain_check(fp) is None and fm.ode_domain_check(fp) is None
-        assert all(math.isfinite(c) for c in fm.apply_float(fp))
+        assert all(math.isfinite(c) for c in fm.float_map([fp])[0])
         with pytest.raises(OverflowError):
             rk4_oracle(fm.generator, fp, flow_time(fm), 1000)
         assert rk4_mismatch(fm, [p], steps=1000) == math.inf
@@ -1162,7 +1161,7 @@ class TestDerivedFields:
 
             monkeypatch.setattr(flows_mod, builder, counted)
         detection = detect_case(s)
-        verifications = report.verify_flows(s, detection, flows_mod.DEFAULT_SEED, 1e-9)
+        verifications = flows_mod.verify_flows(s, detection, flows_mod.DEFAULT_SEED, 1e-9)
         assert all(v.passed for v in verifications)
         assert len([n for n in admissible_flow_names(detection) if n != EXP_VK]) == 3
         assert len(diffs) == 24
@@ -1268,7 +1267,7 @@ class TestVm1Transcription:
         p = BINO.point_from_xab(Fraction(1, 2), Fraction(1, 3), Fraction(1, 4))
         fp = tuple(float(v) for v in p)
         integrated = rk4_oracle(fm.generator, fp, float(t), 500)
-        candidate = tuple(c.eval_float(fp) for c in comps)
+        candidate = tuple(c.eval_floats([fp])[0] for c in comps)
         assert max(abs(u - v) for u, v in zip(candidate, integrated)) > 1e-3
 
 

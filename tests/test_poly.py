@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from paracr import report
+from paracr import poly as poly_mod
 from paracr.flows import (
+    DEFAULT_FLOW_SAMPLES,
     DEFAULT_SEED,
     EXP_VK,
     EXP_VM1,
@@ -90,7 +91,7 @@ class TestIntegralCoefficients:
         assert str(p) == str(q) == "2 b^3 x"
         assert coefficient_types(q) == {int}
         assert p.eval_exact((1, 2, 3, Fraction(1, 2))) == q.eval_exact((1, 2, 3, Fraction(1, 2)))
-        assert p.eval_float((1.5, 0, 0, 2.0)) == q.eval_float((1.5, 0, 0, 2.0))
+        assert p.eval_floats([(1.5, 0, 0, 2.0)]) == q.eval_floats([(1.5, 0, 0, 2.0)])
 
     @pytest.mark.parametrize("s", suite_surfaces() + k_ladder_surfaces(), ids=lambda s: f"k{s.k}")
     def test_integral_products_stay_int(self, s):
@@ -197,7 +198,7 @@ class TestEval:
             p = random_poly(rng)
             point = tuple(rng.randint(-3, 3) for _ in range(4))
             exact = float(p.eval_exact(point))
-            approx = p.eval_float(point)
+            approx = p.eval_floats([point])[0]
             assert abs(approx - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
@@ -242,7 +243,7 @@ def _report_evaluations():
     pairs = []
     visited = 0
     for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces():
-        samples = sample_on_surface(s, report.DEFAULT_FLOW_SAMPLES, seed=DEFAULT_SEED)
+        samples = sample_on_surface(s, DEFAULT_FLOW_SAMPLES, seed=DEFAULT_SEED)
         for point in samples:
             pairs += [(s.defining_poly, point), (s.p_x, point), (s.p_b, point)]
         for name in admissible_flow_names(detect_case(s)):
@@ -342,7 +343,7 @@ class TestEvalExact:
     def test_float_coordinate_is_a_type_error(self):
         p = P("x^2 - 3/2 b")
         for point in [(1, 0, 0, 2.0), (1, 0.5, 0, 2), (1.0, 0, 0, 2)]:  # y is unused
-            for _ in range(2):  # before and after the plan is built
+            for _ in range(2):
                 with pytest.raises(TypeError):
                     p.eval_exact(point)
             assert p.eval_exact((1, 0, 0, 2)) == -2
@@ -354,7 +355,7 @@ def _float_point(point):
 
 class TestEvalFloat:
     def _check(self, p, point):
-        got = p.eval_float(point)
+        got = p.eval_floats([point])[0]
         assert type(got) is float
         assert got.hex() == reference_eval_float(p, point).hex(), (p, point)
 
@@ -366,7 +367,7 @@ class TestEvalFloat:
                 p = p + Poly({(rng.randint(0, 3), 0, rng.randint(0, 3), 1): _big_fraction(rng)})
             point = _float_point(tuple(_coordinate(rng) for _ in range(4)))
             self._check(p, point)
-            self._check(p, point)  # the second call walks the stored plan
+            self._check(p, point)  # the second call walks the stored tree
 
     def test_flow_components_and_surfaces_match_reference(self):
         pairs, visited = _report_evaluations()
@@ -385,10 +386,10 @@ class TestEvalFloat:
         p = Poly({(1, 0, 0, 0): Fraction(10**400, 3), (0, 0, 0, 1): 1})
         for _ in range(2):
             with pytest.raises(OverflowError):
-                p.eval_float((1.0, 0.0, 0.0, 2.0))
+                p.eval_floats([(1.0, 0.0, 0.0, 2.0)])
         assert p.eval_exact((1, 0, 0, 2)) == Fraction(10**400, 3) + 2
         with pytest.raises(OverflowError):
-            p.eval_float((1.0, 0.0, 0.0, 2.0))
+            p.eval_floats([(1.0, 0.0, 0.0, 2.0)])
 
 
 # coordinates where a float step is most likely to differ: signed zeros,
@@ -423,7 +424,7 @@ class TestEvalFloats:
             except OverflowError:
                 want.append(None)
                 with pytest.raises(OverflowError):
-                    p.eval_float(point)
+                    p.eval_floats([point])
         if None in want:
             with pytest.raises(OverflowError):
                 p.eval_floats(points)
@@ -436,28 +437,31 @@ class TestEvalFloats:
 class TestEvaluationPlan:
     def test_built_once_per_polynomial(self, monkeypatch):
         built = []
-        build_plan = Poly._build_plan
+        horner_tree = poly_mod._horner_tree
 
-        def counting_build_plan(p):
-            built.append(p)
-            return build_plan(p)
+        def counting_horner_tree(items, vi):
+            if vi == 0:  # the root call; the tree recurses with vi > 0
+                built.append(items)
+            return horner_tree(items, vi)
 
-        monkeypatch.setattr(Poly, "_build_plan", counting_build_plan)
+        monkeypatch.setattr(poly_mod, "_horner_tree", counting_horner_tree)
         p, q = P("3/4 x^5 b - 2/9 a^2 y + 1"), P("x - b")
+        p.eval_exact((1, 2, 3, 4))
+        assert built == [] and p._tree is None  # eval_exact caches nothing
         for i in range(5):
             point = (Fraction(i, 3), 2, Fraction(-1, 7), i)
             p.eval_exact(point)
-            p.eval_float(point)
-            q.eval_float(point)
+            p.eval_floats([point])
+            q.eval_floats([point, point])
             q.eval_exact(point)
-        assert built == [p, q]
-        assert built[0] is p and built[1] is q
+        assert built == [list(p.items()), list(q.items())]
+        assert p._tree is not None and q._tree is not None
 
     def test_equality_and_hash_ignore_the_plan(self):
         p, q = P("x^2 b - 5/3 a y + 2"), P("x^2 b - 5/3 a y + 2")
         before = hash(p)
         p.eval_exact((1, 2, 3, 4))
-        p.eval_float((1.0, 2.0, 3.0, 4.0))
+        p.eval_floats([(1.0, 2.0, 3.0, 4.0)])
         assert p == q and q == p
         assert hash(p) == before == hash(q)
         assert p != P("x^2 b - 5/3 a y + 3")
@@ -465,9 +469,9 @@ class TestEvaluationPlan:
 
     def test_stays_immutable(self):
         p = P("x + b")
-        p.eval_float((1.0, 0.0, 0.0, 1.0))
+        p.eval_floats([(1.0, 0.0, 0.0, 1.0)])
         with pytest.raises(AttributeError):
-            p._plan = None
+            p._tree = None
 
 
 class TestGrading:
