@@ -42,16 +42,17 @@ EXIT_OK = 0
 EXIT_CLOSURE = 2
 EXIT_FLOW = 3
 EXIT_USAGE = 64
-# --weight lies in [-k, 12k] and --weight-cap in [k, 12k]: solve-weight solves the full
-# ansatz, where weight 200 at k = 3 runs for minutes; analyze solves each weight up to the
-# cap on the preimage of the weight k below, and cap 480 at k = 40 takes 0.4-0.55 s end
-# to end
+# --weight lies in [-k, 12k] and --weight-cap in [k, 12k]: solve-weight and analyze
+# solve each weight on the preimage of the weight k below, solve-weight up the residue
+# class of its weight mod k; cap 480 at k = 40 takes 0.4-0.55 s end to end
 MAX_WEIGHT_PER_K = 12
-# --weight times the most decimal digits of a gamma numerator or denominator: the
-# powers of y = a + P carry coefficients that grow with both; analyze counts as 2k.
-# At weight 12k and this bound, solve-weight takes 0.9 s at k = 8, 2.4 s at k = 16,
-# 4.1 s at k = 24 (2.1 s with one-digit gammas) and 12 s at k = 40 (6 s); at k = 8,
-# weight 96 with 2,000-digit gammas (192,000) took 59 s
+# 2k times the most decimal digits of a gamma numerator or denominator: the powers of
+# y = a + P carry coefficients that grow with the gammas, and analyze, solve-weight,
+# singular-locus and flows all count as weight 2k (2,000-digit gammas: 18.6 s in
+# singular_locus at k = 20).  At weight or cap 12k with the most digits this allows,
+# analyze ran in 0.2-1.4 s end to end for each k tried in [3, 40], and solve-weight
+# solves in 0.007-0.013 s at k = 3 (2,000 digits), 8 (750) and 20 (300) and in
+# 0.011-0.021 s at k = 40 (150), 0.12-0.25 s end to end
 MAX_WEIGHT_DIGITS = 12_000
 MAX_K = 40  # generic analyze takes about 0.45 s at k = 40, end to end
 MAX_ORDER = 64  # embed of a^2+b^3+x*a*b: 0.6 s at order 64, 23 s and 43 MB at order 200
@@ -139,8 +140,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve-weight", help="kernel basis at one weight")
     add_surface_flags(p)
     p.add_argument("--weight", type=int, required=True,
-                   help="weight, in [-k, 12k], and times the most digits of a gamma "
-                        f"numerator or denominator at most {MAX_WEIGHT_DIGITS:,}")
+                   help="weight, in [-k, 12k]; 2k times the most digits of a gamma "
+                        f"numerator or denominator must be at most {MAX_WEIGHT_DIGITS:,}")
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("finite-type", help="type detection for y = a + phi")
@@ -194,15 +195,6 @@ def _digits(n: int) -> int:
     return d + (n >= 10**d)
 
 
-def _check_weight_digits(flag: str, weight: int, surface: ModelSurface) -> None:
-    digits = max(_digits(v) for g in surface.gamma for v in (g.numerator, g.denominator))
-    if weight * digits > MAX_WEIGHT_DIGITS:
-        raise UsageError(
-            f"{flag} {weight} times {digits}, the most digits of a gamma numerator or "
-            f"denominator, is over the bound {MAX_WEIGHT_DIGITS:,}"
-        )
-
-
 def _surface(args) -> ModelSurface:
     if args.k > MAX_K:
         raise UsageError(f"--k must lie in [3, {MAX_K}], got {args.k}")
@@ -214,10 +206,12 @@ def _surface(args) -> ModelSurface:
 
 
 def _check_gamma_digits(surface: ModelSurface) -> None:
-    # the singular locus's Sturm chain and analyze's scan, with or without a cap,
-    # count as weight 2k (2,000-digit gammas: 18.6 s in singular_locus at k = 20);
-    # at the bound, cap 12k took 0.2-1.4 s end to end for each k tried in [3, 40]
-    _check_weight_digits("weight 2k =", 2 * surface.k, surface)
+    digits = max(_digits(v) for g in surface.gamma for v in (g.numerator, g.denominator))
+    if 2 * surface.k * digits > MAX_WEIGHT_DIGITS:
+        raise UsageError(
+            f"weight 2k = {2 * surface.k} times {digits}, the most digits of a gamma "
+            f"numerator or denominator, is over the bound {MAX_WEIGHT_DIGITS:,}"
+        )
 
 
 def _cmd_analyze(args) -> int:
@@ -254,7 +248,7 @@ def _cmd_solve_weight(args) -> int:
     k = surface.k
     if not -k <= args.weight <= MAX_WEIGHT_PER_K * k:
         raise UsageError(f"--weight must lie in [{-k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
-    _check_weight_digits("--weight", args.weight, surface)
+    _check_gamma_digits(surface)
     kb = solve_weight(surface, args.weight)
     payload = {
         "k": surface.k,

@@ -182,8 +182,6 @@ def detect_case(s: ModelSurface) -> CaseDetection:
     g1 = s.gamma[0] / comb(k, 1)
     g2 = s.gamma[1] / comb(k, 2)
     nu = g2 / g1
-    if nu == 0:
-        return CaseDetection(GENERIC)
     delta = g1 / nu
     for i, g in enumerate(s.gamma, start=1):
         if g != comb(k, i) * delta * nu**i:

@@ -11,11 +11,11 @@ slots, as sparse rows, the (column, coefficient) pairs of each residual
 monomial, read slot by slot off (a+P)^j and (a+P)^j P_x, cached on the
 surface as ``Poly`` values, whose integral coefficients are plain ints.
 ``_solve`` takes the kernel of those columns in ansatz coordinates and in
-one normal form.  ``solve_weight`` runs it on the unit fields of the full
-ansatz, the reference the ``solve-weight`` command prints and the oracle
-certifies; ``solve_algebra`` runs it on the preimage under ad V,
-V = d_a + d_y, of g_(w-k): the prolongation of the graded algebra below w
-(Tanaka 1970; Sternberg 1964), at most dim g_(w-k) + 4 candidates.
+one normal form.  Each weight w is solved one way, on the preimage under
+ad V, V = d_a + d_y, of g_(w-k): the prolongation of the graded algebra
+below w (Tanaka 1970; Sternberg 1964), at most dim g_(w-k) + 4 candidates
+(``_solve_prolonged``), run by ``solve_algebra`` up its scan and by
+``solve_weight``, which ``solve-weight`` prints, up one residue class mod k.
 
 ``brute_force_check`` certifies each kernel independently: it samples the
 residual of every unit field at random points of F_q, q = 2^31 - 1, each
@@ -107,7 +107,7 @@ def build_ansatz(s: ModelSurface, m: int) -> WeightAnsatz:
 
 
 class KernelBasis(NamedTuple):
-    """Solution space of the tangency condition at one weight."""
+    """Solution space of the tangency condition at one weight, and its system's shape."""
 
     weight: int
     basis: Tuple[ParaVectorField, ...]
@@ -163,8 +163,8 @@ def tangency_system(
 
 
 def _solve(ansatz: WeightAnsatz, candidates: Sequence[Sequence[Tuple[int, int]]]) -> KernelBasis:
-    """The tangency kernel within the span of independent ``candidates``, in
-    ``solve_weight``'s basis, with shape (residual monomials, candidates).
+    """The tangency kernel within the span of independent ``candidates``, with
+    shape (residual monomials, candidates).
 
     ``linalg.nullspace_modular`` solves the candidate columns of
     ``tangency_system``, the kernel is mapped to ansatz coordinates, and
@@ -185,16 +185,16 @@ def _solve(ansatz: WeightAnsatz, candidates: Sequence[Sequence[Tuple[int, int]]]
 
 @lru_cache(maxsize=None)
 def solve_weight(s: ModelSurface, m: int) -> KernelBasis:
-    """Exact kernel of the per-weight tangency system on the full ansatz,
-    whose candidates are its unit fields.
-
-    Basis fields are primitive-integer normalized with the first nonzero
-    coefficient (in ansatz order) positive: the basis ``nullspace_bareiss``
-    gives on the full system.  Results are cached; all returned values are
-    immutable.
+    """The tangency kernel at weight m, solved as ``solve_algebra`` solves it
+    (``_solve_prolonged``), in the basis ``nullspace_bareiss`` gives on the
+    full ansatz.  m's residue class mod k is walked up from its lowest weight
+    >= -k, each weight below m read from this cache, so calls nest at most
+    one deep.  Results are cached; all returned values are immutable.
     """
-    ansatz = build_ansatz(s, m)
-    return _solve(ansatz, [[(j, 1)] for j in range(len(ansatz))])
+    below = ()
+    for w in range(m % s.k - s.k, m, s.k):
+        below = solve_weight(s, w).basis
+    return _solve_prolonged(build_ansatz(s, m), below)
 
 
 def _slot_values(
@@ -259,7 +259,7 @@ def _rank_mod_q(rows: Iterable[Sequence[int]], ncols: int) -> int:
 
 
 def brute_force_check(s: ModelSurface, m: int) -> KernelBasis:
-    """Certify ``solve_weight``'s kernel by the residual at random points of F_q.
+    """Certify ``solve_weight``'s kernel, as ``analyze`` reports it, at random points of F_q.
 
     The residual of every unit field is sampled at up to 2t + 16 seeded
     points drawn in F_q, q = 2^31 - 1 (``_slot_values``), with no symbolic
@@ -367,8 +367,8 @@ class SymmetryAlgebra(NamedTuple):
 
 
 def _solve_prolonged(ansatz: WeightAnsatz, below: Sequence[ParaVectorField]) -> KernelBasis:
-    """``solve_weight``'s basis at ``ansatz.weight`` = w, solved on the
-    preimage under ad V of g_(w-k), whose basis is ``below``.
+    """The tangency kernel at ``ansatz.weight`` = w, solved on the preimage
+    under ad V of g_(w-k), whose basis is ``below``.
 
     The candidates, each scaled to integers, are the integrals of ``below``
     and the fields of ker ad V with exponents >= 0 (see ``solve_algebra``).
@@ -407,8 +407,8 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     every X in g_w.  ad V differentiates alpha and beta in a and xi and eta
     in y, so the preimage is spanned by the integrals of g_(w-k)'s basis and
     ker ad V on the weight-w ansatz, b^(w+k) d_a, b^(w+1) d_b, x^(w+1) d_x
-    and x^(w+k) d_y.  The basis found there is ``solve_weight(s, w)``'s, in
-    its normal form.
+    and x^(w+k) d_y.  The basis found there is ``solve_weight(s, w)``'s, the
+    full ansatz's kernel in its normal form.
 
     With a ``weight_cap`` the weights [-k, weight_cap] are solved.  Without
     one the scan stops at c + k, where c = max(k - 2, highest weight seen so

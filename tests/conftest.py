@@ -7,8 +7,9 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
+from paracr.linalg import nullspace_bareiss
 from paracr.poly import Poly
-from paracr.solver import tangency_system
+from paracr.solver import build_ansatz, tangency_system
 from paracr.surface import ModelSurface, ParaVectorField
 
 
@@ -94,6 +95,16 @@ def dense_rows(rows, ncols):
             values[j] = v
         dense.append(values)
     return dense
+
+
+def full_ansatz_basis(s, m):
+    """The kernel basis at weight m on the full ansatz, the reference for
+    ``solve_weight``: ``nullspace_bareiss`` on the dense unit-field system, with
+    none of the prolonged solve's candidates and no ``nullspace_modular``."""
+    ansatz = build_ansatz(s, m)
+    _, rows = unit_system(ansatz)
+    kernel = nullspace_bareiss(dense_rows(rows, len(ansatz)), len(ansatz))
+    return tuple(ansatz.field_from_vector(v) for v in kernel)
 
 
 @pytest.fixture(scope="session")

@@ -215,7 +215,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, flag, counted, weight",
         [
-            ("solve-weight", "--weight", "--weight 96", 96),
+            ("solve-weight", "--weight", "weight 2k = 16", 16),
             ("analyze", "--weight-cap", "weight 2k = 16", 16),
         ],
         ids=["solve-weight---weight", "analyze---weight-cap"],
@@ -223,8 +223,8 @@ class TestUsageErrors:
     def test_weight_times_gamma_digits_over_bound_rejected_fast(
         self, capsys, monkeypatch, command, flag, counted, weight
     ):
-        # 96 x 2,000 digits: solve-weight ran for about a minute before the bound;
-        # analyze with a cap of 96 counts as weight 2k = 16
+        # solve-weight at weight 96 and analyze with a cap of 96 both count as
+        # weight 2k = 16 at k = 8
         def argv(digits):
             nines = "9" * digits
             gamma = f"{nines},1,{nines},2,{nines},3,1/{nines}"
@@ -243,15 +243,15 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("gamma", ["3,{}", "1/{},3", "-{}/7,1"])
     def test_weight_times_gamma_digits_at_bound_allowed(self, capsys, gamma):
-        weight = 12
-        digits = "9" * (MAX_WEIGHT_DIGITS // weight)
-        argv = ["solve-weight", "--k", "3", "--gamma", gamma.format(digits)]
-        code, out, _ = run(capsys, *argv, "--weight", str(weight), "--format", "json")
+        # solve-weight counts as weight 2k = 6 at k = 3, up to its largest weight 12k = 36
+        most = MAX_WEIGHT_DIGITS // 6
+        argv = ["solve-weight", "--k", "3", "--weight", "36", "--format", "json", "--gamma"]
+        code, out, _ = run(capsys, *argv, gamma.format("9" * most))
         assert code == EXIT_OK
-        assert json.loads(out)["weight"] == weight
-        code, _, err = run(capsys, *argv, "--weight", str(weight + 1))
+        assert json.loads(out)["weight"] == 36
+        code, _, err = run(capsys, *argv, gamma.format("9" * (most + 1)))
         assert code == EXIT_USAGE
-        assert f"--weight {weight + 1} times {len(digits)}" in err
+        assert f"weight 2k = 6 times {most + 1}" in err
 
 
     @pytest.mark.parametrize("k", ["41", "1000"])
@@ -499,8 +499,8 @@ def _alternating_gamma(k, digits):
 
 
 class TestScanDigitBound:
-    """singular-locus, and analyze with or without a cap, count as weight 2k
-    against MAX_WEIGHT_DIGITS."""
+    """singular-locus, analyze with or without a cap, and solve-weight at any
+    weight count as weight 2k against MAX_WEIGHT_DIGITS."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -509,8 +509,12 @@ class TestScanDigitBound:
             ("analyze", "--k", "40", "--weight-cap", "40", "--gamma", _alternating_gamma(40, 300)),
             ("singular-locus", "--k", "20", "--gamma", _alternating_gamma(20, 2000)),
             ("singular-locus", "--k", "40", "--gamma", _alternating_gamma(40, 300)),
+            ("solve-weight", "--k", "40", "--weight", "480", "--gamma", _alternating_gamma(40, 151)),
         ],
-        ids=["analyze-k40-2000", "analyze-k40-300-cap", "locus-k20-2000", "locus-k40-300"],
+        ids=[
+            "analyze-k40-2000", "analyze-k40-300-cap", "locus-k20-2000", "locus-k40-300",
+            "solve-weight-k40-151",
+        ],
     )
     def test_large_gammas_exit_64_quickly(self, capsys, argv):
         # unbounded, singular_locus took 18.6 s at k = 20 and 9.6 s at k = 40
@@ -566,6 +570,11 @@ class TestScanDigitBound:
         assert json.loads(out)["k"] == 40
         code, out, _ = run(capsys, "singular-locus", "--k", "40", "--gamma", gamma)
         assert code == EXIT_OK
+        code, out, _ = run(
+            capsys, "solve-weight", "--k", "40", "--gamma", gamma, "--weight", "480"
+        )
+        assert code == EXIT_OK
+        assert out == "weight 480: dimension 0 (system 80 x 4)\n"
 
 
 # every command that takes --gamma, with the flags it needs besides --k and --gamma
@@ -744,8 +753,8 @@ def _cli_argv(draw):
         if gamma and draw(st.integers(0, 3)) == 0:
             gamma[draw(st.integers(0, size - 1))] = draw(_BAD_GAMMA_ENTRIES)
         argv = [command, "--k", str(k), "--gamma", ",".join(gamma)]
-        # weights reach the 12k bound, where MAX_WEIGHT_DIGITS rejects large
-        # gammas; weight caps stay at most 3k, since analyze solves every weight
+        # weights reach the 12k bound; weight caps stay at most 3k, since analyze
+        # solves every weight
         if command == "solve-weight":
             argv += ["--weight", str(draw(st.integers(-k, 12 * k)))]
         if command == "analyze" and draw(st.booleans()):

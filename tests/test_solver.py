@@ -2,6 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -24,6 +25,7 @@ from paracr.solver import (
 from conftest import (
     binomial_gamma,
     dense_rows,
+    full_ansatz_basis,
     k_ladder_surfaces,
     monomial_gamma,
     rational_gamma_surfaces,
@@ -34,6 +36,18 @@ from conftest import (
 
 def P(text):
     return Poly.parse(text)
+
+
+def surface_id(s):
+    return f"k{s.k}-" + ",".join(str(g) for g in s.gamma)
+
+
+# the benchmark's weight ladder: binomial, boundary monomial and generic at cap 32
+WEIGHT_LADDER_SURFACES = [
+    ModelSurface(3, (3, 3)),
+    ModelSurface(3, (1, 0)),
+    ModelSurface(4, (1, 0, 1)),
+]
 
 
 class TestBuildAnsatz:
@@ -71,6 +85,14 @@ class TestBuildAnsatz:
             ("eta", (0, 1, 0, 0)),
             ("eta", (3, 0, 0, 0)),
         )
+
+
+def cold_solve_weight(monkeypatch):
+    """Give ``solve_weight`` an empty cache of its own for one test, so the weights
+    below the one asked for are solved cold and nothing the test plants is kept."""
+    fresh = lru_cache(maxsize=None)(solver.solve_weight.__wrapped__)
+    monkeypatch.setattr(solver, "solve_weight", fresh)
+    return fresh
 
 
 class TestSolveWeight:
@@ -111,19 +133,47 @@ class TestSolveWeight:
                     assert weight_of(f, g) == m
 
     @pytest.mark.parametrize(
-        "weight, shape, budget_s", [(50, (408, 72), 0.036), (100, (1327, 138), 0.29)]
+        "weight, shape, budget_s", [(50, (6, 4), 0.0096), (100, (6, 4), 0.0197)]
     )
-    def test_high_weight_runtime_budget(self, weight, shape, budget_s):
-        # a fresh surface and the uncached function: assembly and kernel both run cold.
-        # Weights 50 and 100 take 0.0067-0.0119 s and 0.058-0.098 s (17 runs, each in a
-        # fresh interpreter) on a 2-vCPU Xeon under Python 3.11; each budget is 3x the maximum.
+    def test_high_weight_runtime_budget(self, monkeypatch, weight, shape, budget_s):
+        # a fresh surface and an empty cache: every weight of the residue class runs cold.
+        # Weights 50 and 100 take 0.0015-0.0032 s and 0.0029-0.0066 s (80 runs, each in a
+        # fresh interpreter) on a 2-vCPU Xeon under Python 3.11; each budget is 3x the
+        # maximum.  The full-ansatz solve took 0.0052-0.0119 s and 0.028-0.098 s there, on
+        # systems of shape (408, 72) and (1327, 138): weight 100's budget and both shapes
+        # fail a return to it.
         s = ModelSurface(3, (3, 3))
+        cold = cold_solve_weight(monkeypatch)
         start = time.perf_counter()
-        kb = solve_weight.__wrapped__(s, weight)
+        kb = cold(s, weight)
         elapsed = time.perf_counter() - start
         assert kb.dimension == 0
         assert kb.system_shape == shape
-        assert elapsed < budget_s, f"weight {weight} took {elapsed:.2f}s, budget {budget_s}s"
+        assert elapsed < budget_s, f"weight {weight} took {elapsed:.4f}s, budget {budget_s}s"
+
+    def test_deep_weight_walks_without_recursion(self, monkeypatch):
+        # weight 3000 is the 1,002nd weight of its residue class from -3, deeper than the
+        # recursion limit.  Cold, it takes 1.38-2.19 s (27 runs, each in a fresh interpreter) on
+        # a 2-vCPU Xeon under Python 3.11; the budget is 3x the maximum.
+        cold = cold_solve_weight(monkeypatch)
+        start = time.perf_counter()
+        kb = cold(ModelSurface(3, (3, 3)), 3000)
+        elapsed = time.perf_counter() - start
+        assert kb.dimension == 0
+        assert kb.system_shape == (6, 4)
+        assert cold.cache_info().currsize == 1002
+        assert elapsed < 6.6, f"weight 3000 took {elapsed:.2f}s, budget 6.6s"
+
+    @pytest.mark.parametrize(
+        "s, top",
+        [(s, 3 * s.k) for s in k_ladder_surfaces()] + [(s, 32) for s in WEIGHT_LADDER_SURFACES],
+        ids=lambda v: surface_id(v) if isinstance(v, ModelSurface) else f"to{v}",
+    )
+    def test_same_basis_as_full_ansatz(self, s, top):
+        # the suite and rational-gamma surfaces are compared in
+        # TestTangencySystem::test_matches_unit_field_residuals
+        for m in range(-s.k, top + 1):
+            assert solve_weight(s, m).basis == full_ansatz_basis(s, m), m
 
 
 def definitional_system(s, ansatz):
@@ -155,7 +205,7 @@ class TestTangencySystem:
             system = dict(zip(monomials, dense_rows(rows, len(ansatz))))
             assert len(system) == len(monomials)  # one row per residual monomial
             assert system == definitional_system(s, ansatz)
-            assert solve_weight(s, m).system_shape == (len(rows), len(ansatz))
+            assert solve_weight(s, m).basis == full_ansatz_basis(s, m), m
             if integral:
                 assert all(type(v) is int for row in rows for _, v in row)
 
@@ -191,7 +241,7 @@ class TestTangencySystem:
 
         monkeypatch.setattr(Poly, "__mul__", spy)
         for m in weights:
-            solve_weight.__wrapped__(s, m)
+            unit_system(build_ansatz(s, m))
         top = max(
             ey for m in weights for comp, (_, ey, _, _) in build_ansatz(s, m).unknowns if comp == "xi"
         )
@@ -276,6 +326,27 @@ class TestOracleMismatch:
         with pytest.raises(OracleMismatchError, match="spans differ"):
             brute_force_check(self.S, self.M)
 
+    def test_dropped_prolonged_candidate(self, monkeypatch):
+        # without x^(w+1) d_x the prolonged step keeps, of the grading and the relative
+        # dilation, only the combination free of d_x; the oracle checks that same solve
+        prolonged, solve = solver._solve_prolonged, solver._solve
+
+        def without_xi(ansatz, below):
+            xi = [("xi", (ansatz.weight + 1, 0, 0, 0))]
+
+            def solve_kept(ansatz, candidates):
+                kept = [c for c in candidates if [ansatz.unknowns[j] for j, _ in c] != xi]
+                return solve(ansatz, kept)
+
+            with monkeypatch.context() as inner:
+                inner.setattr(solver, "_solve", solve_kept)
+                return prolonged(ansatz, below)
+
+        monkeypatch.setattr(solver, "_solve_prolonged", without_xi)
+        cold_solve_weight(monkeypatch)
+        with pytest.raises(OracleMismatchError, match="dimension 2 != symbolic dimension 1"):
+            brute_force_check(self.S, self.M)
+
 
 def reference_surface_values(s, x, b):
     # the Fraction evaluation the integer rows replaced, kept verbatim
@@ -328,10 +399,6 @@ def mod_q(v):
 
 def reference_rows_mod_q(unknowns, s, x, a, b):
     return [mod_q(v) for v in reference_slot_values(unknowns, s, x, a, b)]
-
-
-def surface_id(s):
-    return f"k{s.k}-" + ",".join(str(g) for g in s.gamma)
 
 
 # the k ladder up to k = 12 keeps the test near 2 s; k = 16 and 20 would add 1.5 s
@@ -572,12 +639,10 @@ def solved_weights(monkeypatch, plant=None):
 
 def patch_weight_bases(monkeypatch, edit):
     """Make ``solve_weight`` and the scan's per-weight step both return
-    ``edit(m, basis)`` of the full-ansatz basis at each weight m."""
-    real = solver.solve_weight
+    ``edit(m, basis)`` of the full-ansatz reference basis at each weight m."""
 
     def patched(s, m):
-        kb = real(s, m)
-        return KernelBasis(m, edit(m, kb.basis), kb.system_shape)
+        return KernelBasis(m, edit(m, full_ansatz_basis(s, m)), (0, 0))
 
     monkeypatch.setattr(solver, "solve_weight", patched)
     monkeypatch.setattr(
@@ -717,14 +782,6 @@ def reference_bracket_table(s, weight_cap):
     return tuple(tuple(row) for row in table), tuple(violations)
 
 
-# the benchmark's weight ladder: binomial, boundary monomial and generic at cap 32
-WEIGHT_LADDER_SURFACES = [
-    ModelSurface(3, (3, 3)),
-    ModelSurface(3, (1, 0)),
-    ModelSurface(4, (1, 0, 1)),
-]
-
-
 GRADED_CASES = [
     (s, cap)
     for s in suite_surfaces() + rational_gamma_surfaces() + k_ladder_surfaces()
@@ -804,10 +861,10 @@ class TestProlongedSolve:
         assert [ansatz.weight for ansatz, _, _ in steps] == list(range(-s.k, alg.weight_cap + 1))
         for ansatz, below, kb in steps:
             m = ansatz.weight
-            assert kb.basis == solve_weight(s, m).basis, m
+            assert kb.basis == full_ansatz_basis(s, m), m
             # the same one form of every coefficient: primitive ints
             assert all(type(c) is int for f in kb.basis for c in ansatz.vector_from_field(f))
-            assert below == solve_weight(s, m - s.k).dimension
+            assert below == len(full_ansatz_basis(s, m - s.k))
             assert kb.system_shape[1] <= below + 4, m
 
     @pytest.mark.parametrize("s", suite_surfaces() + rational_gamma_surfaces(), ids=surface_id)
