@@ -47,6 +47,15 @@ class ModelSurface(Record):
             raise InvalidSurfaceError("at least one gamma coefficient must be nonzero")
         super().__init__(k, gamma)
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # hash((k, gamma)), computed once: every solve_weight cache lookup
+        # hashes the surface, and each gamma Fraction's hash is not cached
+        return super().__hash__()
+
     @cached_property
     def p(self) -> Poly:
         """P(x, b) = sum g_i b^i x^(k-i)."""

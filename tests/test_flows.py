@@ -623,7 +623,35 @@ def reference_verify_flow(
     return FlowVerification(fm.name, (str(fm.param),), passed, tuple(checks), tuple(witnesses))
 
 
-def reference_rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000) -> float:
+def reference_rk4_ladder(v, fp, t, steps):
+    # the counts steps // 8, steps // 4, ... below steps; the first endpoint
+    # that agrees with the count before it to within the steps-step run's
+    # rounding, steps * 2**-52 * max(1, max |coordinate|), else the
+    # steps-step endpoint
+    counts = []
+    n = steps // 8
+    while 1 <= n < steps:
+        counts.append(n)
+        n *= 2
+    previous = None
+    for n in counts:
+        try:
+            end = rk4_oracle(v, fp, t, n)
+        except OverflowError:
+            end = None
+        if end is not None and not all(math.isfinite(c) for c in end):
+            end = None
+        if end is not None and previous is not None:
+            floor = steps * 2.0**-52 * max([1.0] + [abs(c) for c in end])
+            if all(abs(u - w) <= floor for u, w in zip(end, previous)):
+                return end
+        previous = end
+    return rk4_oracle(v, fp, t, steps)
+
+
+def reference_rk4_mismatch(
+    fm: FlowMap, samples: Sequence[ExactPoint], steps: int = 1000, integrate=reference_rk4_ladder
+) -> float:
     exists = fm.ode_domain_check or fm.domain_check
     points = []
     for p in samples:
@@ -640,7 +668,7 @@ def reference_rk4_mismatch(fm: FlowMap, samples: Sequence[ExactPoint], steps: in
         closed = _finite(lambda: reference_apply_float(fm, fp))
         if closed is None:
             return math.inf
-        integrated = _finite(lambda: rk4_oracle(fm.generator, fp, time, steps))
+        integrated = _finite(lambda: integrate(fm.generator, fp, time, steps))
         if integrated is None:
             return math.inf
         worst = max(worst, *(abs(u - v) for u, v in zip(closed, integrated)))
@@ -667,11 +695,17 @@ def _intended(want, fm, group_partner):
     return FlowVerification(want.flow_name, want.params, want.passed, tuple(checks), want.witnesses)
 
 
-def _rk4_outcome(mismatch, fm, samples):
+def _rk4_outcome(mismatch, fm, samples, **kwargs):
     try:
-        return mismatch(fm, samples, steps=20)
+        return mismatch(fm, samples, steps=20, **kwargs)
     except FlowDomainError as exc:
         return str(exc)
+
+
+def _outcome_kind(outcome):
+    if isinstance(outcome, str):
+        return "raised"
+    return "infinite" if outcome == math.inf else "finite"
 
 
 def _reference_cases():
@@ -711,14 +745,16 @@ class TestFloatCheckReference:
         assert changed == 9
 
     def test_rk4_mismatch_matches_reference(self):
-        outcomes = set()
+        cases, outcomes = 0, set()
         for fm, samples, _ in _reference_cases():
             want = _rk4_outcome(reference_rk4_mismatch, fm, samples)
             assert _rk4_outcome(rk4_mismatch, fm, samples) == want, (fm.surface, fm.name)
-            if isinstance(want, str):
-                outcomes.add("raised")
-            else:
-                outcomes.add("infinite" if want == math.inf else "finite")
+            # the ladder changes no outcome of the fixed-step reference
+            fixed = _rk4_outcome(reference_rk4_mismatch, fm, samples, integrate=rk4_oracle)
+            assert _outcome_kind(want) == _outcome_kind(fixed), (fm.surface, fm.name)
+            outcomes.add(_outcome_kind(want))
+            cases += 1
+        assert cases == 101
         # finite and infinite mismatches, and a FlowDomainError, were compared
         assert outcomes == {"finite", "infinite", "raised"}
 
@@ -813,6 +849,20 @@ def _lagrange_derivative_at_zero(nodes, values):
     return tuple(out)
 
 
+def criterion_07_cases():
+    # criterion 7's three representatives, flows and points
+    representatives = [
+        ModelSurface(4, monomial_gamma(4, 2)),
+        ModelSurface(3, binomial_gamma(3)),
+        ModelSurface(4, (1, 0, 1)),
+    ]
+    return [
+        (flow(name, s, RK4_PARAMS[name]), sample_on_surface(s, 20))
+        for s in representatives
+        for name in admissible_flow_names(detect_case(s))
+    ]
+
+
 class TestRk4:
     def test_constant_field(self):
         end = rk4_oracle(vertical_translation(), (0, 0, 0, 0), 1.0, 50)
@@ -843,6 +893,17 @@ class TestRk4:
     def test_steps_validation(self):
         with pytest.raises(ValueError):
             rk4_oracle(vertical_translation(), (0, 0, 0, 0), 1.0, 0)
+
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("a point or sample was read")
+
+        fm = flow(EXP_VMK, GEN, Fraction(1, 10))
+        for steps in (0, -1, 2.5, 8.0, "8", True, None):
+            with pytest.raises(ValueError, match="steps"):
+                rk4_oracle(fm.generator, Unread(), 1.0, steps)
+            with pytest.raises(ValueError, match="steps"):
+                rk4_mismatch(fm, Unread(), steps=steps)
 
     def test_mismatch_raises_when_no_sample_is_checked(self):
         # at t = 1/2 every point with a = 4 has 1 - t a < 0: no integral curve
@@ -895,23 +956,80 @@ class TestRk4:
             assert rk4_mismatch(fm, sample_on_surface(s, 5) + [p], steps=10) == math.inf
 
     def test_criterion_07_runtime_budget(self):
-        # criterion 7's three representatives, flows and points
-        representatives = [
-            ModelSurface(4, monomial_gamma(4, 2)),
-            ModelSurface(3, binomial_gamma(3)),
-            ModelSurface(4, (1, 0, 1)),
-        ]
-        cases = [
-            (flow(name, s, RK4_PARAMS[name]), sample_on_surface(s, 20))
-            for s in representatives
-            for name in admissible_flow_names(detect_case(s))
-        ]
+        cases = criterion_07_cases()
         assert len(cases) == 9
         start = time.perf_counter()
         worst = [rk4_mismatch(fm, samples, steps=1000) for fm, samples in cases]
         elapsed = time.perf_counter() - start
         assert max(worst) < 1e-6
         assert elapsed < 1.2, f"rk4_mismatch over criterion 7 took {elapsed:.2f} s"
+
+    @staticmethod
+    def record_oracle(monkeypatch):
+        # every rk4_oracle call rk4_mismatch makes, as (steps, endpoint)
+        calls = []
+
+        def recording(v, p0, t, steps):
+            end = rk4_oracle(v, p0, t, steps)
+            calls.append((steps, end))
+            return end
+
+        monkeypatch.setattr(flows_mod, "rk4_oracle", recording)
+        return calls
+
+    def test_criterion_07_ladder_steps(self, monkeypatch):
+        # 174 admitted points: 1,000 steps each at a fixed count, and
+        # 125 + 250 (+ 500 (+ 1,000)) on the ladder
+        calls = self.record_oracle(monkeypatch)
+        for fm, samples in criterion_07_cases():
+            rk4_mismatch(fm, samples, steps=1000)
+        counts = [n for n, _ in calls]
+        assert counts.count(125) == 174
+        assert sum(counts) == 89_250
+
+    def test_ladder_endpoint_against_the_fixed_run(self, monkeypatch):
+        # a point that stops early is within the fixed run's rounding of it,
+        # and a point that falls back reads the fixed run bit for bit
+        calls = self.record_oracle(monkeypatch)
+        stopped = {125: 0, 250: 0, 500: 0, 1000: 0}
+        for fm, samples in criterion_07_cases():
+            for p in samples:
+                fp = tuple(float(c) for c in p)
+                if fm.domain_check(fp) or fm.ode_domain_check(fp):
+                    continue
+                calls.clear()
+                got = rk4_mismatch(fm, [p], steps=1000)
+                n, end = calls[-1]
+                fixed = rk4_oracle(fm.generator, fp, flow_time(fm), 1000)
+                stopped[n] += 1
+                if n == 1000:
+                    assert len(calls) == 4
+                    assert end == fixed
+                    want = reference_rk4_mismatch(fm, [p], 1000, integrate=rk4_oracle)
+                    assert got.hex() == want.hex()
+                else:
+                    floor = 1000 * 2.0**-52 * max(1.0, *map(abs, fixed))
+                    assert all(abs(u - w) <= floor for u, w in zip(end, fixed)), (fm.name, fp)
+        assert stopped[125] == 0 and stopped[250] and stopped[500] and stopped[1000]
+
+    def test_ladder_fails_a_planted_wrong_closed_form(self):
+        # EXP_V0's closed form at a parameter off by 1e-5, integrated over
+        # the true parameter's time
+        s = ModelSurface(4, (1, 0, 1))
+        samples = sample_on_surface(s, 20)
+        fm = flow(EXP_V0, s, EXP_TENTH)
+        wrong = flow(EXP_V0, s, EXP_TENTH + Fraction(1, 10**5))
+        planted = FlowMap(EXP_V0, s, fm.detection, fm.param, wrong.components)
+        assert rk4_mismatch(fm, samples, steps=1000) < 1e-6
+        assert rk4_mismatch(planted, samples, steps=1000) > 1e-6
+
+    def test_ladder_stays_within_steps_near_blow_up(self):
+        # ROADMAP item 6: at a seed-28 point on monomial k=4, iota=2, 1,000
+        # RK4 steps still miss EXP_VK by 2.8e-6; the ladder never passes steps
+        s = ModelSurface(4, monomial_gamma(4, 2))
+        fm = flow(EXP_VK, s, Fraction(1, 10))
+        samples = sample_on_surface(s, 60, seed=28)
+        assert rk4_mismatch(fm, samples, steps=1000) == 2.844919606559415e-06
 
 
 # The list-based RK4 and per-term velocity loop that the straight-line kernel

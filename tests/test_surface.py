@@ -46,6 +46,14 @@ class TestModelSurface:
         with pytest.raises(InvalidSurfaceError):
             ModelSurface(3, (1,))
 
+    @pytest.mark.parametrize("gamma", [(1, 1), (Fraction(1, 2), Fraction(-2, 3))])
+    def test_hash_and_equality_are_the_fields(self, gamma):
+        s, t = ModelSurface(3, gamma), ModelSurface(3, gamma)
+        assert hash(s) == hash(t) == hash((3, s.gamma))
+        assert hash(s) == hash(s) and "_hash" in vars(s)
+        assert s == t and len({s, t}) == 1
+        assert s != ModelSurface(3, (gamma[0], gamma[1] + 1)) and s != ModelSurface(4, gamma + (1,))
+
     def test_point_lift(self):
         s = ModelSurface(3, (1, 1))
         pt = s.point_from_xab(2, 1, 1)
