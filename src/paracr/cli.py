@@ -33,7 +33,6 @@ from .poly import (
     Poly,
     PolyParseError,
     UnsupportedDegreeError,
-    format_fraction,
 )
 from .solver import solve_weight
 from .surface import InvalidSurfaceError, ModelSurface
@@ -135,41 +134,37 @@ def build_parser() -> _Parser:
                         f"denominator must be at most {MAX_WEIGHT_DIGITS:,}, also with no cap; "
                         "default: scan until the algebra is proved complete")
     add_tolerance_flag(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("solve-weight", help="kernel basis at one weight")
     add_surface_flags(p)
     p.add_argument("--weight", type=int, required=True,
                    help="weight, in [-k, 12k]; 2k times the most digits of a gamma "
                         f"numerator or denominator must be at most {MAX_WEIGHT_DIGITS:,}")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("finite-type", help="type detection for y = a + phi")
     p.add_argument("--phi", type=str, required=True,
                    help=f"polynomial in x, a, b; exponents at most {MAX_EXPONENT}")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("singular-locus", help="zero locus trichotomy of P_xb",
                        description="2k times the most digits of a gamma numerator or "
                                    f"denominator must be at most {MAX_WEIGHT_DIGITS:,}")
     add_surface_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("embed", help="series solution of the transport problem")
     p.add_argument("--psi", type=str, required=True,
                    help=f"polynomial in x, a, b; exponents at most {MAX_EXPONENT}")
     p.add_argument("--order", type=int, default=8, help=f"series order, in [1, {MAX_ORDER}]")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("flows", help="verify the admissible named flows")
     add_surface_flags(p)
     add_tolerance_flag(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("discrete", help="discrete automorphism group")
     add_surface_flags(p)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
+    # every subcommand prints its result as text or as the JSON of its report dict
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -250,23 +245,7 @@ def _cmd_solve_weight(args) -> int:
         raise UsageError(f"--weight must lie in [{-k}, {MAX_WEIGHT_PER_K * k}] for k={k}")
     _check_gamma_digits(surface)
     kb = solve_weight(surface, args.weight)
-    payload = {
-        "k": surface.k,
-        "gamma": [format_fraction(g) for g in surface.gamma],
-        "weight": kb.weight,
-        "dimension": kb.dimension,
-        "system_shape": list(kb.system_shape),
-        "generators": [
-            {
-                "alpha": f.alpha.to_text(),
-                "beta": f.beta.to_text(),
-                "xi": f.xi.to_text(),
-                "eta": f.eta.to_text(),
-            }
-            for f in kb.basis
-        ],
-    }
-    _emit(payload, _weight_text, args.format)
+    _emit(report_mod.weight_dict(surface, kb), _weight_text, args.format)
     return EXIT_OK
 
 
@@ -300,12 +279,7 @@ def _cmd_embed(args) -> int:
     if not 1 <= args.order <= MAX_ORDER:
         raise UsageError(f"--order must lie in [1, {MAX_ORDER}], got {args.order}")
     series = solve_embedding(psi, args.order)
-    payload = {
-        "psi": psi.to_text(),
-        "order": series.order,
-        "coefficients": [c.to_text() for c in series.coeffs],
-    }
-    _emit(payload, _embed_text, args.format)
+    _emit(report_mod.embedding_dict(series), _embed_text, args.format)
     return EXIT_OK
 
 
@@ -325,8 +299,7 @@ def _cmd_flows(args) -> int:
     # the same digit bound as analyze, which prints the same flow objects
     _check_gamma_digits(surface)
     verifications = flows_mod.verify_flows(surface, detect_case(surface), _seed(), args.tolerance)
-    payload = {"flows": [report_mod.verification_dict(v) for v in verifications]}
-    _emit(payload, _flows_text, args.format)
+    _emit(report_mod.flows_dict(verifications), _flows_text, args.format)
     return EXIT_OK if all(v.passed for v in verifications) else EXIT_FLOW
 
 

@@ -666,14 +666,11 @@ class SignMap(NamedTuple):
     sa: int
     sb: int
 
-    def signs(self) -> Tuple[int, int, int, int]:
-        return (self.sx, self.sy, self.sa, self.sb)
-
     def apply(self, point):
-        return tuple(s * v for s, v in zip(self.signs(), point))
+        return tuple(s * v for s, v in zip(self, point))
 
     def transform_poly(self, p: Poly) -> Poly:
-        return p.substitute({v: s * g for v, s, g in zip(VARS, self.signs(), (X, Y, A, B))})
+        return p.substitute({v: s * g for v, s, g in zip(VARS, self, (X, Y, A, B))})
 
 
 class DiscreteGroup(NamedTuple):

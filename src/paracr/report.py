@@ -6,16 +6,23 @@ flow verification, and collects warnings (closure violations, dimension
 discrepancies against the expected three-case pattern, a monomial exponent
 at the boundary iota = 1 or k - 1, the rejected EXP_Vm1 transcription).
 Reports serialize to a stable JSON object: rationals as "p/q" strings,
-polynomials as grammar strings, keys sorted.
+polynomials as grammar strings, keys sorted.  Each result type has one
+serializer (``type_dict``, ``locus_dict``, ``discrete_dict``,
+``verification_dict``, ``weight_dict``, ``embedding_dict``), and a record whose
+JSON keys are its field names is written from its own fields.
+``ANALYSIS_REPORT_SCHEMA`` is built by one closed-object helper, so a key the
+schema does not name fails validation in every object of the report but the
+two coordinate maps of ``normalization``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import flows as flows_mod
 from . import liealg
+from .embedding import EmbeddingSeries
 from .normalform import (
     BINOMIAL,
     GENERIC,
@@ -31,9 +38,9 @@ from .normalform import (
     normalize_binomial,
     singular_locus,
 )
-from .poly import Rational, as_fraction, format_fraction
-from .solver import solve_algebra
-from .surface import ModelSurface
+from .poly import Poly, Rational, as_fraction, format_fraction
+from .solver import KernelBasis, solve_algebra
+from .surface import ModelSurface, ParaVectorField
 
 # algebra dimension of the three-case pattern, by detected case
 _EXPECTED_DIMENSION = {MONOMIAL: 4, BINOMIAL: 3, GENERIC: 2}
@@ -85,9 +92,7 @@ def analyze(
         normalize_binomial(surface, detection) if detection.kind == BINOMIAL else None
     )
     algebra = solve_algebra(surface, weight_cap)
-    warnings: List[str] = []
-    for violation in algebra.closure_violations:
-        warnings.append(f"closure: {violation.describe()}")
+    warnings = [f"closure: {violation.describe()}" for violation in algebra.closure_violations]
     if algebra.closure_violations:
         label, summary_profile = liealg.OTHER, None
     else:
@@ -95,11 +100,7 @@ def analyze(
         label = liealg.classify(summary_profile).label
     expected = _EXPECTED_DIMENSION[detection.kind]
     if algebra.dimension != expected:
-        extra = sorted(
-            w
-            for w in set(algebra.weights)
-            if w not in (-k, 0, k)
-        )
+        extra = sorted(set(algebra.weights) - {-k, 0, k})
         warnings.append(
             f"dimension: computed algebra dimension {algebra.dimension} differs "
             f"from the {expected} expected for the {detection.kind} case"
@@ -139,13 +140,6 @@ def analyze(
     )
 
 
-def _field_text(f) -> str:
-    return (
-        f"alpha={f.alpha.to_text()}; beta={f.beta.to_text()}; "
-        f"xi={f.xi.to_text()}; eta={f.eta.to_text()}"
-    )
-
-
 # -- serialization -------------------------------------------------------------
 
 
@@ -153,54 +147,48 @@ def _fractions(seq) -> List[str]:
     return [format_fraction(v) for v in seq]
 
 
+def _component_texts(f: ParaVectorField) -> Dict[str, str]:
+    return {name: getattr(f, name).to_text() for name in f.__match_args__}
+
+
+def _field_text(f: ParaVectorField) -> str:
+    return "; ".join(f"{name}={text}" for name, text in _component_texts(f).items())
+
+
+def _lists(record: NamedTuple) -> Dict:
+    """A record's fields by name, each plain tuple (not a record) written as a list."""
+    return {name: list(v) if type(v) is tuple else v for name, v in record._asdict().items()}
+
+
+def _kind_dict(record: NamedTuple, **write: Callable) -> Dict:
+    """A record tagged by its ``kind``, whose fields are None unless its kind has
+    them: the fields that are set, by name, each through its writer in ``write``."""
+    return {
+        name: write[name](v) if name in write else v
+        for name, v in record._asdict().items()
+        if v is not None
+    }
+
+
 def _case_dict(c: CaseDetection) -> Dict:
-    out: Dict = {"kind": c.kind}
-    if c.kind == MONOMIAL:
-        out["iota"] = c.iota
-    if c.kind == BINOMIAL:
-        out["delta"] = format_fraction(c.delta)
-        out["nu"] = format_fraction(c.nu)
-    return out
+    return _kind_dict(c, delta=format_fraction, nu=format_fraction)
 
 
 def type_dict(t: TypeResult) -> Dict:
-    out: Dict = {"kind": t.kind}
-    if t.is_finite:
-        out["k"] = t.k
-        out["gamma"] = _fractions(t.gamma)
-        out["normalized"] = t.normalized.to_text()
-    return out
+    return _kind_dict(t, gamma=_fractions, normalized=Poly.to_text)
 
 
 def locus_dict(l: SingularLocus) -> Dict:
-    out: Dict = {"kind": l.kind}
-    if l.kind == LINE:
-        out["line"] = l.line.to_text()
-    if l.line_count is not None:
-        out["line_count"] = l.line_count
-    return out
+    return _kind_dict(l, line=Poly.to_text)
 
 
 def _profile_dict(p: Optional[liealg.AlgebraProfile]) -> Optional[Dict]:
     if p is None:
         return None
+    eigenvalues = p.ad_eigenvalue_data
     return {
-        "dimension": p.dimension,
-        "derived_series_dims": list(p.derived_series_dims),
-        "center_dim": p.center_dim,
-        "killing_rank": p.killing_rank,
-        "killing_signature": list(p.killing_signature),
-        "is_solvable": p.is_solvable,
-        "derived_killing_signature": (
-            list(p.derived_killing_signature)
-            if p.derived_killing_signature is not None
-            else None
-        ),
-        "ad_eigenvalue_data": (
-            _fractions(p.ad_eigenvalue_data)
-            if p.ad_eigenvalue_data is not None
-            else None
-        ),
+        **_lists(p),
+        "ad_eigenvalue_data": None if eigenvalues is None else _fractions(eigenvalues),
     }
 
 
@@ -209,39 +197,49 @@ def verification_dict(v: flows_mod.FlowVerification) -> Dict:
         "flow": v.flow_name,
         "params": list(v.params),
         "passed": v.passed,
-        "checks": [
-            {
-                "check": c.check,
-                "passed": c.passed,
-                "exact": c.exact,
-                "max_residual": c.max_residual,
-                "detail": c.detail,
-            }
-            for c in v.checks
-        ],
+        "checks": [c._asdict() for c in v.checks],
     }
 
 
+def flows_dict(verifications: Sequence[flows_mod.FlowVerification]) -> Dict:
+    """The JSON of the ``flows`` subcommand: ``flow_verification`` of the report."""
+    return {"flows": [verification_dict(v) for v in verifications]}
+
+
 def discrete_dict(g: flows_mod.DiscreteGroup) -> Dict:
-    return {"kind": g.kind, "generators": [list(e.signs()) for e in g.generators]}
+    return {"kind": g.kind, "generators": [list(e) for e in g.generators]}
+
+
+def weight_dict(s: ModelSurface, kb: KernelBasis) -> Dict:
+    return {
+        "k": s.k,
+        "gamma": _fractions(s.gamma),
+        "weight": kb.weight,
+        "dimension": kb.dimension,
+        "system_shape": list(kb.system_shape),
+        "generators": [_component_texts(f) for f in kb.basis],
+    }
+
+
+def embedding_dict(series: EmbeddingSeries) -> Dict:
+    return {
+        "psi": series.psi.to_text(),
+        "order": series.order,
+        "coefficients": [c.to_text() for c in series.coeffs],
+    }
 
 
 def _normalization_dict(n: Optional[BinomialNormalization]) -> Optional[Dict]:
     if n is None:
         return None
+    # the x_map, y_map, a_map and b_map fields of each CoordinateChange, keyed x, y, a, b
+    change, model_change = (
+        {name.removesuffix("_map"): p.to_text() for name, p in c._asdict().items()}
+        for c in (n.change, n.model_change)
+    )
     return {
-        "change": {
-            "x": n.change.x_map.to_text(),
-            "y": n.change.y_map.to_text(),
-            "a": n.change.a_map.to_text(),
-            "b": n.change.b_map.to_text(),
-        },
-        "model_change": {
-            "x": n.model_change.x_map.to_text(),
-            "y": n.model_change.y_map.to_text(),
-            "a": n.model_change.a_map.to_text(),
-            "b": n.model_change.b_map.to_text(),
-        },
+        "change": change,
+        "model_change": model_change,
         "normalized_gamma": _fractions(n.normalized.gamma),
     }
 
@@ -255,15 +253,11 @@ def report_to_dict(r: AnalysisReport) -> Dict:
         "singular_locus": locus_dict(r.locus),
         "normalization": _normalization_dict(r.normalization),
         "algebra": {
-            "dimension": r.algebra.dimension,
-            "weights": list(r.algebra.weights),
-            "generators": list(r.algebra.generators),
+            **_lists(r.algebra),
             "structure_constants": [
-                [_fractions(cell) for cell in row]
-                for row in r.algebra.structure_constants
+                [_fractions(cell) for cell in row] for row in r.algebra.structure_constants
             ],
             "profile": _profile_dict(r.algebra.profile),
-            "classification": r.algebra.classification,
         },
         "discrete_group": discrete_dict(r.discrete),
         "flow_verification": [verification_dict(v) for v in r.flow_verifications],
@@ -355,186 +349,99 @@ def describe_locus(l: Dict) -> str:
 
 # -- JSON schema ----------------------------------------------------------------
 
+
+def _array(items: Dict, nullable: bool = False) -> Dict:
+    return {"type": ["array", "null"] if nullable else "array", "items": items}
+
+
+def _object(required: Dict, optional: Optional[Dict] = None, nullable: bool = False) -> Dict:
+    """A closed object: it must hold each key of ``required``, may hold each key
+    of ``optional``, and may hold no other key."""
+    return {
+        "type": ["object", "null"] if nullable else "object",
+        "required": list(required),
+        "properties": {**required, **(optional or {})},
+        "additionalProperties": False,
+    }
+
+
 _RATIONAL = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
+_INTEGER = {"type": "integer"}
+_STRING = {"type": "string"}
+_BOOLEAN = {"type": "boolean"}
+_RATIONALS = _array(_RATIONAL)
+_INTEGERS = _array(_INTEGER)
+_STRINGS = _array(_STRING)
+# a coordinate map of the normalization, each coordinate's image as polynomial text
+_COORDINATE_MAP = {"type": "object", "additionalProperties": _STRING}
 
 ANALYSIS_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "additionalProperties": False,
-    "required": [
-        "k",
-        "gamma",
-        "case",
-        "finite_type",
-        "singular_locus",
-        "normalization",
-        "algebra",
-        "discrete_group",
-        "flow_verification",
-        "warnings",
-    ],
-    "properties": {
+    **_object({
         "k": {"type": "integer", "minimum": 3},
-        "gamma": {"type": "array", "items": _RATIONAL},
-        "case": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["MONOMIAL", "BINOMIAL", "GENERIC"]},
-                "iota": {"type": "integer"},
-                "delta": _RATIONAL,
-                "nu": _RATIONAL,
+        "gamma": _RATIONALS,
+        "case": _object(
+            {"kind": {"enum": [MONOMIAL, BINOMIAL, GENERIC]}},
+            {"iota": _INTEGER, "delta": _RATIONAL, "nu": _RATIONAL},
+        ),
+        "finite_type": _object(
+            {"kind": {"enum": ["FINITE", "INFINITE"]}},
+            {"k": _INTEGER, "gamma": _RATIONALS, "normalized": _STRING},
+        ),
+        "singular_locus": _object(
+            {"kind": {"enum": ["POINT", LINE, "PENCIL"]}},
+            {"line": _STRING, "line_count": _INTEGER},
+        ),
+        "normalization": _object(
+            {
+                "change": _COORDINATE_MAP,
+                "model_change": _COORDINATE_MAP,
+                "normalized_gamma": _RATIONALS,
             },
-            "additionalProperties": False,
-        },
-        "finite_type": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["FINITE", "INFINITE"]},
-                "k": {"type": "integer"},
-                "gamma": {"type": "array", "items": _RATIONAL},
-                "normalized": {"type": "string"},
+            nullable=True,
+        ),
+        "algebra": _object({
+            "dimension": _INTEGER,
+            "weights": _INTEGERS,
+            "generators": _STRINGS,
+            "structure_constants": _array(_array(_RATIONALS)),
+            "profile": _object(
+                {
+                    "dimension": _INTEGER,
+                    "derived_series_dims": _INTEGERS,
+                    "center_dim": _INTEGER,
+                    "killing_rank": _INTEGER,
+                    "killing_signature": _INTEGERS,
+                    "is_solvable": _BOOLEAN,
+                },
+                {
+                    "derived_killing_signature": _array(_INTEGER, nullable=True),
+                    "ad_eigenvalue_data": _array(_RATIONAL, nullable=True),
+                },
+                nullable=True,
+            ),
+            "classification": {
+                "enum": [
+                    liealg.SL2_PLUS_CENTER,
+                    liealg.SOLVABLE_3D_WEIGHTS_K_1,
+                    liealg.AFFINE_LINE_2D,
+                    liealg.OTHER,
+                ]
             },
-            "additionalProperties": False,
-        },
-        "singular_locus": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["POINT", "LINE", "PENCIL"]},
-                "line": {"type": "string"},
-                "line_count": {"type": "integer"},
-            },
-            "additionalProperties": False,
-        },
-        "normalization": {
-            "type": ["object", "null"],
-            "required": ["change", "model_change", "normalized_gamma"],
-            "properties": {
-                "change": {
-                    "type": "object",
-                    "additionalProperties": {"type": "string"},
-                },
-                "model_change": {
-                    "type": "object",
-                    "additionalProperties": {"type": "string"},
-                },
-                "normalized_gamma": {"type": "array", "items": _RATIONAL},
-            },
-            "additionalProperties": False,
-        },
-        "algebra": {
-            "type": "object",
-            "required": [
-                "dimension",
-                "weights",
-                "generators",
-                "structure_constants",
-                "profile",
-                "classification",
-            ],
-            "properties": {
-                "dimension": {"type": "integer"},
-                "weights": {"type": "array", "items": {"type": "integer"}},
-                "generators": {"type": "array", "items": {"type": "string"}},
-                "structure_constants": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "array", "items": _RATIONAL},
-                    },
-                },
-                "profile": {
-                    "type": ["object", "null"],
-                    "required": [
-                        "dimension",
-                        "derived_series_dims",
-                        "center_dim",
-                        "killing_rank",
-                        "killing_signature",
-                        "is_solvable",
-                    ],
-                    "properties": {
-                        "dimension": {"type": "integer"},
-                        "derived_series_dims": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                        "center_dim": {"type": "integer"},
-                        "killing_rank": {"type": "integer"},
-                        "killing_signature": {
-                            "type": "array",
-                            "items": {"type": "integer"},
-                        },
-                        "is_solvable": {"type": "boolean"},
-                        "derived_killing_signature": {
-                            "type": ["array", "null"],
-                            "items": {"type": "integer"},
-                        },
-                        "ad_eigenvalue_data": {
-                            "type": ["array", "null"],
-                            "items": _RATIONAL,
-                        },
-                    },
-                    "additionalProperties": False,
-                },
-                "classification": {
-                    "enum": [
-                        liealg.SL2_PLUS_CENTER,
-                        liealg.SOLVABLE_3D_WEIGHTS_K_1,
-                        liealg.AFFINE_LINE_2D,
-                        liealg.OTHER,
-                    ]
-                },
-            },
-            "additionalProperties": False,
-        },
-        "discrete_group": {
-            "type": "object",
-            "required": ["kind", "generators"],
-            "properties": {
-                "kind": {"enum": ["Z2", "Z2xZ2"]},
-                "generators": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"enum": [1, -1]},
-                        "minItems": 4,
-                        "maxItems": 4,
-                    },
-                },
-            },
-            "additionalProperties": False,
-        },
-        "flow_verification": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["flow", "params", "passed", "checks"],
-                "properties": {
-                    "flow": {"type": "string"},
-                    "params": {"type": "array", "items": {"type": "string"}},
-                    "passed": {"type": "boolean"},
-                    "checks": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["check", "passed", "exact"],
-                            "properties": {
-                                "check": {"type": "string"},
-                                "passed": {"type": "boolean"},
-                                "exact": {"type": "boolean"},
-                                "max_residual": {"type": ["number", "null"]},
-                                "detail": {"type": "string"},
-                            },
-                            "additionalProperties": False,
-                        },
-                    },
-                },
-                "additionalProperties": False,
-            },
-        },
-        "warnings": {"type": "array", "items": {"type": "string"}},
-    },
+        }),
+        "discrete_group": _object({
+            "kind": {"enum": ["Z2", "Z2xZ2"]},
+            "generators": _array({**_array({"enum": [1, -1]}), "minItems": 4, "maxItems": 4}),
+        }),
+        "flow_verification": _array(_object({
+            "flow": _STRING,
+            "params": _STRINGS,
+            "passed": _BOOLEAN,
+            "checks": _array(_object(
+                {"check": _STRING, "passed": _BOOLEAN, "exact": _BOOLEAN},
+                {"max_residual": {"type": ["number", "null"]}, "detail": _STRING},
+            )),
+        })),
+        "warnings": _STRINGS,
+    }),
 }

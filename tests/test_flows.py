@@ -1411,4 +1411,4 @@ class TestDiscreteGroup:
 
     def test_first_generator_signs(self):
         g = discrete_group(ModelSurface(5, (1, 0, 1, 0))).generators[0]
-        assert g.signs() == (-1, -1, -1, -1)
+        assert tuple(g) == (-1, -1, -1, -1)

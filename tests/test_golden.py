@@ -14,6 +14,10 @@ errors.  A refactor must leave every one of them unchanged.  Regenerate them
 only for an intended change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+Every golden report, and every `analyze --format json` output among the CLI
+cases, also validates against ``ANALYSIS_REPORT_SCHEMA``, and the schema is
+checked to close each object of one binomial report.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import os
 from fractions import Fraction
 from pathlib import Path
 
+import jsonschema
 import pytest
 
 from paracr.cli import main as cli_main
@@ -40,7 +45,7 @@ from paracr.flows import (
     sample_on_surface,
 )
 from paracr.poly import format_fraction
-from paracr.report import analyze, report_to_dict
+from paracr.report import ANALYSIS_REPORT_SCHEMA, analyze, report_to_dict
 from paracr.surface import ModelSurface
 from conftest import (
     binomial_gamma,
@@ -90,6 +95,75 @@ def test_k_ladder_is_covered():
 def test_report_matches_golden(s):
     expected = (GOLDEN_DIR / golden_name(s)).read_text(encoding="utf-8")
     assert report_json(s) == expected
+    jsonschema.validate(json.loads(expected), ANALYSIS_REPORT_SCHEMA)
+
+
+# a binomial report: it has a normalization object, and its case delta and nu
+BINOMIAL_GOLDEN = GOLDEN_DIR / "k3_3_3.json"
+
+
+def binomial_report():
+    return json.loads(BINOMIAL_GOLDEN.read_text(encoding="utf-8"))
+
+
+def report_objects(report):
+    """(label, object, keys the object may leave out) for each object of a report."""
+    objects = [
+        ("report", report, set()),
+        ("case", report["case"], {"iota", "delta", "nu"}),
+        ("finite_type", report["finite_type"], {"k", "gamma", "normalized"}),
+        ("singular_locus", report["singular_locus"], {"line", "line_count"}),
+        ("normalization", report["normalization"], set()),
+        ("algebra", report["algebra"], set()),
+        (
+            "algebra.profile",
+            report["algebra"]["profile"],
+            {"derived_killing_signature", "ad_eigenvalue_data"},
+        ),
+        ("discrete_group", report["discrete_group"], set()),
+    ]
+    for i, v in enumerate(report["flow_verification"]):
+        objects.append((f"flow_verification[{i}]", v, set()))
+        objects += [
+            (f"flow_verification[{i}].checks[{j}]", c, {"max_residual", "detail"})
+            for j, c in enumerate(v["checks"])
+        ]
+    return objects
+
+
+CLOSED_OBJECTS = [label for label, _, _ in report_objects(binomial_report())]
+
+
+def test_closed_objects_cover_the_report():
+    # the root, six objects, the profile, three flows and their nine checks
+    assert len(CLOSED_OBJECTS) == 20
+
+
+@pytest.mark.parametrize("label", CLOSED_OBJECTS)
+def test_schema_closes_every_object(label):
+    report = binomial_report()
+    obj, optional = next((o, opt) for l, o, opt in report_objects(report) if l == label)
+    jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
+    obj["unknown_key"] = 0
+    with pytest.raises(jsonschema.ValidationError, match="'unknown_key' was unexpected"):
+        jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
+    del obj["unknown_key"]
+    for key in list(obj):
+        value = obj.pop(key)
+        if key in optional:
+            jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
+        else:
+            with pytest.raises(jsonschema.ValidationError, match=f"'{key}' is a required property"):
+                jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
+        obj[key] = value
+
+
+def test_schema_admits_null_normalization_and_profile():
+    report = binomial_report()
+    report["normalization"] = None
+    jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
+    report["algebra"]["profile"] = None
+    jsonschema.validate(report, ANALYSIS_REPORT_SCHEMA)
 
 
 def rk4_flows():
@@ -215,7 +289,10 @@ def test_cli_golden_covers_the_cases(cli_golden):
 @pytest.mark.parametrize("argv", CLI_CASES, ids=" ".join)
 def test_cli_output_matches_golden(argv, cli_golden, monkeypatch):
     monkeypatch.delenv("PARACR_SEED", raising=False)
-    assert cli_record(argv) == cli_golden[tuple(argv)]
+    record = cli_record(argv)
+    assert record == cli_golden[tuple(argv)]
+    if argv[0] == "analyze" and argv[-2:] == ["--format", "json"]:
+        jsonschema.validate(json.loads(record["stdout"]), ANALYSIS_REPORT_SCHEMA)
 
 
 if __name__ == "__main__":
