@@ -33,6 +33,7 @@ from .poly import (
     Poly,
     PolyParseError,
     UnsupportedDegreeError,
+    decimal_digits,
 )
 from .solver import solve_weight
 from .surface import InvalidSurfaceError, ModelSurface
@@ -183,13 +184,6 @@ def _poly_flag(flag: str, text: str) -> Poly:
     return p
 
 
-def _digits(n: int) -> int:
-    # decimal digits of |n|, without str(), which refuses integers over 4,300 digits
-    n = abs(n)
-    d = int(n.bit_length() * math.log10(2))
-    return d + (n >= 10**d)
-
-
 def _surface(args) -> ModelSurface:
     if args.k > MAX_K:
         raise UsageError(f"--k must lie in [3, {MAX_K}], got {args.k}")
@@ -201,7 +195,7 @@ def _surface(args) -> ModelSurface:
 
 
 def _check_gamma_digits(surface: ModelSurface) -> None:
-    digits = max(_digits(v) for g in surface.gamma for v in (g.numerator, g.denominator))
+    digits = max(decimal_digits(v) for g in surface.gamma for v in (g.numerator, g.denominator))
     if 2 * surface.k * digits > MAX_WEIGHT_DIGITS:
         raise UsageError(
             f"weight 2k = {2 * surface.k} times {digits}, the most digits of a gamma "

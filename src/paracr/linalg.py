@@ -8,18 +8,12 @@ rows and span coefficients are ints except where a pivot leaves a fraction.
 Two independent kernel routines are provided on purpose.  The main path
 scales rows to integers and runs fraction-free (Bareiss) elimination with
 partial pivoting on pivot magnitude, which avoids rational blow-up during
-elimination.  ``nullspace_modular`` puts a certified row selection in front
-of it, on sparse rows: each row is the list of its (column, value) pairs,
-which suits the per-weight tangency systems, whose entries are mostly zero.
-The rows are read shortest first, each scaled to integers only when read,
-and reduced modulo one fixed prime against a sparse echelon; only the rows
-that raise the rank mod p go, made dense, to Bareiss.  Rank mod p never
-exceeds the rank over Q, so full rank mod p proves the kernel is {0}, in any
-row order and before the later rows are scaled.  Otherwise every row is
-checked against the subsystem's kernel over the integers, and rows that fail
-join the subsystem until none fails; the result is then the basis
-``nullspace_bareiss`` gives on all rows, which depends on the kernel alone,
-and ``kernel_normal_form`` reads that basis off any spanning set of a kernel.
+elimination.  ``nullspace_modular`` puts a rank test mod one fixed prime in
+front of it, on sparse rows (each row the list of its (column, value) pairs,
+which suits the mostly-zero per-weight tangency systems): rank mod p never
+exceeds the rank over Q, so full rank mod p proves the kernel is {0};
+otherwise Bareiss runs on every row.  ``kernel_normal_form`` reads Bareiss's
+basis off any spanning set of a kernel.
 The second path is a Gauss-Jordan reduction to reduced row echelon form
 (``rref``), run over integers one row at a time: each row is cleared of
 denominators, divided by its content and reduced against the pivot rows
@@ -122,32 +116,19 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
 
     Each row is a sparse row: its (column, value) pairs, in any order, with int
     or Fraction values; a zero value is allowed and adds nothing.  Rows are read
-    shortest first, ties last row first (on tall tangency systems, whose rows
-    come in the order their monomials are first reached, full rank then comes
-    after fewer rows than with ties first row first), and each is scaled to
-    integers by the lcm of its denominators only when read, then reduced
-    modulo ``_PRIME`` against a sparse echelon keyed by pivot column, whose
-    rows hold the pairs right of their pivot, scaled so that the pivot is 1
-    (a row of one entry needs no inverse); a row that adds rank mod p is kept.
-    Kept rows are independent mod p, hence over Q, so rank ``ncols`` mod p
-    returns ``[]`` in any order.  Otherwise Bareiss runs on the kept rows,
-    made dense, and every row is checked against each basis vector over the
-    integers by a sparse dot product.  Rows with a nonzero product join the
-    kept rows, which raises their rank, and Bareiss runs again.  Once no row
-    fails, the subsystem has the kernel of the full system, and Bareiss's
-    basis depends on the kernel alone, not on the row order: its free columns
-    lie outside the lex-first column basis, and each vector is the primitive
-    kernel vector on the pivots and one free column.
+    shortest first, each scaled to integers by the lcm of its denominators only
+    when read, and reduced modulo ``_PRIME`` against a sparse echelon keyed by
+    pivot column, whose rows hold the pairs right of their pivot scaled so that
+    the pivot is 1 (a row of one entry needs no inverse).  Rank mod p never
+    exceeds the rank over Q, so rank ``ncols`` mod p proves the kernel is {0}:
+    ``[]`` is returned before any later row is read.  Otherwise
+    ``nullspace_bareiss`` runs on every row, made dense.
     """
     p = _PRIME
-    m: List[List[Tuple[int, int]]] = []  # the rows read, scaled to integers
     echelon: Dict[int, List[Tuple[int, int]]] = {}  # pivot column -> pairs right of it
-    kept: List[int] = []
-    for row in sorted(reversed(rows), key=len):
+    for row in sorted(rows, key=len):
         denom = lcm(*(v.denominator for _, v in row))
-        ints = [(j, v.numerator * (denom // v.denominator)) for j, v in row if v]
-        m.append(ints)
-        red = {j: v % p for j, v in ints}
+        red = {j: v.numerator * (denom // v.denominator) % p for j, v in row if v}
         while red:
             c = min(red)
             v = red.pop(c)
@@ -157,28 +138,12 @@ def nullspace_modular(rows: Sequence[SparseRow], ncols: int) -> List[Vector]:
             if tail is None:
                 inv = pow(v, -1, p) if red else 1
                 echelon[c] = [(j, w * inv % p) for j, w in red.items() if w]
-                kept.append(len(m) - 1)
                 break
             for j, w in tail:
                 red[j] = (red.get(j, 0) - v * w) % p
-        if len(kept) == ncols:
+        if len(echelon) == ncols:
             return []
-    while True:
-        dense = []
-        for i in kept:
-            values = [0] * ncols
-            for j, v in m[i]:
-                values[j] = v
-            dense.append(values)
-        basis = nullspace_bareiss(dense, ncols)
-        failing = [
-            i
-            for i, row in enumerate(m)
-            if any(sum(v * vec[j] for j, v in row) for vec in basis)
-        ]
-        if not failing:
-            return basis
-        kept = sorted(kept + failing)
+    return nullspace_bareiss([[dict(row).get(j, 0) for j in range(ncols)] for row in rows], ncols)
 
 
 def kernel_normal_form(kernel: Sequence[Sequence[Rational]], ncols: int) -> List[Vector]:

@@ -10,12 +10,12 @@ binomial ones normalize exactly onto the binomial-coefficient sequence.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import sturm
 from .linalg import normalize_primitive
-from .poly import A, B, Poly, Record, X, Y
+from .poly import A, B, Poly, Record, X, Y, decimal_digits
 from .surface import InvalidSurfaceError, ModelSurface
 
 FINITE = "FINITE"
@@ -39,6 +39,11 @@ MAX_ELIMINATION_TERMS = 200
 # seeded inputs a^2 + b^2 (or b^3) plus up to 4 terms of exponent <= 9, no
 # step of an input decided within MAX_ELIMINATION_TERMS exceeded 6,620.
 MAX_STEP_TERMS = 20_000
+# Digits the terms of one step may hold in all (``_step_digits``); a step's time
+# follows them.  a^200 + N b + x b^2 counts 12 million with a 300-digit N and took
+# 2.0 s, 40 million and 16 s with 1,000 digits; at 5 million, the largest first
+# steps of a^e + N (b + ... + b^t) + x b^(t+1), e <= 200, t <= 5, took 0.1-0.6 s.
+MAX_STEP_DIGITS = 5_000_000
 
 
 class NormalFormError(ValueError):
@@ -114,6 +119,19 @@ def _step_terms(p: Poly, g: Poly) -> int:
     return sum(sizes[exp[2]] for exp, _ in p.items())
 
 
+def _step_digits(p: Poly, g: Poly, terms: int) -> int:
+    """Digits of the ``terms`` terms that substituting a -> a - g into p multiplies
+    out, numerator and denominator each, or more.  With L the lcm of g's
+    denominators and S the sum of |c| L over its coefficients c, (a - g)^e has
+    numerators and denominators at most (L + S)^e, e at most p's a-degree, and
+    each term is one of them times a coefficient of p.
+    """
+    den = lcm(*(c.denominator for _, c in g.items()))
+    total = den + sum(abs(c.numerator) * (den // c.denominator) for _, c in g.items())
+    largest = max(decimal_digits(v) for _, c in p.items() for v in (c.numerator, c.denominator))
+    return terms * (p.max_exponent("a") * decimal_digits(total) + largest)
+
+
 def finite_type(phi: DefiningFunction) -> TypeResult:
     """Type detection by iterated elimination of pure x and pure b terms.
 
@@ -124,7 +142,8 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
     x-containing monomial exists, or everything left is divisible by a, the
     contact order is unbounded.  A step that would start from more than
     ``MAX_ELIMINATION_TERMS`` terms, or multiply out more than
-    ``MAX_STEP_TERMS``, raises ``NormalFormError`` before it expands.
+    ``MAX_STEP_TERMS`` terms or terms of more than ``MAX_STEP_DIGITS`` digits
+    in all, raises ``NormalFormError`` before it expands.
     """
     p = phi.phi - _pure_x_part(phi.phi)
     if p.max_exponent("x") == 0:
@@ -147,6 +166,13 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
             raise NormalFormError(
                 f"a pure-b elimination step would multiply out {step_terms:,} terms or more, "
                 f"over the bound of {MAX_STEP_TERMS:,} (MAX_STEP_TERMS); the type is undecided"
+            )
+        step_digits = _step_digits(p, g, step_terms)
+        if step_digits > MAX_STEP_DIGITS:
+            raise NormalFormError(
+                f"a pure-b elimination step may multiply out terms of {step_digits:,} digits "
+                f"in all, over the bound of {MAX_STEP_DIGITS:,} (MAX_STEP_DIGITS); the type is "
+                "undecided"
             )
         p = p.substitute({"a": A - g}) - g
     else:

@@ -67,6 +67,13 @@ def exact(q: Rational) -> Rational:
     return q.numerator if q.denominator == 1 else q
 
 
+def decimal_digits(n: int) -> int:
+    """Decimal digits of |n|, without ``str``, which refuses integers over 4,300 digits."""
+    n = abs(n)
+    d = int(n.bit_length() * math.log10(2))
+    return d + (n >= 10**d)
+
+
 class OutputDigitsError(ValueError):
     """Raised when a number to print has an integer over the interpreter's
     digit limit for ``str(int)`` (4,300 digits by default)."""

@@ -11,8 +11,8 @@ serializer (``type_dict``, ``locus_dict``, ``discrete_dict``,
 ``verification_dict``, ``weight_dict``, ``embedding_dict``), and a record whose
 JSON keys are its field names is written from its own fields.
 ``ANALYSIS_REPORT_SCHEMA`` is built by one closed-object helper, so a key the
-schema does not name fails validation in every object of the report but the
-two coordinate maps of ``normalization``.
+schema does not name fails validation in every object of the report, the two
+coordinate maps of ``normalization`` included.
 """
 
 from __future__ import annotations
@@ -372,8 +372,6 @@ _BOOLEAN = {"type": "boolean"}
 _RATIONALS = _array(_RATIONAL)
 _INTEGERS = _array(_INTEGER)
 _STRINGS = _array(_STRING)
-# a coordinate map of the normalization, each coordinate's image as polynomial text
-_COORDINATE_MAP = {"type": "object", "additionalProperties": _STRING}
 
 ANALYSIS_REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -394,8 +392,9 @@ ANALYSIS_REPORT_SCHEMA = {
         ),
         "normalization": _object(
             {
-                "change": _COORDINATE_MAP,
-                "model_change": _COORDINATE_MAP,
+                # the two coordinate maps: the image of each of x, y, a, b as polynomial text
+                "change": _object(dict.fromkeys("xyab", _STRING)),
+                "model_change": _object(dict.fromkeys("xyab", _STRING)),
                 "normalized_gamma": _RATIONALS,
             },
             nullable=True,

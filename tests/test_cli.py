@@ -491,6 +491,15 @@ class TestFiniteTypeStepBound:
         assert (code, out) == (EXIT_USAGE, "")
         assert "MAX_STEP_TERMS" in err and "20,000" in err
 
+    def test_step_digits_exit_64_quickly(self, capsys):
+        # every exponent and literal is in bounds, but the one step's 203 terms would
+        # hold 163 million digits; unbounded it ran over 120 s
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "finite-type", "--phi", f"a^200 + {'9' * 4000}*b + x*b^2")
+        assert time.perf_counter() - t0 < 1.0
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "MAX_STEP_DIGITS" in err and "5,000,000" in err
+
 
 def _alternating_gamma(k, digits):
     # gammas alternating a number of `digits` nines and small ints, the last 1/D

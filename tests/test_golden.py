@@ -114,6 +114,8 @@ def report_objects(report):
         ("finite_type", report["finite_type"], {"k", "gamma", "normalized"}),
         ("singular_locus", report["singular_locus"], {"line", "line_count"}),
         ("normalization", report["normalization"], set()),
+        ("normalization.change", report["normalization"]["change"], set()),
+        ("normalization.model_change", report["normalization"]["model_change"], set()),
         ("algebra", report["algebra"], set()),
         (
             "algebra.profile",
@@ -135,8 +137,8 @@ CLOSED_OBJECTS = [label for label, _, _ in report_objects(binomial_report())]
 
 
 def test_closed_objects_cover_the_report():
-    # the root, six objects, the profile, three flows and their nine checks
-    assert len(CLOSED_OBJECTS) == 20
+    # the root, six objects, two coordinate maps, the profile, three flows and their nine checks
+    assert len(CLOSED_OBJECTS) == 22
 
 
 @pytest.mark.parametrize("label", CLOSED_OBJECTS)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -64,21 +65,56 @@ class TestNullspace:
 
 
 def weight_systems():
-    """(label, dense rows, ncols) of every tangency system for weights in [-k, 3k]."""
+    """(label, sparse rows, ncols) of the tangency systems for weights in [-k, 3k] of the
+    suite and rational-gamma surfaces: the full ansatz's, and the prolonged candidates'
+    that ``solve_algebra`` passes to ``nullspace_modular`` through ``_solve``."""
     systems = []
+    modular = linalg.nullspace_modular
     for s in suite_surfaces() + rational_gamma_surfaces():
         for m in range(-s.k, 3 * s.k + 1):
             ansatz = solver.build_ansatz(s, m)
             if len(ansatz):
                 _, rows = unit_system(ansatz)
-                label = f"k={s.k} gamma={s.gamma} m={m}"
-                systems.append((label, dense_rows(rows, len(ansatz)), len(ansatz)))
+                systems.append((f"k={s.k} gamma={s.gamma} m={m}", rows, len(ansatz)))
+        served = []
+
+        def recording(rows, ncols):
+            served.append((rows, ncols))
+            return modular(rows, ncols)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "nullspace_modular", recording)
+            solver.solve_algebra(s, weight_cap=3 * s.k)
+        assert len(served) == 4 * s.k + 1  # one solve per weight
+        for m, (rows, ncols) in enumerate(served, start=-s.k):
+            systems.append((f"k={s.k} gamma={s.gamma} m={m} prolonged", rows, ncols))
     return systems
+
+
+def rank_mod_p(rows, ncols, p):
+    """Rank mod p of sparse rows, each scaled to integers by the lcm of its denominators,
+    by dense elimination: the reference for when ``nullspace_modular`` needs Bareiss."""
+    m = []
+    for row in dense_rows(rows, ncols):
+        denom = lcm(*(Fraction(v).denominator for v in row))
+        m.append([int(v * denom) % p for v in row])
+    rank = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][c] * inv
+            m[i] = [(v - f * w) % p for v, w in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """Counts the ``nullspace_bareiss`` calls ``nullspace_modular`` makes."""
+    """Counts the rows of each ``nullspace_bareiss`` call ``nullspace_modular`` makes."""
     calls = []
     bareiss = linalg.nullspace_bareiss
 
@@ -88,6 +124,12 @@ def bareiss_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "nullspace_bareiss", counting_bareiss)
     return calls
+
+
+def fallback_calls(rows, ncols):
+    """The ``bareiss_calls`` of ``nullspace_modular``: none at full rank mod p, else
+    one, on all the rows."""
+    return [len(rows)] if rank_mod_p(rows, ncols, linalg._PRIME) < ncols else []
 
 
 @pytest.fixture(scope="module")
@@ -111,21 +153,22 @@ class TestNullspaceModular:
     @pytest.mark.parametrize("prime", [linalg._PRIME, 3, 2], ids=["2^61-1", "p=3", "p=2"])
     def test_equals_bareiss_on_weight_systems(self, prime, monkeypatch, bareiss_calls):
         monkeypatch.setattr(linalg, "_PRIME", prime)
-        repaired = 0
+        lost = 0
         for label, rows, ncols in weight_systems():
-            expected = linalg.nullspace_bareiss(rows, ncols)
+            expected = linalg.nullspace_bareiss(dense_rows(rows, ncols), ncols)
             bareiss_calls.clear()
-            assert linalg.nullspace_modular(sparse_rows(rows), ncols) == expected, label
-            repaired += len(bareiss_calls) > 1
+            assert linalg.nullspace_modular(rows, ncols) == expected, label
+            assert bareiss_calls == fallback_calls(rows, ncols), label
+            lost += bool(bareiss_calls) and not expected
         if prime < 5:
-            # a small prime loses rank on some systems, so the repair loop must run
-            assert repaired > 0
+            # a small prime loses rank on some systems of kernel {0}, so the fallback runs
+            assert lost > 0
 
     def test_rank_lost_mod_p_is_repaired(self, monkeypatch, bareiss_calls):
         monkeypatch.setattr(linalg, "_PRIME", 3)
         assert linalg.nullspace_modular(sparse_rows([[3, 0], [0, 1]]), 2) == []
-        # the first pass keeps only [0, 1]; the repair adds [3, 0]
-        assert bareiss_calls == [1, 2]
+        # [3, 0] is zero mod 3, so rank mod p falls short and Bareiss runs on both rows
+        assert bareiss_calls == [2]
 
     @pytest.mark.parametrize("prime", [linalg._PRIME, 3], ids=["2^61-1", "p=3"])
     def test_row_order_does_not_change_the_kernel(
@@ -133,14 +176,16 @@ class TestNullspaceModular:
     ):
         monkeypatch.setattr(linalg, "_PRIME", prime)
         rng = random.Random(f"row-order-{prime}")
-        repaired = 0
+        lost = 0
         for label, rows, ncols, expected in kernel_systems:
+            calls = fallback_calls(rows, ncols)
             for order in [rows] + [rng.sample(rows, len(rows)) for _ in range(3)]:
                 bareiss_calls.clear()
                 assert linalg.nullspace_modular(order, ncols) == expected, label
-                repaired += len(bareiss_calls) > 1
+                assert bareiss_calls == calls, label
+            lost += bool(calls) and not expected
         if prime == 3:
-            assert repaired > 0
+            assert lost > 0
 
     def test_rows_after_full_rank_are_not_read(self):
         class Unread(list):
@@ -208,7 +253,7 @@ class TestNullspaceModular:
         monkeypatch.setattr(linalg, "_PRIME", prime)
         rng = random.Random(prime)
         zero = (0, Fraction(0))
-        repaired = 0
+        lost = 0
         for _ in range(150):
             ncols = rng.randint(1, 7)
             gens = [
@@ -232,9 +277,10 @@ class TestNullspaceModular:
             expected = linalg.nullspace_bareiss(rows, ncols)
             bareiss_calls.clear()
             assert linalg.nullspace_modular(sparse, ncols) == expected
-            repaired += len(bareiss_calls) > 1
+            assert bareiss_calls == fallback_calls(sparse, ncols)
+            lost += bool(bareiss_calls) and not expected
         if prime < 5:
-            assert repaired > 0
+            assert lost > 0
 
 
 class TestKernelNormalForm:

@@ -130,6 +130,33 @@ class TestFiniteType:
             expanded = p.substitute({"a": Poly.variable("a") - g})
             assert len(expanded) <= normalform._step_terms(p, g)
 
+    def test_step_digits_bound_the_expansion(self):
+        # each term c (a - g)^e of the step, counted by its numerator or
+        # denominator, whichever has more digits, fits in the count
+        rng = random.Random(11)
+
+        def digits(q):
+            return max(len(str(abs(q.numerator))), len(str(q.denominator)))
+
+        for _ in range(200):
+            p = Poly({
+                (rng.randint(0, 3), 0, rng.randint(0, 5), rng.randint(0, 5)): Fraction(
+                    rng.randint(-10**rng.randint(1, 30), 10**30), rng.randint(1, 10**5)
+                )
+                for _ in range(rng.randint(1, 5))
+            })
+            g = Poly({
+                (0, 0, 0, rng.randint(1, 6)): Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 99))
+                for _ in range(3)
+            })
+            written = sum(
+                digits(c * u)
+                for exp, c in p.items()
+                for _, u in ((Poly.variable("a") - g) ** exp[2]).items()
+            )
+            terms = normalform._step_terms(p, g)
+            assert written <= normalform._step_digits(p, g, terms)
+
     def test_step_terms_exact_without_merging(self):
         # (a - b)^e has e + 1 terms, (a - b - b^3)^2 has 1 + 2 + 3 = 6 before merging
         a, b = Poly.variable("a"), Poly.variable("b")
