@@ -14,8 +14,11 @@ surface as ``Poly`` values, whose integral coefficients are plain ints.
 one normal form.  Each weight w is solved one way, on the preimage under
 ad V, V = d_a + d_y, of g_(w-k): the prolongation of the graded algebra
 below w (Tanaka 1970; Sternberg 1964), at most dim g_(w-k) + 4 candidates
-(``_solve_prolonged``), run by ``solve_algebra`` up its scan and by
-``solve_weight``, which ``solve-weight`` prints, up one residue class mod k.
+(``_solve_prolonged``), run by ``solve_weight``, which ``solve-weight``
+prints, up one residue class mod k, and by ``solve_algebra`` up its scan at
+the weights the prolongation leaves open: w = -k, -1 <= w <= k - 2, and any
+w whose g_(w-k) has a generator.  Every other weight is {0} by the lemma in
+``solve_algebra``'s docstring, and costs no solve.
 
 ``brute_force_check`` certifies each kernel independently: it samples the
 residual of every unit field at random points of F_q, q = 2^31 - 1, each
@@ -340,7 +343,7 @@ class ClosureViolation(NamedTuple):
 class SymmetryAlgebra(NamedTuple):
     """Concatenated kernel bases with exact structure constants.
 
-    ``weight_cap`` is the last weight solved: the given cap, or the weight
+    ``weight_cap`` is the last weight scanned: the given cap, or the weight
     where the default scan stopped.
     """
 
@@ -402,35 +405,47 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     """Kernel bases for every weight from -k up, plus brackets.
 
     Each weight w is solved on the preimage under ad V, V = d_a + d_y, of
-    g_(w-k), the weight solved k steps before (``_solve_prolonged``): V is in
-    the algebra and the algebra is closed, so [V, X] lies in g_(w-k) for
-    every X in g_w.  ad V differentiates alpha and beta in a and xi and eta
-    in y, so the preimage is spanned by the integrals of g_(w-k)'s basis and
+    g_(w-k), the weight k steps before (``_solve_prolonged``): V is in the
+    algebra and the algebra is closed, so [V, X] lies in g_(w-k) for every
+    X in g_w.  ad V differentiates alpha and beta in a and xi and eta in y,
+    so the preimage is spanned by the integrals of g_(w-k)'s basis and
     ker ad V on the weight-w ansatz, b^(w+k) d_a, b^(w+1) d_b, x^(w+1) d_x
     and x^(w+k) d_y.  The basis found there is ``solve_weight(s, w)``'s, the
     full ansatz's kernel in its normal form.
 
-    With a ``weight_cap`` the weights [-k, weight_cap] are solved.  Without
-    one the scan stops at c + k, where c = max(k - 2, highest weight seen so
-    far with a nonzero kernel), which finds the whole algebra by this lemma,
-    the case g_(w-k) = 0 of the prolongation:
+    When g_(w-k) = 0 the preimage is ker ad V alone, X = e' b^(w+k) d_a
+    + d b^(w+1) d_b + c1 x^(w+1) d_x + e x^(w+k) d_y, each term kept only
+    where its exponent is >= 0, and tangency asks that
+    e x^(w+k) - e' b^(w+k) = c1 x^(w+1) P_x + d b^(w+1) P_b.  This is the
+    lemma, and it proves g_w = 0 in two ranges:
 
-    Let c >= k - 2.  If g_w = 0 for every w in (c, c + k], then g_w = 0 for
-    every w > c.  For X in g_w with w > c + k, [V, X] lies in g_(w-k) = 0 by
-    induction, so X lies in ker ad V: X = c1 x^(w+1) d_x + e x^(w+k) d_y
-    + e' b^(w+k) d_a + d b^(w+1) d_b.  Tangency asks that
-    e x^(w+k) - e' b^(w+k) = c1 x^(w+1) P_x + d b^(w+1) P_b; the left side
-    is pure and the right side mixed, and for w >= k - 1 the two mixed sums
-    share no monomial, so P != 0 forces c1 = d = e = e' = 0.  The model is
-    weighted homogeneous, so this covers formal symmetries too.
-    ``SymmetryAlgebra.complete`` tells whether a given cap reached c + k.
+    - w >= k - 1: the left side is pure and the right side mixed, and the
+      two mixed sums share no monomial, since b^i x^(w+k-i) of x^(w+1) P_x
+      equals b^(w+j) x^(k-j) of b^(w+1) P_b only if w = i - j <= k - 2.  So
+      P != 0 forces c1 = d = 0, and then e = e' = 0.
+    - -k < w < -1: g_(w-k) lies below -k and is 0, and w + 1 < 0 leaves
+      only b^(w+k) d_a and x^(w+k) d_y, whose residuals -b^(w+k) and
+      x^(w+k) are two distinct pure monomials, as w + k >= 1.
+
+    So the scan solves weight w only when g_(w-k) has a generator, or
+    w = -k, or -1 <= w <= k - 2, and builds no ansatz at any other weight.
+    ``solve_weight`` still solves every weight of its residue class.
+
+    With a ``weight_cap`` the weights [-k, weight_cap] are scanned.  Without
+    one the scan stops at c + k, where c = max(k - 2, highest weight seen so
+    far with a nonzero kernel), which finds the whole algebra: every w in
+    (c + k, c + 2k] has g_(w-k) = 0 and w >= k - 1, so g_w = 0, and so on
+    by induction.  The model is weighted homogeneous, so this covers formal
+    symmetries too.  ``SymmetryAlgebra.complete`` tells whether a given cap
+    reached c + k.
 
     The algebra is graded, [g_u, g_w] in g_(u+w), so brackets are solved per
     weight: a nonzero bracket of generators of weights u and w is written in
     the ansatz coordinates of weight u + w, solved exactly against that
     weight's kernel basis alone, and its coefficients fill that weight's
-    block of the table row.  A bracket whose weight lies outside
-    [-k, weight_cap], that has a term outside the ansatz, or that lies outside
+    block of the table row.  Only weights with generators have a block: a
+    nonzero bracket whose weight has none (outside [-k, weight_cap], or
+    {0} there), that has a term outside the ansatz, or that lies outside
     the span is recorded as a closure violation, not dropped.
     """
     k = s.k
@@ -442,12 +457,15 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
     blocks: Dict[int, Tuple[WeightAnsatz, int, List[Tuple[Rational, ...]]]] = {}
     m = -k
     while m <= stop:
-        ansatz = build_ansatz(s, m)
-        basis = _solve_prolonged(ansatz, [f for w, f in generators if w == m - k]).basis
-        blocks[m] = (ansatz, len(generators), [ansatz.vector_from_field(f) for f in basis])
-        generators.extend((m, f) for f in basis)
-        if basis and weight_cap is None:
-            stop = max(stop, m + k)
+        below = [f for w, f in generators if w == m - k]
+        if below or m == -k or -1 <= m <= k - 2:
+            ansatz = build_ansatz(s, m)
+            basis = _solve_prolonged(ansatz, below).basis
+            if basis:
+                blocks[m] = (ansatz, len(generators), [ansatz.vector_from_field(f) for f in basis])
+                generators.extend((m, f) for f in basis)
+                if weight_cap is None:
+                    stop = max(stop, m + k)
         m += 1
     weight_cap = stop
     fields = [f for _, f in generators]

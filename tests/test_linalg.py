@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
@@ -67,7 +68,9 @@ class TestNullspace:
 def weight_systems():
     """(label, sparse rows, ncols) of the tangency systems for weights in [-k, 3k] of the
     suite and rational-gamma surfaces: the full ansatz's, and the prolonged candidates'
-    that ``solve_algebra`` passes to ``nullspace_modular`` through ``_solve``."""
+    that ``solve_weight`` passes to ``nullspace_modular`` through ``_solve``, recorded on
+    an empty cache of its own.  ``solve_algebra`` solves a subset of these weights, the
+    same way."""
     systems = []
     modular = linalg.nullspace_modular
     for s in suite_surfaces() + rational_gamma_surfaces():
@@ -84,8 +87,11 @@ def weight_systems():
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(linalg, "nullspace_modular", recording)
-            solver.solve_algebra(s, weight_cap=3 * s.k)
-        assert len(served) == 4 * s.k + 1  # one solve per weight
+            cold = lru_cache(maxsize=None)(solver.solve_weight.__wrapped__)
+            patch.setattr(solver, "solve_weight", cold)
+            for m in range(-s.k, 3 * s.k + 1):
+                cold(s, m)  # the weights below m are cached: one solve, weight m's
+        assert len(served) == 4 * s.k + 1
         for m, (rows, ncols) in enumerate(served, start=-s.k):
             systems.append((f"k={s.k} gamma={s.gamma} m={m} prolonged", rows, ncols))
     return systems
