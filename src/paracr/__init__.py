@@ -33,6 +33,7 @@ from .normalform import (
     CaseDetection,
     DefiningFunction,
     SingularLocus,
+    TorusMap,
     TypeResult,
     detect_case,
     finite_type,

@@ -4,6 +4,9 @@ Five named flows are declared in one table, ``_FLOW_TABLE``: the case each
 needs, its group law, and the parameter and group-law partner ``analyze``
 verifies it at.  EXP_Vmk and EXP_V0 exist on every model surface;
 EXP_V0PRIME and EXP_VK require a monomial surface, EXP_Vm1 a binomial one.
+EXP_V0 and EXP_V0PRIME are one-parameter subgroups of the weight-0 torus,
+``normalform.TorusMap``, and the discrete group is generated by the
+torus's sign maps that fix gamma.
 A ``FlowMap`` is its name, surface, detected case, parameter and closed
 form as four polynomial components; EXP_VK, the one flow with radicals, has
 no components and is the subclass ``_RadicalFlow``.  EXP_Vm1 is built by
@@ -37,7 +40,7 @@ from functools import cached_property
 from operator import sub
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .normalform import BINOMIAL, MONOMIAL, CaseDetection, detect_case
+from .normalform import BINOMIAL, MONOMIAL, CaseDetection, TorusMap, detect_case
 from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction
 from .solver import (
     grading_field,
@@ -256,10 +259,9 @@ def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> 
         t = Poly.constant(param)
         comps = (X, Y + t, A + t, B)
     elif name == EXP_V0:
-        comps = (param * X, param**k * Y, param**k * A, param * B)
+        comps = TorusMap(param, param, param**k).change()
     elif name == EXP_V0PRIME:
-        iota = detection.iota
-        comps = (param**iota * X, Y, A, Fraction(1) / param ** (k - iota) * B)
+        comps = TorusMap(param**detection.iota, param ** (detection.iota - k), 1).change()
     else:  # EXP_VM1
         t = Poly.constant(param)
         delta, nu = detection.delta, detection.nu
@@ -658,44 +660,25 @@ def vm1_transcription_mismatch(s: ModelSurface) -> str:
 # -- discrete automorphisms -----------------------------------------------------
 
 
-class SignMap(NamedTuple):
-    """Coordinate sign flip (x, y, a, b) -> (sx x, sy y, sa a, sb b)."""
-
-    sx: int
-    sy: int
-    sa: int
-    sb: int
-
-    def apply(self, point):
-        return tuple(s * v for s, v in zip(self, point))
-
-    def transform_poly(self, p: Poly) -> Poly:
-        return p.substitute({v: s * g for v, s, g in zip(VARS, self, (X, Y, A, B))})
-
-
 class DiscreteGroup(NamedTuple):
     kind: str  # "Z2" or "Z2xZ2"
-    generators: Tuple[SignMap, ...]
+    generators: Tuple[TorusMap, ...]
 
 
 def discrete_group(s: ModelSurface) -> DiscreteGroup:
-    """Discrete automorphisms: sign flips preserving the defining equation.
+    """Discrete automorphisms: the sign maps of the weight-0 torus that fix gamma.
 
-    The flip (-x, -b, (-1)^k a, (-1)^k y) always preserves the surface; the
-    b-only flip exists exactly when every index with nonzero gamma has the
-    same parity.  Each generator is verified symbolically.
+    Of the sign pairs (lam, rho) = (-1, -1) and (1, -1), in that order, each
+    gives the ``TorusMap`` (lam, rho, mu) whose mu = lam^(k-i) rho^i keeps
+    gamma's first nonzero gamma_i, and that map is a generator when it fixes
+    all of gamma.  The first always does: it is the grading dilation at
+    s = -1.  Each generator is verified symbolically.
     """
-    k = s.k
-    sk = (-1) ** k
-    generators = [SignMap(sx=-1, sy=sk, sa=sk, sb=-1)]
-    indices = [i for i, g in enumerate(s.gamma, start=1) if g != 0]
-    parities = {i % 2 for i in indices}
-    if len(parities) == 1:
-        si = (-1) ** indices[0]
-        generators.append(SignMap(sx=1, sy=si, sa=si, sb=-1))
+    i = next(i for i, g in enumerate(s.gamma, start=1) if g != 0)
+    signs = [TorusMap(lam, rho, lam ** (s.k - i) * rho**i) for lam, rho in ((-1, -1), (1, -1))]
+    generators = tuple(g for g in signs if g.act(s.gamma) == s.gamma)
     for g in generators:
-        image = g.transform_poly(s.defining_poly)
-        if image != s.defining_poly and image != -s.defining_poly:
+        if g.transform_poly(s.defining_poly) != g.mu * s.defining_poly:
             raise AssertionError(f"sign map {g} does not preserve the surface")
     kind = "Z2xZ2" if len(generators) == 2 else "Z2"
-    return DiscreteGroup(kind, tuple(generators))
+    return DiscreteGroup(kind, generators)

@@ -1,10 +1,13 @@
-"""Finite-type detection, case detection, normalization, singular locus.
+"""Finite type, the weight-0 torus, case detection, normalization, singular locus.
 
 The defining function of a hypersurface y = a + phi(a, b, x) is brought to
 the model shape by eliminating pure x and pure b terms; the lowest a-free
 mixed part then determines the type k and the coefficient sequence.  Model
-surfaces split into monomial, binomial and generic coefficient layouts, and
-binomial ones normalize exactly onto the binomial-coefficient sequence.
+surfaces split into monomial, binomial and generic coefficient layouts.  The
+one weight-0 map, ``TorusMap`` (x, y, a, b) -> (lam x, mu y, mu a, rho b),
+acts on the coefficient sequence: the binomial layout is the torus orbit of
+the binomial coefficients C(k, i), and a binomial surface normalizes exactly
+onto them by the torus element that sends its sequence there.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 
 from . import sturm
 from .linalg import normalize_primitive
-from .poly import A, B, Poly, Record, X, Y, decimal_digits
+from .poly import VARS, A, B, Poly, Record, X, Y, decimal_digits
 from .surface import InvalidSurfaceError, ModelSurface
 
 FINITE = "FINITE"
@@ -186,36 +189,7 @@ def finite_type(phi: DefiningFunction) -> TypeResult:
     return TypeResult(FINITE, k=k, gamma=gamma, normalized=normalized)
 
 
-# -- case detection ----------------------------------------------------------
-
-
-class CaseDetection(NamedTuple):
-    kind: str
-    iota: Optional[int] = None
-    delta: Optional[Fraction] = None
-    nu: Optional[Fraction] = None
-
-
-def detect_case(s: ModelSurface) -> CaseDetection:
-    """Monomial, binomial (gamma_i = C(k,i) delta nu^i) or generic layout."""
-    nonzero = [i for i, g in enumerate(s.gamma, start=1) if g != 0]
-    if len(nonzero) == 1:
-        return CaseDetection(MONOMIAL, iota=nonzero[0])
-    if len(nonzero) < s.k - 1:
-        # a binomial layout has every gamma_i nonzero
-        return CaseDetection(GENERIC)
-    k = s.k
-    g1 = s.gamma[0] / comb(k, 1)
-    g2 = s.gamma[1] / comb(k, 2)
-    nu = g2 / g1
-    delta = g1 / nu
-    for i, g in enumerate(s.gamma, start=1):
-        if g != comb(k, i) * delta * nu**i:
-            return CaseDetection(GENERIC)
-    return CaseDetection(BINOMIAL, delta=delta, nu=nu)
-
-
-# -- binomial normalization --------------------------------------------------
+# -- the weight-0 torus, case detection, binomial normalization -----------------
 
 
 class CoordinateChange(NamedTuple):
@@ -227,49 +201,100 @@ class CoordinateChange(NamedTuple):
     b_map: Poly
 
 
+class TorusMap(Record):
+    """The weight-0 map (x, y, a, b) -> (lam x, mu y, mu a, rho b).
+
+    It carries the model surface of gamma onto that of ``act(gamma)``: the
+    image's defining polynomial composed with the map is mu times gamma's,
+    so gamma_i becomes mu gamma_i / (lam^(k-i) rho^i).  A map of weight 0
+    may also add c x^k to y and c' b^k to a.  But P has no pure x^k or b^k
+    term, so a weight-0 map of one model surface onto another has
+    c = c' = 0 and the same factor mu on y and a: these three parameters
+    are the whole weight-0 part.
+    """
+
+    __slots__ = __match_args__ = ("lam", "rho", "mu")
+
+    def act(self, gamma: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
+        """The coefficients of the image surface, gamma_i -> mu gamma_i / (lam^(k-i) rho^i)."""
+        k = len(gamma) + 1
+        lam, rho, mu = self.lam, self.rho, self.mu
+        return tuple(mu * g / (lam ** (k - i) * rho**i) for i, g in enumerate(gamma, start=1))
+
+    def change(self) -> CoordinateChange:
+        return CoordinateChange(self.lam * X, self.mu * Y, self.mu * A, self.rho * B)
+
+    def apply(self, point):
+        x, y, a, b = point
+        return (self.lam * x, self.mu * y, self.mu * a, self.rho * b)
+
+    def transform_poly(self, p: Poly) -> Poly:
+        """p composed with the map: p(lam x, mu y, mu a, rho b)."""
+        return p.substitute(dict(zip(VARS, self.change())))
+
+
+class CaseDetection(NamedTuple):
+    kind: str
+    iota: Optional[int] = None
+    delta: Optional[Fraction] = None
+    nu: Optional[Fraction] = None
+
+
+def _binomial_coefficients(k: int) -> Tuple[int, ...]:
+    return tuple(comb(k, i) for i in range(1, k))
+
+
+def detect_case(s: ModelSurface) -> CaseDetection:
+    """Monomial, binomial (gamma_i = C(k,i) delta nu^i) or generic layout.
+
+    Binomial means that the torus element (lam, rho, mu) = (1, nu, 1/delta),
+    with nu and delta read off gamma_1 and gamma_2, sends gamma to C(k, i).
+    """
+    nonzero = [i for i, g in enumerate(s.gamma, start=1) if g != 0]
+    if len(nonzero) == 1:
+        return CaseDetection(MONOMIAL, iota=nonzero[0])
+    if len(nonzero) < s.k - 1:
+        # a binomial layout has every gamma_i nonzero
+        return CaseDetection(GENERIC)
+    k = s.k
+    g1 = s.gamma[0] / comb(k, 1)
+    g2 = s.gamma[1] / comb(k, 2)
+    nu = g2 / g1
+    delta = g1 / nu
+    if TorusMap(1, nu, 1 / delta).act(s.gamma) != _binomial_coefficients(k):
+        return CaseDetection(GENERIC)
+    return CaseDetection(BINOMIAL, delta=delta, nu=nu)
+
+
 class BinomialNormalization(NamedTuple):
     change: CoordinateChange        # shears a and y by the pure k-th powers
-    model_change: CoordinateChange  # diagonal scaling onto the model shape
+    model_change: CoordinateChange  # the torus element onto the model shape
     normalized: ModelSurface        # gamma_i = C(k, i)
 
 
 def normalize_binomial(s: ModelSurface, detection: CaseDetection) -> BinomialNormalization:
     """Exact normalization of a binomial surface onto gamma_i = C(k, i).
 
-    Two maps are produced.  ``change`` sends the surface onto the graph of
-    the full power (x* + b*)^k, pure terms included; composing it with the
-    pure-term absorption collapses to the diagonal ``model_change``
-    (x, y/delta, a/delta, nu b), which lands exactly on the model surface
-    with gamma_i = C(k, i).  Both identities are verified symbolically.
+    Two maps are produced.  ``model_change`` is the torus element
+    (lam, rho, mu) = (1, nu, 1/delta), that is (x, y/delta, a/delta, nu b),
+    which lands exactly on the model surface with gamma_i = C(k, i).
+    ``change`` adds the pure k-th powers, y* + x*^k and a* - b*^k, and so
+    sends the surface onto the graph of the full power (x* + b*)^k, pure
+    terms included.  Both identities are verified symbolically.
     """
     if detection.kind != BINOMIAL:
         raise NormalFormError("normalization requires a binomial detection")
     k = s.k
-    delta, nu = detection.delta, detection.nu
-    inv_delta = Fraction(1) / delta
-    change = CoordinateChange(
-        x_map=X,
-        y_map=inv_delta * Y + X**k,
-        a_map=inv_delta * A - (nu**k) * B**k,
-        b_map=nu * B,
-    )
-    model_change = CoordinateChange(
-        x_map=X,
-        y_map=inv_delta * Y,
-        a_map=inv_delta * A,
-        b_map=nu * B,
-    )
+    torus = TorusMap(1, detection.nu, 1 / detection.delta)
+    model_change = torus.change()
+    x_map, y_map, a_map, b_map = model_change
+    change = CoordinateChange(x_map, y_map + X**k, a_map - b_map**k, b_map)
     # image of the shear map satisfies y* = a* + (x* + b*)^k, pure terms included
     full_power = change.y_map - change.a_map - (change.x_map + change.b_map) ** k
-    if full_power != inv_delta * s.defining_poly:
+    if full_power != torus.mu * s.defining_poly:
         raise NormalFormError("binomial detection is inconsistent with the surface")
-    normalized = ModelSurface(k, tuple(Fraction(comb(k, i)) for i in range(1, k)))
-    model_residual = (
-        model_change.y_map
-        - model_change.a_map
-        - normalized.p.substitute({"b": model_change.b_map})
-    )
-    if model_residual != inv_delta * s.defining_poly:
+    normalized = ModelSurface(k, _binomial_coefficients(k))
+    if torus.transform_poly(normalized.defining_poly) != torus.mu * s.defining_poly:
         raise NormalFormError("model-form identity failed")
     return BinomialNormalization(change=change, model_change=model_change, normalized=normalized)
 

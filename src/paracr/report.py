@@ -207,7 +207,8 @@ def flows_dict(verifications: Sequence[flows_mod.FlowVerification]) -> Dict:
 
 
 def discrete_dict(g: flows_mod.DiscreteGroup) -> Dict:
-    return {"kind": g.kind, "generators": [list(e) for e in g.generators]}
+    # each sign map (lam, rho, mu) as its factors on x, y, a, b
+    return {"kind": g.kind, "generators": [[e.lam, e.mu, e.mu, e.rho] for e in g.generators]}
 
 
 def weight_dict(s: ModelSurface, kb: KernelBasis) -> Dict:

@@ -762,12 +762,12 @@ def _cli_argv(draw):
         if gamma and draw(st.integers(0, 3)) == 0:
             gamma[draw(st.integers(0, size - 1))] = draw(_BAD_GAMMA_ENTRIES)
         argv = [command, "--k", str(k), "--gamma", ",".join(gamma)]
-        # weights reach the 12k bound; weight caps stay at most 3k, since analyze
-        # solves every weight
+        # weights and weight caps reach the 12k bound: analyze skips every weight
+        # the prolongation proves {0}, so even a cap of 12k stays fast
         if command == "solve-weight":
             argv += ["--weight", str(draw(st.integers(-k, 12 * k)))]
         if command == "analyze" and draw(st.booleans()):
-            argv += ["--weight-cap", str(draw(st.integers(k, 3 * k)))]
+            argv += ["--weight-cap", str(draw(st.integers(k, 12 * k)))]
         if command in ("analyze", "flows"):
             argv += ["--tolerance", draw(st.sampled_from(["1e-9", "1e-6", "0"]))]
     return argv + ["--format", draw(st.sampled_from(["text", "json"]))]

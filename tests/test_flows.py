@@ -41,6 +41,7 @@ from paracr import flows as flows_mod
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
 from paracr.poly import VARS, A, B, Poly, X, Y
+from paracr.report import discrete_dict
 from paracr.solver import grading_field, special_conformal_field, vertical_translation
 from paracr.surface import ModelSurface, ParaVectorField
 from conftest import (
@@ -1410,5 +1411,6 @@ class TestDiscreteGroup:
                 assert s.defining_poly.eval_exact(g.apply(point)) == 0
 
     def test_first_generator_signs(self):
-        g = discrete_group(ModelSurface(5, (1, 0, 1, 0))).generators[0]
-        assert tuple(g) == (-1, -1, -1, -1)
+        # the JSON writes each sign map (lam, rho, mu) as its factors on x, y, a, b
+        group = discrete_group(ModelSurface(5, (1, 0, 1, 0)))
+        assert discrete_dict(group)["generators"][0] == [-1, -1, -1, -1]
