@@ -11,7 +11,8 @@ A ``FlowMap`` is its name, surface, detected case, parameter and closed
 form as four polynomial components; EXP_VK, the one flow with radicals, has
 no components and is the subclass ``_RadicalFlow``.  EXP_Vm1 is built by
 conjugating the starred translation (x*, b*) -> (x* - t, b* + t) with the
-binomial coordinate change; the alternate closed-form transcription (x - t,
+binomial coordinate change, its y and a components expanded by the binomial
+theorem; the alternate closed-form transcription (x - t,
 y - x^k + 2(x-t)^k, a + b^k - 2(b+t)^k, b + t) is not even the identity at
 t = 0 and fails the integration oracle, so it is kept only as an audited
 negative (see ``vm1_transcription_mismatch``).
@@ -23,12 +24,16 @@ run in floating point at samples, and EXP_VK also against the RK4 oracle.
 One rule decides every float check: its worst residual against one
 tolerance, a sample where a float step overflows fails it by name, a check
 that read no sample fails, and a check whose every sample overflowed
-reports no residual.  A float check reads all its samples in one pass:
-``Poly.eval_floats`` walks each polynomial's Horner tree once over the
-samples' coordinate columns, and each sample's value takes the float
-operations, in the order, it would take alone.  An ``OverflowError`` at any
-sample reruns the check on each sample alone, so it fails only the samples
-where it arises.  ``verify_flows`` is the flow stage of ``analyze``.
+reports no residual.  A float check reads all its samples in one pass: a
+point list's float coordinate columns are built once (``poly.float_columns``)
+and ``Poly.eval_columns`` walks each polynomial's Horner tree once over
+them, so a flow's map and its Jacobian share the samples' columns, and the
+direction fields at the images share the images' columns.  Each sample's
+value takes the float operations, in the order, it would take alone.  An
+``OverflowError`` at any sample reruns the check on each sample alone, so it
+fails only the samples where it arises.  ``verify_flows`` is the flow stage
+of ``analyze``; it evaluates the direction fields' P_x and P_b at the shared
+samples once per surface, for every flow.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from operator import sub
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, TorusMap, detect_case
-from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction
+from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction, float_columns
 from .solver import (
     grading_field,
     oblique_translation_field,
@@ -86,6 +91,8 @@ class FlowDomainError(ValueError):
 
 ExactPoint = Tuple[Fraction, Fraction, Fraction, Fraction]
 FloatPoint = Tuple[float, float, float, float]
+Columns = Sequence[List[float]]  # a point list's x, y, a and b columns (poly.float_columns)
+Blocks = Tuple[Tuple[Tuple[float, ...], ...], ...]  # the Jacobian's two diagonal blocks
 
 
 class FlowMap(Record):
@@ -94,12 +101,13 @@ class FlowMap(Record):
     ``components`` are the four target coordinates as polynomials in the
     source coordinates; only the radical EXP_VK (``_RadicalFlow``) has none.
     The group law is read from the flow table by name, and ``generator``,
-    ``float_map`` and ``float_jacobian`` are derived from the fields: the
+    ``float_map`` and ``jacobian_columns`` are derived from the fields: the
     generator field and the Jacobian's polynomials are built once, on first
-    use.  ``float_map`` and ``float_jacobian`` take a list of points and
-    return one entry per point; ``float_jacobian``'s entry is the two
-    diagonal blocks d(x',y')/d(x,y) and d(a',b')/d(a,b) of the
-    para-holomorphic map.
+    use.  ``float_map`` takes a list of points and returns one image per
+    point; ``map_columns`` and ``jacobian_columns`` take the points'
+    ``poly.float_columns``, which a caller that needs both builds once, and
+    ``jacobian_columns``'s entry per point is the two diagonal blocks
+    d(x',y')/d(x,y) and d(a',b')/d(a,b) of the para-holomorphic map.
     ``detection`` is the ``CaseDetection`` of ``surface``, reused by
     ``with_param``.
     """
@@ -128,8 +136,12 @@ class FlowMap(Record):
         return Fraction(1, 1) / d.nu * oblique_translation_field(k, d.delta, d.nu)
 
     def float_map(self, pts: Sequence[FloatPoint]) -> List[FloatPoint]:
-        """The closed form at each point, by one column walk per component."""
-        return list(zip(*(c.eval_floats(pts) for c in self.components)))
+        """The closed form at each point."""
+        return self.map_columns(float_columns(pts))
+
+    def map_columns(self, columns: Columns) -> List[FloatPoint]:
+        """The closed form at each point of the columns, by one column walk per component."""
+        return list(zip(*(c.eval_columns(columns) for c in self.components)))
 
     @cached_property
     def _jacobian(self) -> Tuple[List[List[Poly]], List[List[Poly]]]:
@@ -138,12 +150,10 @@ class FlowMap(Record):
         dab = [[comps[i + 2].diff(v) for v in ("a", "b")] for i in range(2)]
         return dx, dab
 
-    def float_jacobian(
-        self, pts: Sequence[FloatPoint]
-    ) -> List[Tuple[Tuple[Tuple[float, ...], ...], ...]]:
-        """The two diagonal blocks at each point, by one column walk per entry."""
+    def jacobian_columns(self, columns: Columns) -> List[Blocks]:
+        """The two diagonal blocks at each point of the columns, by one column walk per entry."""
         dx, dab = self._jacobian
-        return list(zip(_blocks(dx, pts), _blocks(dab, pts)))
+        return list(zip(_blocks(dx, columns), _blocks(dab, columns)))
 
     def domain_check(self, pt: FloatPoint) -> Optional[str]:
         """Why the closed form does not apply at ``pt``, or None."""
@@ -159,9 +169,9 @@ class FlowMap(Record):
         return _flow(self.name, self.surface, self.detection, param)
 
 
-def _blocks(rows: List[List[Poly]], pts: Sequence[FloatPoint]):
+def _blocks(rows: List[List[Poly]], columns: Columns):
     # per point, the rows of polynomials evaluated there, as a tuple of tuples
-    return zip(*(zip(*(d.eval_floats(pts) for d in row)) for row in rows))
+    return zip(*(zip(*(d.eval_columns(columns) for d in row)) for row in rows))
 
 
 def _real_root(value: float, index: int) -> float:
@@ -203,21 +213,19 @@ class _RadicalFlow(FlowMap):
             return "flow line leaves the existence domain before time t"
         return None
 
-    def float_map(self, pts: Sequence[FloatPoint]) -> List[FloatPoint]:
+    def map_columns(self, columns: Columns) -> List[FloatPoint]:
         t, rx, rb = self._time_and_roots
         images = []
-        for x, y, a, b in pts:
+        for x, y, a, b in zip(*columns):
             uy = 1.0 - t * y
             ua = 1.0 - t * a
             images.append((x / _real_root(uy, rx), y / uy, a / ua, b / _real_root(ua, rb)))
         return images
 
-    def float_jacobian(
-        self, pts: Sequence[FloatPoint]
-    ) -> List[Tuple[Tuple[Tuple[float, ...], ...], ...]]:
+    def jacobian_columns(self, columns: Columns) -> List[Blocks]:
         t, rx, rb = self._time_and_roots
         jacobians = []
-        for x, y, a, b in pts:
+        for x, y, a, b in zip(*columns):
             uy = 1.0 - t * y
             ua = 1.0 - t * a
             ry = _real_root(uy, rx)
@@ -263,15 +271,16 @@ def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> 
     elif name == EXP_V0PRIME:
         comps = TorusMap(param**detection.iota, param ** (detection.iota - k), 1).change()
     else:  # EXP_VM1
-        t = Poly.constant(param)
-        delta, nu = detection.delta, detection.nu
-        # conjugate (x*, b*) -> (x* - t, b* + t) with the binomial change
-        comps = (
-            X - t,
-            Y + delta * (X**k - (X - t) ** k),
-            A + delta * ((nu * B + t) ** k - nu**k * B**k),
-            B + Poly.constant(param / nu),
-        )
+        delta, nu, t = detection.delta, detection.nu, param
+        # conjugate (x*, b*) -> (x* - t, b* + t) with the binomial change:
+        # y + delta (x^k - (x - t)^k) and a + delta ((nu b + t)^k - nu^k b^k),
+        # expanded by the binomial theorem
+        y_terms = {(0, 1, 0, 0): 1}
+        a_terms = {(0, 0, 1, 0): 1}
+        for j in range(k):
+            y_terms[j, 0, 0, 0] = -delta * math.comb(k, j) * (-t) ** (k - j)
+            a_terms[0, 0, 0, j] = delta * math.comb(k, j) * nu**j * t ** (k - j)
+        comps = (X - Poly.constant(t), Poly(y_terms), Poly(a_terms), B + Poly.constant(t / nu))
     return FlowMap(name, surface, detection, param, comps)
 
 
@@ -369,19 +378,29 @@ def _float_check(
     return FlowCheck(check, not overflowed and worst <= tolerance, False, worst, detail)
 
 
-def _proportionality(fm: FlowMap, pts: Sequence[FloatPoint]) -> List[Tuple[float, ...]]:
-    # per point: pushforwards of X = d_x + P_x d_y and Y = d_b - P_b d_a
-    # against the direction fields at the image, as (lam, mu, res_x, res_y);
-    # X's d_x and Y's d_b components are 1, and a float times 1.0 is itself
+def _directions(s: ModelSurface, pts: Sequence[FloatPoint]) -> List[Tuple[float, float]]:
+    # per point, (P_x, P_b) there: the direction fields X and Y at the point
+    columns = float_columns(pts)
+    return list(zip(s.p_x.eval_columns(columns), s.p_b.eval_columns(columns)))
+
+
+def _proportionality(
+    fm: FlowMap, items: Sequence[Tuple[FloatPoint, Optional[Tuple[float, float]]]]
+) -> List[Tuple[float, ...]]:
+    # per (point, its _directions row or None where that overflowed):
+    # pushforwards of X = d_x + P_x d_y and Y = d_b - P_b d_a against the
+    # direction fields at the image, as (lam, mu, res_x, res_y); X's d_x and
+    # Y's d_b components are 1, and a float times 1.0 is itself
     s = fm.surface
-    images = fm.float_map(pts)
+    columns = float_columns([fp for fp, _ in items])
+    images = float_columns(fm.map_columns(columns))
+    jacobians = fm.jacobian_columns(columns)
+    directions = [d for _, d in items]
+    if None in directions:
+        raise OverflowError("a direction field overflows at a point")
     rows = []
-    for (xy_block, ab_block), px, px_image, pb, pb_image in zip(
-        fm.float_jacobian(pts),
-        s.p_x.eval_floats(pts),
-        s.p_x.eval_floats(images),
-        s.p_b.eval_floats(pts),
-        s.p_b.eval_floats(images),
+    for (xy_block, ab_block), (px, pb), px_image, pb_image in zip(
+        jacobians, directions, s.p_x.eval_columns(images), s.p_b.eval_columns(images)
     ):
         (j00, j01), (j10, j11) = xy_block
         (k00, k01), (k10, k11) = ab_block
@@ -424,8 +443,7 @@ def verify_flow(
     check, and a float check left with no sample fails.  Nothing is skipped
     silently.
     """
-    converted, unconverted = _float_samples(samples)
-    return _verify_flow(fm, converted, unconverted, group_partner, tolerance)
+    return _verify_flow(fm, *_prepared(fm.surface, samples), group_partner, tolerance)
 
 
 def verify_flows(
@@ -438,27 +456,40 @@ def verify_flows(
     """Verify each named flow the case admits, at its fixed parameter and
     group-law partner, on ``flow_samples`` points drawn with ``seed``."""
     samples = sample_on_surface(surface, flow_samples, seed=seed)
-    # every flow reads the same samples, converted to floats once
-    converted, unconverted = _float_samples(samples)
+    # every flow reads the same samples, converted to floats once, and the
+    # same direction fields there, evaluated once
+    prepared = _prepared(surface, samples)
     verifications = []
     for name in admissible_flow_names(detection):
         param, partner = verification_params(name)
         fm = _flow(name, surface, detection, param)
-        verifications.append(_verify_flow(fm, converted, unconverted, partner, tolerance))
+        verifications.append(_verify_flow(fm, *prepared, partner, tolerance))
     return tuple(verifications)
+
+
+def _prepared(
+    s: ModelSurface, samples: Sequence[ExactPoint]
+) -> Tuple[List[FloatPoint], List[Optional[Tuple[float, float]]], int]:
+    # the samples that convert to floats, the _directions row of each (None
+    # where it overflows), and how many samples do not convert
+    converted, unconverted = _float_samples(samples)
+    return converted, _finite_rows(lambda pts: _directions(s, pts), converted), unconverted
 
 
 def _verify_flow(
     fm: FlowMap,
     converted: List[FloatPoint],
+    directions: List[Optional[Tuple[float, float]]],
     unconverted: int,
     group_partner,
     tolerance: float,
 ) -> FlowVerification:
-    # verify_flow on samples already converted to floats, ``unconverted``
+    # verify_flow on samples already converted to floats, with the
+    # _directions row of each (None where it overflows), ``unconverted``
     # more having failed to convert
     s = fm.surface
-    in_domain = [fp for fp in converted if fm.domain_check(fp) is None]
+    admitted = [(fp, d) for fp, d in zip(converted, directions) if fm.domain_check(fp) is None]
+    in_domain = [fp for fp, _ in admitted]
     checks: List[FlowCheck] = []
     if unconverted:
         detail = f"float overflow at {unconverted} of {len(converted) + unconverted} samples"
@@ -483,7 +514,7 @@ def _verify_flow(
     # a zero factor is no proportionality, an infinite residual
     witnesses: List[ProportionalityWitness] = []
     residuals = []
-    rows = _finite_rows(lambda pts: _proportionality(fm, pts), in_domain)
+    rows = _finite_rows(lambda items: _proportionality(fm, items), admitted)
     for fp, values in zip(in_domain, rows):
         if values is None:
             residuals.append(None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import isqrt
+from operator import mul
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
@@ -145,15 +146,19 @@ def _center_dim(sc: StructureConstants) -> int:
 
 
 def killing_form(sc: StructureConstants) -> List[List[Rational]]:
+    """K(e_i, e_j) = tr(ad e_i ad e_j) = sum over p, l of c[i][p][l] c[j][l][p].
+
+    Each table slice c[i] is laid out once flat, as the row (c[i][p][l]) in
+    (p, l) order, and once transposed, as the column (c[i][l][p]) in the same
+    order, so each entry is one row-column product, ``sum(map(mul, ...))``.
+    """
     n = sc.dimension
+    rows = [[c for row in block for c in row] for block in sc.table]
+    columns = [[c for column in zip(*block) for c in column] for block in sc.table]
     killing: List[List[Rational]] = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            total = 0
-            for p in range(n):
-                for l in range(n):
-                    total += sc.table[i][p][l] * sc.table[j][l][p]
-            killing[i][j] = killing[j][i] = exact(total)
+            killing[i][j] = killing[j][i] = exact(sum(map(mul, rows[i], columns[j])))
     return killing
 
 

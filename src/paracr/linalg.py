@@ -33,6 +33,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .poly import Rational, exact
@@ -275,20 +276,23 @@ def symmetric_signature(matrix: Matrix) -> Tuple[int, int, int]:
     on its characteristic polynomial p counts the positive ones exactly, and
     on p(-t) the negative ones.  p is computed by Faddeev-LeVerrier on the
     matrix scaled to integers, a positive scaling that keeps the signature:
-    with M_0 = 0, M_i = A M_(i-1) + c_(n-i+1) I and c_(n-i) = -tr(A M_i) / i,
+    with M_1 = I, c_(n-i) = -tr(A M_i) / i and M_(i+1) = A M_i + c_(n-i) I,
     where c_n = 1 and every c is an integer, so each division is exact.
+    A M_i is held as its columns, so each of its entries is one integer
+    row-column product, ``sum(map(mul, ...))``, and its trace is read off
+    its diagonal: n - 1 matrix products in all.
     """
     n = len(matrix)
     flat = _row_to_int([v for row in matrix for v in row])
     a = [flat[r * n : (r + 1) * n] for r in range(n)]
     coeffs = [1]  # c_n, c_(n-1), ..., c_0
-    m = [[0] * n for _ in range(n)]
+    columns = [list(column) for column in zip(*a)]  # A M_1 = A
     for i in range(1, n + 1):
-        m = [[sum(a[r][t] * m[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
-        for r in range(n):
-            m[r][r] += coeffs[-1]
-        trace = sum(a[r][t] * m[t][r] for r in range(n) for t in range(n))
-        coeffs.append(-trace // i)
+        coeffs.append(-sum(column[c] for c, column in enumerate(columns)) // i)
+        if i < n:  # A M_(i+1) = A (A M_i + c_(n-i) I)
+            for c, column in enumerate(columns):
+                column[c] += coeffs[-1]
+            columns = [[sum(map(mul, row, column)) for row in a] for column in columns]
     pos = sign_variations(coeffs)
     neg = sign_variations([c if (n - d) % 2 == 0 else -c for d, c in enumerate(coeffs)])
     return (pos, neg, n - pos - neg)

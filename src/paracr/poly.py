@@ -26,8 +26,8 @@ import math
 import re
 import sys
 from fractions import Fraction
-from operator import attrgetter, itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from operator import add, attrgetter, itemgetter, sub
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 VARS = ("x", "y", "a", "b")
 _VAR_INDEX = {name: i for i, name in enumerate(VARS)}
@@ -180,7 +180,12 @@ class Poly:
     def uses_only(self, allowed: Iterable[str]) -> bool:
         allowed_idx = {_VAR_INDEX[v] for v in allowed}
         banned = [i for i in range(4) if i not in allowed_idx]
-        return all(all(exp[i] == 0 for i in banned) for exp in self._terms)
+        if not banned:
+            return True
+        # each term's exponents of the banned variables, read by one itemgetter:
+        # a bare int for one variable, a tuple for more
+        zero = 0 if len(banned) == 1 else (0,) * len(banned)
+        return all(e == zero for e in map(itemgetter(*banned), self._terms))
 
     # -- equality / hashing ------------------------------------------------
 
@@ -197,17 +202,7 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other) -> "Poly":
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        merged = dict(self._terms)
-        for exp, c in other._terms.items():
-            s = merged.get(exp, 0) + c
-            if s:
-                merged[exp] = exact(s)
-            else:
-                del merged[exp]
-        return _raw(merged)
+        return self._merge(other, add)
 
     __radd__ = __add__
 
@@ -215,10 +210,21 @@ class Poly:
         return _raw({exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
+        return self._merge(other, sub)  # self + (-other), without building -other
+
+    def _merge(self, other, op) -> "Poly":
+        # op(self, other) term by term, for op add or sub
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        merged = dict(self._terms)
+        for exp, c in other._terms.items():
+            s = op(merged.get(exp, 0), c)
+            if s:
+                merged[exp] = exact(s)
+            else:
+                del merged[exp]
+        return _raw(merged)
 
     def __rsub__(self, other) -> "Poly":
         other = _coerce(other)
@@ -361,14 +367,26 @@ class Poly:
             return []
         if not self._terms:
             return [0.0] * len(points)
+        return self.eval_columns(float_columns(points))
+
+    def eval_columns(self, columns: Sequence[List[float]]) -> List[float]:
+        """``eval_floats`` at the points whose ``float_columns`` are ``columns``.
+
+        A caller that evaluates several polynomials at one point list builds
+        its columns once and passes them to each; every value is the one
+        ``eval_floats`` gives, bit for bit, and an ``OverflowError`` is raised
+        for the whole call alike.
+        """
+        n = len(columns[0])
+        if not n:
+            return []
+        if not self._terms:
+            return [0.0] * n
         tree = self._tree
         if tree is None:  # a leaf of 0.0 is a built tree too
             tree = _horner_tree(list(self._terms.items()), 0)
             object.__setattr__(self, "_tree", tree)
-        # one list per coordinate, built by index: zip(*points) would also
-        # build an argument tuple as long as the point list
-        columns = [list(map(float, map(itemgetter(i), points))) for i in range(4)]
-        return _walk(tree, columns, len(points))
+        return _walk(tree, columns, n)
 
     # -- text --------------------------------------------------------------
 
@@ -408,6 +426,13 @@ class Poly:
     @staticmethod
     def parse(text: str) -> "Poly":
         return _parse_poly(text)
+
+
+def float_columns(points) -> List[List[float]]:
+    """The x, y, a and b columns of a point list as floats, the input of
+    ``Poly.eval_columns``.  Each column is built by index: zip(*points) would
+    also build an argument tuple as long as the point list."""
+    return [list(map(float, map(itemgetter(i), points))) for i in range(4)]
 
 
 def _raw(terms: Dict[Exponents, Rational]) -> Poly:

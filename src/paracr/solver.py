@@ -483,7 +483,10 @@ def solve_algebra(s: ModelSurface, weight_cap: Optional[int] = None) -> Symmetry
             if w in blocks:
                 ansatz, start, basis_vectors = blocks[w]
                 vec = ansatz.vector_from_field(br)
-                if ansatz.field_from_vector(vec) == br:
+                # the slots are distinct (component, monomial) pairs, so every
+                # term of br has a slot iff br has as many terms as vec nonzeros
+                terms = len(br.alpha) + len(br.beta) + len(br.xi) + len(br.eta)
+                if terms == len(vec) - vec.count(0):
                     coeffs = linalg.solve_in_span(basis_vectors, vec)
             if coeffs is None:
                 violations.append(ClosureViolation(i, j, w))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
     A, ONE, Exponents, Grading, Poly, Rational, Record, UnsupportedDegreeError, Y, as_fraction,
@@ -182,8 +182,16 @@ class ParaVectorField(Record):
         return ambient_apply(self.ambient, f)
 
     def bracket(self, other: "ParaVectorField") -> "ParaVectorField":
-        """[V, W], componentwise V(W) - W(V); para-holomorphic by closure."""
-        xi, eta, alpha, beta = ambient_bracket(self.ambient, other.ambient)
+        """[V, W], componentwise V(W) - W(V), taken on the two halves.
+
+        xi and eta depend on x and y alone, and alpha and beta on a and b
+        alone, so the (xi, eta) half is bracketed as a field in x and y and
+        the (alpha, beta) half as one in a and b: no component is
+        differentiated by the other half's variables, where its derivative
+        is zero.  The bracket is para-holomorphic by this closure.
+        """
+        xi, eta = ambient_bracket((self.xi, self.eta), (other.xi, other.eta), "xy")
+        alpha, beta = ambient_bracket((self.alpha, self.beta), (other.alpha, other.beta), "ab")
         return ParaVectorField(alpha, beta, xi, eta)
 
     def rk4_integrator(self) -> Callable[..., Tuple[float, float, float, float]]:
@@ -326,21 +334,26 @@ AmbientField = Tuple[Poly, Poly, Poly, Poly]  # coefficients of d_x, d_y, d_a, d
 _AMBIENT_VARS = ("x", "y", "a", "b")
 
 
-def ambient_apply(v: AmbientField, f: Poly) -> Poly:
-    """sum_i v_i df/dx_i; a zero coefficient or a zero derivative adds nothing."""
-    out = Poly.zero()
-    for coeff, var in zip(v, _AMBIENT_VARS):
+def ambient_apply(v: Sequence[Poly], f: Poly, variables: Sequence[str] = _AMBIENT_VARS) -> Poly:
+    """sum_i v_i df/dx_i, x_i running over ``variables`` (all four by default);
+    a zero coefficient or a zero derivative adds nothing."""
+    out = None
+    for coeff, var in zip(v, variables):
         if coeff:
             derivative = f.diff(var)
             if derivative:
-                out = out + coeff * derivative
-    return out
+                term = coeff * derivative
+                out = term if out is None else out + term
+    return Poly.zero() if out is None else out
 
 
-def ambient_bracket(v: AmbientField, w: AmbientField) -> AmbientField:
+def ambient_bracket(
+    v: Sequence[Poly], w: Sequence[Poly], variables: Sequence[str] = _AMBIENT_VARS
+) -> Tuple[Poly, ...]:
+    """[v, w] = v(w) - w(v) for fields with one coefficient per variable of ``variables``."""
     return tuple(
-        ambient_apply(v, w[i]) - ambient_apply(w, v[i]) for i in range(4)
-    )  # type: ignore[return-value]
+        ambient_apply(v, wi, variables) - ambient_apply(w, vi, variables) for vi, wi in zip(v, w)
+    )
 
 
 class DirectionPair(NamedTuple):

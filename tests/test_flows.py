@@ -115,6 +115,33 @@ class TestFlowConstruction:
             assert exact_image(fm, p) == p
 
 
+def reference_vm1_components(k, delta, nu, t):
+    # EXP_Vm1 as it was built before the binomial theorem, kept as the
+    # reference: the starred translation (x*, b*) -> (x* - t, b* + t)
+    # conjugated with the binomial change, through Poly powers
+    shift = Poly.constant(t)
+    return (
+        X - shift,
+        Y + delta * (X**k - (X - shift) ** k),
+        A + delta * ((nu * B + shift) ** k - nu**k * B**k),
+        B + Poly.constant(t / nu),
+    )
+
+
+class TestVm1ClosedForm:
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_matches_the_power_conjugation(self, k):
+        # every binomial C(k, i) delta nu^i of these delta and nu, at each t
+        for delta in (Fraction(1), Fraction(-2), Fraction(1, 2)):
+            for nu in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2, 3)):
+                s = ModelSurface(k, binomial_gamma(k, delta, nu))
+                d = detect_case(s)
+                assert (d.delta, d.nu) == (delta, nu)
+                for t in (Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(-3, 2)):
+                    want = reference_vm1_components(k, delta, nu, t)
+                    assert flow(EXP_VM1, s, t).components == want, (k, delta, nu, t)
+
+
 def _planted_translation(t, comps):
     return FlowMap(EXP_VMK, GEN, detect_case(GEN), t, comps)
 
@@ -782,6 +809,31 @@ class TestMixedOverflow:
         # the report converts the samples once for every flow, with the same outcome
         reported = flows_mod.verify_flows(s, detect_case(s), flows_mod.DEFAULT_SEED, 1e-9)
         assert [v for v in reported if v.flow_name == EXP_V0] == [got]
+
+
+class TestSharedDirections:
+    def test_directions_are_evaluated_once_per_surface(self, monkeypatch):
+        # verify_flows evaluates P_x and P_b at the shared samples once, and
+        # every flow's verification is still verify_flow's on those samples
+        calls = []
+        directions = flows_mod._directions
+
+        def counting(s, pts):
+            calls.append(len(pts))
+            return directions(s, pts)
+
+        monkeypatch.setattr(flows_mod, "_directions", counting)
+        for s in suite_surfaces():
+            detection = detect_case(s)
+            samples = sample_on_surface(s, 20)
+            del calls[:]
+            got = flows_mod.verify_flows(s, detection, flows_mod.DEFAULT_SEED, 1e-9)
+            assert calls == [20]
+            want = []
+            for name in admissible_flow_names(detection):
+                param, partner = verification_params(name)
+                want.append(verify_flow(flow(name, s, param), samples, group_partner=partner))
+            assert list(got) == want
 
 
 class TestGeneratorConsistency:

@@ -167,6 +167,46 @@ class TestStructureConstants:
                         assert lhs + rhs == 0
 
 
+class TestKillingFormAgainstReference:
+    def test_suite_algebras(self):
+        for s in suite_surfaces() + rational_gamma_surfaces():
+            sc = StructureConstants(solve_algebra(s).structure_constants)
+            assert killing_form(sc) == _reference_killing_form(sc), s
+
+    def test_seeded_antisymmetric_tables(self):
+        # tables that need not satisfy Jacobi, with int and Fraction entries
+        rng = random.Random(3911)
+        for trial in range(80):
+            n = rng.randint(1, 6)
+            table = [[[0] * n for _ in range(n)] for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    for l in range(n):
+                        v = rng.randint(-4, 4)
+                        if trial % 2:
+                            v = Fraction(v, rng.randint(1, 5))
+                        table[i][j][l], table[j][i][l] = v, -v
+            sc = StructureConstants(tuple(tuple(map(tuple, block)) for block in table))
+            got = killing_form(sc)
+            assert got == _reference_killing_form(sc)
+            assert all(type(v) is int for row in got for v in row) or trial % 2
+
+
+def _reference_killing_form(sc):
+    # the quadruple loop killing_form ran before its row-column products,
+    # kept as the reference: K[i][j] = sum over p, l of c[i][p][l] c[j][l][p]
+    n = sc.dimension
+    killing = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            total = 0
+            for p in range(n):
+                for l in range(n):
+                    total += sc.table[i][p][l] * sc.table[j][l][p]
+            killing[i][j] = killing[j][i] = total
+    return killing
+
+
 class TestProfiles:
     def test_case_i_profile(self):
         pr = profile(algebra_for(4, monomial_gamma(4, 2)))

@@ -628,6 +628,53 @@ class TestSignature:
         for form in forms:
             assert linalg.symmetric_signature(form) == _congruence_signature(form)
 
+    def test_matches_generator_sum_reference(self):
+        # seeded symmetric matrices with n <= 8, int and Fraction entries, full
+        # and of low rank (B B^T - C C^T), against Faddeev-LeVerrier as it ran
+        # before its row-column products
+        rng = random.Random(3912)
+        zeros = 0
+        for trial in range(300):
+            n = rng.randint(0, 8)
+            if trial % 3 == 2:
+                b = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(n)]
+                c = [[rng.randint(-3, 3)] for _ in range(n)]
+                m = [[b[i][0] * b[j][0] + b[i][1] * b[j][1] - c[i][0] * c[j][0]
+                      for j in range(n)] for i in range(n)]
+            else:
+                m = [[0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        v = rng.randint(-5, 5)
+                        if trial % 3 == 1:
+                            v = Fraction(v, rng.randint(1, 6))
+                        m[i][j] = m[j][i] = v
+            sig = _generator_sum_signature(m)
+            zeros += sig[2] > 0
+            assert linalg.symmetric_signature(m) == sig, m
+        assert zeros > 50
+
+
+def _generator_sum_signature(matrix):
+    # symmetric_signature's Faddeev-LeVerrier as it ran with generator sums
+    # over M_0 = 0, before its row-column products; kept as the reference
+    from paracr.sturm import sign_variations
+
+    n = len(matrix)
+    denom = lcm(*(Fraction(v).denominator for row in matrix for v in row))
+    a = [[int(Fraction(v) * denom) for v in row] for row in matrix]
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        m = [[sum(a[r][t] * m[t][c] for t in range(n)) for c in range(n)] for r in range(n)]
+        for r in range(n):
+            m[r][r] += coeffs[-1]
+        trace = sum(a[r][t] * m[t][r] for r in range(n) for t in range(n))
+        coeffs.append(-trace // i)
+    pos = sign_variations(coeffs)
+    neg = sign_variations([c if (n - d) % 2 == 0 else -c for d, c in enumerate(coeffs)])
+    return (pos, neg, n - pos - neg)
+
 
 def _unit_vectors(n):
     return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]

@@ -434,6 +434,49 @@ class TestEvalFloats:
             assert [v.hex() for v in got] == want, (p, points)
 
 
+class TestFloatColumns:
+    def test_column_entry_point_matches_bit_for_bit(self):
+        # seeded point lists, the empty one included: eval_floats and
+        # eval_columns over float_columns give the same floats, or both raise
+        rng = random.Random(3913)
+        coordinates = (0.0, -0.0, 5e-324, 1e-310, 1e150, -1e200, 2.5)
+        outcomes = set()
+        for trial in range(300):
+            p = random_poly(rng, max_terms=6, max_exp=4)
+            points = [
+                tuple(rng.choice(coordinates) if rng.random() < 0.2 else rng.uniform(-4, 4)
+                      for _ in range(4))
+                for _ in range(trial % 7)
+            ]
+            try:
+                want = [v.hex() for v in p.eval_floats(points)]
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    p.eval_columns(poly_mod.float_columns(points))
+                outcomes.add("overflow")
+                continue
+            got = p.eval_columns(poly_mod.float_columns(points))
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == want, (p, points)
+            outcomes.add(len(points) > 0)
+        assert outcomes == {"overflow", True, False}
+        assert P("x - b").eval_floats([]) == [] == P("x - b").eval_columns([[], [], [], []])
+
+    def test_overflow_at_one_point_falls_back_to_one_point_at_a_time(self):
+        from paracr.flows import _finite_rows
+
+        p = P("x^2 + b")
+        points = [(1.0, 0.0, 0.0, 2.0), (1.5e308, 0.0, 0.0, 1.0), (3.0, 0.0, 0.0, 1.0)]
+        with pytest.raises(OverflowError):
+            p.eval_floats(points)
+        with pytest.raises(OverflowError):
+            p.eval_columns(poly_mod.float_columns(points))
+        rows = _finite_rows(
+            lambda pts: [(v,) for v in p.eval_columns(poly_mod.float_columns(pts))], points
+        )
+        assert rows == [(3.0,), None, (10.0,)]
+
+
 class TestEvaluationPlan:
     def test_built_once_per_polynomial(self, monkeypatch):
         built = []

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from paracr.poly import Grading, Poly, UnsupportedDegreeError
 from paracr.surface import (
@@ -18,6 +19,7 @@ from paracr.solver import (
     grading_field,
     oblique_translation_field,
     relative_dilation_field,
+    solve_algebra,
     special_conformal_field,
     vertical_translation,
 )
@@ -26,6 +28,18 @@ from conftest import para_field_st, poly_st, random_para_field
 
 def P(text):
     return Poly.parse(text)
+
+
+def _half_field_st():
+    # a field with its (a, b) or its (x, y) half zero, scaled by a Fraction
+    # so that its coefficients are Fractions
+    zero = Poly.zero()
+    scale = st.sampled_from([Fraction(1, 3), Fraction(-5, 7), Fraction(2, 9)])
+    ab, xy = poly_st(("a", "b"), 3), poly_st(("x", "y"), 3)
+    return st.one_of(
+        st.builds(lambda p, q, c: ParaVectorField(c * p, c * q, zero, zero), ab, ab, scale),
+        st.builds(lambda p, q, c: ParaVectorField(zero, zero, c * p, c * q), xy, xy, scale),
+    )
 
 
 class TestModelSurface:
@@ -144,6 +158,40 @@ class TestBracket:
         assert v.apply(f) == _reference_apply(v, f)
         assert v.bracket(w) == _reference_bracket(v, w)
 
+    @given(st.one_of(_half_field_st(), para_field_st()), _half_field_st())
+    def test_half_fields_match_reference_derivation(self, v, w):
+        # one half zero and Fraction coefficients: the bracket taken on the two
+        # halves agrees with the full four-variable derivation either way round
+        assert v.bracket(w) == _reference_bracket(v, w)
+        assert w.bracket(v) == _reference_bracket(w, v)
+
+    def test_each_half_is_differentiated_by_its_own_variables(self, suite, monkeypatch):
+        # xi and eta depend on x and y alone, alpha and beta on a and b alone:
+        # over every bracket of the suite algebras no component is
+        # differentiated by the other half's variables
+        algebras = [solve_algebra(s) for s in suite]
+        calls = []
+        diff = Poly.diff
+
+        def spy(p, var):
+            calls.append((p, var))
+            return diff(p, var)
+
+        monkeypatch.setattr(Poly, "diff", spy)
+        brackets = 0
+        for algebra in algebras:
+            fields = [f for _, f in algebra.generators]
+            for v in fields:
+                for w in fields:
+                    del calls[:]
+                    v.bracket(w)
+                    brackets += 1
+                    allowed = {}  # id of a component -> the variables it may be differentiated by
+                    for comp, variables in _halves(v) + _halves(w):
+                        allowed[id(comp)] = allowed.get(id(comp), "") + variables
+                    assert calls and all(var in allowed[id(p)] for p, var in calls), (v, w)
+        assert brackets == sum(len(a.generators) ** 2 for a in algebras) > 100
+
     def test_generators_match_reference_derivation(self):
         fields = [
             vertical_translation(),
@@ -157,6 +205,11 @@ class TestBracket:
             assert v.apply(s.defining_poly) == _reference_apply(v, s.defining_poly)
             for w in fields:
                 assert v.bracket(w) == _reference_bracket(v, w)
+
+
+def _halves(f):
+    # each component of f with the variables it depends on
+    return ((f.xi, "xy"), (f.eta, "xy"), (f.alpha, "ab"), (f.beta, "ab"))
 
 
 def _reference_apply(v, f):
