@@ -12,10 +12,10 @@ form as four polynomial components; EXP_VK, the one flow with radicals, has
 no components and is the subclass ``_RadicalFlow``.  EXP_Vm1 is built by
 conjugating the starred translation (x*, b*) -> (x* - t, b* + t) with the
 binomial coordinate change, its y and a components expanded by the binomial
-theorem; the alternate closed-form transcription (x - t,
-y - x^k + 2(x-t)^k, a + b^k - 2(b+t)^k, b + t) is not even the identity at
-t = 0 and fails the integration oracle, so it is kept only as an audited
-negative (see ``vm1_transcription_mismatch``).
+theorem on int numerators over one denominator each; the alternate
+closed-form transcription (x - t, y - x^k + 2(x-t)^k, a + b^k - 2(b+t)^k,
+b + t) is not even the identity at t = 0 and fails the integration oracle,
+so it is kept only as an audited negative (see ``vm1_transcription_mismatch``).
 
 A polynomial flow's surface preservation and group law are checked as
 identities, composed by one simultaneous ``Poly.substitute``; the para-CR
@@ -33,7 +33,9 @@ value takes the float operations, in the order, it would take alone.  An
 ``OverflowError`` at any sample reruns the check on each sample alone, so it
 fails only the samples where it arises.  ``verify_flows`` is the flow stage
 of ``analyze``; it evaluates the direction fields' P_x and P_b at the shared
-samples once per surface, for every flow.
+samples once per surface, for every flow.  ``sample_on_surface`` draws
+every sample's graph coordinates first and ``ModelSurface.lift`` lifts them
+onto the surface in one pass.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from operator import sub
 from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .normalform import BINOMIAL, MONOMIAL, CaseDetection, TorusMap, detect_case
-from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction, float_columns
+from .poly import VARS, A, B, Poly, Record, X, Y, as_fraction, float_columns, from_scaled
 from .solver import (
     grading_field,
     oblique_translation_field,
@@ -274,13 +276,20 @@ def _flow(name: str, surface: ModelSurface, detection: CaseDetection, param) -> 
         delta, nu, t = detection.delta, detection.nu, param
         # conjugate (x*, b*) -> (x* - t, b* + t) with the binomial change:
         # y + delta (x^k - (x - t)^k) and a + delta ((nu b + t)^k - nu^k b^k),
-        # expanded by the binomial theorem
-        y_terms = {(0, 1, 0, 0): 1}
-        a_terms = {(0, 0, 1, 0): 1}
+        # expanded by the binomial theorem on int numerators over one common
+        # denominator per component, dd td^k and dd nd^(k-1) td^k
+        dn, dd = delta.numerator, delta.denominator
+        nn, nd = nu.numerator, nu.denominator
+        tn, td = t.numerator, t.denominator
+        y_den, a_den = dd * td**k, dd * nd ** (k - 1) * td**k
+        y_terms = {(0, 1, 0, 0): y_den}
+        a_terms = {(0, 0, 1, 0): a_den}
         for j in range(k):
-            y_terms[j, 0, 0, 0] = -delta * math.comb(k, j) * (-t) ** (k - j)
-            a_terms[0, 0, 0, j] = delta * math.comb(k, j) * nu**j * t ** (k - j)
-        comps = (X - Poly.constant(t), Poly(y_terms), Poly(a_terms), B + Poly.constant(t / nu))
+            c = dn * math.comb(k, j) * td**j
+            y_terms[j, 0, 0, 0] = -c * (-tn) ** (k - j)
+            a_terms[0, 0, 0, j] = c * tn ** (k - j) * nn**j * nd ** (k - 1 - j)
+        y, a = from_scaled(y_terms, y_den), from_scaled(a_terms, a_den)
+        comps = (X - Poly.constant(t), y, a, B + Poly.constant(t / nu))
     return FlowMap(name, surface, detection, param, comps)
 
 
@@ -326,16 +335,25 @@ class FlowVerification(NamedTuple):
     witnesses: Tuple[ProportionalityWitness, ...] = ()
 
 
+# the 27 values n/d a sample coordinate can take, |n| <= 4 and d <= 3, by (n, d)
+_SAMPLE_VALUES = {(n, d): Fraction(n, d) for n in range(-4, 5) for d in range(1, 4)}
+
+
 def sample_on_surface(s: ModelSurface, count: int, seed: int = DEFAULT_SEED) -> List[ExactPoint]:
-    """Exact points on the surface, deterministic for a seed: x, a, b = n/d, |n| <= 4, d <= 3."""
-    rng = random.Random((seed, s.k, tuple(s.gamma)).__repr__())
-    points = []
+    """Exact points on the surface, deterministic for a seed: x, a, b = n/d, |n| <= 4, d <= 3.
+
+    Each coordinate is drawn as ``randint(-4, 4)`` then ``randint(1, 3)``,
+    x, b and a in that order, and read from the table of the 27 values n/d;
+    ``ModelSurface.lift`` then lifts all the draws in one pass.
+    """
+    randint = random.Random((seed, s.k, tuple(s.gamma)).__repr__()).randint
+    draws = []
     for _ in range(count):
-        x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        points.append(s.point_from_xab(x, a, b))
-    return points
+        x = _SAMPLE_VALUES[randint(-4, 4), randint(1, 3)]
+        b = _SAMPLE_VALUES[randint(-4, 4), randint(1, 3)]
+        a = _SAMPLE_VALUES[randint(-4, 4), randint(1, 3)]
+        draws.append((x, a, b))
+    return s.lift(draws)
 
 
 def _finite(compute: Callable[[], Iterable[float]]) -> Optional[Tuple[float, ...]]:
@@ -355,7 +373,7 @@ def _finite_rows(compute: Callable[[Sequence], List[Tuple[float, ...]]], points:
         rows = compute(points)
     except OverflowError:
         return [_finite(lambda: compute([p])[0]) for p in points]
-    return [row if all(math.isfinite(v) for v in row) else None for row in rows]
+    return [row if all(map(math.isfinite, row)) else None for row in rows]
 
 
 def _float_check(

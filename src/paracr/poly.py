@@ -26,6 +26,7 @@ import math
 import re
 import sys
 from fractions import Fraction
+from itertools import chain
 from operator import add, attrgetter, itemgetter, sub
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -178,14 +179,8 @@ class Poly:
         return max(exp[i] for exp in self._terms)
 
     def uses_only(self, allowed: Iterable[str]) -> bool:
-        allowed_idx = {_VAR_INDEX[v] for v in allowed}
-        banned = [i for i in range(4) if i not in allowed_idx]
-        if not banned:
-            return True
-        # each term's exponents of the banned variables, read by one itemgetter:
-        # a bare int for one variable, a tuple for more
-        zero = 0 if len(banned) == 1 else (0,) * len(banned)
-        return all(e == zero for e in map(itemgetter(*banned), self._terms))
+        allowed = set(allowed)
+        return not mentions([v for v in VARS if v not in allowed], self)
 
     # -- equality / hashing ------------------------------------------------
 
@@ -242,13 +237,8 @@ class Poly:
         # the product runs on ints, at one common denominator of each factor
         den1, terms1 = _over_denominator(self._terms)
         den2, terms2 = _over_denominator(other._terms)
-        out: Dict[Exponents, int] = {}
-        for (x1, y1, a1, b1), c1 in terms1:
-            for (x2, y2, a2, b2), c2 in terms2:
-                exp = (x1 + x2, y1 + y2, a1 + a2, b1 + b2)
-                out[exp] = out.get(exp, 0) + c1 * c2
-        den = den1 * den2
-        return _raw({e: c if den == 1 else exact(Fraction(c, den)) for e, c in out.items() if c})
+        out, den = _int_product(terms1, terms2), den1 * den2
+        return _raw(out) if den == 1 else from_scaled(out, den)
 
     __rmul__ = __mul__
 
@@ -284,31 +274,44 @@ class Poly:
 
         Each replacement is read in the original variables, so
         ``substitute({"x": B, "b": X})`` swaps x and b, and one call composes
-        a polynomial map.  Each replaced variable keeps one list of powers.
+        a polynomial map.  Each replaced variable keeps one list of powers,
+        as int terms over a power of its replacement's common denominator,
+        so no power or product of powers goes through a ``Fraction``; the
+        sum runs on ints too, at one common denominator of every term's image.
         """
-        # per replaced variable: its slot, its replacement r and [r, r^2, ...]
-        slots = [(_var_index(name), r, [r]) for name, r in replacements.items()]
+        slots = [(_var_index(name), r) for name, r in replacements.items()]
+        # per replaced slot that occurs: the lcm L of its replacement r's
+        # denominators and [L r, (L r)^2, ...] as int terms
+        scaled: Dict[int, Tuple[int, list]] = {}
         parts = []  # per term: exponents kept, numerator, denominator, int terms
         for exp, c in self._terms.items():
             rest = list(exp)
-            image = ONE  # the product of the replaced variables' powers
-            for i, r, powers in slots:
+            image = _ONE_TERMS  # the product of the replaced variables' scaled powers
+            den = c.denominator
+            for i, r in slots:
                 e, rest[i] = rest[i], 0
                 if e:
+                    if i not in scaled:
+                        d, terms = _over_denominator(r._terms)
+                        scaled[i] = (d, [terms])
+                    d, powers = scaled[i]
                     while len(powers) < e:
-                        powers.append(powers[-1] * r)
-                    image = powers[e - 1] if image is ONE else image * powers[e - 1]
-            den, scaled = _over_denominator(image._terms)
-            parts.append((rest, c.numerator, c.denominator * den, scaled))
+                        powers.append(_int_product(powers[-1], powers[0]).items())
+                    if image is _ONE_TERMS:
+                        image = powers[e - 1]
+                    else:
+                        image = _int_product(image, powers[e - 1]).items()
+                    den *= d**e
+            parts.append((rest, c.numerator, den, image))
         # the sum runs on ints, at one common denominator of every part
         den = math.lcm(*(d for _, _, d, _ in parts))
         out: Dict[Exponents, int] = {}
-        for (rx, ry, ra, rb), n, d, scaled in parts:
+        for (rx, ry, ra, rb), n, d, image in parts:
             n *= den // d
-            for (ex, ey, ea, eb), c2 in scaled:
+            for (ex, ey, ea, eb), c2 in image:
                 key = (rx + ex, ry + ey, ra + ea, rb + eb)
                 out[key] = out.get(key, 0) + n * c2
-        return _raw({e: c if den == 1 else exact(Fraction(c, den)) for e, c in out.items() if c})
+        return from_scaled(out, den)
 
     # -- evaluation --------------------------------------------------------
 
@@ -435,9 +438,48 @@ def float_columns(points) -> List[List[float]]:
     return [list(map(float, map(itemgetter(i), points))) for i in range(4)]
 
 
+def mentions(variables: Iterable[str], *polys: Poly) -> bool:
+    """Whether a term of one of ``polys`` has a nonzero exponent of one of
+    ``variables``, read in one pass over all their terms."""
+    slots = list(map(_var_index, variables))
+    if not slots:
+        return False
+    # each term's exponents of those variables, read by one itemgetter: a bare
+    # int for one variable, a tuple for more
+    zero = 0 if len(slots) == 1 else (0,) * len(slots)
+    return not {*map(itemgetter(*slots), chain.from_iterable(p._terms for p in polys))} <= {zero}
+
+
+def over_common_denominator(polys: Sequence[Poly]) -> Tuple[int, List[Iterable]]:
+    """(L, each poly's terms times L as (exponents, int) pairs), L the lcm of
+    every coefficient denominator of ``polys``: the int form the exact
+    kernels run on, read back by ``from_scaled``."""
+    terms = [p._terms for p in polys]
+    if Fraction not in map(type, chain.from_iterable(map(dict.values, terms))):
+        return 1, [t.items() for t in terms]
+    parts = [_over_denominator(t) for t in terms]
+    den = math.lcm(*(d for d, _ in parts))
+    return den, [t if d == den else [(e, c * (den // d)) for e, c in t] for d, t in parts]
+
+
+def from_scaled(terms: Mapping[Exponents, int], den: int) -> Poly:
+    """The polynomial whose terms times ``den`` are the int ``terms``; a zero
+    term is dropped and each coefficient takes its ``exact`` form."""
+    if den == 1:
+        return _raw({e: c for e, c in terms.items() if c})
+    return _raw({e: exact(Fraction(c, den)) for e, c in terms.items() if c})
+
+
+_new = object.__new__
+_set_terms = Poly._terms.__set__  # type: ignore[attr-defined]
+_set_tree = Poly._tree.__set__  # type: ignore[attr-defined]
+
+
 def _raw(terms: Dict[Exponents, Rational]) -> Poly:
-    p = Poly()
-    object.__setattr__(p, "_terms", terms)
+    # a Poly of terms already clean (exact nonzero coefficients), without __init__
+    p = _new(Poly)
+    _set_terms(p, terms)
+    _set_tree(p, None)
     return p
 
 
@@ -447,6 +489,19 @@ def _over_denominator(terms: Dict[Exponents, Rational]) -> Tuple[int, Iterable]:
         return 1, terms.items()
     den = math.lcm(*(c.denominator for c in terms.values()))
     return den, [(exp, c.numerator * (den // c.denominator)) for exp, c in terms.items()]
+
+
+def _int_product(terms1: Iterable, terms2: Iterable) -> Dict[Exponents, int]:
+    # the product of two int term lists, a sum that cancels left out
+    out: Dict[Exponents, int] = {}
+    for (x1, y1, a1, b1), c1 in terms1:
+        for (x2, y2, a2, b2), c2 in terms2:
+            exp = (x1 + x2, y1 + y2, a1 + a2, b1 + b2)
+            out[exp] = out.get(exp, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+_ONE_TERMS = ((ZERO_EXP, 1),)
 
 
 def _coerce(value) -> Optional[Poly]:

@@ -16,7 +16,8 @@ from functools import cached_property
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import (
-    A, ONE, Exponents, Grading, Poly, Rational, Record, UnsupportedDegreeError, Y, as_fraction,
+    A, ONE, VARS, Exponents, Grading, Poly, Rational, Record, UnsupportedDegreeError, Y,
+    as_fraction, from_scaled, mentions, over_common_denominator,
 )
 
 
@@ -135,28 +136,75 @@ class ModelSurface(Record):
         return Poly(terms)
 
     def point_from_xab(self, x, a, b) -> Tuple[Fraction, ...]:
-        """Lift graph coordinates (x, a, b) to the surface point (x, y, a, b)."""
-        x, a, b = as_fraction(x), as_fraction(a), as_fraction(b)
-        y = a + self.p.eval_exact((x, 0, 0, b))
-        return (x, y, a, b)
+        """Lift graph coordinates (x, a, b) to the surface point (x, y, a, b);
+        the one-point case of ``lift``."""
+        return self.lift([(as_fraction(x), as_fraction(a), as_fraction(b))])[0]
+
+    def lift(
+        self, draws: Sequence[Tuple[Fraction, Fraction, Fraction]]
+    ) -> List[Tuple[Fraction, ...]]:
+        """Lift each graph point (x, a, b) of ``draws``, given as Fractions, to
+        the surface point (x, y, a, b), y = a + P(x, b), in one pass.
+
+        P is read once as int terms c over the lcm L of its denominators.
+        Each distinct x = p/q, and each distinct b likewise, gets one int
+        table of p^e q^(D - e) at the exponents e of x in P, D the largest,
+        so P(x, b) is the int sum of c times one entry of each table over
+        L q^D_x s^D_b, b = r/s, and y is one ``Fraction`` in lowest terms.
+        """
+        den, (terms,) = over_common_denominator([self.p])
+        x_exps = {ex for (ex, _, _, _), _ in terms}
+        b_exps = {eb for (_, _, _, eb), _ in terms}
+        x_tables: Dict[Tuple[int, int], Tuple[int, Dict[int, int]]] = {}
+        b_tables: Dict[Tuple[int, int], Tuple[int, Dict[int, int]]] = {}
+        points = []
+        for x, a, b in draws:
+            xd, xt = _power_table(x_tables, x, x_exps)
+            bd, bt = _power_table(b_tables, b, b_exps)
+            total = 0
+            for (ex, _, _, eb), c in terms:
+                total += c * xt[ex] * bt[eb]
+            p_den = den * xd * bd
+            y = Fraction(a.numerator * p_den + total * a.denominator, a.denominator * p_den)
+            points.append((x, y, a, b))
+        return points
+
+
+def _power_table(tables, v: Fraction, exponents) -> Tuple[int, Dict[int, int]]:
+    # v = p/q's (q^D, {e: p^e q^(D - e)} at the exponents e), D the largest,
+    # built once per value
+    key = (v.numerator, v.denominator)
+    table = tables.get(key)
+    if table is None:
+        p, q = key
+        top = max(exponents)
+        table = tables[key] = (q**top, {e: p**e * q ** (top - e) for e in exponents})
+    return table
 
 
 class ParaVectorField(Record):
-    """alpha(a,b) d_a + beta(a,b) d_b + xi(x,y) d_x + eta(x,y) d_y."""
+    """alpha(a,b) d_a + beta(a,b) d_b + xi(x,y) d_x + eta(x,y) d_y.
+
+    A component that mixes in the other half's variables raises
+    ``MixedComponentError``; each half's two components are read in one
+    pass (``poly.mentions``).
+    """
 
     __match_args__ = ("alpha", "beta", "xi", "eta")
 
     def __init__(self, alpha: Poly, beta: Poly, xi: Poly, eta: Poly):
-        for name, comp, allowed in (
-            ("alpha", alpha, ("a", "b")),
-            ("beta", beta, ("a", "b")),
-            ("xi", xi, ("x", "y")),
-            ("eta", eta, ("x", "y")),
-        ):
-            if not comp.uses_only(allowed):
-                raise MixedComponentError(
-                    f"{name} component must use only {allowed}, got {comp}"
-                )
+        # one pass over each half's terms; the component is named only on failure
+        if mentions("xy", alpha, beta) or mentions("ab", xi, eta):
+            for name, comp, allowed in (
+                ("alpha", alpha, ("a", "b")),
+                ("beta", beta, ("a", "b")),
+                ("xi", xi, ("x", "y")),
+                ("eta", eta, ("x", "y")),
+            ):
+                if not comp.uses_only(allowed):
+                    raise MixedComponentError(
+                        f"{name} component must use only {allowed}, got {comp}"
+                    )
         super().__init__(alpha, beta, xi, eta)
 
     @staticmethod
@@ -331,29 +379,58 @@ def tangency_residual(v: ParaVectorField, s: ModelSurface) -> Poly:
 
 AmbientField = Tuple[Poly, Poly, Poly, Poly]  # coefficients of d_x, d_y, d_a, d_b
 
-_AMBIENT_VARS = ("x", "y", "a", "b")
 
+def ambient_apply(v: Sequence[Poly], f: Poly, variables: Sequence[str] = VARS) -> Poly:
+    """sum_i v_i df/dx_i, x_i running over ``variables`` (all four by default).
 
-def ambient_apply(v: Sequence[Poly], f: Poly, variables: Sequence[str] = _AMBIENT_VARS) -> Poly:
-    """sum_i v_i df/dx_i, x_i running over ``variables`` (all four by default);
-    a zero coefficient or a zero derivative adds nothing."""
-    out = None
-    for coeff, var in zip(v, variables):
-        if coeff:
-            derivative = f.diff(var)
-            if derivative:
-                term = coeff * derivative
-                out = term if out is None else out + term
-    return Poly.zero() if out is None else out
+    One pass of ``_derive`` adds each product of a term of v_i with a term
+    of df/dx_i straight into one map of ints, at one common denominator of
+    v and one of f: no derivative, product or sum is built as a ``Poly``.
+    """
+    slots = [VARS.index(var) for var in variables]
+    den_v, v_terms = over_common_denominator(v)
+    den_f, (f_terms,) = over_common_denominator([f])
+    out: Dict[Exponents, int] = {}
+    _derive(out, v_terms, f_terms, slots, 1)
+    return from_scaled(out, den_v * den_f)
 
 
 def ambient_bracket(
-    v: Sequence[Poly], w: Sequence[Poly], variables: Sequence[str] = _AMBIENT_VARS
+    v: Sequence[Poly], w: Sequence[Poly], variables: Sequence[str] = VARS
 ) -> Tuple[Poly, ...]:
-    """[v, w] = v(w) - w(v) for fields with one coefficient per variable of ``variables``."""
-    return tuple(
-        ambient_apply(v, wi, variables) - ambient_apply(w, vi, variables) for vi, wi in zip(v, w)
-    )
+    """[v, w] = v(w) - w(v) for fields with one coefficient per variable of ``variables``.
+
+    Every coefficient of v is put over one common denominator, and every one
+    of w over another, so each component's v(w_i) and -w(v_i) share their
+    product as denominator and ``_derive`` adds both into one map of ints.
+    """
+    slots = [VARS.index(var) for var in variables]
+    den_v, v_terms = over_common_denominator(v)
+    den_w, w_terms = over_common_denominator(w)
+    components = []
+    for vi, wi in zip(v_terms, w_terms):
+        out: Dict[Exponents, int] = {}
+        _derive(out, v_terms, wi, slots, 1)
+        _derive(out, w_terms, vi, slots, -1)
+        components.append(from_scaled(out, den_v * den_w))
+    return tuple(components)
+
+
+def _derive(out: Dict[Exponents, int], v_terms, f_terms, slots: Sequence[int], sign: int) -> None:
+    # out += sign * sum_j v_j df/dx_(slots[j]), for v_j and f given as int
+    # terms; a zero v_j or a zero derivative adds nothing
+    for coeff, i in zip(v_terms, slots):
+        if not coeff:
+            continue
+        for exp, c in f_terms:
+            e = exp[i]
+            if not e:
+                continue
+            fx, fy, fa, fb = exp[:i] + (e - 1,) + exp[i + 1 :]
+            c *= sign * e
+            for (x, y, a, b), d in coeff:
+                key = (fx + x, fy + y, fa + a, fb + b)
+                out[key] = out.get(key, 0) + c * d
 
 
 class DirectionPair(NamedTuple):

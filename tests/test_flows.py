@@ -40,7 +40,7 @@ from paracr.flows import (
 from paracr import flows as flows_mod
 from paracr import surface as surface_mod
 from paracr.normalform import detect_case
-from paracr.poly import VARS, A, B, Poly, X, Y
+from paracr.poly import VARS, A, B, Poly, X, Y, exact
 from paracr.report import discrete_dict
 from paracr.solver import grading_field, special_conformal_field, vertical_translation
 from paracr.surface import ModelSurface, ParaVectorField
@@ -52,6 +52,7 @@ from conftest import (
     reference_eval_float,
     suite_surfaces,
 )
+from test_torus import reference_surfaces
 
 
 def P(text):
@@ -140,6 +141,78 @@ class TestVm1ClosedForm:
                 for t in (Fraction(0), Fraction(1, 10), Fraction(1, 7), Fraction(-3, 2)):
                     want = reference_vm1_components(k, delta, nu, t)
                     assert flow(EXP_VM1, s, t).components == want, (k, delta, nu, t)
+
+
+    @pytest.mark.parametrize("k", range(3, 10))
+    def test_integral_coefficients_are_ints(self, k):
+        # the int numerators over one denominator give each coefficient its
+        # exact form: an int wherever the value is integral
+        for delta in (Fraction(1), Fraction(-2), Fraction(1, 2)):
+            for nu in (Fraction(1), Fraction(-1), Fraction(2), Fraction(-2, 3)):
+                s = ModelSurface(k, binomial_gamma(k, delta, nu))
+                for t in map(Fraction, ("0", "1/10", "1/7", "-3/2", "2")):
+                    comps = flow(EXP_VM1, s, t).components
+                    coefficients = [c for comp in comps for _, c in comp.items()]
+                    assert all(type(c) is type(exact(c)) for c in coefficients), (k, delta, nu, t)
+
+
+def reference_sample_on_surface(s, count, seed=flows_mod.DEFAULT_SEED):
+    # sample_on_surface before it lifted its draws in one pass, kept as the
+    # reference: each coordinate one Fraction(randint, randint), x, b, a in
+    # that order, and y = a + P(x, b) by Poly.eval_exact, one point at a time
+    rng = random.Random((seed, s.k, tuple(s.gamma)).__repr__())
+    points = []
+    for _ in range(count):
+        x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        points.append((x, a + s.p.eval_exact((x, 0, 0, b)), a, b))
+    return points
+
+
+def _assert_reference_samples(s, count, seed=flows_mod.DEFAULT_SEED):
+    got = sample_on_surface(s, count, seed=seed)
+    assert got == reference_sample_on_surface(s, count, seed), (s, count, seed)
+    assert len(got) == count
+    assert all(type(v) is Fraction for p in got for v in p)
+    assert all(s.defining_poly.eval_exact(p) == 0 for p in got)
+
+
+class TestSampleLift:
+    def test_reference_surfaces(self):
+        for s in reference_surfaces():
+            _assert_reference_samples(s, 20)
+
+    @pytest.mark.parametrize("count", [0, 1, 20, 60])
+    def test_counts(self, count):
+        for s in suite_surfaces() + rational_gamma_surfaces():
+            _assert_reference_samples(s, count)
+            _assert_reference_samples(s, count, seed=28)
+
+    def test_seed_28_points_of_the_rk4_xfail(self):
+        # the 60 points the benchmark's strict RK4 xfail reads
+        _assert_reference_samples(ModelSurface(4, monomial_gamma(4, 2)), 60, seed=28)
+
+    def test_rational_gamma_with_large_denominators(self):
+        rng = random.Random(40)
+        for k in range(3, 10):
+            gamma = tuple(
+                Fraction(rng.randint(-10**30, 10**30), rng.randint(1, 10**25) * 7**k)
+                for _ in range(k - 1)
+            )
+            for seed in (0, 28, flows_mod.DEFAULT_SEED):
+                _assert_reference_samples(ModelSurface(k, gamma), 20, seed)
+
+    def test_point_from_xab_is_the_one_point_lift(self):
+        rng = random.Random(41)
+        for s in suite_surfaces() + rational_gamma_surfaces():
+            for _ in range(10):
+                x, a, b = (Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 99)) for _ in "xab")
+                want = (x, a + s.p.eval_exact((x, 0, 0, b)), a, b)
+                assert s.point_from_xab(x, a, b) == want
+                assert s.point_from_xab(str(x), str(a), str(b)) == want
+                assert s.lift([(x, a, b)]) == [want]
+            assert s.point_from_xab(2, -1, 0) == (2, -1, -1, 0)
 
 
 def _planted_translation(t, comps):

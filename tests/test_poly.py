@@ -1,6 +1,8 @@
+import itertools
 import random
 import time
 from fractions import Fraction
+from operator import itemgetter
 from typing import Dict
 
 import pytest
@@ -21,7 +23,7 @@ from paracr.flows import (
     sample_on_surface,
     verification_params,
 )
-from paracr.normalform import DefiningFunction, detect_case
+from paracr.normalform import DefiningFunction, NormalFormError, detect_case, finite_type
 from paracr.poly import (
     A,
     B,
@@ -180,6 +182,142 @@ class TestSubstitute:
         assert tuple(c.substitute(phi) for c in partner) == flow(EXP_VM1, s, t + u).components
         y_then_x = partner[1].substitute({"y": phi["y"]}).substitute({"x": phi["x"]})
         assert y_then_x != flow(EXP_VM1, s, t + u).components[1]
+
+
+def reference_substitute(p, replacements):
+    # Poly.substitute as it was before its power lists were kept as ints over
+    # a common denominator: each replaced variable's powers as Polys, and
+    # each term's image as their Poly product
+    slots = [(VARS.index(name), r, [r]) for name, r in replacements.items()]
+    total = Poly.zero()
+    for exp, c in p.items():
+        rest = list(exp)
+        image = Poly.constant(c)
+        for i, r, powers in slots:
+            e, rest[i] = rest[i], 0
+            if e:
+                while len(powers) < e:
+                    powers.append(powers[-1] * r)
+                image = image * powers[e - 1]
+        total = total + image * Poly.monomial(tuple(rest))
+    return total
+
+
+def _recorded_substitutions(monkeypatch, run):
+    # every (poly, replacements, result) Poly.substitute returns while run() runs
+    calls = []
+    substitute = Poly.substitute
+
+    def spy(p, replacements):
+        result = substitute(p, replacements)
+        calls.append((p, dict(replacements), result))
+        return result
+
+    monkeypatch.setattr(Poly, "substitute", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def _assert_reference_expansions(calls):
+    for p, replacements, result in calls:
+        assert result == reference_substitute(p, replacements), (p, replacements)
+        assert all(type(c) is int or c.denominator != 1 for _, c in result.items())
+
+
+class TestSubstituteAgainstPolyPowers:
+    """The int power lists over a common denominator expand as the Poly powers did."""
+
+    def test_finite_type_elimination_steps(self, monkeypatch):
+        # a^2 + b^2 or b^3, plus up to four terms with Fraction coefficients:
+        # each pure-b elimination step substitutes a -> a - g
+        rng = random.Random(40)
+        phis = []
+        for _ in range(60):
+            phi = P(rng.choice(["a^2 + b^2", "a^2 + b^3", "x b^2 + a^2"]))
+            for _ in range(rng.randint(1, 4)):
+                exp = (rng.randint(0, 3), 0, rng.randint(0, 3), rng.randint(0, 4))
+                if sum(exp) >= 2:
+                    phi = phi + Poly.monomial(exp, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+            phis.append(phi)
+
+        def run():
+            for phi in phis:
+                try:
+                    finite_type(DefiningFunction(phi))
+                except NormalFormError:
+                    pass
+
+        calls = _recorded_substitutions(monkeypatch, run)
+        assert len(calls) > 60 and any(
+            Fraction in coefficient_types(r) for _, repl, _ in calls for r in repl.values()
+        )
+        _assert_reference_expansions(calls)
+
+    def test_flow_identities(self, monkeypatch):
+        # each flow's surface preservation and group-law compositions, on the
+        # suite, the k ladder and the rational-gamma surfaces
+        surfaces = suite_surfaces() + k_ladder_surfaces() + rational_gamma_surfaces()
+
+        def run():
+            for s in surfaces:
+                for name in admissible_flow_names(detect_case(s)):
+                    param, partner = verification_params(name)
+                    fm = flow(name, s, param)
+                    if fm.is_polynomial:
+                        phi = dict(zip(VARS, fm.components))
+                        s.defining_poly.substitute(phi)
+                        for c in fm.with_param(partner).components:
+                            c.substitute(phi)
+
+        calls = _recorded_substitutions(monkeypatch, run)
+        assert len(calls) > 200
+        _assert_reference_expansions(calls)
+
+    def test_seeded_polynomials(self):
+        rng = random.Random(41)
+        for _ in range(200):
+            names = rng.sample(VARS, rng.randint(0, 4))
+            replacements = {name: random_poly(rng, max_terms=3) for name in names}
+            p = random_poly(rng, max_terms=5, max_exp=4)
+            assert p.substitute(replacements) == reference_substitute(p, replacements)
+
+
+def reference_uses_only(p, allowed):
+    # Poly.uses_only before it went through poly.mentions: each term's
+    # exponents of the banned variables, read by one itemgetter
+    allowed_idx = {VARS.index(v) for v in allowed}
+    banned = [i for i in range(4) if i not in allowed_idx]
+    if not banned:
+        return True
+    zero = 0 if len(banned) == 1 else (0,) * len(banned)
+    return all(e == zero for e in map(itemgetter(*banned), (exp for exp, _ in p.items())))
+
+
+class TestUsesOnly:
+    def test_agrees_with_the_itemgetter_rule(self):
+        # seeded exponent sets, many with zeros in some slots, and the empty Poly
+        rng = random.Random(42)
+        polys = [Poly.zero()]
+        for _ in range(300):
+            zero_slots = rng.sample(range(4), rng.randint(0, 4))
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                exp = [0 if i in zero_slots else rng.randint(0, 2) for i in range(4)]
+                terms[tuple(exp)] = rng.randint(1, 3)
+            polys.append(Poly(terms))
+        subsets = [c for n in range(5) for c in itertools.combinations(VARS, n)]
+        for p in polys:
+            for allowed in subsets:
+                assert p.uses_only(allowed) == reference_uses_only(p, allowed), (p, allowed)
+                banned = [v for v in VARS if v not in allowed]
+                assert poly_mod.mentions(banned, p) == (not reference_uses_only(p, allowed))
+        # one pass over several polys is the rule on each
+        for p, q in zip(polys, polys[1:]):
+            for allowed in subsets:
+                banned = [v for v in VARS if v not in allowed]
+                expected = not (reference_uses_only(p, allowed) and reference_uses_only(q, allowed))
+                assert poly_mod.mentions(banned, p, q) == expected
 
 
 class TestEval:

@@ -11,6 +11,8 @@ from paracr.surface import (
     MixedComponentError,
     ModelSurface,
     ParaVectorField,
+    ambient_apply,
+    ambient_bracket,
     direction_pair,
     tangency_residual,
     weight_of,
@@ -23,7 +25,7 @@ from paracr.solver import (
     special_conformal_field,
     vertical_translation,
 )
-from conftest import para_field_st, poly_st, random_para_field
+from conftest import fractions_st, para_field_st, poly_st, random_para_field, random_poly
 
 
 def P(text):
@@ -103,6 +105,20 @@ class TestParaVectorField:
         with pytest.raises(MixedComponentError):
             ParaVectorField(Poly.zero(), Poly.zero(), P("a"), Poly.zero())
 
+    @pytest.mark.parametrize("component", range(4))
+    @pytest.mark.parametrize("foreign", ["x", "y", "a", "b"])
+    def test_rejects_a_foreign_variable_in_each_component(self, component, foreign):
+        # alpha and beta take a and b, xi and eta x and y; a term of the other
+        # half's variable, planted among allowed terms, is refused by name
+        name, allowed = [("alpha", "ab"), ("beta", "ab"), ("xi", "xy"), ("eta", "xy")][component]
+        comps = [P("a b + 2"), P("b^2"), P("x y"), P("y^3 - x")]
+        comps[component] = comps[component] + P(f"3 {foreign}^2 {allowed[0]}")
+        if foreign in allowed:
+            assert getattr(ParaVectorField(*comps), name) == comps[component]
+            return
+        with pytest.raises(MixedComponentError, match=f"^{name} component"):
+            ParaVectorField(*comps)
+
     def test_apply_kills_defining_translation(self):
         v = vertical_translation()
         assert v.apply(P("y - a")) == Poly.zero()
@@ -165,32 +181,48 @@ class TestBracket:
         assert v.bracket(w) == _reference_bracket(v, w)
         assert w.bracket(v) == _reference_bracket(w, v)
 
-    def test_each_half_is_differentiated_by_its_own_variables(self, suite, monkeypatch):
-        # xi and eta depend on x and y alone, alpha and beta on a and b alone:
-        # over every bracket of the suite algebras no component is
-        # differentiated by the other half's variables
-        algebras = [solve_algebra(s) for s in suite]
-        calls = []
-        diff = Poly.diff
+    def test_each_half_is_derived_by_its_own_variables(self):
+        # each half carries a planted term in the other half's variables: the
+        # bracket on the half is the derivation over the half's own variables
+        # only, where a derivative by the other half's would not vanish
+        rng = random.Random(40)
+        for variables, other in (("xy", ("a", "b")), ("ab", ("x", "y"))):
+            for _ in range(40):
+                own = tuple(variables)
+                v = (random_poly(rng, own), random_poly(rng, own) + _planted(rng, other))
+                w = (random_poly(rng, own) + _planted(rng, own + other), random_poly(rng, own))
+                def derive(u, f):
+                    return _reference_half_apply(u, f, variables)
 
-        def spy(p, var):
-            calls.append((p, var))
-            return diff(p, var)
+                want = tuple(derive(v, wi) - derive(w, vi) for vi, wi in zip(v, w))
+                assert ambient_bracket(v, w, variables) == want, (variables, v, w)
+                assert ambient_apply(v, w[0], variables) == derive(v, w[0])
 
-        monkeypatch.setattr(Poly, "diff", spy)
+    def test_suite_brackets_match_reference_derivation(self, suite):
+        # every ordered pair of generators of the suite algebras
         brackets = 0
-        for algebra in algebras:
-            fields = [f for _, f in algebra.generators]
+        for s in suite:
+            fields = [f for _, f in solve_algebra(s).generators]
             for v in fields:
                 for w in fields:
-                    del calls[:]
-                    v.bracket(w)
+                    assert v.bracket(w) == _reference_bracket(v, w), (s, v, w)
                     brackets += 1
-                    allowed = {}  # id of a component -> the variables it may be differentiated by
-                    for comp, variables in _halves(v) + _halves(w):
-                        allowed[id(comp)] = allowed.get(id(comp), "") + variables
-                    assert calls and all(var in allowed[id(p)] for p, var in calls), (v, w)
-        assert brackets == sum(len(a.generators) ** 2 for a in algebras) > 100
+        assert brackets > 100
+
+    @given(st.lists(poly_st(max_terms=3), min_size=4, max_size=4), poly_st(), fractions_st)
+    def test_apply_matches_diff_and_multiply(self, v, f, scale):
+        v = [scale * c for c in v]
+        assert ambient_apply(v, f) == _reference_half_apply(v, f, "xyab")
+        # the Hamiltonian field (f_y, -f_x) of f and its swap on (a, b) kill f:
+        # every term pair cancels, and the sum is the zero Poly
+        g = scale * f
+        hamiltonian = (g.diff("y"), -g.diff("x"), g.diff("b"), -g.diff("a"))
+        assert ambient_apply(hamiltonian, f) == Poly.zero() == _reference_half_apply(
+            hamiltonian, f, "xyab"
+        )
+        assert ambient_apply(hamiltonian[:2], f, "xy") == _reference_half_apply(
+            hamiltonian[:2], f, "xy"
+        )
 
     def test_generators_match_reference_derivation(self):
         fields = [
@@ -207,9 +239,20 @@ class TestBracket:
                 assert v.bracket(w) == _reference_bracket(v, w)
 
 
-def _halves(f):
-    # each component of f with the variables it depends on
-    return ((f.xi, "xy"), (f.eta, "xy"), (f.alpha, "ab"), (f.beta, "ab"))
+def _planted(rng, variables):
+    # one term with a nonzero exponent of each of ``variables``
+    exp = [0, 0, 0, 0]
+    for var in variables:
+        exp["xyab".index(var)] = rng.randint(1, 3)
+    return Poly.monomial(tuple(exp), Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)))
+
+
+def _reference_half_apply(v, f, variables):
+    # sum_i v_i df/dx_i over ``variables``, one Poly.diff and product per slot
+    total = Poly.zero()
+    for coeff, var in zip(v, variables):
+        total = total + coeff * f.diff(var)
+    return total
 
 
 def _reference_apply(v, f):
